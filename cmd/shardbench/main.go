@@ -115,6 +115,7 @@ import (
 
 	"repro/fault"
 	"repro/internal/benchfmt"
+	"repro/internal/loadgen"
 	"repro/lock"
 	"repro/policy"
 	"repro/shard"
@@ -474,16 +475,7 @@ func runCell(c cellConfig) benchfmt.Result {
 		go func(id int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(c.seed)*1315423911 + int64(id)))
-			var zipf *rand.Zipf
-			if c.dist == "zipf" {
-				zipf = rand.NewZipf(rng, c.zipfS, 1, uint64(c.keys-1))
-			}
-			pick := func() uint64 {
-				if zipf != nil {
-					return zipf.Uint64()
-				}
-				return uint64(rng.Intn(c.keys))
-			}
+			pick := loadgen.KeyPicker(rng, c.dist, c.zipfS, c.keys)
 			base := shard.WithClientID(context.Background(), id)
 			log := make([]int64, 0, 1<<16)
 			defer func() { lats[id] = log }()
@@ -500,7 +492,7 @@ func runCell(c cellConfig) benchfmt.Result {
 				if perWorkerRate > 0 {
 					next = next.Add(interval())
 					arrival = next
-					if !sleepUntil(next, &stop) {
+					if !loadgen.SleepUntil(next, &stop) {
 						return
 					}
 				}
@@ -653,24 +645,18 @@ func runCell(c cellConfig) benchfmt.Result {
 	return r
 }
 
-// runChaos drives one cell's scripted fault timeline and does its
-// accounting. It arms the set c.faultAfter into the cell and disarms it
-// c.faultFor later; samples the workers' deadline counters every
-// c.faultSample to split the traffic into pre/fault/post phases and to
-// detect recovery (the first three consecutive samples whose trailing
-// miss rate held at or below c.faultTarget, clocked from Arm); and runs
-// the surge pool — while a surge fault is active, ExtraThreads() patient
-// (deadline-free) hammerers run on top of the measured workers, which is
-// the paper's overthreading collapse injected on demand. The sampler
-// reads the workers' own atomic counters, never a map snapshot: a
-// monitor acquiring a stormed stripe's lock is exactly the kind of
-// patient arrival a culling lock passivates, and the measurement must
-// not stall behind the convoy it is measuring. Returns when the cell
-// stops, with every surge worker drained.
+// runChaos drives one cell's scripted fault timeline (loadgen.Chaos does
+// the timeline, phase accounting and recovery detection) against the
+// local fault set, and runs the surge pool — while a surge fault is
+// active, ExtraThreads() patient (deadline-free) hammerers run on top of
+// the measured workers, which is the paper's overthreading collapse
+// injected on demand. Nothing here may take a map snapshot: a monitor
+// acquiring a stormed stripe's lock is exactly the kind of patient
+// arrival a culling lock passivates. Returns when the cell stops, with
+// every surge worker drained.
 //
 //lockcheck:nosnapshot
 func runChaos(c cellConfig, m *shard.Map, set *fault.Set, attempts, misses *atomic.Int64, stop *atomic.Bool) *benchfmt.ChaosResult {
-	cr := &benchfmt.ChaosResult{Fault: set.String(), RecoveryMillis: -1}
 	var surge []chan struct{}
 	var surgeWg sync.WaitGroup
 	spawn := func(id int) {
@@ -702,111 +688,25 @@ func runChaos(c cellConfig, m *shard.Map, set *fault.Set, attempts, misses *atom
 	defer surgeWg.Wait()
 	defer func() { resize(0) }()
 
-	start := time.Now()
-	tick := time.NewTicker(c.faultSample)
-	defer tick.Stop()
-
-	const pre, storming, post = 0, 1, 2
-	phase := pre
-	var phaseA, phaseM int64
-	endPhase := func() (int, int) {
-		a, mi := attempts.Load(), misses.Load()
-		dA, dM := int(a-phaseA), int(mi-phaseM)
-		phaseA, phaseM = a, mi
-		return dA, dM
-	}
-	var armedAt, runStart time.Time
-	var lastA, lastM int64
-	consec := 0
-	for !stop.Load() {
-		<-tick.C
-		now := time.Now()
-		if phase == pre && now.Sub(start) >= c.faultAfter {
-			cr.PreAttempts, cr.PreMisses = endPhase()
-			set.Arm()
-			armedAt = now
-			phase = storming
-			lastA, lastM = attempts.Load(), misses.Load()
-			continue
-		}
-		if phase == storming && now.Sub(armedAt) >= c.faultFor {
-			cr.FaultAttempts, cr.FaultMisses = endPhase()
-			set.Disarm()
-			resize(0)
-			phase = post
-		}
-		if phase == pre {
-			continue
-		}
-		if phase == storming {
-			resize(set.ExtraThreads())
-		}
-		a, mi := attempts.Load(), misses.Load()
-		dA, dM := a-lastA, mi-lastM
-		lastA, lastM = a, mi
-		if cr.RecoveryMillis >= 0 || dA == 0 {
-			continue // recovered already, or no deadline evidence this sample
-		}
-		if float64(dM)/float64(dA) <= c.faultTarget {
-			if consec == 0 {
-				runStart = now
+	cr := loadgen.Chaos{
+		After: c.faultAfter, For: c.faultFor, Sample: c.faultSample, Target: c.faultTarget,
+		Attempts: attempts, Misses: misses, Stop: stop,
+		Arm: set.Arm, Disarm: set.Disarm,
+		OnSample: func(armed bool) {
+			if armed {
+				resize(set.ExtraThreads())
+			} else {
+				resize(0)
 			}
-			if consec++; consec >= 3 {
-				cr.RecoveryMillis = float64(runStart.Sub(armedAt).Milliseconds())
-			}
-		} else {
-			consec = 0
-		}
-	}
-	// Close out whatever phase the cell ended in (a timeline validated in
-	// main always reaches post, but the accounting holds regardless).
-	switch phase {
-	case pre:
-		cr.PreAttempts, cr.PreMisses = endPhase()
-	case storming:
-		cr.FaultAttempts, cr.FaultMisses = endPhase()
-		set.Disarm()
-	case post:
-		cr.PostAttempts, cr.PostMisses = endPhase()
-	}
-	rate := func(misses, attempts int) float64 {
-		if attempts == 0 {
-			return 0
-		}
-		return float64(misses) / float64(attempts)
-	}
-	cr.PreMissRate = rate(cr.PreMisses, cr.PreAttempts)
-	cr.FaultMissRate = rate(cr.FaultMisses, cr.FaultAttempts)
-	cr.PostMissRate = rate(cr.PostMisses, cr.PostAttempts)
+		},
+	}.Run()
+	cr.Fault = set.String()
 	st := set.Stats()
 	cr.Stalls = st.Stalls
 	cr.StallMillis = float64(st.StallTime) / float64(time.Millisecond)
 	cr.Reroutes = st.Reroutes
 	cr.SurgePeak = st.SurgePeak
 	return cr
-}
-
-// sleepUntil sleeps toward t in short slices, abandoning the wait when
-// stop is set. It reports whether the caller should proceed (false =
-// stopped). Sliced sleeping keeps a low-rate worker from sleeping through
-// the end of the cell: an exponential-tail inter-arrival would otherwise
-// run one op past the measured window (inflating OpsPerSec exactly where
-// each op matters most) and stall cell teardown until the worker wakes.
-func sleepUntil(t time.Time, stop *atomic.Bool) bool {
-	const slice = 5 * time.Millisecond
-	for {
-		if stop.Load() {
-			return false
-		}
-		d := time.Until(t)
-		if d <= 0 {
-			return true
-		}
-		if d > slice {
-			d = slice
-		}
-		time.Sleep(d)
-	}
 }
 
 func splitList(s string) []string {

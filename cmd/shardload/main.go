@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"repro/internal/benchfmt"
+	"repro/internal/loadgen"
 	"repro/shard"
 	"repro/wire"
 )
@@ -118,6 +119,9 @@ func main() {
 		// rand.NewZipf returns nil for s <= 1; fall back explicitly
 		// rather than silently serving uniform keys under a zipf label.
 		fatalf("-zipf-s must be > 1 (got %g); use -dist uniform for flat popularity", c.zipfS)
+	}
+	if c.scanFrac > 0 && c.scanSpan < 1 {
+		fatalf("-scan-span must be positive")
 	}
 	if c.fault != "" && c.faultAfter+c.faultFor >= c.duration {
 		fatalf("-fault timeline (%v + %v) must fit inside -duration %v with room to recover",
@@ -265,16 +269,7 @@ func main() {
 // reconnects, and per-op latency measured from the scheduled arrival.
 func runWorker(c config, id int, cnt *counters, stop *atomic.Bool) []int64 {
 	rng := rand.New(rand.NewSource(int64(c.seed)*1315423911 + int64(id)))
-	var zipf *rand.Zipf
-	if c.dist == "zipf" {
-		zipf = rand.NewZipf(rng, c.zipfS, 1, uint64(c.keys-1))
-	}
-	key := func() uint64 {
-		if zipf != nil {
-			return zipf.Uint64()
-		}
-		return uint64(rng.Intn(c.keys))
-	}
+	key := loadgen.KeyPicker(rng, c.dist, c.zipfS, c.keys)
 
 	cl, err := wire.Dial(c.addr)
 	if err != nil {
@@ -306,7 +301,7 @@ func runWorker(c config, id int, cnt *counters, stop *atomic.Bool) []int64 {
 		if perConnRate > 0 {
 			// Exponential inter-arrival: the open-loop Poisson schedule.
 			next = next.Add(time.Duration(rng.ExpFloat64() / perConnRate * float64(time.Second)))
-			if !sleepUntil(next, stop) {
+			if !loadgen.SleepUntil(next, stop) {
 				break
 			}
 		} else {
@@ -332,10 +327,13 @@ func runWorker(c config, id int, cnt *counters, stop *atomic.Bool) []int64 {
 		var err error
 		switch p := rng.Float64(); {
 		case c.scanFrac > 0 && p < c.scanFrac:
-			lo := key()
-			_, err = cl.Scan(lo, lo+uint64(c.scanSpan), 0, deadline, func(k, v uint64) bool { return true })
-			cnt.scans.Add(1)
-			if isStatus(err, wire.ErrUnordered) {
+			// Same accounting as shardbench under the shared benchfmt
+			// schema: only completed scans count as scans.
+			_, err = scanOnce(cl, key(), c.scanSpan, deadline)
+			switch {
+			case err == nil:
+				cnt.scans.Add(1)
+			case isStatus(err, wire.ErrUnordered):
 				cnt.rejected.Add(1)
 				err = nil
 			}
@@ -366,80 +364,34 @@ func runWorker(c config, id int, cnt *counters, stop *atomic.Bool) []int64 {
 	return lats
 }
 
-// runChaos mirrors shardbench's chaos supervisor over the wire: arm the
-// fault set on the server after the warmup, sample the generator-side
-// miss rate, disarm, and measure time-to-recovery from fault onset. The
+// scanOnce scans span consecutive keys from lo — shardbench's
+// key … key+span-1; the wire's bounds are inclusive on both ends.
+func scanOnce(cl *wire.Client, lo uint64, span int, deadline time.Time) (pairs int, err error) {
+	return cl.Scan(lo, lo+uint64(span)-1, 0, deadline, func(_, _ uint64) bool { return true })
+}
+
+// runChaos runs shardbench's chaos timeline over the wire: arm the fault
+// set on the server after the warmup, sample the generator-side miss
+// rate, disarm, and measure time-to-recovery from fault onset. The
 // injected-fault evidence comes back over the FAULT stats verb.
 func runChaos(c config, admin *wire.Client, cnt *counters, stop *atomic.Bool) *benchfmt.ChaosResult {
-	cr := &benchfmt.ChaosResult{Fault: c.fault, RecoveryMillis: -1}
-	start := time.Now()
-	tick := time.NewTicker(c.faultSample)
-	defer tick.Stop()
-
-	const pre, storming, post = 0, 1, 2
-	phase := pre
-	var phaseA, phaseM int64
-	endPhase := func() (int, int) {
-		a, mi := cnt.attempts.Load(), cnt.misses.Load()
-		dA, dM := int(a-phaseA), int(mi-phaseM)
-		phaseA, phaseM = a, mi
-		return dA, dM
-	}
-	var armedAt, runStart time.Time
-	var lastA, lastM int64
-	consec := 0
-	for !stop.Load() {
-		<-tick.C
-		now := time.Now()
-		if phase == pre && now.Sub(start) >= c.faultAfter {
-			cr.PreAttempts, cr.PreMisses = endPhase()
+	cr := loadgen.Chaos{
+		After: c.faultAfter, For: c.faultFor, Sample: c.faultSample, Target: c.faultTarget,
+		Attempts: &cnt.attempts, Misses: &cnt.misses, Stop: stop,
+		Arm: func() {
 			if err := admin.FaultArm(c.fault); err != nil {
 				fatalf("fault arm: %v", err)
 			}
-			armedAt = now
-			phase = storming
-			lastA, lastM = cnt.attempts.Load(), cnt.misses.Load()
-			continue
-		}
-		if phase == storming && now.Sub(armedAt) >= c.faultFor {
-			cr.FaultAttempts, cr.FaultMisses = endPhase()
-			if err := admin.FaultDisarm(); err != nil {
+		},
+		Disarm: func() {
+			// A cell stopped mid-storm is already tearing down: only a
+			// disarm on the timeline must succeed.
+			if err := admin.FaultDisarm(); err != nil && !stop.Load() {
 				fatalf("fault disarm: %v", err)
 			}
-			phase = post
-		}
-		if phase == pre {
-			continue
-		}
-		a, mi := cnt.attempts.Load(), cnt.misses.Load()
-		dA, dM := a-lastA, mi-lastM
-		lastA, lastM = a, mi
-		if cr.RecoveryMillis >= 0 || dA == 0 {
-			continue // recovered already, or no deadline evidence this sample
-		}
-		if float64(dM)/float64(dA) <= c.faultTarget {
-			if consec == 0 {
-				runStart = now
-			}
-			if consec++; consec >= 3 {
-				cr.RecoveryMillis = float64(runStart.Sub(armedAt).Milliseconds())
-			}
-		} else {
-			consec = 0
-		}
-	}
-	switch phase {
-	case pre:
-		cr.PreAttempts, cr.PreMisses = endPhase()
-	case storming:
-		cr.FaultAttempts, cr.FaultMisses = endPhase()
-		admin.FaultDisarm() //nolint:errcheck // already tearing down
-	case post:
-		cr.PostAttempts, cr.PostMisses = endPhase()
-	}
-	cr.PreMissRate = benchfmt.Rate(cr.PreMisses, cr.PreAttempts)
-	cr.FaultMissRate = benchfmt.Rate(cr.FaultMisses, cr.FaultAttempts)
-	cr.PostMissRate = benchfmt.Rate(cr.PostMisses, cr.PostAttempts)
+		},
+	}.Run()
+	cr.Fault = c.fault
 	if txt, err := admin.FaultStats(); err == nil {
 		st := parseKV(txt)
 		cr.Stalls = uint64(atoi(st["stalls"]))
@@ -448,26 +400,6 @@ func runChaos(c config, admin *wire.Client, cnt *counters, stop *atomic.Bool) *b
 		cr.SurgePeak = atoi(st["surge_peak"])
 	}
 	return cr
-}
-
-// sleepUntil sleeps toward t in short slices, abandoning the wait when
-// stop is set (same shape as shardbench's: a long exponential tail must
-// not outlive the cell).
-func sleepUntil(t time.Time, stop *atomic.Bool) bool {
-	const slice = 5 * time.Millisecond
-	for {
-		if stop.Load() {
-			return false
-		}
-		d := time.Until(t)
-		if d <= 0 {
-			return true
-		}
-		if d > slice {
-			d = slice
-		}
-		time.Sleep(d)
-	}
 }
 
 func isStatus(err error, sentinel *wire.StatusError) bool {

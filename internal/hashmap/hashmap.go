@@ -1,52 +1,89 @@
 // Package hashmap implements an open-addressing hash table mapping uint64
-// keys to uint64 values, standing in for C++ std::unordered_map in the
-// keymap benchmark (§6.8) and for the in-memory hash database of the
-// Kyoto Cabinet stand-in (§6.6). Slot probes are reported through the
-// Touch callback so the simulator charges the table's memory footprint —
-// for a large pre-sized table this is the dominant CS footprint, exactly
-// the property keymap exploits.
+// keys to uint64 values. It serves two consumers with one type: the
+// sharded store's "hashmap" backend (package store), and the simulator,
+// where it stands in for C++ std::unordered_map in the keymap benchmark
+// (§6.8) and for the in-memory hash database of the Kyoto Cabinet
+// stand-in (§6.6). The simulator installs the optional Touch hook so slot
+// probes are charged to the cache model — for a large pre-sized table the
+// probed slots are the dominant CS footprint, exactly the property keymap
+// exploits; the store leaves the hook nil and pays one nil check per
+// probe.
 package hashmap
 
+import "sync/atomic"
+
+// slotBytes is the footprint of one slot (key + value) as reported to
+// Touch.
+const slotBytes = 16
+
 // Map is a linear-probing hash table with tombstone-free deletion
-// (backward-shift). Not safe for concurrent use.
+// (backward-shift), over the full uint64 key domain: key 0 is held
+// out-of-band because 0 marks an empty slot.
+//
+// Map is not safe for general concurrent use: the caller's lock — in the
+// sharded store, the stripe's registry-built lock — provides mutual
+// exclusion between mutators. What Map does support, beyond the locked
+// contract, is *torn-read-safe* concurrent readers: the slot arrays live
+// behind an atomically published table pointer and every slot that a
+// concurrent reader may observe is accessed with atomic loads and
+// stores. GetOptimistic may therefore run with no lock at all,
+// concurrently with a mutator. Its result can be stale or torn — a probe
+// across a half-finished backward shift can miss a present key — which
+// is exactly the contract the seqlock read path needs: the caller
+// validates the stripe's version stamp afterwards and discards any read
+// that overlapped a write section. What the atomics guarantee is only
+// that such a read is *safe*: no data race, no fault, no garbage beyond
+// a value the table held at some point.
 type Map struct {
-	keys  []uint64 // 0 = empty (key 0 is remapped internally)
-	vals  []uint64
-	size  int
-	mask  uint64
-	base  uint64 // virtual address of slot 0
-	Touch func(addr uint64)
+	tab  atomic.Pointer[table]
+	size int // keys in tab; mutator-side only, guarded by the caller's lock
+
+	// Key 0 lives out-of-band (0 marks an empty slot), as an
+	// atomically readable pair. A torn hasZero/zeroVal combination is
+	// possible for a concurrent reader and is covered by validation.
+	hasZero atomic.Bool
+	zeroVal atomic.Uint64
+
+	// Touch, if non-nil, receives the byte offset from slot 0 of every
+	// slot a locked-path operation (Get, Put, Delete, Range) reads; the
+	// caller adds the table's virtual base address. Key 0 occupies no
+	// slot, a grow's rehash is not reported (rare; amortized), and
+	// GetOptimistic never calls it: the hook is caller state under the
+	// caller's lock, which that path does not hold. Set it before the
+	// table is shared.
+	Touch func(off uint64)
+}
+
+// table is one immutable-shape slot array generation: the arrays and mask
+// never change after publication (grow publishes a new table), only the
+// slot contents do, and those only via atomic stores.
+type table struct {
+	keys []uint64 // 0 = empty slot
+	vals []uint64
+	mask uint64
 }
 
 // New returns a map pre-sized for capacity elements (rounded up to a
-// power of two with slack), with slot addresses starting at base.
-func New(capacity int, base uint64) *Map {
+// power of two with slack for the probe load factor).
+func New(capacity int) *Map {
 	n := 16
 	for n < capacity*2 {
 		n *= 2
 	}
-	return &Map{
+	m := &Map{}
+	m.tab.Store(&table{
 		keys: make([]uint64, n),
 		vals: make([]uint64, n),
 		mask: uint64(n - 1),
-		base: base,
-	}
+	})
+	return m
 }
 
-// Len returns the number of keys present.
-func (m *Map) Len() int { return m.size }
-
-// Slots returns the table's slot count.
-func (m *Map) Slots() int { return len(m.keys) }
-
-func (m *Map) touch(slot uint64) {
-	if m.Touch != nil {
-		// Each slot is 16 bytes (key + value).
-		m.Touch(m.base + slot*16)
-	}
-}
-
-func mix(k uint64) uint64 {
+// Mix is the table's 64-bit finalizer hash (Murmur3 fmix64), exported so
+// that layered structures (the shard router) can derive their placement
+// from the same mixer: the shard index takes the high bits, the slot
+// index the low bits, so stripe routing never degrades in-stripe probing.
+func Mix(k uint64) uint64 {
 	k ^= k >> 33
 	k *= 0xff51afd7ed558ccd
 	k ^= k >> 33
@@ -55,91 +92,185 @@ func mix(k uint64) uint64 {
 	return k
 }
 
-// ikey remaps key 0 so the zero slot value can mean "empty".
-func ikey(key uint64) uint64 {
-	if key == 0 {
-		return ^uint64(0)
+// Len returns the number of keys present.
+func (m *Map) Len() int {
+	n := m.size
+	if m.hasZero.Load() {
+		n++
 	}
-	return key
+	return n
 }
 
-// Get returns the value for key and whether it was present.
+// Slots returns the table's slot count.
+func (m *Map) Slots() int { return len(m.tab.Load().keys) }
+
+func (m *Map) touch(slot uint64) {
+	if m.Touch != nil {
+		m.Touch(slot * slotBytes)
+	}
+}
+
+// zero reads the out-of-band key 0 with atomic loads only, so both the
+// locked and the lock-free Get may use it.
+func (m *Map) zero() (uint64, bool) {
+	if m.hasZero.Load() {
+		return m.zeroVal.Load(), true
+	}
+	return 0, false
+}
+
+// Get returns the value for key and whether it was present. Callers
+// hold the stripe lock, so no mutator is concurrent and plain loads
+// through the published table are exact.
 func (m *Map) Get(key uint64) (uint64, bool) {
-	k := ikey(key)
-	slot := mix(k) & m.mask
+	if key == 0 {
+		return m.zero()
+	}
+	t := m.tab.Load()
+	slot := Mix(key) & t.mask
 	for {
 		m.touch(slot)
-		switch m.keys[slot] {
+		switch t.keys[slot] {
 		case 0:
 			return 0, false
-		case k:
-			return m.vals[slot], true
+		case key:
+			return t.vals[slot], true
 		}
-		slot = (slot + 1) & m.mask
+		slot = (slot + 1) & t.mask
 	}
+}
+
+// GetOptimistic returns the value for key using only atomic loads, with
+// no lock and no mutual exclusion against a concurrent mutator. The
+// probe is bounded by the slot count, so a torn view of a backward
+// shift (transiently cycle-shaped occupancy) terminates rather than
+// spinning. A racing delete's backshift can even pair a matched key
+// with a neighboring entry's value mid-move — the weakest "mixed
+// versions" outcome the OptimisticReader contract allows. See the type
+// comment for the staleness contract: the caller must validate the
+// stripe's version stamp and discard torn results.
+//
+//lockcheck:optimistic
+func (m *Map) GetOptimistic(key uint64) (uint64, bool) {
+	if key == 0 {
+		return m.zero()
+	}
+	t := m.tab.Load()
+	slot := Mix(key) & t.mask
+	for range t.keys {
+		switch atomic.LoadUint64(&t.keys[slot]) {
+		case 0:
+			return 0, false
+		case key:
+			return atomic.LoadUint64(&t.vals[slot]), true
+		}
+		slot = (slot + 1) & t.mask
+	}
+	return 0, false
 }
 
 // Put inserts or updates key. It reports whether the key was new.
 func (m *Map) Put(key, val uint64) bool {
-	if m.size*4 >= len(m.keys)*3 {
-		m.grow()
+	if key == 0 {
+		fresh := !m.hasZero.Load()
+		// Value first: a concurrent reader that observes hasZero
+		// observes a value key 0 held at some point.
+		m.zeroVal.Store(val)
+		m.hasZero.Store(true)
+		return fresh
 	}
-	k := ikey(key)
-	slot := mix(k) & m.mask
+	t := m.tab.Load()
+	if m.size*4 >= len(t.keys)*3 {
+		t = m.grow(t)
+	}
+	slot := Mix(key) & t.mask
 	for {
 		m.touch(slot)
-		switch m.keys[slot] {
+		switch atomic.LoadUint64(&t.keys[slot]) {
 		case 0:
-			m.keys[slot] = k
-			m.vals[slot] = val
+			// Value before key: a concurrent reader that matches the
+			// key loads the value the key was inserted with, never the
+			// slot's stale residue.
+			atomic.StoreUint64(&t.vals[slot], val)
+			atomic.StoreUint64(&t.keys[slot], key)
 			m.size++
 			return true
-		case k:
-			m.vals[slot] = val
+		case key:
+			atomic.StoreUint64(&t.vals[slot], val)
 			return false
 		}
-		slot = (slot + 1) & m.mask
+		slot = (slot + 1) & t.mask
 	}
 }
 
 // Delete removes key with backward-shift deletion; reports presence.
 func (m *Map) Delete(key uint64) bool {
-	k := ikey(key)
-	slot := mix(k) & m.mask
+	if key == 0 {
+		present := m.hasZero.Load()
+		m.hasZero.Store(false)
+		m.zeroVal.Store(0)
+		return present
+	}
+	t := m.tab.Load()
+	slot := Mix(key) & t.mask
 	for {
 		m.touch(slot)
-		switch m.keys[slot] {
+		switch atomic.LoadUint64(&t.keys[slot]) {
 		case 0:
 			return false
-		case k:
-			m.backshift(slot)
+		case key:
+			m.backshift(t, slot)
 			m.size--
 			return true
 		}
-		slot = (slot + 1) & m.mask
+		slot = (slot + 1) & t.mask
 	}
 }
 
-func (m *Map) backshift(hole uint64) {
+// Range calls fn for every key/value pair until fn returns false. The
+// iteration order is key 0 first (if present), then the table's slot
+// order, i.e. unspecified. The table must not be mutated during the walk.
+func (m *Map) Range(fn func(key, val uint64) bool) {
+	if m.hasZero.Load() && !fn(0, m.zeroVal.Load()) {
+		return
+	}
+	t := m.tab.Load()
+	for slot, k := range t.keys {
+		m.touch(uint64(slot))
+		if k == 0 {
+			continue
+		}
+		if !fn(k, t.vals[slot]) {
+			return
+		}
+	}
+}
+
+func (m *Map) backshift(t *table, hole uint64) {
 	for {
-		m.keys[hole] = 0
-		next := (hole + 1) & m.mask
+		atomic.StoreUint64(&t.keys[hole], 0)
+		next := (hole + 1) & t.mask
 		for {
 			m.touch(next)
-			k := m.keys[next]
+			k := t.keys[next]
 			if k == 0 {
 				return
 			}
-			home := mix(k) & m.mask
+			home := Mix(k) & t.mask
 			// Can k move into the hole? Only if its home position does
 			// not lie strictly between hole (exclusive) and next.
 			if inCycle(home, hole, next) {
-				m.keys[hole] = k
-				m.vals[hole] = m.vals[next]
+				// Value first, then key, then the vacated slot is
+				// cleared on the next outer iteration: a concurrent
+				// probe may see the moving key at zero, one, or both
+				// positions — torn, but never outside the table's
+				// value history for that key.
+				atomic.StoreUint64(&t.vals[hole], t.vals[next])
+				atomic.StoreUint64(&t.keys[hole], k)
 				hole = next
 				break
 			}
-			next = (next + 1) & m.mask
+			next = (next + 1) & t.mask
 		}
 	}
 }
@@ -153,29 +284,28 @@ func inCycle(home, hole, cur uint64) bool {
 	return home <= hole || hole < cur
 }
 
-func (m *Map) grow() {
-	oldKeys, oldVals := m.keys, m.vals
-	n := len(oldKeys) * 2
-	m.keys = make([]uint64, n)
-	m.vals = make([]uint64, n)
-	m.mask = uint64(n - 1)
-	m.size = 0
-	touch := m.Touch
-	m.Touch = nil // rehash traffic not charged (rare; amortized)
-	for i, k := range oldKeys {
+// grow builds a doubled table with plain stores (unpublished memory) and
+// atomically publishes it. Concurrent readers that loaded the old table
+// keep probing a frozen generation — the mutator never writes the old
+// arrays again — and readers that load the new pointer see fully
+// initialized arrays via the publication ordering.
+func (m *Map) grow(t *table) *table {
+	n := len(t.keys) * 2
+	nt := &table{
+		keys: make([]uint64, n),
+		vals: make([]uint64, n),
+		mask: uint64(n - 1),
+	}
+	for i, k := range t.keys {
 		if k != 0 {
-			m.putRaw(k, oldVals[i])
+			slot := Mix(k) & nt.mask
+			for nt.keys[slot] != 0 {
+				slot = (slot + 1) & nt.mask
+			}
+			nt.keys[slot] = k
+			nt.vals[slot] = t.vals[i]
 		}
 	}
-	m.Touch = touch
-}
-
-func (m *Map) putRaw(k, val uint64) {
-	slot := mix(k) & m.mask
-	for m.keys[slot] != 0 {
-		slot = (slot + 1) & m.mask
-	}
-	m.keys[slot] = k
-	m.vals[slot] = val
-	m.size++
+	m.tab.Store(nt)
+	return nt
 }

@@ -1,14 +1,18 @@
 // Package rbtree implements a left-leaning red-black tree mapping uint64
-// keys to uint64 values. It stands in for C++ std::map — "implemented via
-// a red-black tree" — inside the LRUCache benchmark (§6.9), which ports
-// CEPH's SimpleLRU.
+// keys to uint64 values. It serves two consumers with one type: the
+// sharded store's "rbtree" backend (package store), and the simulator,
+// where it stands in for C++ std::map — "implemented via a red-black
+// tree" — inside the LRUCache benchmark (§6.9), which ports CEPH's
+// SimpleLRU.
 //
-// Each node carries a synthetic virtual address drawn from a caller-
-// supplied bump allocator, and every node visited by an operation is
-// reported through the Touch callback, so the simulator charges the real
-// pointer-chasing footprint of the tree: the paper's point is precisely
-// that a sequence of short lookups eventually touches the whole structure
-// ("the CS may be short in average duration but wide").
+// The simulator installs the optional NextAddr/Touch hooks: each node
+// then carries a synthetic virtual address drawn from a caller-supplied
+// bump allocator, and every node visited by an operation is reported, so
+// the cache model is charged the real pointer-chasing footprint of the
+// tree: the paper's point is precisely that a sequence of short lookups
+// eventually touches the whole structure ("the CS may be short in average
+// duration but wide"). The store leaves both nil and pays one nil check
+// per node visit.
 package rbtree
 
 const (
@@ -23,7 +27,14 @@ type node struct {
 	color       bool
 }
 
-// Tree is a left-leaning red-black tree. Not safe for concurrent use.
+// Tree is a left-leaning red-black tree over the full uint64 key domain.
+// Beyond the point operations it serves the ordered-read contract a
+// store backend needs: Min / Scan / Range expose the key order the tree
+// maintains anyway.
+//
+// Tree is not safe for concurrent use: the caller's lock — in the
+// sharded store, the stripe's registry-built lock — provides mutual
+// exclusion.
 type Tree struct {
 	root *node
 	size int
@@ -31,7 +42,9 @@ type Tree struct {
 	// NextAddr supplies the virtual address for each new node (e.g. a
 	// bump pointer into a shared region). Nil means addresses are 0.
 	NextAddr func() uint64
-	// Touch, if non-nil, receives the address of every node visited.
+	// Touch, if non-nil, receives the address of every node on an
+	// operation's search path (rebalancing reads of a path node's
+	// children are not reported separately).
 	Touch func(addr uint64)
 }
 
@@ -90,10 +103,12 @@ func (t *Tree) Get(key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// Put inserts or updates key.
-func (t *Tree) Put(key, val uint64) {
+// Put inserts or updates key. It reports whether the key was new.
+func (t *Tree) Put(key, val uint64) bool {
+	before := t.size
 	t.root = t.insert(t.root, key, val)
 	t.root.color = black
+	return t.size != before
 }
 
 func (t *Tree) insert(h *node, key, val uint64) *node {
@@ -222,13 +237,65 @@ func (t *Tree) delete(h *node, key uint64) *node {
 	return fixUp(t, h)
 }
 
+// Min returns the smallest key, or ok=false when empty.
+func (t *Tree) Min() (key uint64, ok bool) {
+	n := t.root
+	if n == nil {
+		return 0, false
+	}
+	t.touch(n)
+	for n.left != nil {
+		n = n.left
+		t.touch(n)
+	}
+	return n.key, true
+}
+
+// Scan calls fn for every pair with lo <= key <= hi, in ascending key
+// order, until fn returns false. Bounds are inclusive, so the full
+// domain is Scan(0, ^uint64(0), fn). The tree must not be mutated during
+// the walk.
+func (t *Tree) Scan(lo, hi uint64, fn func(key, val uint64) bool) {
+	t.scan(t.root, lo, hi, fn)
+}
+
+// scan is a bounded in-order traversal; it reports whether to keep going
+// (fn has not returned false).
+func (t *Tree) scan(n *node, lo, hi uint64, fn func(key, val uint64) bool) bool {
+	if n == nil {
+		return true
+	}
+	t.touch(n)
+	if lo < n.key {
+		if !t.scan(n.left, lo, hi, fn) {
+			return false
+		}
+	}
+	if lo <= n.key && n.key <= hi {
+		if !fn(n.key, n.val) {
+			return false
+		}
+	}
+	if hi > n.key {
+		return t.scan(n.right, lo, hi, fn)
+	}
+	return true
+}
+
+// Range calls fn for every key/value pair until fn returns false. Unlike
+// a hash table's Range, the iteration order is ascending key order.
+func (t *Tree) Range(fn func(key, val uint64) bool) {
+	t.Scan(0, ^uint64(0), fn)
+}
+
 // CheckInvariants verifies BST order, no red right links, no double red
-// left links, and uniform black height. For tests.
+// left links, uniform black height, and the size count. For tests.
 func (t *Tree) CheckInvariants() bool {
 	if isRed(t.root) {
 		return false
 	}
 	bh := -1
+	count := 0
 	var walk func(n *node, min, max uint64, blacks int) bool
 	walk = func(n *node, min, max uint64, blacks int) bool {
 		if n == nil {
@@ -237,6 +304,7 @@ func (t *Tree) CheckInvariants() bool {
 			}
 			return bh == blacks
 		}
+		count++
 		if n.key < min || n.key > max {
 			return false
 		}
@@ -255,5 +323,5 @@ func (t *Tree) CheckInvariants() bool {
 		}
 		return walk(n.left, min, lmax, blacks) && walk(n.right, n.key+1, max, blacks)
 	}
-	return walk(t.root, 0, ^uint64(0), 0)
+	return walk(t.root, 0, ^uint64(0), 0) && count == t.size
 }

@@ -3,8 +3,8 @@
 // deadline from the socket to the stripe lock, and exposes the map's
 // snapshot/delta/chaos counters on a text-exposition /metrics endpoint.
 // cmd/shardd is a thin flag-and-signal wrapper; the package exists so
-// the race end-to-end tests and examples/shardsvc can run a real server
-// in-process on a loopback listener.
+// the race end-to-end tests can run a real server in-process on a
+// loopback listener.
 //
 // Connection handling is a benched dimension. Both models serve each
 // connection on its own goroutine with a pipelining read loop

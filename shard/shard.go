@@ -636,46 +636,139 @@ func (m *Map) getOptimistic(s *stripe, key uint64) (val uint64, ok, served bool)
 	return 0, false, false
 }
 
+// budgeted counts one deadline-bounded point-op arrival at this stripe,
+// under the context's request class. An operation is budgeted when its
+// context can end at all (Done() != nil): only those can miss, and only
+// those are the SLO traffic the slo policy steers on. Monitoring paths
+// (Snapshot, Len, Range, Scan) never count — a controller polling a
+// collapsed stripe must not dilute the very miss rate it reacts to.
+// The class lookup (a context.Value walk) is paid only by budgeted
+// operations, which already built a cancellable context.
+func (s *stripe) budgeted(ctx context.Context) (int, bool) {
+	if ctx.Done() == nil {
+		return 0, false
+	}
+	cls := Class(ctx)
+	s.deadlineAttempts[cls].Add(1)
+	return cls, true
+}
+
+// admit is a point operation's arrival at its stripe: it acquires the
+// current descriptor's lock — bounded by ctx unless ctx is nil — and
+// does the per-arrival accounting once for all three verbs: the budgeted
+// attempt and, if the deadline expires in the queue, its miss; and the
+// admission-history record, inside the critical section. The caller must
+// d.mu.Unlock().
+//
+//lockcheck:acquires return.mu
+func (s *stripe) admit(ctx context.Context) (*descriptor, error) {
+	if ctx == nil {
+		return s.lockCurrent(), nil
+	}
+	id, recording := s.client(ctx)
+	cls, budgeted := s.budgeted(ctx)
+	d, err := s.lockCurrentContext(ctx)
+	if err != nil {
+		if budgeted {
+			s.deadlineMisses[cls].Add(1)
+		}
+		return nil, err
+	}
+	if recording {
+		s.record(id)
+	}
+	return d, nil
+}
+
 // Get returns the value for key and whether it was present.
 func (m *Map) Get(key uint64) (uint64, bool) {
-	i := m.StripeFor(key)
-	s := &m.stripes[i]
-	if m.readPath.Optimistic {
-		if v, ok, served := m.getOptimistic(s, key); served {
-			return v, ok
-		}
-	}
-	d := s.lockCurrent()
-	m.inject(i)
-	v, ok := d.table.Get(key)
-	d.mu.Unlock()
+	v, ok, _ := m.get(nil, key)
 	return v, ok
+}
+
+// GetContext is Get with the stripe acquisition bounded by ctx. On the
+// optimistic read path a validated lock-free hit completes the Get even
+// if ctx has already expired — the hit wins the race the way a lock
+// handoff racing a cancellation does — and counts a budgeted attempt
+// with no miss.
+func (m *Map) GetContext(ctx context.Context, key uint64) (val uint64, ok bool, err error) {
+	return m.get(ctx, key)
 }
 
 // Put inserts or updates key. It reports whether the key was new.
 func (m *Map) Put(key, val uint64) bool {
+	fresh, _ := m.put(nil, key, val)
+	return fresh
+}
+
+// PutContext is Put with the stripe acquisition bounded by ctx.
+func (m *Map) PutContext(ctx context.Context, key, val uint64) (fresh bool, err error) {
+	return m.put(ctx, key, val)
+}
+
+// Delete removes key; it reports whether the key was present.
+func (m *Map) Delete(key uint64) bool {
+	present, _ := m.del(nil, key)
+	return present
+}
+
+// DeleteContext is Delete with the stripe acquisition bounded by ctx.
+func (m *Map) DeleteContext(ctx context.Context, key uint64) (present bool, err error) {
+	return m.del(ctx, key)
+}
+
+// get, put and del are the one body of each point verb; the exported
+// plain and Context forms above differ only in the ctx they pass. A nil
+// ctx is the plain form: it cannot fail, is never budgeted and leaves no
+// admission history (see admit).
+
+func (m *Map) get(ctx context.Context, key uint64) (uint64, bool, error) {
 	i := m.StripeFor(key)
 	s := &m.stripes[i]
-	d := s.lockCurrent()
+	if m.readPath.Optimistic {
+		if v, ok, served := m.getOptimistic(s, key); served {
+			if ctx != nil {
+				s.budgeted(ctx)
+			}
+			return v, ok, nil
+		}
+	}
+	d, err := s.admit(ctx)
+	if err != nil {
+		return 0, false, err
+	}
+	m.inject(i)
+	v, ok := d.table.Get(key)
+	d.mu.Unlock()
+	return v, ok, nil
+}
+
+func (m *Map) put(ctx context.Context, key, val uint64) (bool, error) {
+	i := m.StripeFor(key)
+	d, err := m.stripes[i].admit(ctx)
+	if err != nil {
+		return false, err
+	}
 	d.seq.WriteBegin()
 	m.inject(i)
 	fresh := d.table.Put(key, val)
 	d.seq.WriteEnd()
 	d.mu.Unlock()
-	return fresh
+	return fresh, nil
 }
 
-// Delete removes key; it reports whether the key was present.
-func (m *Map) Delete(key uint64) bool {
+func (m *Map) del(ctx context.Context, key uint64) (bool, error) {
 	i := m.StripeFor(key)
-	s := &m.stripes[i]
-	d := s.lockCurrent()
+	d, err := m.stripes[i].admit(ctx)
+	if err != nil {
+		return false, err
+	}
 	d.seq.WriteBegin()
 	m.inject(i)
 	present := d.table.Delete(key)
 	d.seq.WriteEnd()
 	d.mu.Unlock()
-	return present
+	return present, nil
 }
 
 // Len returns the number of keys present. Like every multi-stripe read it
@@ -702,103 +795,6 @@ func (m *Map) lenStripes(ctx context.Context) (int, error) {
 		d.mu.Unlock()
 	}
 	return n, nil
-}
-
-// budgeted counts one deadline-bounded point-op arrival at this stripe,
-// under the context's request class. An operation is budgeted when its
-// context can end at all (Done() != nil): only those can miss, and only
-// those are the SLO traffic the slo policy steers on. Monitoring paths
-// (Snapshot, Len, Range, Scan) never count — a controller polling a
-// collapsed stripe must not dilute the very miss rate it reacts to.
-// The class lookup (a context.Value walk) is paid only by budgeted
-// operations, which already built a cancellable context.
-func (s *stripe) budgeted(ctx context.Context) (int, bool) {
-	if ctx.Done() == nil {
-		return 0, false
-	}
-	cls := Class(ctx)
-	s.deadlineAttempts[cls].Add(1)
-	return cls, true
-}
-
-// GetContext is Get with the stripe acquisition bounded by ctx. On the
-// optimistic read path a validated lock-free hit completes the Get even
-// if ctx has already expired — the hit wins the race the way a lock
-// handoff racing a cancellation does — and counts a budgeted attempt
-// with no miss.
-func (m *Map) GetContext(ctx context.Context, key uint64) (val uint64, ok bool, err error) {
-	i := m.StripeFor(key)
-	s := &m.stripes[i]
-	if m.readPath.Optimistic {
-		if v, ok, served := m.getOptimistic(s, key); served {
-			s.budgeted(ctx)
-			return v, ok, nil
-		}
-	}
-	id, recording := s.client(ctx)
-	cls, budgeted := s.budgeted(ctx)
-	d, err := s.lockCurrentContext(ctx)
-	if err != nil {
-		if budgeted {
-			s.deadlineMisses[cls].Add(1)
-		}
-		return 0, false, err
-	}
-	if recording {
-		s.record(id)
-	}
-	m.inject(i)
-	v, ok := d.table.Get(key)
-	d.mu.Unlock()
-	return v, ok, nil
-}
-
-// PutContext is Put with the stripe acquisition bounded by ctx.
-func (m *Map) PutContext(ctx context.Context, key, val uint64) (fresh bool, err error) {
-	i := m.StripeFor(key)
-	s := &m.stripes[i]
-	id, recording := s.client(ctx)
-	cls, budgeted := s.budgeted(ctx)
-	d, err := s.lockCurrentContext(ctx)
-	if err != nil {
-		if budgeted {
-			s.deadlineMisses[cls].Add(1)
-		}
-		return false, err
-	}
-	if recording {
-		s.record(id)
-	}
-	d.seq.WriteBegin()
-	m.inject(i)
-	fresh = d.table.Put(key, val)
-	d.seq.WriteEnd()
-	d.mu.Unlock()
-	return fresh, nil
-}
-
-// DeleteContext is Delete with the stripe acquisition bounded by ctx.
-func (m *Map) DeleteContext(ctx context.Context, key uint64) (present bool, err error) {
-	i := m.StripeFor(key)
-	s := &m.stripes[i]
-	id, recording := s.client(ctx)
-	cls, budgeted := s.budgeted(ctx)
-	d, err := s.lockCurrentContext(ctx)
-	if err != nil {
-		if budgeted {
-			s.deadlineMisses[cls].Add(1)
-		}
-		return false, err
-	}
-	if recording {
-		s.record(id)
-	}
-	d.seq.WriteBegin()
-	m.inject(i)
-	present = d.table.Delete(key)
-	d.seq.WriteEnd()
-	d.mu.Unlock()
-	return present, nil
 }
 
 // Range calls fn for every key/value pair until fn returns false. It

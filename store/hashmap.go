@@ -2,14 +2,15 @@ package store
 
 import "repro/internal/hashmap"
 
-// The hashmap backend is internal/hashmap.Plain unchanged: open
-// addressing, linear probing, backward-shift deletion, full uint64 key
-// domain. It already satisfies Backend directly — it was written as the
-// serving-path table — so the registration is the whole adapter. It is
-// the unordered baseline every ordered backend is priced against: O(1)
-// point operations, no Scan. It is also the first OptimisticReader: its
-// slot arrays are atomically published, so the sharded store's seqlock
-// read path can probe it with no lock at all.
+// The hashmap backend is internal/hashmap.Map with its footprint hook
+// left nil: open addressing, linear probing, backward-shift deletion,
+// full uint64 key domain. The type satisfies Backend directly — the
+// simulator's keymap and hashdb workloads build on the same one — so the
+// registration is the whole adapter. It is the unordered baseline every
+// ordered backend is priced against: O(1) point operations, no Scan. It
+// is also the first OptimisticReader: its slot arrays are atomically
+// published, so the sharded store's seqlock read path can probe it with
+// no lock at all.
 func init() {
 	Register(Registration{
 		Name:    "hashmap",
@@ -17,7 +18,7 @@ func init() {
 		Summary: "open-addressing hash table (linear probe, backward-shift delete); fastest point ops, unordered",
 		Build: func(opts ...Option) Backend {
 			cfg := resolve(opts)
-			return hashmap.NewPlain(cfg.capacity)
+			return hashmap.New(cfg.capacity)
 		},
 	})
 }

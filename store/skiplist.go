@@ -2,9 +2,9 @@ package store
 
 import "repro/internal/skiplist"
 
-// The skiplist backend is internal/skiplist.Plain: the lean (no Touch,
-// no virtual addresses) variant of the simulator's memtable skip list.
-// Tower heights come from a backend-local PRNG, so seed= makes the
+// The skiplist backend is internal/skiplist.List with its footprint
+// hooks left nil: the same skip list the simulator's kvstore workload
+// uses as its memtable. Tower heights come from a backend-local PRNG, so seed= makes the
 // structure deterministic for a given insert sequence. It satisfies
 // Ordered: level 0 is the whole map in ascending key order, so Scan is a
 // findGE plus a linked-list walk.
@@ -15,7 +15,7 @@ func init() {
 		Summary: "probabilistic skip list; ordered (Min/Scan), O(log n) point ops, cheap in-order walks",
 		Build: func(opts ...Option) Backend {
 			cfg := resolve(opts)
-			return skiplist.NewPlain(cfg.seed)
+			return skiplist.New(cfg.seed)
 		},
 	})
 }

@@ -15,10 +15,10 @@
 //
 //	if ob, ok := b.(Ordered); ok { ob.Scan(lo, hi, fn) }
 //
-// Backends are deliberately lean: the serving-path adapters carry no
-// simulator instrumentation (no Touch callbacks, no virtual addresses —
-// the hashmap.Plain precedent), and no internal locking. A backend is
-// not safe for concurrent use; the caller's lock — in the sharded store,
+// Backends are deliberately lean: each is its internal container type
+// unwrapped, with the optional footprint hook the simulator installs on
+// the same type (Touch/NextAddr) left nil — one nil check per node visit
+// — and no internal locking. A backend is not safe for concurrent use; the caller's lock — in the sharded store,
 // the stripe's registry-built lock — provides mutual exclusion. That
 // split keeps both registries orthogonal: pick your lock, pick your
 // backend.

@@ -94,19 +94,19 @@ func TestAliases(t *testing.T) {
 // override programmatic options, the same contract lock.New documents.
 func TestSpecParameters(t *testing.T) {
 	// capacity pre-sizes the hash table.
-	hm := MustNew("hashmap?capacity=1000").(*hashmap.Plain)
+	hm := MustNew("hashmap?capacity=1000").(*hashmap.Map)
 	if hm.Slots() < 2000 {
 		t.Fatalf("capacity=1000 pre-sized only %d slots", hm.Slots())
 	}
 	// Spec overrides the programmatic option.
-	hm = MustNew("hashmap?capacity=1000", WithCapacity(1)).(*hashmap.Plain)
+	hm = MustNew("hashmap?capacity=1000", WithCapacity(1)).(*hashmap.Map)
 	if hm.Slots() < 2000 {
 		t.Fatalf("spec capacity did not override option: %d slots", hm.Slots())
 	}
 	// The builders hand back the internal structures directly — no
 	// wrapper layer to pay for on the per-probe path.
-	if _, ok := MustNew("skiplist?seed=7").(*skiplist.Plain); !ok {
-		t.Fatal("skiplist spec did not build *skiplist.Plain")
+	if _, ok := MustNew("skiplist?seed=7").(*skiplist.List); !ok {
+		t.Fatal("skiplist spec did not build *skiplist.List")
 	}
 }
 

@@ -39,12 +39,12 @@ func BuildHashDB(e *sim.Engine, l *sim.Lock, n int, p HashDBParams) *hashmap.Map
 	if span < 4096 {
 		span = 4096
 	}
-	db := hashmap.New(keys, sharedBase)
+	db := hashmap.New(keys)
 	for i := 0; i < keys; i++ {
 		db.Put(uint64(i)+1, uint64(i))
 	}
 	touch := make([]uint64, 0, 64)
-	db.Touch = func(addr uint64) { touch = append(touch, addr) }
+	db.Touch = func(off uint64) { touch = append(touch, sharedBase+off) }
 
 	for i := 0; i < n; i++ {
 		priv := PrivateBase(i)

@@ -31,14 +31,14 @@ func BuildKeymap(e *sim.Engine, l *sim.Lock, n int, p KeymapParams) *hashmap.Map
 	if keys < 10_000 {
 		keys = 10_000
 	}
-	m := hashmap.New(keys, sharedBase)
+	m := hashmap.New(keys)
 	// "To reduce allocation and deallocation during the measurement
 	// interval, we initialize all keys in the map prior to spawning."
 	for i := 0; i < keys; i++ {
 		m.Put(uint64(i)+1, 0)
 	}
 	touch := make([]uint64, 0, 64)
-	m.Touch = func(addr uint64) { touch = append(touch, addr) }
+	m.Touch = func(off uint64) { touch = append(touch, sharedBase+off) }
 
 	init := newWorkloadRng(e, 0x99)
 	for i := 0; i < n; i++ {
