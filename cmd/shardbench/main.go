@@ -31,12 +31,16 @@
 // counts applied reconfigurations per cell; sweep "static,malthusian" to
 // price adaptation against a frozen baseline on identical traffic.
 //
-// Workers issue Get/Put (and, with -scan-frac, ordered range scans)
-// through the context forms, each request tagged with its worker id
-// (shard.WithClientID), so every admission lands in the owning stripe's
-// history and the JSON record can report fairness (LWSS, Gini) per
-// stripe — which is where collapse shows up: a skewed keyspace collapses
-// its hottest stripe long before the aggregate throughput says anything.
+// The request loop itself — schedule, key pick, op mix, deadline draw,
+// accounting, and the harness half of fault injection — is
+// internal/loadgen's Run over a loadgen.MapDial target; its package
+// comment states the accounting rules every cell follows, and
+// cmd/shardload runs the same loop over the wire. Each request is tagged
+// with its worker id (shard.WithClientID), so every admission lands in
+// the owning stripe's history and the JSON record can report fairness
+// (LWSS, Gini) per stripe — which is where collapse shows up: a skewed
+// keyspace collapses its hottest stripe long before the aggregate
+// throughput says anything.
 //
 // Scans require an ordered backend ("skiplist", "rbtree"); a -scan-frac
 // sweep that includes an unordered backend is rejected up front — unless
@@ -48,37 +52,25 @@
 //
 // starts with every scan rejected and ends with the flipped stripes
 // serving them. Each scan covers -scan-span consecutive keys from a
-// point drawn from the key distribution and goes through ScanContext,
-// so a scan visits every stripe and prices the cross-stripe merge
-// against hashmap's cheaper point ops.
+// point drawn from the key distribution and visits every stripe, so it
+// prices the cross-stripe merge against hashmap's cheaper point ops.
 //
-// Every completed request's latency — scheduled arrival (open loop) or
-// issue time (closed loop) to completion, i.e. the time-to-stripe the
-// deadline machinery bounds plus the bounded table work — is recorded,
-// and the table and JSON report p50/p99 per cell alongside the
-// deadline-miss rate ("-" when no request carried a deadline, never
-// NaN). Deadline-missed requests are not in the percentile pool (their
-// latency is clipped at -deadline by construction); they are accounted
-// by the miss rate, so read the two columns together.
-//
-// With -rate R the arrival process is open-loop: each worker follows a
-// Poisson schedule at R/threads requests/sec, and a request's deadline
-// (and latency) is measured from its scheduled arrival, not from when a
-// backlogged worker got to it — so falling behind schedule burns
-// deadline budget, exactly like a queue in front of a real service.
-// -rate 0 (default) is closed loop.
+// The table and JSON report p50/p99 per cell alongside the deadline-miss
+// rate ("-" when no request carried a deadline, never NaN); missed
+// requests are not in the percentile pool, so read the two columns
+// together. -rate R makes arrivals open-loop Poisson at R requests/sec
+// across all workers; -rate 0 (default) is closed loop.
 //
 // With -fault, every cell runs a scripted chaos timeline (see fault.New
 // for the spec grammar): the cell warms up healthy, the fault set is
 // armed at -fault-after, disarmed -fault-for later, and the tail of the
 // cell is the recovery window. Stall faults are injected inside the
-// stripe critical section (Map.SetInjector), hotkey faults rewrite the
-// workers' keys, and surge faults grow the worker pool with patient
-// (deadline-free) extra hammerers while active. A sampler splits the
-// deadline traffic into pre/fault/post phases and measures
-// time-to-recovery: how long after fault onset the trailing miss rate
-// (sampled every -fault-sample) stays at or below -fault-target for
-// three consecutive samples. Sweeping -policy 'static,slo?...' over the
+// stripe critical section (Map.SetInjector); hotkey and surge faults run
+// in the request loop, which also splits the deadline traffic into
+// pre/fault/post phases and measures time-to-recovery: how long after
+// fault onset the trailing miss rate (sampled every -fault-sample) stays
+// at or below -fault-target for three consecutive samples (see
+// loadgen.Chaos). Sweeping -policy 'static,slo?...' over the
 // same timeline prices the SLO-native controller against a frozen
 // baseline on identical chaos:
 //
@@ -101,16 +93,11 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/fault"
@@ -166,21 +153,34 @@ func main() {
 	specs := splitList(*lockList)
 	backends := splitList(*backendList)
 	dists := splitList(*distList)
-	for _, d := range dists {
-		if d != "uniform" && d != "zipf" {
-			fmt.Fprintf(os.Stderr, "shardbench: -dist: unknown distribution %q (want uniform or zipf)\n", d)
-			os.Exit(2)
+	traffic := loadgen.Traffic{
+		Workers: *threads, Duration: *duration, Rate: *rate,
+		Keys: *keys, ZipfS: *zipfS,
+		ReadFrac: *readFrac, ScanFrac: *scanFrac, ScanSpan: *scanSpan,
+		Deadline: *deadline, DeadlineFrac: *cancelFrac,
+		Seed: *seed,
+	}
+	// The chaos timeline is validated like everything else: spec up
+	// front, and the Arm..Disarm window must leave a recovery tail inside
+	// the cell.
+	var chaos *loadgen.Chaos
+	if *faultSpec != "" {
+		set, err := fault.New(*faultSpec)
+		check(err)
+		chaos = &loadgen.Chaos{Set: set, After: *faultAfter, For: *faultFor, Sample: *faultSample, Target: *faultTarget}
+		if chaos.After <= 0 {
+			chaos.After = *duration / 4
 		}
-		// rand.NewZipf returns nil for s <= 1, which would silently fall
-		// back to uniform keys under a "zipf" label in the record.
-		if d == "zipf" && *zipfS <= 1 {
-			fmt.Fprintf(os.Stderr, "shardbench: -zipf-s: %v is out of range (want s > 1)\n", *zipfS)
-			os.Exit(2)
+		if chaos.For <= 0 {
+			chaos.For = *duration / 2
+		}
+		if *cancelFrac <= 0 {
+			fmt.Fprintf(os.Stderr, "shardbench: warning: -fault without -cancel-frac: no request carries a deadline, so the chaos miss rates and recovery time will read empty\n")
 		}
 	}
-	if *scanFrac > 0 && *scanSpan < 1 {
-		fmt.Fprintf(os.Stderr, "shardbench: -scan-span: want a positive span\n")
-		os.Exit(2)
+	for _, d := range dists {
+		traffic.Dist = d
+		check(traffic.Validate(chaos))
 	}
 	// Resolve every cell before any measurement, so a typo — or a scan
 	// mix over a backend that cannot serve scans — fails fast instead of
@@ -190,30 +190,23 @@ func main() {
 	// become a counted outcome instead of a config error.
 	for _, bspec := range backends {
 		b, err := store.New(bspec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shardbench: %v\n", err)
-			os.Exit(2)
-		}
+		check(err)
 		if _, ordered := b.(store.Ordered); *scanFrac > 0 && !ordered && *policyList == "" {
 			fmt.Fprintf(os.Stderr, "shardbench: -scan-frac needs ordered backends (or a -policy that can install one, e.g. scanaware), but %q is not (ordered: skiplist, rbtree)\n", bspec)
 			os.Exit(2)
 		}
 	}
 	for _, spec := range specs {
-		if _, err := shard.New(shard.Config{Stripes: 1, LockSpec: spec}); err != nil {
-			fmt.Fprintf(os.Stderr, "shardbench: %v\n", err)
-			os.Exit(2)
-		}
+		_, err := shard.New(shard.Config{Stripes: 1, LockSpec: spec})
+		check(err)
 	}
 	rpaths := splitList(*rpathList)
 	if len(rpaths) == 0 {
 		rpaths = []string{""}
 	}
 	for _, rp := range rpaths {
-		if _, err := shard.New(shard.Config{Stripes: 1, ReadPath: rp}); err != nil {
-			fmt.Fprintf(os.Stderr, "shardbench: %v\n", err)
-			os.Exit(2)
-		}
+		_, err := shard.New(shard.Config{Stripes: 1, ReadPath: rp})
+		check(err)
 	}
 	// "" is the no-controller cell; named policies are resolved up front
 	// like locks and backends, so a typo fails before any measurement.
@@ -225,66 +218,13 @@ func main() {
 		if pspec == "" {
 			continue
 		}
-		if _, err := policy.New(pspec); err != nil {
-			fmt.Fprintf(os.Stderr, "shardbench: %v\n", err)
-			os.Exit(2)
-		}
+		_, err := policy.New(pspec)
+		check(err)
 	}
-	// The chaos timeline is validated like everything else: spec up
-	// front, and the Arm..Disarm window must leave a recovery tail inside
-	// the cell — a fault that outlives the measurement proves nothing
-	// about recovery.
-	fAfter, fFor := *faultAfter, *faultFor
-	if *faultSpec != "" {
-		if _, err := fault.New(*faultSpec); err != nil {
-			fmt.Fprintf(os.Stderr, "shardbench: %v\n", err)
-			os.Exit(2)
-		}
-		if fAfter <= 0 {
-			fAfter = *duration / 4
-		}
-		if fFor <= 0 {
-			fFor = *duration / 2
-		}
-		if fAfter+fFor >= *duration {
-			fmt.Fprintf(os.Stderr, "shardbench: -fault timeline (-fault-after %v + -fault-for %v) leaves no recovery tail inside -duration %v\n", fAfter, fFor, *duration)
-			os.Exit(2)
-		}
-		if *faultSample <= 0 {
-			fmt.Fprintf(os.Stderr, "shardbench: -fault-sample: want a positive cadence\n")
-			os.Exit(2)
-		}
-		if *cancelFrac <= 0 {
-			fmt.Fprintf(os.Stderr, "shardbench: warning: -fault without -cancel-frac: no request carries a deadline, so the chaos miss rates and recovery time will read empty\n")
-		}
-	}
-
-	rec := benchfmt.Record{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		GoVersion:  runtime.Version(),
-		Keys:       *keys,
-		ReadFrac:   *readFrac,
-		ScanFrac:   *scanFrac,
-		ZipfS:      *zipfS,
-		Rate:       *rate,
-		CancelFrac: *cancelFrac,
-	}
-	if *scanFrac > 0 {
-		rec.ScanSpan = *scanSpan
-	}
-	if *cancelFrac > 0 {
-		rec.Deadline = deadline.String()
-	}
+	rec := traffic.Record(chaos)
+	rec.CancelFrac = *cancelFrac
 	if *policyList != "" {
 		rec.Adapt = adaptEvery.String()
-	}
-	if *faultSpec != "" {
-		rec.Fault = *faultSpec
-		rec.FaultAfter = fAfter.String()
-		rec.FaultFor = fFor.String()
-		rec.FaultSample = faultSample.String()
-		rec.FaultTarget = *faultTarget
 	}
 
 	fmt.Printf("%-8s %-12s %-10s %-10s %-12s %7s %10s %10s %7s %8s %8s %7s %7s %6s\n",
@@ -295,17 +235,11 @@ func main() {
 				for _, rp := range rpaths {
 					for _, pspec := range policies {
 						for _, n := range stripeCounts {
+							traffic.Dist = dist
 							r := runCell(cellConfig{
-								dist: dist, spec: spec, backend: bspec, stripes: n,
-								readPath: rp,
-								threads:  *threads, duration: *duration,
-								keys: *keys, readFrac: *readFrac, zipfS: *zipfS,
-								scanFrac: *scanFrac, scanSpan: *scanSpan,
-								rate: *rate, cancelFrac: *cancelFrac, deadline: *deadline,
+								Traffic: traffic, chaos: chaos,
+								spec: spec, backend: bspec, stripes: n, readPath: rp,
 								policy: pspec, adaptEvery: *adaptEvery,
-								fault: *faultSpec, faultAfter: fAfter, faultFor: fFor,
-								faultSample: *faultSample, faultTarget: *faultTarget,
-								seed: *seed,
 							})
 							rec.Results = append(rec.Results, r)
 							if r.ScansRejected > 0 && r.Scans == 0 {
@@ -387,31 +321,14 @@ func printRegistries(w *os.File) {
 }
 
 type cellConfig struct {
-	dist       string
+	loadgen.Traffic
+	chaos      *loadgen.Chaos // the timeline every cell replays; nil = none
 	spec       string
 	backend    string
 	readPath   string // Get read path; "" = locked
 	policy     string // adaptation policy spec; "" = no controller
 	adaptEvery time.Duration
 	stripes    int
-	threads    int
-	duration   time.Duration
-	keys       int
-	readFrac   float64
-	zipfS      float64
-	scanFrac   float64
-	scanSpan   int
-	rate       float64
-	cancelFrac float64
-	deadline   time.Duration
-	seed       uint64
-
-	// Chaos timeline; fault == "" disables it.
-	fault       string
-	faultAfter  time.Duration // Arm this long into the cell
-	faultFor    time.Duration // Disarm this long after Arm
-	faultSample time.Duration
-	faultTarget float64
 }
 
 func runCell(c cellConfig) benchfmt.Result {
@@ -428,14 +345,14 @@ func runCell(c cellConfig) benchfmt.Result {
 		Stripes:     c.stripes,
 		LockSpec:    c.spec,
 		BackendSpec: c.backend,
-		Seed:        c.seed,
-		Capacity:    c.keys,
+		Seed:        c.Seed,
+		Capacity:    c.Keys,
 		HistoryCap:  hcap,
 		ReadPath:    c.readPath,
 	})
 	// Preload the keyspace so Gets hit and Puts update in place; the
 	// measured interval then exercises steady-state traffic, not growth.
-	for k := 0; k < c.keys; k++ {
+	for k := 0; k < c.Keys; k++ {
 		m.Put(uint64(k), uint64(k))
 	}
 	// Baseline snapshot after the preload: the cell's reported counters
@@ -450,149 +367,33 @@ func runCell(c cellConfig) benchfmt.Result {
 	if c.policy != "" {
 		ctrl = shard.StartController(context.Background(), m, policy.MustNew(c.policy), c.adaptEvery)
 	}
-
-	var stop atomic.Bool
-	var ops, scans, rejected, attempts, misses atomic.Int64
-
 	// With a fault spec, a fresh Set (fresh injection counters) is built
-	// per cell and installed as the map's injector; the chaos supervisor
-	// arms/disarms it on the timeline and does the phase accounting.
-	var set *fault.Set
-	var chaosCh chan *benchfmt.ChaosResult
-	if c.fault != "" {
-		set = fault.MustNew(c.fault)
-		m.SetInjector(set)
-		chaosCh = make(chan *benchfmt.ChaosResult, 1)
-		go func() { chaosCh <- runChaos(c, m, set, &attempts, &misses, &stop) }()
+	// per cell and installed as the map's injector, so the stalls land in
+	// the stripes' critical sections on the clock loadgen arms the
+	// harness hooks on.
+	chaos := c.chaos
+	if chaos != nil {
+		fresh := *chaos
+		fresh.Set = fault.MustNew(chaos.Set.String())
+		m.SetInjector(fresh.Set)
+		chaos = &fresh
 	}
-	// Per-worker latency logs, merged after the run: no shared state on
-	// the measurement path.
-	lats := make([][]int64, c.threads)
-	var wg sync.WaitGroup
-	perWorkerRate := c.rate / float64(c.threads)
-	for g := 0; g < c.threads; g++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(c.seed)*1315423911 + int64(id)))
-			pick := loadgen.KeyPicker(rng, c.dist, c.zipfS, c.keys)
-			base := shard.WithClientID(context.Background(), id)
-			log := make([]int64, 0, 1<<16)
-			defer func() { lats[id] = log }()
-			// Open loop: a Poisson schedule this worker must keep up with.
-			next := time.Now()
-			interval := func() time.Duration {
-				if perWorkerRate <= 0 {
-					return 0
-				}
-				return time.Duration(rng.ExpFloat64() / perWorkerRate * float64(time.Second))
-			}
-			for !stop.Load() {
-				arrival := time.Now()
-				if perWorkerRate > 0 {
-					next = next.Add(interval())
-					arrival = next
-					if !loadgen.SleepUntil(next, &stop) {
-						return
-					}
-				}
-				key := pick()
-				if set != nil {
-					// Skew storm: an active hotkey fault funnels this
-					// request to its key (identity while inactive).
-					key = set.Key(key)
-				}
-				scan := c.scanFrac > 0 && rng.Float64() < c.scanFrac
-				read := rng.Float64() < c.readFrac
-				issue := func(ctx context.Context) error {
-					switch {
-					case scan:
-						hi := key + uint64(c.scanSpan) - 1
-						return m.ScanContext(ctx, key, hi, func(_, _ uint64) bool { return true })
-					case read:
-						_, _, err := m.GetContext(ctx, key)
-						return err
-					default:
-						_, err := m.PutContext(ctx, key, uint64(id))
-						return err
-					}
-				}
-				var err error
-				deadlined := c.cancelFrac > 0 && rng.Float64() < c.cancelFrac
-				if deadlined {
-					// Deadline measured from scheduled arrival: a worker
-					// behind schedule starts with the budget already burnt.
-					ctx, cancel := context.WithDeadline(base, arrival.Add(c.deadline))
-					attempts.Add(1)
-					err = issue(ctx)
-					cancel()
-				} else {
-					err = issue(base)
-				}
-				if err != nil {
-					if scan && errors.Is(err, shard.ErrUnordered) {
-						// Under a -policy, a scan can race a stripe whose
-						// backend is (still, or again) unordered; the
-						// rejected demand is the scanaware policy's input
-						// signal, not a failure — count it separately and
-						// do not charge the deadline-miss column.
-						rejected.Add(1)
-						if deadlined {
-							attempts.Add(-1)
-						}
-						continue
-					}
-					if deadlined {
-						misses.Add(1)
-						continue
-					}
-					panic(err) // uncancellable point ops cannot fail
-				}
-				log = append(log, int64(time.Since(arrival)))
-				if scan {
-					scans.Add(1)
-				}
-				ops.Add(1)
-			}
-		}(g)
-	}
-	time.Sleep(c.duration)
-	stop.Store(true)
-	wg.Wait()
+	res := loadgen.Run(c.Traffic, loadgen.MapDial(m), chaos)
 	if ctrl != nil {
 		ctrl.Stop()
 	}
 
-	// Collect the chaos report first: the supervisor drains its surge
-	// workers on exit, so the closing snapshot sees a quiesced map.
-	var chaos *benchfmt.ChaosResult
-	if chaosCh != nil {
-		chaos = <-chaosCh
-	}
 	snap := m.Snapshot()
 	delta := snap.Sub(baseline)
 	r := benchfmt.Result{
-		Dist:          c.dist,
-		Lock:          c.spec,
-		Backend:       c.backend,
-		ReadPath:      m.ReadPath(), // canonical form: "locked" for the "" default
-		Policy:        c.policy,
-		Stripes:       m.Stripes(),
-		Threads:       c.threads,
-		Duration:      c.duration.Seconds(),
-		Ops:           int(ops.Load()),
-		OpsPerSec:     float64(ops.Load()) / c.duration.Seconds(),
-		Scans:         int(scans.Load()),
-		ScansRejected: int(rejected.Load()),
-		Swaps:         int(delta.Swaps),
-		Chaos:         chaos,
+		Lock:     c.spec,
+		Backend:  c.backend,
+		ReadPath: m.ReadPath(), // canonical form: "locked" for the "" default
+		Policy:   c.policy,
+		Stripes:  m.Stripes(),
+		Swaps:    int(delta.Swaps),
 	}
-	var merged []int64
-	for _, log := range lats {
-		merged = append(merged, log...)
-	}
-	r.P50Micros = benchfmt.PercentileMicros(merged, 0.50)
-	r.P99Micros = benchfmt.PercentileMicros(merged, 0.99)
+	res.Fill(c.Traffic, &r)
 	// Optimistic read-path outcomes for the measured interval. Read with
 	// Stats["acquires"]: on a read-heavy cell, hits ≈ Gets and acquires ≈
 	// writes is the zero-lock-read acceptance claim in one row.
@@ -601,13 +402,6 @@ func runCell(c cellConfig) benchfmt.Result {
 	r.OptimisticFallbacks = int(delta.OptimisticFallbacks)
 	r.OptimisticHitRate = benchfmt.Rate(r.OptimisticHits, r.OptimisticHits+r.OptimisticFallbacks)
 	r.OptimisticFallbackRate = benchfmt.Rate(r.OptimisticFallbacks, r.OptimisticHits+r.OptimisticFallbacks)
-	if n := attempts.Load(); n > 0 {
-		// Guarded: the rate is computed only from a nonzero attempt count,
-		// so the JSON can never carry a NaN (encoding/json rejects them).
-		r.DeadlineAttempts = int(n)
-		r.DeadlineMisses = int(misses.Load())
-		r.MissRate = float64(misses.Load()) / float64(n)
-	}
 	active := 0
 	for _, s := range snap.Stripes {
 		if s.Fairness.Admissions == 0 {
@@ -645,68 +439,12 @@ func runCell(c cellConfig) benchfmt.Result {
 	return r
 }
 
-// runChaos drives one cell's scripted fault timeline (loadgen.Chaos does
-// the timeline, phase accounting and recovery detection) against the
-// local fault set, and runs the surge pool — while a surge fault is
-// active, ExtraThreads() patient (deadline-free) hammerers run on top of
-// the measured workers, which is the paper's overthreading collapse
-// injected on demand. Nothing here may take a map snapshot: a monitor
-// acquiring a stormed stripe's lock is exactly the kind of patient
-// arrival a culling lock passivates. Returns when the cell stops, with
-// every surge worker drained.
-//
-//lockcheck:nosnapshot
-func runChaos(c cellConfig, m *shard.Map, set *fault.Set, attempts, misses *atomic.Int64, stop *atomic.Bool) *benchfmt.ChaosResult {
-	var surge []chan struct{}
-	var surgeWg sync.WaitGroup
-	spawn := func(id int) {
-		quit := make(chan struct{})
-		surge = append(surge, quit)
-		surgeWg.Add(1)
-		go func() {
-			defer surgeWg.Done()
-			rng := rand.New(rand.NewSource(int64(c.seed)*2654435761 + int64(id) + 1))
-			for !stop.Load() {
-				select {
-				case <-quit:
-					return
-				default:
-				}
-				m.Put(set.Key(uint64(rng.Intn(c.keys))), uint64(id))
-			}
-		}()
+// check exits with a usage error when a flag value did not resolve.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "shardbench: %v\n", err)
+		os.Exit(2)
 	}
-	resize := func(want int) {
-		for len(surge) < want {
-			spawn(len(surge))
-		}
-		for len(surge) > want {
-			close(surge[len(surge)-1])
-			surge = surge[:len(surge)-1]
-		}
-	}
-	defer surgeWg.Wait()
-	defer func() { resize(0) }()
-
-	cr := loadgen.Chaos{
-		After: c.faultAfter, For: c.faultFor, Sample: c.faultSample, Target: c.faultTarget,
-		Attempts: attempts, Misses: misses, Stop: stop,
-		Arm: set.Arm, Disarm: set.Disarm,
-		OnSample: func(armed bool) {
-			if armed {
-				resize(set.ExtraThreads())
-			} else {
-				resize(0)
-			}
-		},
-	}.Run()
-	cr.Fault = set.String()
-	st := set.Stats()
-	cr.Stalls = st.Stalls
-	cr.StallMillis = float64(st.StallTime) / float64(time.Millisecond)
-	cr.Reroutes = st.Reroutes
-	cr.SurgePeak = st.SurgePeak
-	return cr
 }
 
 func splitList(s string) []string {

@@ -1,10 +1,13 @@
 package main
 
 import (
-	"sync/atomic"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/fault"
+	"repro/internal/loadgen"
 	"repro/server"
 	"repro/wire"
 )
@@ -26,37 +29,113 @@ func startServer(t *testing.T, backend string) *server.Server {
 	return srv
 }
 
+// spy records the requests a dialed target is handed.
+type spy struct {
+	loadgen.Target
+	mu   *sync.Mutex
+	reqs *[]loadgen.Request
+}
+
+func (s spy) Do(r loadgen.Request) loadgen.Outcome {
+	s.mu.Lock()
+	*s.reqs = append(*s.reqs, r)
+	s.mu.Unlock()
+	return s.Target.Do(r)
+}
+
+func spyDial(addr string) (loadgen.Dial, *[]loadgen.Request) {
+	var mu sync.Mutex
+	reqs := new([]loadgen.Request)
+	dial := loadgen.WireDial(addr)
+	return func(id int) (loadgen.Target, error) {
+		t, err := dial(id)
+		return spy{t, &mu, reqs}, err
+	}, reqs
+}
+
 // TestScanAccountingMatchesShardbench pins the two places shardload's
 // scan accounting used to disagree with shardbench's under the shared
-// benchfmt schema: a scan covers scan_span keys, not scan_span+1, and a
-// refused scan is not a scan.
+// benchfmt schema: a scan covers scan_span keys, not scan_span+1 (the
+// wire's bounds are inclusive), and a refused scan is not a scan — nor,
+// under the shared loop, an op or a deadline attempt.
 func TestScanAccountingMatchesShardbench(t *testing.T) {
+	traffic := loadgen.Traffic{
+		Workers: 1, Duration: 100 * time.Millisecond, Keys: 256, Dist: "uniform",
+		ScanFrac: 1, ScanSpan: 16, Deadline: time.Second, DeadlineFrac: 1, Classes: 1, Seed: 1,
+	}
+
 	ordered := startServer(t, "skiplist")
-	for k := uint64(0); k < 256; k++ {
+	for k := uint64(0); k < 512; k++ {
 		ordered.Map().Put(k, k)
+	}
+	dial, reqs := spyDial(ordered.Addr())
+	res := loadgen.Run(traffic, dial, nil)
+	if res.Scans == 0 || res.Scans != res.Ops || res.Rejected != 0 || res.Attempts != res.Scans {
+		t.Fatalf("against an ordered backend: %+v", res)
 	}
 	cl, err := wire.Dial(ordered.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if n, err := scanOnce(cl, 10, 16, time.Time{}); err != nil || n != 16 {
-		t.Fatalf("scanOnce over dense keys with span 16 = %d pairs, %v; want 16", n, err)
+	for _, r := range *reqs {
+		n, err := cl.Scan(r.Key, r.Arg, 0, time.Time{}, func(_, _ uint64) bool { return true })
+		if err != nil || n != traffic.ScanSpan {
+			t.Fatalf("scan [%d, %d] over dense keys with span %d = %d pairs, %v", r.Key, r.Arg, traffic.ScanSpan, n, err)
+		}
 	}
 
 	unordered := startServer(t, "hashmap")
-	c := config{addr: unordered.Addr(), conns: 1, scanFrac: 1, scanSpan: 16, keys: 256, dist: "uniform", classes: 1, seed: 1}
-	var cnt counters
-	var stop atomic.Bool
-	go func() {
-		for start := time.Now(); cnt.rejected.Load() < 10 && time.Since(start) < 10*time.Second; {
-			time.Sleep(time.Millisecond)
+	res = loadgen.Run(traffic, loadgen.WireDial(unordered.Addr()), nil)
+	if res.Rejected == 0 || res.Rejected != res.Issued || res.Scans+res.Ops+res.Attempts+res.Misses != 0 {
+		t.Fatalf("against an unordered backend every scan is rejected and nothing else: %+v", res)
+	}
+}
+
+// TestHarnessFaultsRunInTheGenerator: fault.Set.Key and ExtraThreads are
+// hooks the server never calls, so a hotkey or surge fault armed only over
+// the wire was a no-op labelled as a fault. The generator parses the spec
+// too and runs the harness half itself, on the timeline it arms the
+// server's half on.
+func TestHarnessFaultsRunInTheGenerator(t *testing.T) {
+	srv := startServer(t, "hashmap")
+	admin, err := wire.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+	traffic := loadgen.Traffic{
+		Workers: 2, Duration: 300 * time.Millisecond, Keys: 1024, Dist: "uniform", ReadFrac: 0.5, Seed: 1,
+	}
+	chaos := &loadgen.Chaos{
+		Set:   fault.MustNew("hotkey?key=4242+surge?threads=3+stall?p=1&hold=100us"),
+		After: 50 * time.Millisecond, For: 100 * time.Millisecond, Sample: 5 * time.Millisecond, Target: 0.05,
+	}
+	if err := traffic.Validate(chaos); err != nil {
+		t.Fatal(err)
+	}
+	armOverWire(chaos, admin)
+	dial, reqs := spyDial(srv.Addr())
+	res := loadgen.Run(traffic, dial, chaos)
+	serverStalls(res.Chaos, admin)
+
+	hot := 0
+	for _, r := range *reqs {
+		if r.Key == 4242 {
+			hot++
 		}
-		stop.Store(true)
-	}()
-	runWorker(c, 0, &cnt, &stop)
-	if cnt.rejected.Load() == 0 || cnt.scans.Load() != 0 {
-		t.Fatalf("against an unordered backend: %d scans counted, %d rejected; want 0 scans, every one rejected",
-			cnt.scans.Load(), cnt.rejected.Load())
+	}
+	cr := res.Chaos
+	if hot == 0 || cr.Reroutes != uint64(hot) {
+		t.Fatalf("%d requests went to the hot key, chaos record says %d reroutes; want equal and > 0", hot, cr.Reroutes)
+	}
+	if cr.SurgePeak != 3 {
+		t.Fatalf("surge_peak = %d, want 3", cr.SurgePeak)
+	}
+	if cr.Stalls == 0 {
+		t.Fatal("no stalls reported: the server's half of the fault never ran, or its stats never came back")
+	}
+	if st, _ := admin.FaultStats(); !strings.Contains(st, "reroutes=0") {
+		t.Fatalf("the server rerouted keys? FAULT stats:\n%s", st)
 	}
 }

@@ -25,9 +25,11 @@
 //     critical section on every point operation when an injector is
 //     installed (Map.SetInjector), so a stall lengthens the critical
 //     section exactly where the paper's convoy dynamics punish it.
-//   - Key and ExtraThreads are harness hooks — a load generator
-//     (cmd/shardbench's worker pool) reroutes keys through Key for skew
-//     storms and sizes its worker pool by ExtraThreads for surges.
+//   - Key and ExtraThreads are harness hooks — the load generator
+//     (internal/loadgen, from a locally parsed Set even when the map is
+//     behind shardd) reroutes keys through Key for skew storms and sizes
+//     a surge pool by ExtraThreads; neither the map nor the server ever
+//     calls them.
 //
 // All hooks are safe for concurrent use and cheap while no fault is in
 // its window (an atomic load and a clock read). Stats reports what was

@@ -16,7 +16,7 @@ func init() {
 
 // surge reproduces the paper's overthreading scenario: the thread count
 // jumps by threads for the activation window. The fault itself only
-// *requests* the surplus — the harness (cmd/shardbench's worker pool)
+// *requests* the surplus — the harness (internal/loadgen's surge pool)
 // polls ExtraThreads and runs that many extra closed-loop workers while
 // the window is open, then drains them. Surplus demand is exactly what a
 // Malthusian policy exists to survive: a FIFO lock hands the critical

@@ -149,45 +149,10 @@ func TestPhaseAccountant(t *testing.T) {
 	}
 }
 
-// TestChaosRunTimeline drives the real supervisor loop over a short
-// timeline: Arm and Disarm each fire once, in order, OnSample only ever
-// runs from Arm on, and a cell stopped mid-storm is disarmed on the way
-// out.
-func TestChaosRunTimeline(t *testing.T) {
-	for _, stopMidStorm := range []bool{false, true} {
-		var attempts, misses atomic.Int64
-		var stop atomic.Bool
-		var events []string
-		c := Chaos{
-			After: 10 * time.Millisecond, For: 20 * time.Millisecond, Sample: time.Millisecond,
-			Target: 0.05, Attempts: &attempts, Misses: &misses, Stop: &stop,
-			Arm:    func() { events = append(events, "arm") },
-			Disarm: func() { events = append(events, "disarm"); stop.Store(true) },
-			OnSample: func(armed bool) {
-				if len(events) == 0 {
-					t.Error("OnSample ran before Arm")
-				}
-				attempts.Add(10)
-				if stopMidStorm && armed {
-					stop.Store(true)
-				}
-			},
-		}
-		cr := c.Run()
-		if len(events) != 2 || events[0] != "arm" || events[1] != "disarm" {
-			t.Fatalf("stopMidStorm=%v: events %v, want [arm disarm]", stopMidStorm, events)
-		}
-		if cr.FaultAttempts == 0 || cr.PreAttempts+cr.FaultAttempts+cr.PostAttempts != int(attempts.Load()) {
-			t.Fatalf("stopMidStorm=%v: phases %d+%d+%d do not account for %d attempts",
-				stopMidStorm, cr.PreAttempts, cr.FaultAttempts, cr.PostAttempts, attempts.Load())
-		}
-	}
-}
-
 func TestKeyPicker(t *testing.T) {
 	const keys = 64
 	for _, dist := range []string{"uniform", "zipf"} {
-		pick := KeyPicker(rand.New(rand.NewSource(1)), dist, 1.2, keys)
+		pick := keyPicker(rand.New(rand.NewSource(1)), dist, 1.2, keys)
 		var hist [keys]int
 		for i := 0; i < 20000; i++ {
 			k := pick()
@@ -204,12 +169,12 @@ func TestKeyPicker(t *testing.T) {
 
 func TestSleepUntilStops(t *testing.T) {
 	var stop atomic.Bool
-	if !SleepUntil(time.Now().Add(-time.Second), &stop) {
+	if !sleepUntil(time.Now().Add(-time.Second), &stop) {
 		t.Fatal("a time already past must proceed")
 	}
 	time.AfterFunc(10*time.Millisecond, func() { stop.Store(true) })
 	start := time.Now()
-	if SleepUntil(start.Add(time.Minute), &stop) {
+	if sleepUntil(start.Add(time.Minute), &stop) {
 		t.Fatal("proceeded although stopped")
 	}
 	if time.Since(start) > 10*time.Second {

@@ -14,6 +14,7 @@ import (
 
 	"repro/server"
 	"repro/shard"
+	"repro/store"
 	"repro/wire"
 )
 
@@ -426,6 +427,59 @@ func TestE2EMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// countingScan is the skiplist backend with its Scan callback counted:
+// every pair a stripe visits under its lock is one tick of scanVisits.
+type countingScan struct{ store.Ordered }
+
+var scanVisits atomic.Int64
+
+func (c countingScan) Scan(lo, hi uint64, fn func(key, val uint64) bool) {
+	c.Ordered.Scan(lo, hi, func(k, v uint64) bool {
+		scanVisits.Add(1)
+		return fn(k, v)
+	})
+}
+
+func init() {
+	store.Register(store.Registration{
+		Name:    "countingscan",
+		Summary: "test-only: skiplist that counts pairs visited by Scan",
+		Build: func(opts ...store.Option) store.Backend {
+			return countingScan{store.MustNew("skiplist", opts...).(store.Ordered)}
+		},
+	})
+}
+
+// TestE2EScanMaxBoundsStripeWork: a SCAN frame's max bounds the work
+// each stripe does under its lock, not just the reply. A full-domain
+// `max=1` scan over a large map must visit a couple of pairs per stripe
+// (one kept, one to learn the stripe holds more) — not copy the map.
+func TestE2EScanMaxBoundsStripeWork(t *testing.T) {
+	const stripes, keys = 4, 20000
+	s := startServer(t, server.Config{Stripes: stripes, BackendSpec: "countingscan"})
+	defer s.Drain()
+	for k := uint64(0); k < keys; k++ {
+		s.Map().Put(k, k+1)
+	}
+	cl := dial(t, s)
+	for _, max := range []uint32{1, 64} {
+		scanVisits.Store(0)
+		var first uint64
+		n, err := cl.Scan(0, ^uint64(0), max, time.Time{}, func(k, v uint64) bool {
+			if k == 0 {
+				first = v
+			}
+			return true
+		})
+		if err != nil || n != int(max) || first != 1 {
+			t.Fatalf("SCAN 0 ^0 max=%d = %d pairs (key 0 = %d), %v", max, n, first, err)
+		}
+		if got, bound := scanVisits.Load(), int64(stripes*(max+1)); got > bound {
+			t.Fatalf("max=%d visited %d pairs under stripe locks, want <= %d of %d", max, got, bound, keys)
 		}
 	}
 }

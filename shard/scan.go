@@ -3,8 +3,127 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 )
+
+// Scan calls fn for every key/value pair with lo <= key <= hi, in
+// ascending global key order, until fn returns false. Bounds are
+// inclusive, so the full domain is Scan(0, ^uint64(0), fn).
+//
+// Scan requires every stripe's current backend to be ordered (a
+// store.Ordered implementation: "skiplist", "rbtree"); otherwise it
+// returns ErrUnordered without visiting anything. Keys are hash-routed,
+// so every stripe holds an arbitrary subset of [lo, hi]: each stripe's
+// matches are copied out under that stripe's lock (one stripe at a time,
+// like Range), then merged across stripes into global key order before
+// fn sees the first pair. fn therefore runs with no lock held and may
+// call back into the Map, but a Scan buffers all matching pairs — size
+// ranges accordingly, or use ScanChunked to bound the buffering. Like
+// every multi-stripe read the result is per-stripe consistent, not a
+// point-in-time snapshot.
+func (m *Map) Scan(lo, hi uint64, fn func(key, val uint64) bool) error {
+	_, err := m.scanChunkedStripes(nil, lo, hi, unbounded, fn)
+	return err
+}
+
+// ScanContext is Scan with every stripe acquisition bounded by ctx; it
+// returns ctx.Err() from the first stripe whose lock could not be taken
+// in time (fn then sees no pairs at all — the merge happens after every
+// stripe has been visited).
+func (m *Map) ScanContext(ctx context.Context, lo, hi uint64, fn func(key, val uint64) bool) error {
+	_, err := m.scanChunkedStripes(ctx, lo, hi, unbounded, fn)
+	return err
+}
+
+// unbounded is the chunk size that makes a chunked scan a Scan: no stripe
+// is ever truncated, so the first round collects every match — each
+// stripe locked once, copied out whole — and the one merge yields them
+// all.
+const unbounded = math.MaxInt
+
+// Ordered reports whether every stripe's current backend maintains key
+// order, i.e. whether Scan and ScanChunked can serve range queries right
+// now. After a partial reconfiguration (some stripes ordered, some not)
+// it reports false — a merged range query needs every stripe.
+func (m *Map) Ordered() bool { return m.requireOrdered() == nil }
+
+// countScan counts one scan attempt — before the ordered check, so scan
+// demand is visible even when the current backends cannot serve it (that
+// visibility is what lets a controller decide to swap a backend in).
+func (m *Map) countScan() {
+	m.scans.Add(1)
+}
+
+// requireOrdered rejects a scan up front when some stripe's current
+// backend is unordered. It is advisory (a concurrent Reconfigure can
+// invalidate it); the per-stripe check at lock time is authoritative.
+func (m *Map) requireOrdered() error {
+	for i := range m.stripes {
+		if d := m.stripes[i].desc.Load(); d.ordered == nil {
+			return unorderedErr(i, d.backendSpec)
+		}
+	}
+	return nil
+}
+
+func unorderedErr(i int, backendSpec string) error {
+	return fmt.Errorf("%w: stripe %d backend spec %q has no Scan (known ordered backends implement store.Ordered)",
+		ErrUnordered, i, backendSpec)
+}
+
+// mergeRuns k-way merges the sorted, key-disjoint runs and feeds the
+// pairs to fn in ascending key order; it reports whether the merge ran
+// to completion (false: fn stopped it early). Every key lives in exactly
+// one stripe, so no tie-breaking is needed. A binary heap over the run
+// heads keeps the merge O(N log S) for S runs.
+func mergeRuns(runs [][]kv, fn func(key, val uint64) bool) bool {
+	h := make([]int, 0, len(runs)) // heap of run indices, keyed by head key
+	pos := make([]int, len(runs))
+	for i := range runs {
+		if len(runs[i]) > 0 {
+			h = append(h, i)
+		}
+	}
+	headKey := func(i int) uint64 { return runs[h[i]][pos[h[i]]].key }
+	less := func(i, j int) bool { return headKey(i) < headKey(j) }
+	var siftDown func(i int)
+	siftDown = func(i int) {
+		for {
+			l, r, min := 2*i+1, 2*i+2, i
+			if l < len(h) && less(l, min) {
+				min = l
+			}
+			if r < len(h) && less(r, min) {
+				min = r
+			}
+			if min == i {
+				return
+			}
+			h[i], h[min] = h[min], h[i]
+			i = min
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(i)
+	}
+	for len(h) > 0 {
+		run := h[0]
+		p := runs[run][pos[run]]
+		if !fn(p.key, p.val) {
+			return false
+		}
+		pos[run]++
+		if pos[run] == len(runs[run]) {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		if len(h) > 0 {
+			siftDown(0)
+		}
+	}
+	return true
+}
 
 // ScanChunked is Scan with bounded buffering: instead of copying every
 // matching pair out of every stripe before the merge, it collects at
@@ -79,7 +198,9 @@ func (m *Map) ScanChunkedStats(ctx context.Context, lo, hi uint64, chunk int, fn
 // chunkCursor is one stripe's progress through a chunked scan.
 type chunkCursor struct {
 	buf []kv // collected, not yet yielded; ascending, keys <= bound
-	// arr is the stripe's reusable chunk-capacity backing array. A
+	// arr is the stripe's reusable backing array, grown by append to at
+	// most chunk pairs (never preallocated: chunk is a bound, and under
+	// Scan or a wire client's max it is far above what a stripe holds). A
 	// refill only happens once buf has fully drained (and the previous
 	// round's merge — the only other reader of slices into arr — has
 	// completed), so arr can be re-filled in place without reallocating.
@@ -119,6 +240,18 @@ func (m *Map) scanChunkedStripes(ctx context.Context, lo, hi uint64, chunk int, 
 		cursors[i].next = lo
 	}
 	emit := make([][]kv, 0, len(m.stripes))
+	// One collector serves every refill: a closure per stripe per round
+	// would heap-allocate itself and both variables it captures each time.
+	var run []kv
+	var truncated bool
+	collect := func(k, v uint64) bool {
+		if len(run) == chunk {
+			truncated = true
+			return false
+		}
+		run = append(run, kv{k, v})
+		return true
+	}
 	for round := 0; ; round++ {
 		// Refill every drained, unexhausted stripe: up to chunk pairs
 		// from its cursor, each under its own (current) stripe lock.
@@ -145,21 +278,10 @@ func (m *Map) scanChunkedStripes(ctx context.Context, lo, hi uint64, chunk int, 
 			} else {
 				c.desc, c.stamp, c.filled = d, st, true
 			}
-			truncated := false
-			if c.arr == nil {
-				c.arr = make([]kv, 0, chunk)
-			}
-			run := c.arr[:0] // refill the reusable backing array in place
-			d.ordered.Scan(c.next, hi, func(k, v uint64) bool {
-				if len(run) == chunk {
-					truncated = true
-					return false
-				}
-				run = append(run, kv{k, v})
-				return true
-			})
+			truncated, run = false, c.arr[:0] // refill the reusable backing array in place
+			d.ordered.Scan(c.next, hi, collect)
 			d.mu.Unlock()
-			c.buf = run
+			c.buf, c.arr = run, run
 			if truncated {
 				// More keys remain in (run[chunk-1].key, hi] — so that
 				// last key is < hi and the cursor bump cannot overflow.

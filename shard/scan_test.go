@@ -4,39 +4,53 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestScanChunkedDifferential pins ScanChunked to Scan on a quiescent
-// map: identical pairs, identical order, for chunk sizes from degenerate
-// to larger-than-everything, across random bounds.
+// TestScanChunkedDifferential pins Scan and ScanChunked to a sorted model
+// on a quiescent map: identical pairs, identical order, for chunk sizes
+// from degenerate to larger-than-everything, across random bounds. Scan
+// is the unbounded-chunk case of the same body, so it must also be
+// exactly one round: each stripe locked once, one scan counted.
 func TestScanChunkedDifferential(t *testing.T) {
 	for _, backend := range []string{"skiplist", "rbtree"} {
 		t.Run(backend, func(t *testing.T) {
 			m := MustNew(Config{Stripes: 8, LockSpec: "tas", BackendSpec: backend, Seed: 5})
 			rng := rand.New(rand.NewSource(23))
+			model := map[uint64]uint64{0: 1, ^uint64(0): 2}
 			for i := 0; i < 3000; i++ {
 				k := rng.Uint64() >> uint(rng.Intn(64))
-				m.Put(k, k*3)
+				model[k] = k * 3
 			}
-			m.Put(0, 1)
-			m.Put(^uint64(0), 2)
+			var sorted []kv
+			for k, v := range model {
+				m.Put(k, v)
+				sorted = append(sorted, kv{k, v})
+			}
+			sort.Slice(sorted, func(i, j int) bool { return sorted[i].key < sorted[j].key })
 
+			// chunk 0 stands for Scan itself.
 			check := func(lo, hi uint64, chunk int) {
 				var want, got []kv
-				if err := m.Scan(lo, hi, func(k, v uint64) bool {
-					want = append(want, kv{k, v})
-					return true
-				}); err != nil {
-					t.Fatal(err)
+				for _, p := range sorted {
+					if lo <= p.key && p.key <= hi {
+						want = append(want, p)
+					}
 				}
-				if err := m.ScanChunked(lo, hi, chunk, func(k, v uint64) bool {
+				collect := func(k, v uint64) bool {
 					got = append(got, kv{k, v})
 					return true
-				}); err != nil {
+				}
+				err := m.Scan(lo, hi, collect)
+				if chunk > 0 {
+					got = got[:0]
+					err = m.ScanChunked(lo, hi, chunk, collect)
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 				if len(got) != len(want) {
@@ -48,7 +62,7 @@ func TestScanChunkedDifferential(t *testing.T) {
 					}
 				}
 			}
-			for _, chunk := range []int{1, 3, 7, 64, 100000} {
+			for _, chunk := range []int{0, 1, 3, 7, 64, 100000} {
 				check(0, ^uint64(0), chunk)
 				for i := 0; i < 5; i++ {
 					lo, hi := rng.Uint64(), rng.Uint64()
@@ -57,6 +71,15 @@ func TestScanChunkedDifferential(t *testing.T) {
 					}
 					check(lo, hi, chunk)
 				}
+			}
+
+			scansBefore := m.Snapshot().Scans
+			stats, err := m.scanChunkedStripes(nil, 0, ^uint64(0), unbounded, func(_, _ uint64) bool { return true })
+			if err != nil || stats.Rounds != 1 || stats.TornStripes != 0 {
+				t.Fatalf("Scan's body ran %+v, %v; want exactly one clean round", stats, err)
+			}
+			if got := m.Snapshot().Scans - scansBefore; got != 1 {
+				t.Fatalf("one Scan counted %d scans", got)
 			}
 
 			// Early stop after 5 pairs, still in global order.

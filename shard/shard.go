@@ -837,39 +837,6 @@ func (m *Map) rangeStripes(ctx context.Context, fn func(key, val uint64) bool) e
 	return nil
 }
 
-// Scan calls fn for every key/value pair with lo <= key <= hi, in
-// ascending global key order, until fn returns false. Bounds are
-// inclusive, so the full domain is Scan(0, ^uint64(0), fn).
-//
-// Scan requires every stripe's current backend to be ordered (a
-// store.Ordered implementation: "skiplist", "rbtree"); otherwise it
-// returns ErrUnordered without visiting anything. Keys are hash-routed,
-// so every stripe holds an arbitrary subset of [lo, hi]: each stripe's
-// matches are copied out under that stripe's lock (one stripe at a time,
-// like Range), then merged across stripes into global key order before
-// fn sees the first pair. fn therefore runs with no lock held and may
-// call back into the Map, but a Scan buffers all matching pairs — size
-// ranges accordingly, or use ScanChunked to bound the buffering. Like
-// every multi-stripe read the result is per-stripe consistent, not a
-// point-in-time snapshot.
-func (m *Map) Scan(lo, hi uint64, fn func(key, val uint64) bool) error {
-	return m.scanStripes(nil, lo, hi, fn)
-}
-
-// ScanContext is Scan with every stripe acquisition bounded by ctx; it
-// returns ctx.Err() from the first stripe whose lock could not be taken
-// in time (fn then sees no pairs at all — the merge happens after every
-// stripe has been visited).
-func (m *Map) ScanContext(ctx context.Context, lo, hi uint64, fn func(key, val uint64) bool) error {
-	return m.scanStripes(ctx, lo, hi, fn)
-}
-
-// Ordered reports whether every stripe's current backend maintains key
-// order, i.e. whether Scan and ScanChunked can serve range queries right
-// now. After a partial reconfiguration (some stripes ordered, some not)
-// it reports false — a merged range query needs every stripe.
-func (m *Map) Ordered() bool { return m.requireOrdered() == nil }
-
 // BackendSpec returns the construction-time backend spec the stripes
 // were originally built from (Config.BackendSpec, resolved). Live specs
 // may differ per stripe after Reconfigure — see StripeSpecs.
@@ -891,330 +858,3 @@ func (m *Map) EpochStats() optimistic.EpochStats { return m.epoch.Stats() }
 // safe (the seqlock poison keeps it from validating anything), but live
 // memory a non-GC port would not yet have freed.
 func (m *Map) RetiredDescriptors() int64 { return m.retired.Load() }
-
-// countScan counts one scan attempt — before the ordered check, so scan
-// demand is visible even when the current backends cannot serve it (that
-// visibility is what lets a controller decide to swap a backend in).
-func (m *Map) countScan() {
-	m.scans.Add(1)
-}
-
-// requireOrdered rejects a scan up front when some stripe's current
-// backend is unordered. It is advisory (a concurrent Reconfigure can
-// invalidate it); the per-stripe check at lock time is authoritative.
-func (m *Map) requireOrdered() error {
-	for i := range m.stripes {
-		if d := m.stripes[i].desc.Load(); d.ordered == nil {
-			return unorderedErr(i, d.backendSpec)
-		}
-	}
-	return nil
-}
-
-func unorderedErr(i int, backendSpec string) error {
-	return fmt.Errorf("%w: stripe %d backend spec %q has no Scan (known ordered backends implement store.Ordered)",
-		ErrUnordered, i, backendSpec)
-}
-
-func (m *Map) scanStripes(ctx context.Context, lo, hi uint64, fn func(key, val uint64) bool) error {
-	m.countScan()
-	if err := m.requireOrdered(); err != nil {
-		return err
-	}
-	// Phase 1: per-stripe collection. Each stripe's Scan yields its
-	// matches already in ascending order; they are copied out under the
-	// stripe lock so the merge (and fn) run with no lock held.
-	runs := make([][]kv, 0, len(m.stripes))
-	for i := range m.stripes {
-		d, err := m.stripes[i].lockCurrentContext(ctx)
-		if err != nil {
-			return err
-		}
-		if d.ordered == nil {
-			// Reconfigured to an unordered backend after requireOrdered.
-			d.mu.Unlock()
-			return unorderedErr(i, d.backendSpec)
-		}
-		var run []kv
-		d.ordered.Scan(lo, hi, func(k, v uint64) bool {
-			run = append(run, kv{k, v})
-			return true
-		})
-		d.mu.Unlock()
-		if len(run) > 0 {
-			runs = append(runs, run)
-		}
-	}
-	// Phase 2: k-way merge of the sorted runs into global key order.
-	mergeRuns(runs, fn)
-	return nil
-}
-
-// mergeRuns k-way merges the sorted, key-disjoint runs and feeds the
-// pairs to fn in ascending key order; it reports whether the merge ran
-// to completion (false: fn stopped it early). Every key lives in exactly
-// one stripe, so no tie-breaking is needed. A binary heap over the run
-// heads keeps the merge O(N log S) for S runs.
-func mergeRuns(runs [][]kv, fn func(key, val uint64) bool) bool {
-	h := make([]int, 0, len(runs)) // heap of run indices, keyed by head key
-	pos := make([]int, len(runs))
-	for i := range runs {
-		if len(runs[i]) > 0 {
-			h = append(h, i)
-		}
-	}
-	headKey := func(i int) uint64 { return runs[h[i]][pos[h[i]]].key }
-	less := func(i, j int) bool { return headKey(i) < headKey(j) }
-	var siftDown func(i int)
-	siftDown = func(i int) {
-		for {
-			l, r, min := 2*i+1, 2*i+2, i
-			if l < len(h) && less(l, min) {
-				min = l
-			}
-			if r < len(h) && less(r, min) {
-				min = r
-			}
-			if min == i {
-				return
-			}
-			h[i], h[min] = h[min], h[i]
-			i = min
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	for len(h) > 0 {
-		run := h[0]
-		p := runs[run][pos[run]]
-		if !fn(p.key, p.val) {
-			return false
-		}
-		pos[run]++
-		if pos[run] == len(runs[run]) {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		if len(h) > 0 {
-			siftDown(0)
-		}
-	}
-	return true
-}
-
-// StripeSnapshot is the observable state of one stripe.
-type StripeSnapshot struct {
-	// Index is the stripe's position in the map.
-	Index int
-	// Len is the stripe's key count.
-	Len int
-	// LockSpec and BackendSpec are the specs the stripe's current lock
-	// and backend were built from (live values — they change under
-	// Reconfigure).
-	LockSpec    string
-	BackendSpec string
-	// Ordered reports whether the stripe's current backend maintains key
-	// order (satisfies store.Ordered).
-	Ordered bool
-	// Swaps is how many times this stripe has been reconfigured.
-	Swaps uint64
-	// Scans counts scan work — one per Scan attempt (including attempts
-	// rejected with ErrUnordered: demand is a signal even when the
-	// backend cannot serve it), one per refilling ScanChunked round (a
-	// round re-acquires stripe locks like a fresh Scan, keeping the
-	// scan-vs-acquisitions ratio meaningful). Every scan visits every
-	// stripe, so this is the map-level count, identical across a
-	// snapshot's stripes — it rides here because per-stripe policies
-	// (shard.Policy) see only stripe snapshots.
-	Scans uint64
-	// DeadlineAttempts counts deadline-bounded point operations that
-	// arrived at this stripe: context operations whose context can end
-	// (Done() != nil). DeadlineMisses counts the subset that expired
-	// before reaching the table. Monotonic, and deliberately not reset by
-	// Reconfigure — a swap changes the mechanism, not the objective, so
-	// the slo policy can read one coherent series across its own swaps.
-	// Both are the sums of the per-class arrays below.
-	DeadlineAttempts uint64
-	DeadlineMisses   uint64
-	// ClassDeadlineAttempts and ClassDeadlineMisses break the same
-	// counters down by request class (WithClass; the wire protocol's
-	// class byte). Index 0 is unclassified traffic — in-process callers
-	// that never set a class land there, so the pooled totals above are
-	// what they always were.
-	ClassDeadlineAttempts [NumClasses]uint64
-	ClassDeadlineMisses   [NumClasses]uint64
-	// OptimisticHits counts Gets this stripe served lock-free (seqlock
-	// validation passed); OptimisticRetries counts failed attempts (a
-	// writer was mid-section or moved the stamp inside the read window);
-	// OptimisticFallbacks counts Gets that exhausted the retry budget
-	// and took the stripe lock instead. All zero on a locked-read map
-	// and on stripes whose backend declined store.OptimisticReader.
-	// Hits are the Gets missing from Lock.Acquires: on a read-heavy
-	// optimistic stripe, Acquires ≈ write volume while hits carry the
-	// read volume.
-	OptimisticHits      uint64
-	OptimisticRetries   uint64
-	OptimisticFallbacks uint64
-	// Lock is the stripe lock's CR event counters, including those of
-	// retired locks from before any reconfiguration (zero when the spec
-	// set stats=false).
-	Lock core.Snapshot
-	// Fairness summarizes the stripe's recorded admission history (zero
-	// Admissions when history recording is off or no identified client
-	// has been admitted).
-	Fairness metrics.Summary
-}
-
-// Snapshot is the observable state of the whole map: per-stripe detail
-// plus rolled-up totals.
-type Snapshot struct {
-	Stripes []StripeSnapshot
-	// Lock is the field-wise sum of every stripe's lock counters.
-	Lock core.Snapshot
-	// Len is the total key count.
-	Len int
-	// Swaps is the total reconfiguration count across stripes.
-	Swaps uint64
-	// Scans is the map-level scan-attempt count (not a per-stripe sum:
-	// every scan visits every stripe).
-	Scans uint64
-	// DeadlineAttempts and DeadlineMisses are the per-stripe deadline
-	// counters summed across stripes; the Class arrays are the same sums
-	// broken down by request class (WithClass).
-	DeadlineAttempts      uint64
-	DeadlineMisses        uint64
-	ClassDeadlineAttempts [NumClasses]uint64
-	ClassDeadlineMisses   [NumClasses]uint64
-	// OptimisticHits/Retries/Fallbacks are the per-stripe optimistic
-	// read-path counters summed across stripes.
-	OptimisticHits      uint64
-	OptimisticRetries   uint64
-	OptimisticFallbacks uint64
-}
-
-// Snapshot collects per-stripe lengths, lock counters, and fairness
-// summaries. The stripe lock is held only to read the table length and
-// capture the history slice header — never for the O(HistoryCap) summary
-// work, which would stall every request queued behind a monitoring
-// scrape. Reading the captured history outside the lock is safe because
-// the recorder's storage is preallocated to the full cap (recording stops
-// rather than reallocate, see New), entries are immutable once written
-// (the lock release/acquire orders them before us), concurrent appends
-// touch only indices beyond our captured length, and this package never
-// calls Reset — the condition metrics.History's ownership rule sets for
-// holding an aliasing view. The cross-stripe view is per-stripe
-// consistent.
-func (m *Map) Snapshot() Snapshot {
-	out, _ := m.snapshotStripes(nil)
-	return out
-}
-
-// SnapshotContext is Snapshot with every stripe acquisition bounded by
-// ctx: observability stays deadline-bounded even when the stripe it wants
-// to observe is the one that collapsed.
-func (m *Map) SnapshotContext(ctx context.Context) (Snapshot, error) {
-	return m.snapshotStripes(ctx)
-}
-
-func (m *Map) snapshotStripes(ctx context.Context) (Snapshot, error) {
-	return m.snapshotImpl(ctx, false)
-}
-
-// SnapshotLite is Snapshot minus the expensive fairness instruments: the
-// per-stripe Fairness carries only Admissions and RecentLWSS (the
-// recorder's O(1) incrementally maintained trailing distinct count);
-// AvgLWSS, MTTR, Gini, and RSTDDEV — each O(history) or O(history log
-// history) over up to HistoryCap records per stripe — come back zero.
-// It is the sampling path for steady-state monitors (the adaptation
-// controller, shardd's /metrics sampler): a monitor that polls on an
-// interval must not recompute a full-history Gini per stripe per tick,
-// which would starve the data plane the monitoring exists to help.
-// Acquisition is bounded by ctx, so a monitor is not held hostage by a
-// stripe mid-migration. A nil ctx means unbounded (the plain path).
-func (m *Map) SnapshotLite(ctx context.Context) (Snapshot, error) {
-	return m.snapshotImpl(ctx, true)
-}
-
-func (m *Map) snapshotImpl(ctx context.Context, lite bool) (Snapshot, error) {
-	if lite {
-		// The lite path is the steady-state sampling path (controller,
-		// /metrics), which makes it the natural heartbeat for epoch
-		// collection: one cheap advance attempt per sample keeps retired
-		// descriptors from waiting on the next Reconfigure to be counted
-		// dead.
-		m.epoch.TryAdvance()
-	}
-	out := Snapshot{
-		Stripes: make([]StripeSnapshot, len(m.stripes)),
-		Scans:   m.scans.Load(),
-	}
-	for i := range m.stripes {
-		s := &m.stripes[i]
-		d, err := s.lockCurrentContext(ctx)
-		if err != nil {
-			return Snapshot{}, err
-		}
-		ln := d.table.Len()
-		var h metrics.History
-		recent := 0
-		if s.rec != nil {
-			h = s.rec.History()
-			// The incremental trailing distinct count is maintained under
-			// the stripe lock (Record runs in the critical section), so it
-			// must be read here, before the release — but it is O(1), which
-			// is the point: the lite path pays one integer read where the
-			// standalone metrics.RecentLWSS walk pays O(window).
-			recent = s.rec.RecentDistinct()
-		}
-		d.mu.Unlock()
-		ls := d.snapshot()
-		var fairness metrics.Summary
-		if lite {
-			fairness = metrics.Summary{
-				Admissions: len(h),
-				RecentLWSS: float64(recent),
-			}
-		} else {
-			fairness = metrics.Summarize(h, m.window)
-		}
-		var clsA, clsM [NumClasses]uint64
-		var attempts, misses uint64
-		for c := 0; c < NumClasses; c++ {
-			clsA[c] = s.deadlineAttempts[c].Load()
-			clsM[c] = s.deadlineMisses[c].Load()
-			attempts += clsA[c]
-			misses += clsM[c]
-			out.ClassDeadlineAttempts[c] += clsA[c]
-			out.ClassDeadlineMisses[c] += clsM[c]
-		}
-		oh, orr, of := s.optHits.Load(), s.optRetries.Load(), s.optFallbacks.Load()
-		out.Stripes[i] = StripeSnapshot{
-			Index:                 i,
-			Len:                   ln,
-			LockSpec:              d.lockSpec,
-			BackendSpec:           d.backendSpec,
-			Ordered:               d.ordered != nil,
-			Swaps:                 d.swaps,
-			Scans:                 out.Scans,
-			DeadlineAttempts:      attempts,
-			DeadlineMisses:        misses,
-			ClassDeadlineAttempts: clsA,
-			ClassDeadlineMisses:   clsM,
-			OptimisticHits:        oh,
-			OptimisticRetries:     orr,
-			OptimisticFallbacks:   of,
-			Lock:                  ls,
-			Fairness:              fairness,
-		}
-		out.Len += ln
-		out.Lock = out.Lock.Add(ls)
-		out.Swaps += d.swaps
-		out.DeadlineAttempts += attempts
-		out.DeadlineMisses += misses
-		out.OptimisticHits += oh
-		out.OptimisticRetries += orr
-		out.OptimisticFallbacks += of
-	}
-	return out, nil
-}
