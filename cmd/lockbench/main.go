@@ -221,20 +221,8 @@ func run(name string, m lock.Mutex, threads int, d time.Duration, ncs, cs int,
 		name, len(h), float64(len(h))/d.Seconds(), s.AvgLWSS, s.MTTR, s.Gini, s.RSTDDEV,
 		cancelCol)
 	if sl, ok := m.(lock.Instrumented); ok {
-		snap := sl.Stats()
-		r.Stats = map[string]uint64{
-			"acquires":     snap.Acquires,
-			"handoffs":     snap.Handoffs,
-			"culls":        snap.Culls,
-			"reprovisions": snap.Reprovisions,
-			"promotions":   snap.Promotions,
-			"parks":        snap.Parks,
-			"unparks":      snap.Unparks,
-			"fast_path":    snap.FastPath,
-			"slow_path":    snap.SlowPath,
-			"cancels":      snap.Cancels,
-			"abandons":     snap.Abandons,
-		}
+		r.Stats = make(map[string]uint64)
+		sl.Stats().Each(func(name string, v uint64) { r.Stats[name] = v })
 	}
 	return r
 }

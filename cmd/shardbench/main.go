@@ -261,10 +261,8 @@ func main() {
 							fmt.Printf("%-8s %-12s %-10s %-10s %-12s %7d %10d %10.0f %7s %8.1f %8.1f %7.1f %7.3f %6d\n",
 								r.Dist, r.Lock, r.Backend, r.ReadPath, policyCol, r.Stripes, r.Ops, r.OpsPerSec, missCol,
 								r.P50Micros, r.P99Micros, r.MeanLWSS, r.MeanGini, r.Swaps)
-							if r.OptimisticHits > 0 || r.OptimisticFallbacks > 0 {
-								fmt.Printf("  optimistic: hits=%d retries=%d fallbacks=%d hit-rate=%.4f lock-acquires=%d\n",
-									r.OptimisticHits, r.OptimisticRetries, r.OptimisticFallbacks,
-									r.OptimisticHitRate, r.Stats["acquires"])
+							if line := r.OptimisticLine(); line != "" {
+								fmt.Println("  " + line)
 							}
 							if ch := r.Chaos; ch != nil {
 								recov := "never"
@@ -356,9 +354,9 @@ func runCell(c cellConfig) benchfmt.Result {
 		m.Put(uint64(k), uint64(k))
 	}
 	// Baseline snapshot after the preload: the cell's reported counters
-	// are the measured interval's delta (Snapshot.Sub), so the preload's
+	// are the measured interval's delta (Counters.Sub), so the preload's
 	// million-odd Puts no longer pollute the acquires/fast-path numbers.
-	baseline := m.Snapshot()
+	baseline := m.Snapshot().Counters
 
 	// With a policy, an adaptation controller runs for the whole
 	// measured interval, live-reconfiguring stripes as its policy
@@ -384,24 +382,14 @@ func runCell(c cellConfig) benchfmt.Result {
 	}
 
 	snap := m.Snapshot()
-	delta := snap.Sub(baseline)
 	r := benchfmt.Result{
 		Lock:     c.spec,
 		Backend:  c.backend,
 		ReadPath: m.ReadPath(), // canonical form: "locked" for the "" default
 		Policy:   c.policy,
 		Stripes:  m.Stripes(),
-		Swaps:    int(delta.Swaps),
 	}
-	res.Fill(c.Traffic, &r)
-	// Optimistic read-path outcomes for the measured interval. Read with
-	// Stats["acquires"]: on a read-heavy cell, hits ≈ Gets and acquires ≈
-	// writes is the zero-lock-read acceptance claim in one row.
-	r.OptimisticHits = int(delta.OptimisticHits)
-	r.OptimisticRetries = int(delta.OptimisticRetries)
-	r.OptimisticFallbacks = int(delta.OptimisticFallbacks)
-	r.OptimisticHitRate = benchfmt.Rate(r.OptimisticHits, r.OptimisticHits+r.OptimisticFallbacks)
-	r.OptimisticFallbackRate = benchfmt.Rate(r.OptimisticFallbacks, r.OptimisticHits+r.OptimisticFallbacks)
+	res.Fill(c.Traffic, snap.Counters.Sub(baseline), &r)
 	active := 0
 	for _, s := range snap.Stripes {
 		if s.Fairness.Admissions == 0 {
@@ -420,21 +408,6 @@ func runCell(c cellConfig) benchfmt.Result {
 	if active > 0 {
 		r.MeanLWSS /= float64(active)
 		r.MeanGini /= float64(active)
-	}
-	// CR event counters for the measured interval only (the delta over
-	// the post-preload baseline).
-	r.Stats = map[string]uint64{
-		"acquires":     delta.Lock.Acquires,
-		"handoffs":     delta.Lock.Handoffs,
-		"culls":        delta.Lock.Culls,
-		"reprovisions": delta.Lock.Reprovisions,
-		"promotions":   delta.Lock.Promotions,
-		"parks":        delta.Lock.Parks,
-		"unparks":      delta.Lock.Unparks,
-		"fast_path":    delta.Lock.FastPath,
-		"slow_path":    delta.Lock.SlowPath,
-		"cancels":      delta.Lock.Cancels,
-		"abandons":     delta.Lock.Abandons,
 	}
 	return r
 }

@@ -90,8 +90,7 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	// One admin connection up front: fail fast if the server is absent,
-	// and capture its INFO identity for the record.
+	// One admin connection up front: fail fast if the server is absent.
 	admin, err := wire.Dial(addr)
 	if err != nil {
 		fatalf("dial %s: %v", addr, err)
@@ -100,17 +99,33 @@ func main() {
 	if err := admin.Ping(); err != nil {
 		fatalf("ping: %v", err)
 	}
-	infoText, err := admin.Info()
-	if err != nil {
-		fatalf("info: %v", err)
-	}
-	// The pre-run INFO doubles as the optimistic counter baseline: the
-	// server's opt_* lines are cumulative, so the cell's numbers are the
-	// end-minus-start delta — the same interval accounting shardbench
-	// gets from a snapshot delta, read over the wire.
-	startInfo := parseKV(infoText)
-	info := startInfo
+	r, connModel, dialErrs := runCell(c, chaos, addr, admin)
 
+	rec := c.Record(chaos)
+	rec.Remote = &benchfmt.Remote{
+		Addr:      addr,
+		ConnModel: connModel,
+		Conns:     c.Workers,
+		Churn:     c.Churn.String(),
+	}
+	rec.Results = []benchfmt.Result{r}
+
+	printSummary(r, dialErrs)
+	if *jsonPath != "" {
+		if err := benchfmt.WriteJSON(*jsonPath, rec, *appendJSON); err != nil {
+			fatalf("%v", err)
+		}
+	}
+}
+
+// runCell drives c at the shardd on addr and returns the cell, the
+// server's conn model and the generator's reconnect errors. INFO is read
+// before and after the run: identity and live specs come from the later
+// one (they reflect anything the server's controller did while we were
+// storming it), the counter columns from the difference — the interval
+// accounting shardbench gets from two snapshots, read over the wire.
+func runCell(c loadgen.Traffic, chaos *loadgen.Chaos, addr string, admin *wire.Client) (benchfmt.Result, string, int) {
+	before, _ := serverInfo(admin)
 	if chaos != nil {
 		armOverWire(chaos, admin)
 	}
@@ -118,11 +133,7 @@ func main() {
 	if res.Chaos != nil {
 		serverStalls(res.Chaos, admin)
 	}
-	// INFO again after the run: swaps and live specs reflect anything
-	// the server's controller did while we were storming it.
-	if txt, err := admin.Info(); err == nil {
-		info = parseKV(txt)
-	}
+	after, info := serverInfo(admin)
 
 	r := benchfmt.Result{
 		Lock:     info["lock"],
@@ -130,38 +141,9 @@ func main() {
 		ReadPath: info["read_path"],
 		Policy:   info["policy"],
 		Stripes:  atoi(info["stripes"]),
-		Swaps:    atoi(info["swaps"]),
 	}
-	res.Fill(c, &r)
-	// Optimistic outcomes for the run: end-minus-start INFO counters
-	// (clamped at zero in case the map was reconfigured under us).
-	sub := func(key string) int {
-		if d := atoi(info[key]) - atoi(startInfo[key]); d > 0 {
-			return d
-		}
-		return 0
-	}
-	r.OptimisticHits = sub("opt_hits")
-	r.OptimisticRetries = sub("opt_retries")
-	r.OptimisticFallbacks = sub("opt_fallbacks")
-	r.OptimisticHitRate = benchfmt.Rate(r.OptimisticHits, r.OptimisticHits+r.OptimisticFallbacks)
-	r.OptimisticFallbackRate = benchfmt.Rate(r.OptimisticFallbacks, r.OptimisticHits+r.OptimisticFallbacks)
-
-	rec := c.Record(chaos)
-	rec.Remote = &benchfmt.Remote{
-		Addr:      addr,
-		ConnModel: info["conn_model"],
-		Conns:     c.Workers,
-		Churn:     c.Churn.String(),
-	}
-	rec.Results = []benchfmt.Result{r}
-
-	printSummary(r, res.DialErrors)
-	if *jsonPath != "" {
-		if err := benchfmt.WriteJSON(*jsonPath, rec, *appendJSON); err != nil {
-			fatalf("%v", err)
-		}
-	}
+	res.Fill(c, after.Sub(before), &r)
+	return r, info["conn_model"], res.DialErrors
 }
 
 // armOverWire puts the data-plane half of ch's fault on ch's timeline:
@@ -189,6 +171,20 @@ func serverStalls(cr *benchfmt.ChaosResult, admin *wire.Client) {
 	}
 }
 
+// serverInfo fetches INFO as its cumulative counters and its key=value
+// lines.
+func serverInfo(admin *wire.Client) (shard.Counters, map[string]string) {
+	text, err := admin.Info()
+	if err != nil {
+		fatalf("info: %v", err)
+	}
+	counters, err := shard.ParseCounters(text)
+	if err != nil {
+		fatalf("info: %v", err)
+	}
+	return counters, parseKV(text)
+}
+
 // parseKV parses "key=value" lines (INFO, FAULT stats).
 func parseKV(text string) map[string]string {
 	out := make(map[string]string)
@@ -214,9 +210,8 @@ func printSummary(r benchfmt.Result, dialErrs int) {
 		fmt.Printf(", %d reconnect errors", dialErrs)
 	}
 	fmt.Println()
-	if r.OptimisticHits > 0 || r.OptimisticFallbacks > 0 {
-		fmt.Printf("shardload: optimistic (%s) hits %d retries %d fallbacks %d (hit rate %.4f)\n",
-			r.ReadPath, r.OptimisticHits, r.OptimisticRetries, r.OptimisticFallbacks, r.OptimisticHitRate)
+	if line := r.OptimisticLine(); line != "" {
+		fmt.Println("shardload: " + line)
 	}
 	if ch := r.Chaos; ch != nil {
 		rec := "never"

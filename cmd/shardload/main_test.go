@@ -139,3 +139,33 @@ func TestHarnessFaultsRunInTheGenerator(t *testing.T) {
 		t.Fatalf("the server rerouted keys? FAULT stats:\n%s", st)
 	}
 }
+
+// TestCellReportsTheRunsCounters: the counter columns of a remote cell
+// are the run's difference of the server's cumulative counters, like an
+// in-process cell's — so a swap from before the run is not this cell's,
+// and the lock events arrive at all (INFO used to carry one of them, and
+// swaps was reported cumulative).
+func TestCellReportsTheRunsCounters(t *testing.T) {
+	srv := startServer(t, "hashmap")
+	if err := srv.Map().Reconfigure(0, "tas", ""); err != nil {
+		t.Fatal(err)
+	}
+	admin, err := wire.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+	traffic := loadgen.Traffic{
+		Workers: 2, Duration: 100 * time.Millisecond, Keys: 256, Dist: "uniform", ReadFrac: 0.5, Seed: 1,
+	}
+	r, connModel, _ := runCell(traffic, nil, srv.Addr(), admin)
+	if r.Swaps != 0 {
+		t.Errorf("swaps = %d: the stripe was reconfigured before the run, not during it", r.Swaps)
+	}
+	if r.Ops == 0 || r.Stats["acquires"] < uint64(r.Ops) || len(r.Stats) != 11 {
+		t.Errorf("%d ops, stats = %v; want all 11 lock events and at least one acquire per op", r.Ops, r.Stats)
+	}
+	if r.Lock != "tas" || connModel != server.ConnGoroutine {
+		t.Errorf("identity: lock %q, conn model %q", r.Lock, connModel)
+	}
+}

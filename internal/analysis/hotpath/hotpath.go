@@ -38,9 +38,9 @@
 // a function must not directly:
 //
 //   - call a lock-acquisition method (Lock, LockContext, TryLock,
-//     TryLockFor, RLock, TryRLock, Acquire, AcquireContext, AcquireFor,
-//     AcquireTimeout — on any receiver: one lock acquire and the
-//     "wait-free read" claim, and its counters, are fiction);
+//     TryLockFor, RLock, TryRLock, Acquire, AcquireContext, AcquireFor —
+//     on any receiver: one lock acquire and the "wait-free read" claim,
+//     and its counters, are fiction);
 //   - block: channel send/receive/select, goroutine launch, or
 //     time.Sleep/After/Tick/NewTimer/NewTicker/AfterFunc;
 //   - plainly store to shared state (assignment or ++/-- whose target
@@ -113,7 +113,7 @@ var patientMethods = map[string]bool{
 var optDeniedLockMethods = map[string]bool{
 	"Lock": true, "LockContext": true, "TryLock": true, "TryLockFor": true,
 	"RLock": true, "TryRLock": true,
-	"Acquire": true, "AcquireContext": true, "AcquireFor": true, "AcquireTimeout": true,
+	"Acquire": true, "AcquireContext": true, "AcquireFor": true,
 }
 
 // optDeniedTime are the time functions that block or enlist the runtime

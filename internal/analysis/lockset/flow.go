@@ -750,7 +750,7 @@ var acquireNames = map[string]bool{
 	"Lock": true, "RLock": true, "TryLock": true, "TryRLock": true,
 	"LockContext": true, "TryLockFor": true,
 	"Acquire": true, "AcquireContext": true, "TryAcquire": true,
-	"AcquireFor": true, "AcquireTimeout": true,
+	"AcquireFor": true,
 }
 
 var releaseNames = map[string]bool{

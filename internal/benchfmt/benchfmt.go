@@ -75,8 +75,8 @@ type Result struct {
 	// stripe-lock acquire, fallbacks the ones whose retry budget ran
 	// out. HitRate is hits/(hits+fallbacks), FallbackRate the
 	// complement; both 0 (never NaN) when the path saw no traffic.
-	// shardbench reads them from a snapshot delta, shardload from INFO
-	// counter deltas — one comparable series either way.
+	// Both generators fill them from a shard.Counters difference
+	// (loadgen.Result.Fill) — snapshots in-process, INFO over the wire.
 	OptimisticHits         int     `json:"optimistic_hits,omitempty"`
 	OptimisticRetries      int     `json:"optimistic_retries,omitempty"`
 	OptimisticFallbacks    int     `json:"optimistic_fallbacks,omitempty"`
@@ -89,6 +89,16 @@ type Result struct {
 	// Chaos carries the scripted-fault phases when the cell ran under a
 	// fault; nil otherwise.
 	Chaos *ChaosResult `json:"chaos,omitempty"`
+}
+
+// OptimisticLine is the report line both generators print under a cell
+// that served optimistic reads; "" for a cell that served none.
+func (r Result) OptimisticLine() string {
+	if r.OptimisticHits == 0 && r.OptimisticFallbacks == 0 {
+		return ""
+	}
+	return fmt.Sprintf("optimistic: hits=%d retries=%d fallbacks=%d hit-rate=%.4f lock-acquires=%d",
+		r.OptimisticHits, r.OptimisticRetries, r.OptimisticFallbacks, r.OptimisticHitRate, r.Stats["acquires"])
 }
 
 // ChaosResult is one cell's scripted-fault accounting: the deadline

@@ -155,23 +155,63 @@ type Snapshot struct {
 	Abandons uint64
 }
 
+// events is the one enumeration of the CR events: stripe index ↔ report
+// name ↔ Snapshot field. Add, Sub, Read, Each and Set all walk it, so an
+// event is declared by its Event constant, its Snapshot field and its
+// line here, and nowhere else. Fields are named by offset (every one is
+// a uint64, which TestEventEnumerationClosed checks) rather than by an
+// accessor closure: a closure makes each walked Snapshot escape, and the
+// walks run per stripe on every controller and sampler tick.
+var events = [numEvents]struct {
+	name string
+	off  uintptr
+}{
+	EvAcquires:     {"acquires", unsafe.Offsetof(Snapshot{}.Acquires)},
+	EvHandoffs:     {"handoffs", unsafe.Offsetof(Snapshot{}.Handoffs)},
+	EvCulls:        {"culls", unsafe.Offsetof(Snapshot{}.Culls)},
+	EvReprovisions: {"reprovisions", unsafe.Offsetof(Snapshot{}.Reprovisions)},
+	EvPromotions:   {"promotions", unsafe.Offsetof(Snapshot{}.Promotions)},
+	EvParks:        {"parks", unsafe.Offsetof(Snapshot{}.Parks)},
+	EvUnparks:      {"unparks", unsafe.Offsetof(Snapshot{}.Unparks)},
+	EvFastPath:     {"fast_path", unsafe.Offsetof(Snapshot{}.FastPath)},
+	EvSlowPath:     {"slow_path", unsafe.Offsetof(Snapshot{}.SlowPath)},
+	EvCancels:      {"cancels", unsafe.Offsetof(Snapshot{}.Cancels)},
+	EvAbandons:     {"abandons", unsafe.Offsetof(Snapshot{}.Abandons)},
+}
+
+// at returns the field of s that counts event e.
+func (s *Snapshot) at(e int) *uint64 {
+	return (*uint64)(unsafe.Add(unsafe.Pointer(s), events[e].off))
+}
+
+// Each calls fn once per event with its report name (the key the bench
+// records and the exporters use) and value, in Event order.
+func (s Snapshot) Each(fn func(name string, v uint64)) {
+	for e := range events {
+		fn(events[e].name, *s.at(e))
+	}
+}
+
+// Set assigns v to the event called name and reports whether there is
+// one: the inverse of Each, for readers of an exported snapshot.
+func (s *Snapshot) Set(name string, v uint64) bool {
+	for e := range events {
+		if events[e].name == name {
+			*s.at(e) = v
+			return true
+		}
+	}
+	return false
+}
+
 // Add returns the field-wise sum of s and o. Aggregators (the sharded
 // store's Snapshot, multi-lock reports) use it to roll per-lock snapshots
 // up into totals.
 func (s Snapshot) Add(o Snapshot) Snapshot {
-	return Snapshot{
-		Acquires:     s.Acquires + o.Acquires,
-		Handoffs:     s.Handoffs + o.Handoffs,
-		Culls:        s.Culls + o.Culls,
-		Reprovisions: s.Reprovisions + o.Reprovisions,
-		Promotions:   s.Promotions + o.Promotions,
-		Parks:        s.Parks + o.Parks,
-		Unparks:      s.Unparks + o.Unparks,
-		FastPath:     s.FastPath + o.FastPath,
-		SlowPath:     s.SlowPath + o.SlowPath,
-		Cancels:      s.Cancels + o.Cancels,
-		Abandons:     s.Abandons + o.Abandons,
+	for e := range events {
+		*s.at(e) += *o.at(e)
 	}
+	return s
 }
 
 // SatSub returns a - b saturating at zero: the module-wide rule for
@@ -190,20 +230,10 @@ func SatSub(a, b uint64) uint64 {
 // than wraparound) keeps a rate readable even if the caller pairs
 // snapshots from different sources by mistake.
 func (s Snapshot) Sub(o Snapshot) Snapshot {
-	sub := SatSub
-	return Snapshot{
-		Acquires:     sub(s.Acquires, o.Acquires),
-		Handoffs:     sub(s.Handoffs, o.Handoffs),
-		Culls:        sub(s.Culls, o.Culls),
-		Reprovisions: sub(s.Reprovisions, o.Reprovisions),
-		Promotions:   sub(s.Promotions, o.Promotions),
-		Parks:        sub(s.Parks, o.Parks),
-		Unparks:      sub(s.Unparks, o.Unparks),
-		FastPath:     sub(s.FastPath, o.FastPath),
-		SlowPath:     sub(s.SlowPath, o.SlowPath),
-		Cancels:      sub(s.Cancels, o.Cancels),
-		Abandons:     sub(s.Abandons, o.Abandons),
+	for e := range events {
+		*s.at(e) = SatSub(*s.at(e), *o.at(e))
 	}
+	return s
 }
 
 // Read sums the stripes into a consistent-enough snapshot for reporting.
@@ -211,26 +241,13 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 // acceptable for the monitoring purposes they serve. Read of a nil *Stats
 // returns a zero Snapshot.
 func (s *Stats) Read() Snapshot {
-	var sum [numEvents]uint64
+	var out Snapshot
 	if s != nil {
 		for i := range s.stripes {
-			st := &s.stripes[i]
-			for e := range sum {
-				sum[e] += st.c[e].Load()
+			for e := range events {
+				*out.at(e) += s.stripes[i].c[e].Load()
 			}
 		}
 	}
-	return Snapshot{
-		Acquires:     sum[EvAcquires],
-		Handoffs:     sum[EvHandoffs],
-		Culls:        sum[EvCulls],
-		Reprovisions: sum[EvReprovisions],
-		Promotions:   sum[EvPromotions],
-		Parks:        sum[EvParks],
-		Unparks:      sum[EvUnparks],
-		FastPath:     sum[EvFastPath],
-		SlowPath:     sum[EvSlowPath],
-		Cancels:      sum[EvCancels],
-		Abandons:     sum[EvAbandons],
-	}
+	return out
 }

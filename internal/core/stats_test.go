@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"unsafe"
@@ -148,5 +149,65 @@ func TestSnapshotSub(t *testing.T) {
 	// Sub inverts Add for monotonic pairs.
 	if got := a.Add(b).Sub(b); got != a {
 		t.Fatalf("Add then Sub = %+v want %+v", got, a)
+	}
+}
+
+// TestEventEnumerationClosed walks Snapshot by reflection (here only) so
+// a field added without its line in events fails: every field is a
+// uint64 that Each reports exactly once under a name of its own, Set
+// inverts Each, the enumeration's order is the Event order Read sums in,
+// and Add/Sub reach every field.
+func TestEventEnumerationClosed(t *testing.T) {
+	var a, b Snapshot
+	va := reflect.ValueOf(&a).Elem()
+	vb := reflect.ValueOf(&b).Elem()
+	if va.NumField() != int(numEvents) {
+		t.Fatalf("Snapshot has %d fields, Event has %d values", va.NumField(), numEvents)
+	}
+	for i := 0; i < va.NumField(); i++ {
+		if va.Field(i).Kind() != reflect.Uint64 {
+			t.Fatalf("Snapshot.%s is not a uint64: the enumeration addresses fields as uint64s", va.Type().Field(i).Name)
+		}
+		va.Field(i).SetUint(uint64(100 + i))
+		vb.Field(i).SetUint(uint64(1000 + 7*i))
+	}
+
+	seen := make(map[string]uint64)
+	var parsed Snapshot
+	a.Each(func(name string, v uint64) {
+		if _, dup := seen[name]; dup {
+			t.Errorf("Each yields %q twice", name)
+		}
+		seen[name] = v
+		if !parsed.Set(name, v) {
+			t.Errorf("Set does not know %q", name)
+		}
+	})
+	if len(seen) != va.NumField() || parsed != a {
+		t.Fatalf("Each/Set do not cover Snapshot: %d names, round trip %+v, want %+v", len(seen), parsed, a)
+	}
+	if parsed.Set("no_such_event", 1) {
+		t.Fatal("Set accepted an unknown name")
+	}
+
+	s := NewStatsStripes(2)
+	for e := Event(0); e < numEvents; e++ {
+		for n := Event(0); n <= e; n++ {
+			s.Inc(e)
+		}
+	}
+	next := uint64(1)
+	s.Read().Each(func(name string, v uint64) {
+		if v != next {
+			t.Errorf("event %d reads back as %q = %d", next-1, name, v)
+		}
+		next++
+	})
+
+	if got := a.Add(b).Sub(b); got != a {
+		t.Fatalf("Add then Sub = %+v, want %+v", got, a)
+	}
+	if got := a.Sub(b); got != (Snapshot{}) {
+		t.Fatalf("Sub did not saturate every field: %+v", got)
 	}
 }

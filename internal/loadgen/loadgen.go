@@ -281,8 +281,13 @@ type Result struct {
 	Chaos      *benchfmt.ChaosResult
 }
 
-// Fill writes the generator-side columns of a benchfmt cell.
-func (r Result) Fill(t Traffic, out *benchfmt.Result) {
+// Fill writes the generator-side columns of a benchfmt cell, and the
+// target-side counter columns from served — the target map's counters
+// after the run minus before it (shard.Counters.Sub), whether they were
+// snapshotted in-process or read from INFO. With Stats["acquires"] the
+// optimistic columns are the zero-lock-read claim in one row: on a
+// read-heavy cell, hits ≈ Gets and acquires ≈ writes.
+func (r Result) Fill(t Traffic, served shard.Counters, out *benchfmt.Result) {
 	out.Dist = t.Dist
 	out.Threads = t.Workers
 	out.Duration = r.Elapsed.Seconds()
@@ -296,6 +301,15 @@ func (r Result) Fill(t Traffic, out *benchfmt.Result) {
 	out.DeadlineMisses = r.Misses
 	out.MissRate = benchfmt.Rate(r.Misses, r.Attempts)
 	out.Chaos = r.Chaos
+
+	out.Swaps = int(served.Swaps)
+	out.OptimisticHits = int(served.OptimisticHits)
+	out.OptimisticRetries = int(served.OptimisticRetries)
+	out.OptimisticFallbacks = int(served.OptimisticFallbacks)
+	out.OptimisticHitRate = benchfmt.Rate(out.OptimisticHits, out.OptimisticHits+out.OptimisticFallbacks)
+	out.OptimisticFallbackRate = benchfmt.Rate(out.OptimisticFallbacks, out.OptimisticHits+out.OptimisticFallbacks)
+	out.Stats = make(map[string]uint64)
+	served.Lock.Each(func(name string, v uint64) { out.Stats[name] = v })
 }
 
 // run is one cell in flight: the traffic, where it goes, and what the

@@ -91,11 +91,10 @@ func (p *malthusian) state(i int) *malthusianState {
 func (p *malthusian) Decide(prev, cur shard.StripeSnapshot) (lockSpec, backendSpec string, swap bool) {
 	s := p.state(cur.Index)
 	if s.demoted && !sameLock(cur.LockSpec, p.hot) {
-		// The demotion never landed (Reconfigure rejected the hot=
-		// target — programmatic WithHotLockSpec is not pre-validated —
-		// or another actor swapped the lock since). Resync to the
-		// observed state and keep watching, rather than believing a
-		// swap that did not happen for the rest of the run.
+		// The demotion never landed (Reconfigure failed, or another
+		// actor swapped the lock since). Resync to the observed state
+		// and keep watching, rather than believing a swap that did not
+		// happen for the rest of the run.
 		s.demoted = false
 		s.hotRuns, s.calmRuns = 0, 0
 	}

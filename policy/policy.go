@@ -93,105 +93,10 @@ type config struct {
 	sloMin    uint64
 }
 
-// Option configures policy construction.
+// Option configures policy construction. The only options are the spec
+// parameters New parses (see grammar): policies are configured by spec
+// string everywhere in the module.
 type Option func(*config)
-
-// WithLWSS sets the recent-LWSS collapse threshold ("malthusian"). 0
-// disables the LWSS trigger.
-func WithLWSS(n float64) Option {
-	return func(c *config) { c.lwss = n }
-}
-
-// WithParks sets the per-interval parks collapse threshold
-// ("malthusian"). 0 disables the parks trigger.
-func WithParks(n uint64) Option {
-	return func(c *config) { c.parks = n }
-}
-
-// WithHold sets how many consecutive intervals a signal must persist
-// before the policy swaps (hysteresis depth, both directions). Values
-// below 1 are raised to 1.
-func WithHold(n int) Option {
-	return func(c *config) {
-		if n < 1 {
-			n = 1
-		}
-		c.hold = n
-	}
-}
-
-// WithScanFrac sets the scan share of traffic at or above which
-// "scanaware" flips to an ordered backend. The value is clamped to
-// [0, 1]; 0 disables the policy (a zero threshold would otherwise make
-// every interval read as both hot and calm).
-func WithScanFrac(f float64) Option {
-	return func(c *config) {
-		if f < 0 {
-			f = 0
-		}
-		if f > 1 {
-			f = 1
-		}
-		c.scanFrac = f
-	}
-}
-
-// WithHotLockSpec sets the lock spec "malthusian" demotes a collapsing
-// stripe to. The spec is validated when the swap is applied
-// (Map.Reconfigure), not here.
-func WithHotLockSpec(s string) Option {
-	return func(c *config) {
-		if s != "" {
-			c.hotLock = s
-		}
-	}
-}
-
-// WithOrderedSpec sets the backend spec "scanaware" flips a
-// scan-dominated stripe to; it should name a store.Ordered backend.
-func WithOrderedSpec(s string) Option {
-	return func(c *config) {
-		if s != "" {
-			c.ordered = s
-		}
-	}
-}
-
-// WithSLOTarget sets the deadline-miss rate budget "slo" defends,
-// clamped to [0, 1]. 0 disables the policy (no budget, nothing to burn).
-func WithSLOTarget(f float64) Option {
-	return func(c *config) {
-		if f < 0 {
-			f = 0
-		}
-		if f > 1 {
-			f = 1
-		}
-		c.sloTarget = f
-	}
-}
-
-// WithSLOWindows sets the "slo" policy's burn-rate windows in non-idle
-// controller intervals: fast bounds reaction time, slow vetoes transient
-// spikes. Values below 1 are raised to 1; a slow window shorter than the
-// fast is raised to it.
-func WithSLOWindows(fast, slow int) Option {
-	return func(c *config) {
-		if fast < 1 {
-			fast = 1
-		}
-		if slow < fast {
-			slow = fast
-		}
-		c.sloFast, c.sloSlow = fast, slow
-	}
-}
-
-// WithSLOMinAttempts sets the deadline-bounded traffic the "slo" fast
-// window must contain before the policy acts either way.
-func WithSLOMinAttempts(n uint64) Option {
-	return func(c *config) { c.sloMin = n }
-}
 
 func resolve(opts []Option) config {
 	cfg := config{
@@ -209,8 +114,8 @@ func resolve(opts []Option) config {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	// The slow window bounds the fast one whatever order the options (or
-	// spec parameters, applied last) arrived in.
+	// The slow window bounds the fast one whatever order fast= and slow=
+	// arrived in.
 	if cfg.sloSlow < cfg.sloFast {
 		cfg.sloSlow = cfg.sloFast
 	}
@@ -250,35 +155,32 @@ func Lookup(name string) (Registration, bool) { return registry.Lookup(name) }
 //	"malthusian?lwss=6&parks=64&hold=2"
 //	"scanaware?scanfrac=0.3&to=rbtree"
 //
-// Parameters (each maps onto the corresponding Option):
+// Parameters (a policy reads what applies to it and ignores the rest):
 //
-//	lwss=N        recent-LWSS collapse threshold (0 disables)   WithLWSS
-//	parks=N       per-interval parks threshold (0 disables)     WithParks
-//	hold=N        hysteresis depth in intervals                 WithHold
-//	scanfrac=F    scan-share flip threshold, 0..1 (0 disables)  WithScanFrac
-//	hot=SPEC      demotion lock spec (URL-escaped)              WithHotLockSpec
-//	to=SPEC       ordered backend spec (URL-escaped)            WithOrderedSpec
-//	target=F      deadline-miss budget, 0..1 (0 disables)       WithSLOTarget
-//	fast=N        fast burn window, non-idle intervals          WithSLOWindows
-//	slow=N        slow burn window (raised to fast if shorter)  WithSLOWindows
-//	min=N         fast-window attempts floor before acting      WithSLOMinAttempts
+//	lwss=N        recent-LWSS collapse threshold, "malthusian" (0 disables)
+//	parks=N       per-interval parks threshold, "malthusian" (0 disables)
+//	hold=N        hysteresis depth in intervals, both directions (>= 1)
+//	scanfrac=F    scan share at which "scanaware" flips, 0..1 (0 disables:
+//	              a zero threshold would read every interval as hot and calm)
+//	hot=SPEC      lock spec "malthusian"/"slo" demote to (URL-escaped)
+//	to=SPEC       ordered backend spec "scanaware" flips to (URL-escaped)
+//	target=F      deadline-miss budget "slo" defends, 0..1 (0 disables)
+//	fast=N        fast burn window, non-idle intervals: bounds reaction time
+//	slow=N        slow burn window, vetoes spikes (raised to fast if shorter)
+//	min=N         fast-window attempts floor before "slo" acts either way
 //
 // hot= and to= are validated against their registries at parse time, so
-// a typo fails here rather than silently never swapping. Spec parameters
-// are applied after opts, so the spec overrides programmatic defaults.
-// Malformed specs — unknown name, unknown or duplicated parameter, bad
-// value — return a descriptive error and a nil Policy.
-func New(spec string, opts ...Option) (Policy, error) {
+// a typo fails here rather than silently never swapping. Malformed specs
+// — unknown name, unknown or duplicated parameter, bad value — return a
+// descriptive error and a nil Policy.
+func New(spec string) (Policy, error) {
 	reg, query, err := registry.Resolve(spec)
 	if err != nil {
 		return nil, err
 	}
-	specOpts, err := grammar.Parse(spec, query)
+	opts, err := grammar.Parse(spec, query)
 	if err != nil {
 		return nil, err
-	}
-	if len(specOpts) > 0 {
-		opts = append(append([]Option(nil), opts...), specOpts...)
 	}
 	return reg.Build(opts...), nil
 }
@@ -286,96 +188,65 @@ func New(spec string, opts ...Option) (Policy, error) {
 // MustNew is New for tests, examples, and initialization paths where a
 // malformed spec is a programming error; it panics instead of returning
 // one.
-func MustNew(spec string, opts ...Option) Policy {
-	p, err := New(spec, opts...)
+func MustNew(spec string) Policy {
+	p, err := New(spec)
 	if err != nil {
 		panic(err)
 	}
 	return p
 }
 
+// param is one grammar entry: parse the value (range checks are the
+// parser's), then set it on the config.
+func param[T any](parse func(string) (T, error), set func(*config, T)) spec.ParamFunc[Option] {
+	return func(v string) (Option, error) {
+		x, err := parse(v)
+		if err != nil {
+			return nil, err
+		}
+		return func(c *config) { set(c, x) }, nil
+	}
+}
+
 var grammar = spec.NewGrammar[Option]("policy", map[string]spec.ParamFunc[Option]{
-	"lwss": func(v string) (Option, error) {
-		n, err := spec.Uint(v)
-		if err != nil {
-			return nil, err
-		}
-		return WithLWSS(float64(n)), nil
-	},
-	"parks": func(v string) (Option, error) {
-		n, err := spec.Uint(v)
-		if err != nil {
-			return nil, err
-		}
-		return WithParks(n), nil
-	},
-	"hold": func(v string) (Option, error) {
-		n, err := spec.PosInt(v)
-		if err != nil {
-			return nil, err
-		}
-		return WithHold(n), nil
-	},
-	"scanfrac": func(v string) (Option, error) {
-		f, err := spec.Frac(v)
-		if err != nil {
-			return nil, err
-		}
-		return WithScanFrac(f), nil
-	},
-	"hot": func(v string) (Option, error) {
-		// Build (and discard) a lock to validate the target spec now;
-		// registry locks are cheap to construct. The ContextMutex
-		// assertion mirrors shard.Map's own buildLock requirement, so a
-		// custom-registered plain lock fails here instead of silently
-		// never swapping at Reconfigure time.
-		mtx, err := lock.New(v)
-		if err != nil {
-			return nil, err
-		}
-		if _, ok := mtx.(lock.ContextMutex); !ok {
-			return nil, fmt.Errorf("lock spec %q builds a %T, which is not a lock.ContextMutex (required for shard stripes)", v, mtx)
-		}
-		return WithHotLockSpec(v), nil
-	},
-	"to": func(v string) (Option, error) {
-		b, err := store.New(v)
-		if err != nil {
-			return nil, err
-		}
-		if _, ok := b.(store.Ordered); !ok {
-			return nil, fmt.Errorf("backend spec %q is not ordered (scans need store.Ordered)", v)
-		}
-		return WithOrderedSpec(v), nil
-	},
-	"target": func(v string) (Option, error) {
-		f, err := spec.Frac(v)
-		if err != nil {
-			return nil, err
-		}
-		return WithSLOTarget(f), nil
-	},
-	"fast": func(v string) (Option, error) {
-		n, err := spec.PosInt(v)
-		if err != nil {
-			return nil, err
-		}
-		// Sets only the fast window; resolve re-clamps slow >= fast after
-		// all options land, so fast=/slow= compose in either order.
-		return func(c *config) { c.sloFast = n }, nil
-	},
-	"slow": func(v string) (Option, error) {
-		n, err := spec.PosInt(v)
-		if err != nil {
-			return nil, err
-		}
-		return func(c *config) { c.sloSlow = n }, nil
-	},
-	"min": func(v string) (Option, error) {
-		n, err := spec.Uint(v)
-		if err != nil {
-			return nil, err
-		}
-		return WithSLOMinAttempts(n), nil
-	},
+	"lwss":     param(spec.Uint, func(c *config, n uint64) { c.lwss = float64(n) }),
+	"parks":    param(spec.Uint, func(c *config, n uint64) { c.parks = n }),
+	"hold":     param(spec.PosInt, func(c *config, n int) { c.hold = n }),
+	"scanfrac": param(spec.Frac, func(c *config, f float64) { c.scanFrac = f }),
+	"hot":      param(stripeLockSpec, func(c *config, v string) { c.hotLock = v }),
+	"to":       param(orderedBackendSpec, func(c *config, v string) { c.ordered = v }),
+	"target":   param(spec.Frac, func(c *config, f float64) { c.sloTarget = f }),
+	// fast= and slow= each set only their own window; resolve re-clamps
+	// slow >= fast after both land, so they compose in either order.
+	"fast": param(spec.PosInt, func(c *config, n int) { c.sloFast = n }),
+	"slow": param(spec.PosInt, func(c *config, n int) { c.sloSlow = n }),
+	"min":  param(spec.Uint, func(c *config, n uint64) { c.sloMin = n }),
 })
+
+// stripeLockSpec validates a demotion target by building (and
+// discarding) the lock now; registry locks are cheap to construct. The
+// ContextMutex assertion mirrors shard.Map's own buildLock requirement,
+// so a custom-registered plain lock fails here instead of silently never
+// swapping at Reconfigure time.
+func stripeLockSpec(v string) (string, error) {
+	mtx, err := lock.New(v)
+	if err != nil {
+		return "", err
+	}
+	if _, ok := mtx.(lock.ContextMutex); !ok {
+		return "", fmt.Errorf("lock spec %q builds a %T, which is not a lock.ContextMutex (required for shard stripes)", v, mtx)
+	}
+	return v, nil
+}
+
+// orderedBackendSpec validates a flip target the same way.
+func orderedBackendSpec(v string) (string, error) {
+	b, err := store.New(v)
+	if err != nil {
+		return "", err
+	}
+	if _, ok := b.(store.Ordered); !ok {
+		return "", fmt.Errorf("backend spec %q is not ordered (scans need store.Ordered)", v)
+	}
+	return v, nil
+}

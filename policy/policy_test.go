@@ -84,7 +84,7 @@ func TestHotSpecRequiresContextMutex(t *testing.T) {
 
 func TestStatic(t *testing.T) {
 	p := MustNew("static")
-	hot := shard.StripeSnapshot{Index: 0, LockSpec: "tas", Lock: core.Snapshot{Parks: 1 << 20}}
+	hot := shard.StripeSnapshot{Index: 0, LockSpec: "tas", Counters: shard.Counters{Lock: core.Snapshot{Parks: 1 << 20}}}
 	for i := 0; i < 10; i++ {
 		if _, _, swap := p.Decide(shard.StripeSnapshot{}, hot); swap {
 			t.Fatal("static swapped")
@@ -100,8 +100,7 @@ func snap(idx int, lockSpec, backendSpec string, parks, acquires, scans uint64, 
 		LockSpec:    lockSpec,
 		BackendSpec: backendSpec,
 		Ordered:     backendSpec != "hashmap",
-		Scans:       scans,
-		Lock:        core.Snapshot{Parks: parks, Acquires: acquires},
+		Counters:    shard.Counters{Scans: scans, Lock: core.Snapshot{Parks: parks, Acquires: acquires}},
 		Fairness:    metrics.Summary{RecentLWSS: recentLWSS},
 	}
 }
@@ -277,35 +276,34 @@ func TestScanawareIdleAndNoFlap(t *testing.T) {
 }
 
 // TestRejectedSwapResync: when a decided swap never lands (Map.Reconfigure
-// rejects a bad programmatic target, or another actor swaps first), the
+// fails, or another actor swaps first), the
 // policy must resync from the observed stripe state and keep retrying
 // while the signal persists — not believe its own memory of a swap that
 // did not happen.
 func TestRejectedSwapResync(t *testing.T) {
-	// malthusian with an unbuildable hot target (programmatic options
-	// are not pre-validated, unlike the hot= spec parameter).
-	p := MustNew("malthusian?parks=10&lwss=0&hold=1", WithHotLockSpec("no-such-lock"))
+	// malthusian whose demotion never shows up in the stripe's spec.
+	p := MustNew("malthusian?parks=10&lwss=0&hold=1&hot=tas")
 	var parks uint64
 	prev := snap(0, "mcs-stp", "hashmap", parks, 0, 0, 0)
 	for i := 0; i < 3; i++ {
 		parks += 100
 		cur := snap(0, "mcs-stp", "hashmap", parks, 0, 0, 0) // swap rejected: spec unchanged
 		ls, _, swap := p.Decide(prev, cur)
-		if !swap || ls != "no-such-lock" {
+		if !swap || ls != "tas" {
 			t.Fatalf("interval %d: Decide = %q, %v — stopped retrying after a rejected swap", i, ls, swap)
 		}
 		prev = cur
 	}
 
-	// scanaware with an unbuildable ordered target.
-	ps := MustNew("scanaware?scanfrac=0.5&hold=1", WithOrderedSpec("no-such-backend"))
+	// scanaware whose flip never shows up either.
+	ps := MustNew("scanaware?scanfrac=0.5&hold=1&to=rbtree")
 	var scanned uint64
 	sprev := snap(0, "tas", "hashmap", 0, 0, scanned, 0)
 	for i := 0; i < 3; i++ {
 		scanned += 100
 		cur := snap(0, "tas", "hashmap", 0, 0, scanned, 0) // flip rejected: still unordered
 		_, bs, swap := ps.Decide(sprev, cur)
-		if !swap || bs != "no-such-backend" {
+		if !swap || bs != "rbtree" {
 			t.Fatalf("interval %d: Decide = %q, %v — stopped retrying after a rejected flip", i, bs, swap)
 		}
 		sprev = cur

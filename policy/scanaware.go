@@ -97,9 +97,8 @@ func (p *scanaware) Decide(prev, cur shard.StripeSnapshot) (lockSpec, backendSpe
 	s := p.state(cur.Index)
 	if s.flipped && cur.BackendSpec != p.to {
 		// The stripe is not running our target backend: the flip never
-		// landed (Reconfigure rejected the to= target — programmatic
-		// WithOrderedSpec is not pre-validated), or another actor
-		// installed a backend of their own since. Resync to the observed
+		// landed (Reconfigure failed), or another actor installed a
+		// backend of their own since. Resync to the observed
 		// state rather than restore over someone else's choice; if the
 		// stripe is now unordered and scans persist, the flip is simply
 		// re-attempted.

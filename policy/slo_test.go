@@ -10,10 +10,9 @@ import (
 // deadline counters the slo policy reads.
 func sloSnap(idx int, lockSpec string, attempts, misses uint64) shard.StripeSnapshot {
 	return shard.StripeSnapshot{
-		Index:            idx,
-		LockSpec:         lockSpec,
-		DeadlineAttempts: attempts,
-		DeadlineMisses:   misses,
+		Index:    idx,
+		LockSpec: lockSpec,
+		Counters: shard.Counters{DeadlineAttempts: attempts, DeadlineMisses: misses},
 	}
 }
 

@@ -141,12 +141,6 @@ func (s *Semaphore) AcquireFor(d time.Duration) bool {
 	return s.AcquireContext(ctx) == nil
 }
 
-// AcquireTimeout obtains a permit or gives up after d; it reports whether
-// a permit was obtained. It is AcquireFor under its historical name.
-//
-//lockcheck:acquires s
-func (s *Semaphore) AcquireTimeout(d time.Duration) bool { return s.AcquireFor(d) }
-
 // acquire is the shared acquisition body; a nil ctx waits indefinitely
 // and cannot fail, a non-nil ctx must be cancellable.
 //

@@ -112,16 +112,16 @@ func TestPermitConservation(t *testing.T) {
 	}
 }
 
-func TestAcquireTimeout(t *testing.T) {
+func TestAcquireFor(t *testing.T) {
 	s := NewFIFO(0)
-	if s.AcquireTimeout(20 * time.Millisecond) {
+	if s.AcquireFor(20 * time.Millisecond) {
 		t.Fatal("acquired a permit that does not exist")
 	}
 	if s.Waiters() != 0 {
 		t.Fatal("timed-out waiter left on queue")
 	}
 	s.Release()
-	if !s.AcquireTimeout(20 * time.Millisecond) {
+	if !s.AcquireFor(20 * time.Millisecond) {
 		t.Fatal("failed to acquire an available permit")
 	}
 	// Late release must reach a timed waiter.
@@ -129,7 +129,7 @@ func TestAcquireTimeout(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		s.Release()
 	}()
-	if !s.AcquireTimeout(5 * time.Second) {
+	if !s.AcquireFor(5 * time.Second) {
 		t.Fatal("missed a permit released before the deadline")
 	}
 }

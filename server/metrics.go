@@ -55,6 +55,31 @@ func (s *Server) Sample() {
 	s.metricsCache.Store(cur)
 }
 
+// page collects series by family, so every family renders as one group
+// under one # TYPE line whatever order its series arrive in — the text
+// exposition format allows a family only one group.
+type page struct {
+	names []string
+	fams  map[string]*strings.Builder
+}
+
+// add appends one series. A name ending in _total is a counter, any
+// other a gauge; labels is "" or a braced label set.
+func (p *page) add(name, labels string, v any) {
+	b := p.fams[name]
+	if b == nil {
+		typ := "gauge"
+		if strings.HasSuffix(name, "_total") {
+			typ = "counter"
+		}
+		b = new(strings.Builder)
+		fmt.Fprintf(b, "# TYPE %s %s\n", name, typ)
+		p.fams[name] = b
+		p.names = append(p.names, name)
+	}
+	fmt.Fprintf(b, "%s%s %v\n", name, labels, v)
+}
+
 // handleMetrics renders the text exposition format. It reads the
 // sampler's cache and the server/fault atomics only; the patient
 // snapshot family is off-limits on this path by construction and by
@@ -62,20 +87,24 @@ func (s *Server) Sample() {
 //
 //lockcheck:nosnapshot
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var b strings.Builder
-	b.Grow(4096)
+	p := page{fams: make(map[string]*strings.Builder)}
+	defer func() {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		for _, name := range p.names {
+			w.Write([]byte(p.fams[name].String())) //nolint:errcheck
+		}
+	}()
 
 	// Server-plane counters.
-	fmt.Fprintf(&b, "# TYPE shardd_connections_accepted_total counter\n")
-	fmt.Fprintf(&b, "shardd_connections_accepted_total %d\n", s.accepted.Load())
-	fmt.Fprintf(&b, "shardd_connections_active %d\n", s.active.Load())
-	fmt.Fprintf(&b, "shardd_pool_waiting %d\n", s.poolWaiting.Load())
-	fmt.Fprintf(&b, "shardd_pool_culled_total %d\n", s.poolCulled.Load())
-	fmt.Fprintf(&b, "shardd_ops_total %d\n", s.ops.Load())
-	fmt.Fprintf(&b, "shardd_bad_frames_total %d\n", s.badFrames.Load())
+	p.add("shardd_connections_accepted_total", "", s.accepted.Load())
+	p.add("shardd_connections_active", "", s.active.Load())
+	p.add("shardd_pool_waiting", "", s.poolWaiting.Load())
+	p.add("shardd_pool_culled_total", "", s.poolCulled.Load())
+	p.add("shardd_ops_total", "", s.ops.Load())
+	p.add("shardd_bad_frames_total", "", s.badFrames.Load())
 	if s.ctrl != nil {
-		fmt.Fprintf(&b, "shardd_ctrl_swaps_total %d\n", s.ctrl.Swaps())
-		fmt.Fprintf(&b, "shardd_ctrl_rejected_total %d\n", s.ctrl.Rejected())
+		p.add("shardd_ctrl_swaps_total", "", s.ctrl.Swaps())
+		p.add("shardd_ctrl_rejected_total", "", s.ctrl.Rejected())
 	}
 
 	// Injector evidence (chaos over the wire).
@@ -84,92 +113,91 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.faultMu.Unlock()
 	if set != nil {
 		st := set.Stats()
-		fmt.Fprintf(&b, "shardd_fault_armed %d\n", boolMetric(set.Active()))
-		fmt.Fprintf(&b, "shardd_fault_stalls_total %d\n", st.Stalls)
-		fmt.Fprintf(&b, "shardd_fault_stall_ms_total %d\n", st.StallTime.Milliseconds())
-		fmt.Fprintf(&b, "shardd_fault_reroutes_total %d\n", st.Reroutes)
-		fmt.Fprintf(&b, "shardd_fault_surge_peak %d\n", st.SurgePeak)
+		p.add("shardd_fault_armed", "", boolMetric(set.Active()))
+		p.add("shardd_fault_stalls_total", "", st.Stalls)
+		p.add("shardd_fault_stall_ms_total", "", st.StallTime.Milliseconds())
+		p.add("shardd_fault_reroutes_total", "", st.Reroutes)
+		p.add("shardd_fault_surge_peak", "", st.SurgePeak)
 	}
 
 	sample := s.metricsCache.Load()
 	if sample == nil {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		w.Write([]byte(b.String())) //nolint:errcheck
 		return
 	}
 	snap, delta := sample.snap, sample.delta
 
-	// Map rollups.
-	fmt.Fprintf(&b, "shardd_len %d\n", snap.Len)
-	fmt.Fprintf(&b, "shardd_swaps_total %d\n", snap.Swaps)
-	fmt.Fprintf(&b, "shardd_scans_total %d\n", snap.Scans)
-	fmt.Fprintf(&b, "shardd_deadline_attempts_total %d\n", snap.DeadlineAttempts)
-	fmt.Fprintf(&b, "shardd_deadline_misses_total %d\n", snap.DeadlineMisses)
-	for c := 0; c < shard.NumClasses; c++ {
-		fmt.Fprintf(&b, "shardd_class_deadline_attempts_total{class=\"%d\"} %d\n", c, snap.ClassDeadlineAttempts[c])
-		fmt.Fprintf(&b, "shardd_class_deadline_misses_total{class=\"%d\"} %d\n", c, snap.ClassDeadlineMisses[c])
-	}
-	fmt.Fprintf(&b, "shardd_lock_acquires_total %d\n", snap.Lock.Acquires)
-	fmt.Fprintf(&b, "shardd_lock_parks_total %d\n", snap.Lock.Parks)
-	fmt.Fprintf(&b, "shardd_lock_culls_total %d\n", snap.Lock.Culls)
-	fmt.Fprintf(&b, "shardd_lock_cancels_total %d\n", snap.Lock.Cancels)
-	fmt.Fprintf(&b, "shardd_lock_handoffs_total %d\n", snap.Lock.Handoffs)
-
-	// Optimistic read path: hits are Gets that never touched a stripe
-	// lock; fallbacks are the ones that exhausted their retry budget.
-	// Read against shardd_lock_acquires_total these certify the
-	// zero-lock read claim in production, not just in the bench.
-	fmt.Fprintf(&b, "shardd_optimistic_hits_total %d\n", snap.OptimisticHits)
-	fmt.Fprintf(&b, "shardd_optimistic_retries_total %d\n", snap.OptimisticRetries)
-	fmt.Fprintf(&b, "shardd_optimistic_fallbacks_total %d\n", snap.OptimisticFallbacks)
+	// Map rollups: every counter of the set (shard.Counters.Each). The
+	// optimistic hits are Gets that never touched a stripe lock; read
+	// against shardd_lock_acquires_total they certify the zero-lock read
+	// claim in production, not just in the bench.
+	p.add("shardd_len", "", snap.Len)
+	snap.Each(func(name string, class int, v uint64) {
+		labels := ""
+		if class >= 0 {
+			labels = fmt.Sprintf("{class=\"%d\"}", class)
+		}
+		p.add("shardd_"+name+"_total", labels, v)
+	})
 	es := s.m.EpochStats()
-	fmt.Fprintf(&b, "shardd_epoch_pinned %d\n", es.Pinned)
-	fmt.Fprintf(&b, "shardd_epoch_retired_total %d\n", es.Retired)
-	fmt.Fprintf(&b, "shardd_epoch_collected_total %d\n", es.Collected)
-	fmt.Fprintf(&b, "shardd_epoch_advances_total %d\n", es.Advances)
-	fmt.Fprintf(&b, "shardd_retired_descriptors %d\n", s.m.RetiredDescriptors())
+	p.add("shardd_epoch_pinned", "", es.Pinned)
+	p.add("shardd_epoch_retired_total", "", es.Retired)
+	p.add("shardd_epoch_collected_total", "", es.Collected)
+	p.add("shardd_epoch_advances_total", "", es.Advances)
+	p.add("shardd_retired_descriptors", "", s.m.RetiredDescriptors())
 
 	// Interval rates from the cached delta (zero until two samples).
-	if sec := sample.interval.Seconds(); sec > 0 {
-		fmt.Fprintf(&b, "shardd_interval_deadline_attempts %d\n", delta.DeadlineAttempts)
-		fmt.Fprintf(&b, "shardd_interval_deadline_misses %d\n", delta.DeadlineMisses)
+	if sample.interval > 0 {
+		p.add("shardd_interval_deadline_attempts", "", delta.DeadlineAttempts)
+		p.add("shardd_interval_deadline_misses", "", delta.DeadlineMisses)
 		if delta.DeadlineAttempts > 0 {
-			fmt.Fprintf(&b, "shardd_interval_miss_rate %.6f\n",
-				float64(delta.DeadlineMisses)/float64(delta.DeadlineAttempts))
+			p.add("shardd_interval_miss_rate", "",
+				fmt.Sprintf("%.6f", float64(delta.DeadlineMisses)/float64(delta.DeadlineAttempts)))
 		}
 	}
 
 	// Per-stripe detail: the counters an operator greps when one stripe
-	// is the problem.
+	// is the problem. Stripes × classes and stripes × optimistic series
+	// add up, so a class, and the optimistic trio, is left out of a
+	// stripe's lines while every counter in it is zero (a class nobody
+	// sent, a locked read path, a stripe the key distribution never
+	// reads). Scans is map-level and stays there.
 	for _, st := range snap.Stripes {
-		i := st.Index
-		fmt.Fprintf(&b, "shardd_stripe_len{stripe=\"%d\"} %d\n", i, st.Len)
-		fmt.Fprintf(&b, "shardd_stripe_swaps_total{stripe=\"%d\"} %d\n", i, st.Swaps)
-		fmt.Fprintf(&b, "shardd_stripe_deadline_attempts_total{stripe=\"%d\"} %d\n", i, st.DeadlineAttempts)
-		fmt.Fprintf(&b, "shardd_stripe_deadline_misses_total{stripe=\"%d\"} %d\n", i, st.DeadlineMisses)
-		for c := 0; c < shard.NumClasses; c++ {
-			if st.ClassDeadlineAttempts[c] == 0 && st.ClassDeadlineMisses[c] == 0 {
-				continue // suppress all-zero class series: stripes × classes lines add up
+		stripe := fmt.Sprintf("stripe=\"%d\"", st.Index)
+		p.add("shardd_stripe_len", "{"+stripe+"}", st.Len)
+		var busy [shard.NumClasses + 1]bool
+		st.Each(func(name string, class int, v uint64) {
+			if g := quietGroup(name, class); g >= 0 && v != 0 {
+				busy[g] = true
 			}
-			fmt.Fprintf(&b, "shardd_stripe_class_deadline_attempts_total{stripe=\"%d\",class=\"%d\"} %d\n", i, c, st.ClassDeadlineAttempts[c])
-			fmt.Fprintf(&b, "shardd_stripe_class_deadline_misses_total{stripe=\"%d\",class=\"%d\"} %d\n", i, c, st.ClassDeadlineMisses[c])
-		}
-		if st.OptimisticHits != 0 || st.OptimisticRetries != 0 || st.OptimisticFallbacks != 0 {
-			// Suppressed when all-zero (locked read path, or a stripe the
-			// key distribution never reads): stripes × 3 silent lines.
-			fmt.Fprintf(&b, "shardd_stripe_optimistic_hits_total{stripe=\"%d\"} %d\n", i, st.OptimisticHits)
-			fmt.Fprintf(&b, "shardd_stripe_optimistic_retries_total{stripe=\"%d\"} %d\n", i, st.OptimisticRetries)
-			fmt.Fprintf(&b, "shardd_stripe_optimistic_fallbacks_total{stripe=\"%d\"} %d\n", i, st.OptimisticFallbacks)
-		}
-		fmt.Fprintf(&b, "shardd_stripe_lock_parks_total{stripe=\"%d\"} %d\n", i, st.Lock.Parks)
-		fmt.Fprintf(&b, "shardd_stripe_lock_cancels_total{stripe=\"%d\"} %d\n", i, st.Lock.Cancels)
+		})
+		st.Each(func(name string, class int, v uint64) {
+			if g := quietGroup(name, class); name == "scans" || (g >= 0 && !busy[g]) {
+				return
+			}
+			labels := "{" + stripe + "}"
+			if class >= 0 {
+				labels = fmt.Sprintf("{%s,class=\"%d\"}", stripe, class)
+			}
+			p.add("shardd_stripe_"+name+"_total", labels, v)
+		})
 		if st.Fairness.RecentLWSS > 0 {
-			fmt.Fprintf(&b, "shardd_stripe_recent_lwss{stripe=\"%d\"} %.1f\n", i, st.Fairness.RecentLWSS)
+			p.add("shardd_stripe_recent_lwss", "{"+stripe+"}", fmt.Sprintf("%.1f", st.Fairness.RecentLWSS))
 		}
 	}
+}
 
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	w.Write([]byte(b.String())) //nolint:errcheck
+// quietGroup indexes the group of per-stripe series that (name, class)
+// belongs to and that is left off the page while all of it is zero — one
+// group per request class, one for the optimistic counters; -1 for a
+// series that is always rendered.
+func quietGroup(name string, class int) int {
+	switch {
+	case class >= 0:
+		return class
+	case strings.HasPrefix(name, "optimistic_"):
+		return shard.NumClasses
+	}
+	return -1
 }
 
 func boolMetric(b bool) int {

@@ -372,13 +372,10 @@ func (s *Server) info() []byte {
 		if len(snap.Stripes) > 0 {
 			fmt.Fprintf(&b, "lock=%s\nbackend=%s\n", snap.Stripes[0].LockSpec, snap.Stripes[0].BackendSpec)
 		}
-		fmt.Fprintf(&b, "swaps=%d\n", snap.Swaps)
-		// Cumulative optimistic outcomes (and the lock-acquire total they
-		// are read against): a load generator deltas these across its run
-		// to report hit and fallback rates without scraping /metrics.
-		fmt.Fprintf(&b, "opt_hits=%d\nopt_retries=%d\nopt_fallbacks=%d\n",
-			snap.OptimisticHits, snap.OptimisticRetries, snap.OptimisticFallbacks)
-		fmt.Fprintf(&b, "lock_acquires=%d\n", snap.Lock.Acquires)
+		// The whole cumulative counter set, one <name>= line each: a load
+		// generator parses it back (shard.ParseCounters) before and after
+		// its run and reports the difference, without scraping /metrics.
+		b.WriteString(snap.Counters.Text())
 	}
 	if s.ctrl != nil {
 		fmt.Fprintf(&b, "ctrl_swaps=%d\nctrl_rejected=%d\n", s.ctrl.Swaps(), s.ctrl.Rejected())

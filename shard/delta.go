@@ -1,11 +1,13 @@
 package shard
 
-import "repro/internal/core"
-
 // StripeDelta is the per-interval change of one stripe between two
 // snapshots: the derivative a controller or bench decides on, where the
-// snapshots themselves are cumulative.
+// snapshots themselves are cumulative. The embedded Counters are the
+// interval's difference (Counters.Sub) — e.g. DeadlineAttempts and
+// DeadlineMisses are the burn-rate denominator and numerator the slo
+// policy windows over.
 type StripeDelta struct {
+	Counters
 	// Index is the stripe's position in the map.
 	Index int
 	// Len is the key-count change (can be negative: deletions).
@@ -13,81 +15,28 @@ type StripeDelta struct {
 	// Admissions is how many identified admissions the interval recorded
 	// (0 once a capped history stops recording).
 	Admissions int
-	// Scans is how many scan attempts the interval made (map-level, like
-	// StripeSnapshot.Scans: every scan visits every stripe).
-	Scans uint64
-	// Swaps is how many times the stripe was reconfigured in the
-	// interval.
-	Swaps uint64
-	// DeadlineAttempts and DeadlineMisses are the interval's deadline-
-	// bounded arrivals and expiries — the burn-rate numerator and
-	// denominator the slo policy windows over. The Class arrays break
-	// the same interval down by request class (WithClass).
-	DeadlineAttempts      uint64
-	DeadlineMisses        uint64
-	ClassDeadlineAttempts [NumClasses]uint64
-	ClassDeadlineMisses   [NumClasses]uint64
-	// OptimisticHits/Retries/Fallbacks are the interval's optimistic
-	// read-path outcomes: with them and Lock.Acquires a bench can show
-	// that validated Gets took zero lock acquires (hits ≈ Gets,
-	// acquires ≈ writes) on a read-heavy stripe.
-	OptimisticHits      uint64
-	OptimisticRetries   uint64
-	OptimisticFallbacks uint64
-	// Lock is the field-wise difference of the lock counters — parks,
-	// cancels, acquires per interval.
-	Lock core.Snapshot
 }
 
-// SnapshotDelta is the change of the whole map between two snapshots.
+// SnapshotDelta is the change of the whole map between two snapshots:
+// the rolled-up Counters differenced, plus per-stripe detail.
 type SnapshotDelta struct {
+	Counters
 	Stripes []StripeDelta
-	// Lock is the field-wise difference of the rolled-up lock counters.
-	Lock core.Snapshot
 	// Len is the total key-count change.
 	Len int
-	// Scans is the map-level scan-attempt change (not a per-stripe sum).
-	Scans uint64
-	// Swaps is the total reconfiguration change across stripes.
-	Swaps uint64
-	// DeadlineAttempts and DeadlineMisses are the interval's deadline
-	// totals across stripes; the Class arrays are the same totals broken
-	// down by request class.
-	DeadlineAttempts      uint64
-	DeadlineMisses        uint64
-	ClassDeadlineAttempts [NumClasses]uint64
-	ClassDeadlineMisses   [NumClasses]uint64
-	// OptimisticHits/Retries/Fallbacks are the interval's optimistic
-	// read-path totals across stripes.
-	OptimisticHits      uint64
-	OptimisticRetries   uint64
-	OptimisticFallbacks uint64
 }
 
 // Sub returns the change from prev to s — per-stripe and rolled-up
-// per-interval rates (acquires, parks, cancels, admissions, scans,
-// swaps) without hand-rolled per-stripe loops. Counter fields subtract
-// saturating at zero (core.Snapshot.Sub), so pairing snapshots from
+// per-interval rates without hand-rolled per-stripe loops. Counters
+// subtract saturating at zero (Counters.Sub), so pairing snapshots from
 // different maps by mistake cannot produce wrapped rates. prev should be
 // the earlier snapshot of the same map; a zero prev yields s itself as
 // the delta.
 func (s Snapshot) Sub(prev Snapshot) SnapshotDelta {
-	sub := core.SatSub
 	d := SnapshotDelta{
-		Stripes:          make([]StripeDelta, len(s.Stripes)),
-		Lock:             s.Lock.Sub(prev.Lock),
-		Len:              s.Len - prev.Len,
-		Scans:            sub(s.Scans, prev.Scans),
-		DeadlineAttempts: sub(s.DeadlineAttempts, prev.DeadlineAttempts),
-		DeadlineMisses:   sub(s.DeadlineMisses, prev.DeadlineMisses),
-
-		OptimisticHits:      sub(s.OptimisticHits, prev.OptimisticHits),
-		OptimisticRetries:   sub(s.OptimisticRetries, prev.OptimisticRetries),
-		OptimisticFallbacks: sub(s.OptimisticFallbacks, prev.OptimisticFallbacks),
-	}
-	for c := 0; c < NumClasses; c++ {
-		d.ClassDeadlineAttempts[c] = sub(s.ClassDeadlineAttempts[c], prev.ClassDeadlineAttempts[c])
-		d.ClassDeadlineMisses[c] = sub(s.ClassDeadlineMisses[c], prev.ClassDeadlineMisses[c])
+		Counters: s.Counters.Sub(prev.Counters),
+		Stripes:  make([]StripeDelta, len(s.Stripes)),
+		Len:      s.Len - prev.Len,
 	}
 	for i, cur := range s.Stripes {
 		// Tolerate a prev taken from a differently-sized map (fewer
@@ -98,27 +47,12 @@ func (s Snapshot) Sub(prev Snapshot) SnapshotDelta {
 		if i < len(prev.Stripes) {
 			p = prev.Stripes[i]
 		}
-		sd := StripeDelta{
-			Index:            cur.Index,
-			Len:              cur.Len - p.Len,
-			Admissions:       cur.Fairness.Admissions - p.Fairness.Admissions,
-			Scans:            sub(cur.Scans, p.Scans),
-			Swaps:            sub(cur.Swaps, p.Swaps),
-			DeadlineAttempts: sub(cur.DeadlineAttempts, p.DeadlineAttempts),
-			DeadlineMisses:   sub(cur.DeadlineMisses, p.DeadlineMisses),
-
-			OptimisticHits:      sub(cur.OptimisticHits, p.OptimisticHits),
-			OptimisticRetries:   sub(cur.OptimisticRetries, p.OptimisticRetries),
-			OptimisticFallbacks: sub(cur.OptimisticFallbacks, p.OptimisticFallbacks),
-
-			Lock: cur.Lock.Sub(p.Lock),
+		d.Stripes[i] = StripeDelta{
+			Counters:   cur.Counters.Sub(p.Counters),
+			Index:      cur.Index,
+			Len:        cur.Len - p.Len,
+			Admissions: cur.Fairness.Admissions - p.Fairness.Admissions,
 		}
-		for c := 0; c < NumClasses; c++ {
-			sd.ClassDeadlineAttempts[c] = sub(cur.ClassDeadlineAttempts[c], p.ClassDeadlineAttempts[c])
-			sd.ClassDeadlineMisses[c] = sub(cur.ClassDeadlineMisses[c], p.ClassDeadlineMisses[c])
-		}
-		d.Stripes[i] = sd
-		d.Swaps += sd.Swaps
 	}
 	return d
 }

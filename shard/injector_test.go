@@ -134,20 +134,21 @@ func TestDeadlineAccounting(t *testing.T) {
 // (mismatched snapshot pairing must not wrap), and tolerates a prev with
 // a different stripe count.
 func TestDeltaDeadlineSaturation(t *testing.T) {
+	deadlines := func(attempts, misses uint64) Counters {
+		return Counters{DeadlineAttempts: attempts, DeadlineMisses: misses}
+	}
 	cur := Snapshot{
 		Stripes: []StripeSnapshot{
-			{Index: 0, DeadlineAttempts: 10, DeadlineMisses: 2},
-			{Index: 1, DeadlineAttempts: 5, DeadlineMisses: 5},
+			{Index: 0, Counters: deadlines(10, 2)},
+			{Index: 1, Counters: deadlines(5, 5)},
 		},
-		DeadlineAttempts: 15,
-		DeadlineMisses:   7,
+		Counters: deadlines(15, 7),
 	}
 	prev := Snapshot{
 		Stripes: []StripeSnapshot{
-			{Index: 0, DeadlineAttempts: 100, DeadlineMisses: 50}, // "later" than cur: wrong pairing
+			{Index: 0, Counters: deadlines(100, 50)}, // "later" than cur: wrong pairing
 		},
-		DeadlineAttempts: 100,
-		DeadlineMisses:   50,
+		Counters: deadlines(100, 50),
 	}
 	d := cur.Sub(prev)
 	if d.Stripes[0].DeadlineAttempts != 0 || d.Stripes[0].DeadlineMisses != 0 {
@@ -162,7 +163,7 @@ func TestDeltaDeadlineSaturation(t *testing.T) {
 	}
 
 	// The well-ordered direction subtracts exactly.
-	d = cur.Sub(Snapshot{Stripes: []StripeSnapshot{{DeadlineAttempts: 4, DeadlineMisses: 1}, {}}, DeadlineAttempts: 4, DeadlineMisses: 1})
+	d = cur.Sub(Snapshot{Stripes: []StripeSnapshot{{Counters: deadlines(4, 1)}, {}}, Counters: deadlines(4, 1)})
 	if d.Stripes[0].DeadlineAttempts != 6 || d.Stripes[0].DeadlineMisses != 1 {
 		t.Fatalf("stripe 0 delta = %d/%d want 1/6", d.Stripes[0].DeadlineMisses, d.Stripes[0].DeadlineAttempts)
 	}

@@ -3,12 +3,13 @@ package shard
 import (
 	"context"
 
-	"repro/internal/core"
 	"repro/metrics"
 )
 
-// StripeSnapshot is the observable state of one stripe.
+// StripeSnapshot is the observable state of one stripe: its cumulative
+// Counters plus what is not a counter.
 type StripeSnapshot struct {
+	Counters
 	// Index is the stripe's position in the map.
 	Index int
 	// Len is the stripe's key count.
@@ -21,49 +22,6 @@ type StripeSnapshot struct {
 	// Ordered reports whether the stripe's current backend maintains key
 	// order (satisfies store.Ordered).
 	Ordered bool
-	// Swaps is how many times this stripe has been reconfigured.
-	Swaps uint64
-	// Scans counts scan work — one per Scan attempt (including attempts
-	// rejected with ErrUnordered: demand is a signal even when the
-	// backend cannot serve it), one per refilling ScanChunked round (a
-	// round re-acquires stripe locks like a fresh Scan, keeping the
-	// scan-vs-acquisitions ratio meaningful). Every scan visits every
-	// stripe, so this is the map-level count, identical across a
-	// snapshot's stripes — it rides here because per-stripe policies
-	// (shard.Policy) see only stripe snapshots.
-	Scans uint64
-	// DeadlineAttempts counts deadline-bounded point operations that
-	// arrived at this stripe: context operations whose context can end
-	// (Done() != nil). DeadlineMisses counts the subset that expired
-	// before reaching the table. Monotonic, and deliberately not reset by
-	// Reconfigure — a swap changes the mechanism, not the objective, so
-	// the slo policy can read one coherent series across its own swaps.
-	// Both are the sums of the per-class arrays below.
-	DeadlineAttempts uint64
-	DeadlineMisses   uint64
-	// ClassDeadlineAttempts and ClassDeadlineMisses break the same
-	// counters down by request class (WithClass; the wire protocol's
-	// class byte). Index 0 is unclassified traffic — in-process callers
-	// that never set a class land there, so the pooled totals above are
-	// what they always were.
-	ClassDeadlineAttempts [NumClasses]uint64
-	ClassDeadlineMisses   [NumClasses]uint64
-	// OptimisticHits counts Gets this stripe served lock-free (seqlock
-	// validation passed); OptimisticRetries counts failed attempts (a
-	// writer was mid-section or moved the stamp inside the read window);
-	// OptimisticFallbacks counts Gets that exhausted the retry budget
-	// and took the stripe lock instead. All zero on a locked-read map
-	// and on stripes whose backend declined store.OptimisticReader.
-	// Hits are the Gets missing from Lock.Acquires: on a read-heavy
-	// optimistic stripe, Acquires ≈ write volume while hits carry the
-	// read volume.
-	OptimisticHits      uint64
-	OptimisticRetries   uint64
-	OptimisticFallbacks uint64
-	// Lock is the stripe lock's CR event counters, including those of
-	// retired locks from before any reconfiguration (zero when the spec
-	// set stats=false).
-	Lock core.Snapshot
 	// Fairness summarizes the stripe's recorded admission history (zero
 	// Admissions when history recording is off or no identified client
 	// has been admitted).
@@ -71,30 +29,13 @@ type StripeSnapshot struct {
 }
 
 // Snapshot is the observable state of the whole map: per-stripe detail
-// plus rolled-up totals.
+// plus the stripes' Counters rolled up (Counters.Add; Scans is the
+// map-level count, not a per-stripe sum).
 type Snapshot struct {
+	Counters
 	Stripes []StripeSnapshot
-	// Lock is the field-wise sum of every stripe's lock counters.
-	Lock core.Snapshot
 	// Len is the total key count.
 	Len int
-	// Swaps is the total reconfiguration count across stripes.
-	Swaps uint64
-	// Scans is the map-level scan-attempt count (not a per-stripe sum:
-	// every scan visits every stripe).
-	Scans uint64
-	// DeadlineAttempts and DeadlineMisses are the per-stripe deadline
-	// counters summed across stripes; the Class arrays are the same sums
-	// broken down by request class (WithClass).
-	DeadlineAttempts      uint64
-	DeadlineMisses        uint64
-	ClassDeadlineAttempts [NumClasses]uint64
-	ClassDeadlineMisses   [NumClasses]uint64
-	// OptimisticHits/Retries/Fallbacks are the per-stripe optimistic
-	// read-path counters summed across stripes.
-	OptimisticHits      uint64
-	OptimisticRetries   uint64
-	OptimisticFallbacks uint64
 }
 
 // Snapshot collects per-stripe lengths, lock counters, and fairness
@@ -145,10 +86,8 @@ func (m *Map) snapshotImpl(ctx context.Context, lite bool) (Snapshot, error) {
 		// dead.
 		m.epoch.TryAdvance()
 	}
-	out := Snapshot{
-		Stripes: make([]StripeSnapshot, len(m.stripes)),
-		Scans:   m.scans.Load(),
-	}
+	out := Snapshot{Stripes: make([]StripeSnapshot, len(m.stripes))}
+	scans := m.scans.Load()
 	for i := range m.stripes {
 		s := &m.stripes[i]
 		d, err := s.lockCurrentContext(ctx)
@@ -168,7 +107,6 @@ func (m *Map) snapshotImpl(ctx context.Context, lite bool) (Snapshot, error) {
 			recent = s.rec.RecentDistinct()
 		}
 		d.mu.Unlock()
-		ls := d.snapshot()
 		var fairness metrics.Summary
 		if lite {
 			fairness = metrics.Summary{
@@ -178,43 +116,20 @@ func (m *Map) snapshotImpl(ctx context.Context, lite bool) (Snapshot, error) {
 		} else {
 			fairness = metrics.Summarize(h, m.window)
 		}
-		var clsA, clsM [NumClasses]uint64
-		var attempts, misses uint64
-		for c := 0; c < NumClasses; c++ {
-			clsA[c] = s.deadlineAttempts[c].Load()
-			clsM[c] = s.deadlineMisses[c].Load()
-			attempts += clsA[c]
-			misses += clsM[c]
-			out.ClassDeadlineAttempts[c] += clsA[c]
-			out.ClassDeadlineMisses[c] += clsM[c]
-		}
-		oh, orr, of := s.optHits.Load(), s.optRetries.Load(), s.optFallbacks.Load()
+		c := s.load()
+		c.Swaps, c.Scans, c.Lock = d.swaps, scans, d.snapshot()
 		out.Stripes[i] = StripeSnapshot{
-			Index:                 i,
-			Len:                   ln,
-			LockSpec:              d.lockSpec,
-			BackendSpec:           d.backendSpec,
-			Ordered:               d.ordered != nil,
-			Swaps:                 d.swaps,
-			Scans:                 out.Scans,
-			DeadlineAttempts:      attempts,
-			DeadlineMisses:        misses,
-			ClassDeadlineAttempts: clsA,
-			ClassDeadlineMisses:   clsM,
-			OptimisticHits:        oh,
-			OptimisticRetries:     orr,
-			OptimisticFallbacks:   of,
-			Lock:                  ls,
-			Fairness:              fairness,
+			Counters:    c,
+			Index:       i,
+			Len:         ln,
+			LockSpec:    d.lockSpec,
+			BackendSpec: d.backendSpec,
+			Ordered:     d.ordered != nil,
+			Fairness:    fairness,
 		}
 		out.Len += ln
-		out.Lock = out.Lock.Add(ls)
-		out.Swaps += d.swaps
-		out.DeadlineAttempts += attempts
-		out.DeadlineMisses += misses
-		out.OptimisticHits += oh
-		out.OptimisticRetries += orr
-		out.OptimisticFallbacks += of
+		out.Counters = out.Counters.Add(c)
 	}
+	out.Scans = scans
 	return out, nil
 }
