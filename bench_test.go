@@ -278,7 +278,7 @@ func BenchmarkLockContended(b *testing.B) {
 // BenchmarkLockContextUncontended measures LockContext(Background) on the
 // uncontended path: the acceptance gate for keeping the cancellation
 // machinery off the fast path (it should match BenchmarkLockUncontended
-// up to the cost of one Done() == nil check).
+// up to the cost of one Err() call).
 func BenchmarkLockContextUncontended(b *testing.B) {
 	ctx := context.Background()
 	for _, name := range realLocks(b) {

@@ -88,22 +88,29 @@ type Dial func(worker int) (Target, error)
 
 // MapDial returns the in-process Dial: every worker shares m and tags its
 // requests with its id (shard.WithClientID), so admissions land in the
-// owning stripe's history.
+// owning stripe's history. The class tag is one cached context per class,
+// built here, as server.classCtx does for shardd: a classed request
+// allocates nothing for it.
 func MapDial(m *shard.Map) Dial {
 	return func(worker int) (Target, error) {
-		return mapTarget{m, shard.WithClientID(context.Background(), worker)}, nil
+		t := &mapTarget{m: m}
+		t.class[0] = shard.WithClientID(context.Background(), worker)
+		for c := 1; c < shard.NumClasses; c++ {
+			t.class[c] = shard.WithClass(t.class[0], c)
+		}
+		return t, nil
 	}
 }
 
 type mapTarget struct {
-	m    *shard.Map
-	base context.Context
+	m     *shard.Map
+	class [shard.NumClasses]context.Context // by request class; 0 is the untagged base
 }
 
-func (t mapTarget) Do(r Request) Outcome {
-	ctx := t.base
-	if r.Class != 0 {
-		ctx = shard.WithClass(ctx, int(r.Class))
+func (t *mapTarget) Do(r Request) Outcome {
+	ctx := t.class[0] // what shard.WithClass makes of a class out of range
+	if int(r.Class) < len(t.class) {
+		ctx = t.class[r.Class]
 	}
 	if !r.Deadline.IsZero() {
 		var cancel context.CancelFunc
@@ -128,7 +135,7 @@ func (t mapTarget) Do(r Request) Outcome {
 	return Missed // only the context can fail a map operation
 }
 
-func (mapTarget) Close() {}
+func (*mapTarget) Close() {}
 
 // WireDial returns the remote Dial: one synchronous wire.Client
 // connection to the shardd at addr per worker.

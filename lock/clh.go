@@ -109,10 +109,6 @@ func (l *CLH) Lock() {
 //
 //lockcheck:acquires l
 func (l *CLH) LockContext(ctx context.Context) error {
-	if ctx.Done() == nil {
-		l.Lock()
-		return nil
-	}
 	if err := ctx.Err(); err != nil {
 		l.stats.Inc(core.EvCancels)
 		return err
@@ -149,8 +145,9 @@ func (l *CLH) TryLockFor(d time.Duration) bool { return tryLockFor(l, d) }
 
 // waitOn waits for a node on the predecessor chain to be granted,
 // inheriting earlier predecessors whenever a cancelled waiter abandons
-// the node being watched. ctx may be nil (wait forever). On err != nil
-// the caller still owns its node and must abandon it itself.
+// the node being watched. ctx may be nil, or have a nil Done() — first
+// asked for here — and then the wait is unbounded. On err != nil the
+// caller still owns its node and must abandon it itself.
 //
 // Each inheritance step path-compresses: the walker republishes its own
 // node's pred to the inherited target (retarget), so when the walker
@@ -166,6 +163,11 @@ func (l *CLH) TryLockFor(d time.Duration) bool { return tryLockFor(l, d) }
 // never touches the cell after its abandon CAS, and the CAS's ordering
 // publishes the parker allocation.
 func (l *CLH) waitOn(ctx context.Context, n, pred *clhNode) (parked bool, err error) {
+	if pred.state.Load() == stateGranted {
+		// The lock was free — a released CLH lock keeps its last node as
+		// the tail — so there is no wait, and nothing to ask ctx for.
+		return false, nil
+	}
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()

@@ -11,11 +11,17 @@ import (
 //
 // Semantics shared by all implementations:
 //
-//   - A context that can never be cancelled (ctx.Done() == nil, e.g.
-//     context.Background()) makes LockContext exactly Lock: the
-//     cancellation machinery is bypassed entirely.
 //   - A context that is already done fails fast with ctx.Err() without
-//     joining any waiter structure.
+//     joining any waiter structure. Err() is the one thing LockContext
+//     asks of ctx before it has to wait.
+//   - An uncontended acquisition takes the lock's ordinary fast path and
+//     never calls ctx.Done(): a context that makes its channel lazily, or
+//     has to arm a timer to make one, pays nothing for a lock it did not
+//     wait for.
+//   - Done() is asked for where the acquisition is about to wait, and a
+//     context that can never be cancelled (Done() == nil, e.g.
+//     context.Background()) waits exactly as Lock does from there: the
+//     cancellation machinery is bypassed entirely.
 //   - Grant-wins: when a handoff races the cancellation, the acquisition
 //     succeeds and LockContext returns nil even though ctx is done. The
 //     caller that uses `if err := m.LockContext(ctx); err != nil { return

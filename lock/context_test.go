@@ -346,3 +346,113 @@ func TestMCSCRCancelOnPassiveList(t *testing.T) {
 	}
 	t.Fatal("test deadline exhausted")
 }
+
+// countingCtx counts the Done calls made on the context it wraps.
+type countingCtx struct {
+	context.Context
+	dones atomic.Int64
+}
+
+func (c *countingCtx) Done() <-chan struct{} {
+	c.dones.Add(1)
+	return c.Context.Done()
+}
+
+// TestLockContextAsksDoneOnlyToWait pins, for every lock, when the
+// context's cancellation machinery is touched at all: never by an
+// uncontended acquisition and never to reject a context that is already
+// done (Err alone decides that, with exactly one Cancels), but always by
+// a waiter — which still abandons at its deadline, and still keeps a
+// grant that races it.
+func TestLockContextAsksDoneOnlyToWait(t *testing.T) {
+	for _, name := range contextLocks() {
+		t.Run(name, func(t *testing.T) {
+			m := MustNew(name + "?seed=7&spin=64").(ContextMutex)
+			stats := m.(Instrumented).Stats
+
+			live, cancel := context.WithTimeout(context.Background(), time.Hour)
+			defer cancel()
+			ctx := &countingCtx{Context: live}
+			for i := 0; i < 3; i++ {
+				if err := m.LockContext(ctx); err != nil {
+					t.Fatalf("uncontended LockContext: %v", err)
+				}
+				m.Unlock()
+			}
+			if n := ctx.dones.Load(); n != 0 {
+				t.Fatalf("uncontended LockContext called Done %d times", n)
+			}
+
+			past, cancelPast := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+			defer cancelPast()
+			ctx = &countingCtx{Context: past}
+			if err := m.LockContext(ctx); err != past.Err() {
+				t.Fatalf("LockContext(expired) = %v, want the context's own %v", err, past.Err())
+			}
+			if s := stats(); s.Cancels != 1 || ctx.dones.Load() != 0 {
+				t.Fatalf("expired context: Cancels %d, Done calls %d; want 1 and 0", s.Cancels, ctx.dones.Load())
+			}
+
+			// A waiter behind a held lock gives up at its deadline, not
+			// before, and it has asked for Done by then.
+			m.Lock()
+			const budget = 20 * time.Millisecond
+			brief, cancelBrief := context.WithTimeout(context.Background(), budget)
+			defer cancelBrief()
+			ctx = &countingCtx{Context: brief}
+			start := time.Now()
+			var err error
+			runWithTimeout(t, 30*time.Second, func() { err = m.LockContext(ctx) })
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("waiter behind a held lock: %v", err)
+			}
+			if waited := time.Since(start); waited < budget {
+				t.Fatalf("waiter abandoned after %v of a %v budget", waited, budget)
+			}
+			if s := stats(); s.Cancels != 2 || ctx.dones.Load() == 0 {
+				t.Fatalf("abandoned waiter: Cancels %d, Done calls %d; want 2 and at least 1", s.Cancels, ctx.dones.Load())
+			}
+			m.Unlock()
+
+			// Grant-wins: the holder lets go right at the waiter's
+			// deadline. Either outcome is legal; what must hold is that a
+			// nil return is a real acquisition even though ctx is done by
+			// then, and that only the error returns count as Cancels.
+			var won, lost uint64
+			held := 0 // written only under m
+			for i := 0; i < 40; i++ {
+				m.Lock()
+				held++
+				racing, cancelRacing := context.WithTimeout(context.Background(), time.Millisecond)
+				release := make(chan struct{})
+				go func() {
+					<-racing.Done()
+					held--
+					m.Unlock()
+					close(release)
+				}()
+				runWithTimeout(t, 30*time.Second, func() { err = m.LockContext(racing) })
+				if err == nil {
+					if held != 0 {
+						t.Fatalf("round %d: LockContext returned nil while the lock was held", i)
+					}
+					m.Unlock()
+					won++
+				} else {
+					lost++
+				}
+				<-release
+				cancelRacing()
+			}
+			if s := stats(); s.Cancels != 2+lost {
+				t.Fatalf("grant-wins rounds: %d granted, %d abandoned, but Cancels grew by %d", won, lost, s.Cancels-2)
+			}
+			// Lock, not TryLock: an abandoned CLH tail looks held to TryLock
+			// until the next arrival excises it.
+			runWithTimeout(t, 30*time.Second, func() {
+				m.Lock()
+				m.Unlock()
+			})
+		})
+	}
+}

@@ -93,9 +93,6 @@ func (l *LIFOCR) Lock() { l.lockStack(nil) }
 // and only the holder pops) until the holder's pop or eldest-walk reaches
 // it, fails the grant, and reclaims it. See ContextMutex and DESIGN.md.
 func (l *LIFOCR) LockContext(ctx context.Context) error {
-	if ctx.Done() == nil {
-		return l.lockStack(nil)
-	}
 	if err := ctx.Err(); err != nil {
 		l.stats.Inc(core.EvCancels)
 		return err

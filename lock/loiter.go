@@ -150,10 +150,6 @@ func (l *LOITER) Lock() {
 //
 //lockcheck:acquires l
 func (l *LOITER) LockContext(ctx context.Context) error {
-	if ctx.Done() == nil {
-		l.Lock()
-		return nil
-	}
 	if err := ctx.Err(); err != nil {
 		l.stats.Inc(core.EvCancels)
 		return err
@@ -170,12 +166,17 @@ func (l *LOITER) LockContext(ctx context.Context) error {
 func (l *LOITER) TryLockFor(d time.Duration) bool { return tryLockFor(l, d) }
 
 // lockSlow is the contended path: arrival-phase barging, then the inner
-// queue, then standby duty. A nil ctx waits indefinitely. On success the
-// caller owns the outer word and, if it came through standby duty, the
-// inner lock too — released at Unlock.
+// queue, then standby duty. A nil ctx waits indefinitely, and so does one
+// that can never be cancelled: the caller is about to wait, so this is
+// where ctx.Done() is first asked for. On success the caller owns the
+// outer word and, if it came through standby duty, the inner lock too —
+// released at Unlock.
 //
 //lockcheck:acquires l
 func (l *LOITER) lockSlow(ctx context.Context) error {
+	if ctx != nil && ctx.Done() == nil {
+		ctx = nil
+	}
 	// Fast path: arrival phase with bounded global spinning and
 	// randomized backoff.
 	b := newBackoff(nextSeed())

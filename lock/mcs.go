@@ -98,9 +98,6 @@ func (l *MCS) Lock() { l.lockChain(nil) }
 // abandons its chain node (which the next unlock excises) and returns
 // ctx.Err(). See ContextMutex for the shared semantics.
 func (l *MCS) LockContext(ctx context.Context) error {
-	if ctx.Done() == nil {
-		return l.lockChain(nil)
-	}
 	if err := ctx.Err(); err != nil {
 		l.stats.Inc(core.EvCancels)
 		return err

@@ -92,9 +92,6 @@ func (l *MCSCR) Lock() { l.lockChain(nil) }
 // abandoned successors, and the passive-list pops filter abandoned
 // entries before granting. See ContextMutex and DESIGN.md.
 func (l *MCSCR) LockContext(ctx context.Context) error {
-	if ctx.Done() == nil {
-		return l.lockChain(nil)
-	}
 	if err := ctx.Err(); err != nil {
 		l.stats.Inc(core.EvCancels)
 		return err

@@ -163,12 +163,14 @@ func (w *waitCell) await(policy WaitPolicy, budget int) (parked bool) {
 	return true
 }
 
-// awaitCtx is await with cancellation; ctx must be cancellable (callers
-// route Done() == nil contexts to await). On err == nil the waiter was
-// granted and owns the lock. On err != nil the cell has been atomically
-// moved to stateAbandoned: the waiter must NOT free the node — ownership
-// of it passes to whichever unlock path excises it — and must not touch
-// the cell again. parked reports whether the waiter parked at least once.
+// awaitCtx is await with cancellation. This is where a queued
+// acquisition first asks for ctx.Done() — its caller has enqueued and is
+// about to wait — and a nil channel (ctx can never be cancelled) means
+// the plain await. On err == nil the waiter was granted and owns the
+// lock. On err != nil the cell has been atomically moved to
+// stateAbandoned: the waiter must NOT free the node — ownership of it
+// passes to whichever unlock path excises it — and must not touch the
+// cell again. parked reports whether the waiter parked at least once.
 //
 // Grant-wins: when a grant races the cancellation, the CAS to abandoned
 // fails, the waiter keeps the lock, and awaitCtx returns nil even though
@@ -176,6 +178,9 @@ func (w *waitCell) await(policy WaitPolicy, budget int) (parked bool) {
 // lock must then be unlocked as usual.
 func (w *waitCell) awaitCtx(ctx context.Context, policy WaitPolicy, budget int) (parked bool, err error) {
 	done := ctx.Done()
+	if done == nil {
+		return w.await(policy, budget), nil
+	}
 	spinOnly := policy == WaitSpin
 	for i := 0; spinOnly || i < budget; i++ {
 		if w.state.Load() == stateGranted {

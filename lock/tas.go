@@ -66,10 +66,6 @@ func (l *TAS) Lock() {
 //
 //lockcheck:acquires l
 func (l *TAS) LockContext(ctx context.Context) error {
-	if ctx.Done() == nil {
-		l.Lock()
-		return nil
-	}
 	if err := ctx.Err(); err != nil {
 		l.stats.Inc(core.EvCancels)
 		return err
@@ -82,10 +78,11 @@ func (l *TAS) LockContext(ctx context.Context) error {
 }
 
 // lockSlow is the contended path shared by Lock and LockContext; a nil
-// ctx waits indefinitely. Test-and-test-and-set: poll with plain loads
-// first so waiting threads share the line in read state instead of
-// ping-ponging it; the poll is bounded per round so the context is
-// observed between backoff rounds.
+// ctx, or one whose Done() — first asked for here — is nil, waits
+// indefinitely. Test-and-test-and-set: poll with plain loads first so
+// waiting threads share the line in read state instead of ping-ponging
+// it; the poll is bounded per round so the context is observed between
+// backoff rounds.
 //
 //lockcheck:acquires l
 func (l *TAS) lockSlow(ctx context.Context) error {

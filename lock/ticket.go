@@ -68,16 +68,18 @@ func (l *Ticket) Lock() {
 //
 //lockcheck:acquires l
 func (l *Ticket) LockContext(ctx context.Context) error {
-	done := ctx.Done()
-	if done == nil {
-		l.Lock()
-		return nil
-	}
 	if err := ctx.Err(); err != nil {
 		l.stats.Inc(core.EvCancels)
 		return err
 	}
 	if l.TryLock() {
+		return nil
+	}
+	// About to wait: a context that can never be cancelled may as well
+	// take a ticket.
+	done := ctx.Done()
+	if done == nil {
+		l.Lock()
 		return nil
 	}
 	for i := 0; ; i++ {

@@ -23,11 +23,13 @@ const (
 // requests gets k responses in one write, in request order.
 //
 // Deadline propagation happens here: the frame's remaining-budget field
-// is converted to an absolute context deadline measured at frame
-// receipt, so time a request spends queued inside the server burns the
-// same budget time queued at a stripe lock does. The loop owns the time
-// arithmetic and the admin verbs; the data-plane dispatch lives in
-// handleOp, which is lockcheck-annotated as critical-section-grade
+// is converted to an absolute deadline measured at frame receipt, so
+// time a request spends queued inside the server burns the same budget
+// time queued at a stripe lock does. The deadline travels in the
+// connection's one frameCtx, which costs a frame its clock reads and
+// nothing else unless a callee has to wait (see frameCtx). The loop owns
+// the time arithmetic and the admin verbs; the data-plane dispatch lives
+// in handleOp, which is lockcheck-annotated as critical-section-grade
 // code.
 func (s *Server) serveConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, connReadBuf)
@@ -35,6 +37,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer bw.Flush() // drain: responses already built always reach the socket
 
 	var hdr [wire.ReqHeaderSize]byte
+	fctx := new(frameCtx) // re-pointed at every deadlined frame
+	// The last frame that waited may have left the timer armed.
+	defer fctx.reset(nil, time.Time{})
 	payload := make([]byte, 0, 4096)
 	resp := make([]byte, 0, 4096)
 	for {
@@ -67,24 +72,20 @@ func (s *Server) serveConn(conn net.Conn) {
 				break
 			}
 			ctx := s.classCtx[h.Class]
-			var cancel context.CancelFunc
-			switch {
-			case h.DeadlineMicros == wire.ExpiredBudget:
-				// The client's budget was gone before the frame was
-				// written: expire the context at construction (a deadline
-				// in the past cancels synchronously) instead of arming a
-				// timer the uncontended fast path could outrun. The map
+			if h.DeadlineMicros != 0 {
+				// wire.ExpiredBudget — the client's budget was gone before
+				// the frame was written — is a budget of zero: the deadline
+				// is the receipt time itself, so Err fails at once. The map
 				// still counts the attempt and the miss; the stripe lock
 				// still records the Cancel.
-				ctx, cancel = context.WithDeadline(ctx, time.Now().Add(-time.Microsecond))
-			case h.DeadlineMicros > 0:
-				ctx, cancel = context.WithDeadline(ctx,
-					time.Now().Add(time.Duration(h.DeadlineMicros)*time.Microsecond))
+				var budget time.Duration
+				if h.DeadlineMicros != wire.ExpiredBudget {
+					budget = time.Duration(h.DeadlineMicros) * time.Microsecond
+				}
+				fctx.reset(ctx, time.Now().Add(budget))
+				ctx = fctx
 			}
 			resp = s.handleOp(ctx, h.Op, p, resp)
-			if cancel != nil {
-				cancel()
-			}
 		case wire.OpPing:
 			resp = wire.AppendEmptyResp(resp, wire.OpPing)
 		case wire.OpInfo:

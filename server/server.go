@@ -126,7 +126,7 @@ type Server struct {
 
 	// classCtx caches one context per request class so the per-request
 	// path does not allocate a WithClass context for every frame; a
-	// deadlined request derives its deadline context from its class's
+	// deadlined frame's context (frameCtx) forwards Value to its class's
 	// entry.
 	classCtx [shard.NumClasses]context.Context
 

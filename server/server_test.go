@@ -100,6 +100,12 @@ func TestE2ERoundTrips(t *testing.T) {
 	if _, _, err := cl.Get(20, time.Now().Add(-time.Second)); !errors.Is(err, wire.ErrDeadline) {
 		t.Fatalf("expired deadline: %v", err)
 	}
+	// It is the only budgeted frame so far, and it never waited: one
+	// attempt, one miss, exactly one lock Cancel.
+	if snap := s.Map().Snapshot(); snap.DeadlineAttempts != 1 || snap.DeadlineMisses != 1 || snap.Lock.Cancels != 1 {
+		t.Fatalf("expired frame: attempts %d, misses %d, cancels %d, want 1 each",
+			snap.DeadlineAttempts, snap.DeadlineMisses, snap.Lock.Cancels)
+	}
 	if _, _, err := cl.Get(20, time.Time{}); err != nil {
 		t.Fatalf("connection dead after deadline miss: %v", err)
 	}

@@ -37,18 +37,45 @@ func TestClassAccounting(t *testing.T) {
 	defer cancelHi()
 	issue(ctxHi, 2)
 
+	// Budgeted because it can be cancelled, though it has no deadline.
+	ctx1, cancel1 := context.WithCancel(WithClass(context.Background(), 1))
+	defer cancel1()
+	issue(ctx1, 1)
+	// Budgeted by its deadline alone: the stripe is free, so nobody has
+	// to wait, and nobody may ask this context for its channel.
+	ctx3 := &deadlineOnlyCtx{Context: WithClass(context.Background(), 3), t: t}
+	issue(ctx3, 1)
+	if _, err := m.PutContext(ctx3, 2, 2); err != nil {
+		t.Fatalf("PutContext: %v", err)
+	}
+
 	snap := m.Snapshot()
 	s := snap.Stripes[0]
-	wantA := [NumClasses]uint64{0: 5, 2: 4}
+	wantA := [NumClasses]uint64{0: 5, 1: 1, 2: 4, 3: 2}
 	if s.ClassDeadlineAttempts != wantA {
 		t.Fatalf("ClassDeadlineAttempts = %v, want %v", s.ClassDeadlineAttempts, wantA)
 	}
-	if s.DeadlineAttempts != 9 || snap.DeadlineAttempts != 9 {
-		t.Fatalf("pooled attempts = %d/%d, want 9/9", s.DeadlineAttempts, snap.DeadlineAttempts)
+	if s.DeadlineAttempts != 12 || snap.DeadlineAttempts != 12 {
+		t.Fatalf("pooled attempts = %d/%d, want 12/12", s.DeadlineAttempts, snap.DeadlineAttempts)
 	}
 	if s.DeadlineMisses != 0 || s.ClassDeadlineMisses != ([NumClasses]uint64{}) {
 		t.Fatalf("unexpected misses: %d %v", s.DeadlineMisses, s.ClassDeadlineMisses)
 	}
+}
+
+// deadlineOnlyCtx carries a deadline an hour away and fails the test if
+// asked for its Done channel: the shape of server's per-connection
+// deadline context, for which that question arms a timer.
+type deadlineOnlyCtx struct {
+	context.Context
+	t *testing.T
+}
+
+func (c *deadlineOnlyCtx) Deadline() (time.Time, bool) { return time.Now().Add(time.Hour), true }
+
+func (c *deadlineOnlyCtx) Done() <-chan struct{} {
+	c.t.Error("Done called on the uncontended path")
+	return nil
 }
 
 // TestClassMisses drives an already-expired context through each class

@@ -29,11 +29,11 @@ type Counters struct {
 	Scans uint64
 	// DeadlineAttempts counts deadline-bounded point operations that
 	// arrived at the stripe: context operations whose context can end
-	// (Done() != nil). DeadlineMisses counts the subset that expired
-	// before reaching the table. Deliberately not reset by Reconfigure —
-	// a swap changes the mechanism, not the objective, so the slo policy
-	// reads one coherent series across its own swaps. Both are the sums
-	// of the per-class arrays below.
+	// (a deadline, or Done() != nil). DeadlineMisses counts the subset
+	// that expired before reaching the table. Deliberately not reset by
+	// Reconfigure — a swap changes the mechanism, not the objective, so
+	// the slo policy reads one coherent series across its own swaps.
+	// Both are the sums of the per-class arrays below.
 	DeadlineAttempts uint64
 	DeadlineMisses   uint64
 	// ClassDeadlineAttempts and ClassDeadlineMisses break the same

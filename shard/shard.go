@@ -254,12 +254,12 @@ type stripe struct {
 	// stripe (attempts) and how many of them expired before reaching it
 	// (misses), broken down by request class (WithClass; index 0 is
 	// unclassified traffic). A point context operation is budgeted when
-	// its context can end at all (ctx.Done() != nil) — that is the
-	// operation whose deadline semantics the lock machinery bounds, and
-	// the user-facing signal the slo policy decides on. The counters
-	// belong to the stripe, not the descriptor: a reconfiguration
-	// changes the mechanism, not the objective, so miss history
-	// survives swaps.
+	// its context can end at all (a deadline, or ctx.Done() != nil) —
+	// that is the operation whose deadline semantics the lock machinery
+	// bounds, and the user-facing signal the slo policy decides on. The
+	// counters belong to the stripe, not the descriptor: a
+	// reconfiguration changes the mechanism, not the objective, so miss
+	// history survives swaps.
 	deadlineAttempts [NumClasses]atomic.Uint64
 	deadlineMisses   [NumClasses]atomic.Uint64
 
@@ -638,14 +638,16 @@ func (m *Map) getOptimistic(s *stripe, key uint64) (val uint64, ok, served bool)
 
 // budgeted counts one deadline-bounded point-op arrival at this stripe,
 // under the context's request class. An operation is budgeted when its
-// context can end at all (Done() != nil): only those can miss, and only
+// context can end at all — it carries a deadline or, failing that, can
+// be cancelled (Done() != nil; asked second, because a deadline context
+// may have to arm a timer to answer): only those can miss, and only
 // those are the SLO traffic the slo policy steers on. Monitoring paths
 // (Snapshot, Len, Range, Scan) never count — a controller polling a
 // collapsed stripe must not dilute the very miss rate it reacts to.
 // The class lookup (a context.Value walk) is paid only by budgeted
 // operations, which already built a cancellable context.
 func (s *stripe) budgeted(ctx context.Context) (int, bool) {
-	if ctx.Done() == nil {
+	if _, ok := ctx.Deadline(); !ok && ctx.Done() == nil {
 		return 0, false
 	}
 	cls := Class(ctx)
