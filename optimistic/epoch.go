@@ -1,56 +1,26 @@
+// This file has one caller: the optimistic.pin_ns rung of
+// benchmark/ladder.go, which times Pin/Unpin. Nothing in the product
+// pins — shard's lock-free Get is guarded by the seqlock stamp alone
+// (DESIGN.md §12) — and benchmark/ may only change in a benchmark-only
+// PR (ROADMAP item 4), so the pair stays, behaviour unchanged, and the
+// rung keeps measuring what it measured. Delete this file with the rung.
+
 package optimistic
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 )
 
-// Epoch is a minimal grace-period mechanism for lock-free readers: a
-// two-phase epoch with striped per-P pin counters and deferred
-// retirement callbacks.
-//
-// Readers bracket each lock-free traversal with Pin/Unpin. Writers (in
-// practice, Reconfigure retiring a stripe descriptor) hand replaced
-// structures to Retire after unlinking them; the callback runs only
-// after a full grace period — once every reader that was pinned when the
-// structure was still reachable has unpinned. TryAdvance is the
-// collector step; it is cheap and safe to call from any control-plane
-// path (Reconfigure itself, the metrics sampler).
-//
-// The design is the classic two-phase flip-flop. The global phase is a
-// bit; Pin counts the reader into the striped counter of the phase it
-// observed, Unpin counts it back out of that same counter. Retire
-// enqueues the callback under the current phase. TryAdvance may flip the
-// phase only when the *previous* phase's counters have drained to zero —
-// at that point every reader that pinned before the previous flip is
-// gone, so the callbacks enqueued before that flip are unreachable and
-// run. A reader that loads the phase and is then descheduled before
-// incrementing can count itself into the "old" phase, but that is
-// harmless: it only delays the next flip, and the structures it can
-// reach were all unlinked after it started.
-//
-// In Go the garbage collector is the actual reclaimer — a pinned reader
-// holding a pointer keeps the memory alive regardless. What the epoch
-// buys is the *grace-period event*: the moment it is sound to count a
-// descriptor as dead, to reuse an identity, or (in a non-GC port of this
-// design) to free the memory. It also makes reader residency observable:
-// Stats exposes pinned/retired/collected, which the server's /metrics
-// exports.
+// Epoch is the reader half of a two-phase grace-period clock: striped
+// pin counters, one pair per slot, that Pin counts a reader into under
+// the phase it observed and Unpin counts it back out of. Nothing flips
+// the phase; Pin still loads it so the pair costs what it always did.
 type Epoch struct {
 	phase atomic.Uint32
 	slots []epochSlot
 	mask  uint32
-
-	// mu guards the retirement lists and the advance step. Control
-	// plane only — readers never touch it.
-	mu      sync.Mutex
-	pending [2][]func()
-
-	retired   atomic.Uint64
-	collected atomic.Uint64
-	advances  atomic.Uint64
 }
 
 // epochSlotBytes pads each slot to two cache lines (matching the
@@ -82,8 +52,7 @@ func NewEpoch() *Epoch {
 }
 
 // Handle is a pinned reader's receipt: the slot and phase Pin counted it
-// into, so Unpin decrements exactly the counter that was incremented
-// even if the phase flips in between.
+// into, so Unpin decrements exactly the counter that was incremented.
 type Handle struct {
 	slot  *epochSlot
 	phase uint32
@@ -103,9 +72,8 @@ func (e *Epoch) slotFor() *epochSlot {
 	return &e.slots[(h>>16)&e.mask]
 }
 
-// Pin enters a read-side critical section: structures reachable now will
-// not be counted as collected until the matching Unpin. Wait-free — two
-// atomic operations, no branches on other readers.
+// Pin counts the caller into its slot. Wait-free — two atomic
+// operations, no branches on other readers.
 //
 //lockcheck:optimistic
 func (e *Epoch) Pin() Handle {
@@ -115,84 +83,9 @@ func (e *Epoch) Pin() Handle {
 	return Handle{slot: s, phase: p}
 }
 
-// Unpin leaves the read-side critical section opened by Pin.
+// Unpin counts the caller back out of the slot Pin counted it into.
 //
 //lockcheck:optimistic
 func (h Handle) Unpin() {
 	h.slot.c[h.phase].Add(-1)
-}
-
-// Retire enqueues fn to run after a full grace period: once every reader
-// pinned at the time of this call has unpinned. The caller must have
-// already unlinked the structure (new readers must not be able to reach
-// it) — Retire defers the *callback*, not the unlinking.
-func (e *Epoch) Retire(fn func()) {
-	e.mu.Lock()
-	e.pending[e.phase.Load()&1] = append(e.pending[e.phase.Load()&1], fn)
-	e.retired.Add(1)
-	e.mu.Unlock()
-}
-
-// TryAdvance attempts one collector step: if every reader from the
-// previous phase has unpinned, it runs the callbacks that phase had
-// pending and flips the global phase, starting the clock on the current
-// phase's retirees. It returns whether the phase advanced. Callbacks run
-// while holding the epoch's control-plane lock, so they must be brief
-// and must not call back into the epoch.
-//
-// A Retire is collected after at most two successful advances: one to
-// age its phase out, one to drain it.
-func (e *Epoch) TryAdvance() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cur := e.phase.Load() & 1
-	prev := 1 - cur
-	var residents int64
-	for i := range e.slots {
-		residents += e.slots[i].c[prev].Load()
-	}
-	if residents != 0 {
-		return false
-	}
-	for _, fn := range e.pending[prev] {
-		fn()
-		e.collected.Add(1)
-	}
-	e.pending[prev] = nil
-	e.phase.Store(prev)
-	e.advances.Add(1)
-	return true
-}
-
-// EpochStats is a point-in-time summary of an Epoch.
-type EpochStats struct {
-	// Pinned is the number of readers currently inside Pin/Unpin.
-	// Momentarily negative per-slot counts (a reader that unpinned on a
-	// different slot phase) cannot happen — Unpin uses the Handle — but
-	// the sum races with in-flight pins and is a gauge, not an invariant.
-	Pinned int64
-	// Retired counts callbacks handed to Retire since creation.
-	Retired uint64
-	// Collected counts callbacks that completed a grace period and ran.
-	Collected uint64
-	// Pending is Retired - Collected: callbacks still awaiting grace.
-	Pending uint64
-	// Advances counts successful phase flips.
-	Advances uint64
-}
-
-// Stats reads the epoch's counters.
-func (e *Epoch) Stats() EpochStats {
-	var pinned int64
-	for i := range e.slots {
-		pinned += e.slots[i].c[0].Load() + e.slots[i].c[1].Load()
-	}
-	r, c := e.retired.Load(), e.collected.Load()
-	return EpochStats{
-		Pinned:    pinned,
-		Retired:   r,
-		Collected: c,
-		Pending:   r - c,
-		Advances:  e.advances.Load(),
-	}
 }

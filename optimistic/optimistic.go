@@ -4,23 +4,17 @@
 // Malthusian Locks is a story about writers — culling and passivating the
 // excess threads fighting over a lock so the survivors run at cache
 // speed. Readers do not need to be in that fight at all. This package
-// provides the three mechanisms that let them leave it:
+// provides the two mechanisms that let them leave it:
 //
 //   - Seq, a per-stripe seqlock stamp. The write path (which already
 //     holds the stripe lock) brackets every table mutation with
 //     WriteBegin/WriteEnd, moving the stamp odd→even. A reader snapshots
 //     the stamp, reads the table with no lock, and revalidates: an
 //     unchanged even stamp proves no writer overlapped, so the read is
-//     linearizable at any point inside the window.
-//
-//   - Epoch, a minimal grace-period mechanism (per-P pin slots, deferred
-//     retirement). Readers pin the epoch around lock-free traversals;
-//     writers and Reconfigure retire replaced structures through it, so
-//     retirement callbacks run only after every reader that could have
-//     observed the old structure has unpinned. Go's garbage collector
-//     already guarantees the memory itself stays valid — the epoch
-//     supplies the ordering, the observability, and the discipline a
-//     non-GC port would need.
+//     linearizable at any point inside the window. Poison retires a
+//     stamp for good: it is all that stands between a reader still
+//     probing a descriptor Reconfigure replaced and a stale return, and
+//     all that needs to (the GC keeps what it holds valid; DESIGN.md §12).
 //
 //   - ReadPath, the spec grammar ("locked", "optimistic?retries=8")
 //     consumers use to select the read path, in the same URL-parameter

@@ -138,12 +138,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		p.add("shardd_"+name+"_total", labels, v)
 	})
-	es := s.m.EpochStats()
-	p.add("shardd_epoch_pinned", "", es.Pinned)
-	p.add("shardd_epoch_retired_total", "", es.Retired)
-	p.add("shardd_epoch_collected_total", "", es.Collected)
-	p.add("shardd_epoch_advances_total", "", es.Advances)
-	p.add("shardd_retired_descriptors", "", s.m.RetiredDescriptors())
 
 	// Interval rates from the cached delta (zero until two samples).
 	if sample.interval > 0 {

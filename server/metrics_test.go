@@ -85,11 +85,6 @@ shardd_lock_handoffs_total 36
 shardd_optimistic_hits_total 500
 shardd_optimistic_retries_total 11
 shardd_optimistic_fallbacks_total 2
-shardd_epoch_pinned 0
-shardd_epoch_retired_total 0
-shardd_epoch_collected_total 0
-shardd_epoch_advances_total 0
-shardd_retired_descriptors 0
 shardd_interval_deadline_attempts 16
 shardd_interval_deadline_misses 4
 shardd_interval_miss_rate 0.250000

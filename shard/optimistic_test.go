@@ -4,10 +4,13 @@ import (
 	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/fault"
+	"repro/internal/hashmap"
+	"repro/store"
 )
 
 func TestReadPathConfig(t *testing.T) {
@@ -288,50 +291,81 @@ func TestOptimisticMonotonicStress(t *testing.T) {
 	if snap.OptimisticHits == 0 {
 		t.Fatal("stress run served zero optimistic hits")
 	}
-	// Grace periods complete once readers are gone: after a couple of
-	// sampler heartbeats every retired descriptor must be collected.
-	for i := 0; i < 4; i++ {
-		if _, err := m.SnapshotLite(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := m.RetiredDescriptors(); n != 0 {
-		t.Fatalf("%d retired descriptors still uncollected with no readers", n)
-	}
-	es := m.EpochStats()
-	if es.Pinned != 0 || es.Pending != 0 {
-		t.Fatalf("epoch did not drain: %+v", es)
-	}
 }
 
-// TestOptimisticEpochGauge: a Reconfigure while a reader is pinned
-// leaves the retired descriptor uncollected until the reader unpins —
-// the observable half of the grace-period contract.
-func TestOptimisticEpochGauge(t *testing.T) {
-	m := MustNew(Config{Stripes: 1, ReadPath: "optimistic"})
-	m.Put(1, 1)
+// parkingMap is the hashmap backend with a one-shot gate on its
+// lock-free probe: while parkNext holds a gate, the next GetOptimistic
+// finishes its probe, reports in on entered, and parks until release is
+// closed — still holding whatever it read through the descriptor it
+// entered by.
+type parkingMap struct{ *hashmap.Map }
 
-	h := m.epoch.Pin()
-	if err := m.Reconfigure(0, "tas", ""); err != nil {
-		t.Fatal(err)
+type probeGate struct{ entered, release chan struct{} }
+
+var parkNext atomic.Pointer[probeGate]
+
+func (p parkingMap) GetOptimistic(key uint64) (uint64, bool) {
+	v, ok := p.Map.GetOptimistic(key)
+	if g := parkNext.Swap(nil); g != nil {
+		close(g.entered)
+		<-g.release
 	}
-	ctx := context.Background()
-	for i := 0; i < 4; i++ {
-		if _, err := m.SnapshotLite(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := m.RetiredDescriptors(); n != 1 {
-		t.Fatalf("RetiredDescriptors = %d with a pinned reader, want 1", n)
-	}
-	h.Unpin()
-	for i := 0; i < 4; i++ {
-		if _, err := m.SnapshotLite(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := m.RetiredDescriptors(); n != 0 {
-		t.Fatalf("RetiredDescriptors = %d after unpin, want 0", n)
+	return v, ok
+}
+
+func init() {
+	store.Register(store.Registration{
+		Name:    "parkinghashmap",
+		Summary: "test-only: hashmap whose GetOptimistic can be parked mid-read",
+		Build: func(opts ...store.Option) store.Backend {
+			return parkingMap{store.MustNew("hashmap", opts...).(*hashmap.Map)}
+		},
+	})
+}
+
+// TestOptimisticStaleDescriptorReader is the deterministic case behind
+// the monotonic stress: a lock-free reader probes through descriptor d0
+// and is held there, value in hand, while the stripe is reconfigured and
+// the key rewritten through the published descriptor. Nothing but the
+// poisoned stamp stands between that reader and a stale return — on the
+// lock-only swap d0 and its replacement share the table, so the rewrite
+// never touches d0's stamp; on the backend swap the reader is probing a
+// table that has been migrated away. Either way it must fail validation
+// exactly once and re-read through the new descriptor.
+func TestOptimisticStaleDescriptorReader(t *testing.T) {
+	for _, tc := range []struct{ name, lock, backend string }{
+		{"lock-swap", "tas", ""},
+		{"backend-swap", "", "hashmap"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := MustNew(Config{Stripes: 1, BackendSpec: "parkinghashmap", ReadPath: "optimistic"})
+			m.Put(1, 10)
+			base := m.Snapshot()
+
+			g := &probeGate{entered: make(chan struct{}), release: make(chan struct{})}
+			parkNext.Store(g)
+			got := make(chan uint64, 1)
+			go func() {
+				v, _ := m.Get(1)
+				got <- v
+			}()
+			<-g.entered // the reader holds 10, read through d0, not yet validated
+
+			if err := m.Reconfigure(0, tc.lock, tc.backend); err != nil {
+				t.Fatal(err)
+			}
+			m.Put(1, 20)
+			close(g.release)
+
+			if v := <-got; v != 20 {
+				t.Fatalf("Get through a swapped-away descriptor = %d, want the post-swap 20", v)
+			}
+			delta := m.Snapshot().Sub(base)
+			if delta.Swaps != 1 || delta.OptimisticHits != 1 || delta.OptimisticRetries != 1 || delta.OptimisticFallbacks != 0 {
+				t.Fatalf("swaps=%d hits=%d retries=%d fallbacks=%d, want 1, 1, 1, 0",
+					delta.Swaps, delta.OptimisticHits, delta.OptimisticRetries, delta.OptimisticFallbacks)
+			}
+		})
 	}
 }
 

@@ -33,19 +33,20 @@ func (m *Map) StripeSpecs(i int) (lockSpec, backendSpec string) {
 //     old table into the new one via Range, still under the old lock.
 //     An unchanged backend spec keeps the table — no copy, no
 //     allocation.
-//  4. Poison the old descriptor's seqlock stamp (still under the old
-//     lock), then publish the new descriptor (atomic store). New
-//     arrivals now route through the new lock and table, and any
-//     optimistic reader still probing through the old descriptor is
-//     guaranteed to fail validation and re-read through the new one.
-//  5. Release the old lock. Waiters that were queued on it wake, observe
+//  4. Poison the old descriptor's seqlock stamp, still under the old
+//     lock and before publication. This is the whole of what guards a
+//     stale optimistic reader: however late it finishes probing through
+//     the old descriptor, its validation fails and it re-reads through
+//     the published one.
+//  5. Publish the new descriptor (atomic store). New arrivals now route
+//     through the new lock and table.
+//  6. Release the old lock. Waiters that were queued on it wake, observe
 //     the descriptor changed, release, and retry on the new lock (see
 //     stripe.lockCurrent) — mutual exclusion covers the swap with no
 //     gap: every table access happens either under the old lock before
 //     publication or under the new lock after it. The old descriptor is
-//     retired through the map's epoch; it counts as live
-//     (RetiredDescriptors) until every reader pinned before publication
-//     has unpinned.
+//     simply dropped; the garbage collector frees it once the last
+//     reader or waiter holding it has let go.
 //
 // The stripe is unavailable for the duration of the migration (O(keys in
 // stripe) under the old lock); point operations queue exactly as they
@@ -140,7 +141,7 @@ func (m *Map) reconfigure(i int, lockSpec, backendSpec string) (swapped bool, er
 		}
 	}
 
-	// Step 3½: poison the outgoing descriptor's seqlock stamp — still
+	// Step 4: poison the outgoing descriptor's seqlock stamp — still
 	// under the old lock, before publication. An optimistic reader that
 	// loaded the old descriptor can keep probing its table arbitrarily
 	// late; the poison (odd forever) guarantees its validation fails and
@@ -151,20 +152,10 @@ func (m *Map) reconfigure(i int, lockSpec, backendSpec string) (swapped bool, er
 	// poison that preceded the swap in the writer's program order.
 	old.seq.Poison()
 
-	// Step 4: publish.
+	// Step 5: publish.
 	s.desc.Store(nd)
 
-	// Step 5: release the retired lock; its queued waiters re-route.
+	// Step 6: release the retired lock; its queued waiters re-route.
 	old.mu.Unlock()
-
-	// Step 6: retire the old descriptor through the epoch. The grace
-	// period ends once every reader pinned before publication has
-	// unpinned; until then the descriptor counts as retired-but-live
-	// (RetiredDescriptors). Collection needs no dedicated thread: the
-	// advance attempted here collects prior retirees, and the lite
-	// snapshot sampler's heartbeat collects this one.
-	m.retired.Add(1)
-	m.epoch.Retire(func() { m.retired.Add(-1) })
-	m.epoch.TryAdvance()
 	return true, nil
 }

@@ -60,10 +60,12 @@
 // changed stamp retries, and after Config's retry budget the reader
 // falls back to the stripe lock — so a write storm degrades reads to
 // exactly the locked path's behavior instead of livelocking them.
-// Readers pin an epoch (optimistic.Epoch) around each probe, so
-// descriptors retired by Reconfigure are counted dead only after a full
-// grace period. Per-stripe hit/retry/fallback counters land in
-// StripeSnapshot. See DESIGN.md §12 for the full protocol.
+// Reconfigure poisons the outgoing descriptor's stamp before it
+// publishes the replacement, so a reader still probing through the old
+// one can only fail validation and re-read; nothing else guards a stale
+// reader, and nothing else needs to (the GC keeps what it holds valid).
+// Per-stripe hit/retry/fallback counters land in StripeSnapshot. See
+// DESIGN.md §12 for the full protocol.
 //
 // # Observability
 //
@@ -232,11 +234,14 @@ func (d *descriptor) snapshot() core.Snapshot {
 }
 
 // stripe is one shard: the atomically published descriptor (lock +
-// table), plus per-stripe state that survives reconfiguration. The
-// mutated heavy state lives behind pointers (each its own allocation),
-// so adjacent stripe headers in the slice share lines harmlessly: the
-// descriptor pointer is only read on the op paths, and scans — the one
-// counter written here — are orders of magnitude rarer than point ops.
+// table), plus per-stripe state that survives reconfiguration. The lock
+// and the table live behind the descriptor pointer (each its own
+// allocation), but the header itself is 120 bytes and unpadded, and it
+// is written on the op paths: deadlineAttempts[class] once per budgeted
+// op and optHits once per lock-free Get. Adjacent headers in the slice
+// therefore share cache lines, and a write to one stripe's counters
+// invalidates the line its neighbour's desc is read from. No ladder rung
+// sizes this yet; ROADMAP item 4 lists it as a suspect with the rung.
 type stripe struct {
 	desc atomic.Pointer[descriptor]
 
@@ -350,16 +355,6 @@ type Map struct {
 	// hot-path gate of the optimistic Get is one plain bool read.
 	readPath optimistic.ReadPath
 
-	// epoch is the map's grace-period clock. Lock-free readers pin it
-	// around each probe; Reconfigure retires replaced descriptors
-	// through it; the lite-snapshot sampler drives collection.
-	epoch *optimistic.Epoch
-
-	// retired gauges descriptors replaced by Reconfigure whose grace
-	// period has not yet completed (a reader pinned at swap time may
-	// still be traversing the old table).
-	retired atomic.Int64
-
 	// Construction parameters reused when Reconfigure builds a stripe's
 	// replacement lock or backend.
 	seed      uint64
@@ -404,7 +399,6 @@ func New(cfg Config) (*Map, error) {
 		shift:      uint(64 - bits.TrailingZeros(uint(n))),
 		window:     window,
 		readPath:   rp,
-		epoch:      optimistic.NewEpoch(),
 		seed:       cfg.Seed,
 		perStripe:  perStripe,
 		cfgLock:    spec,
@@ -599,13 +593,16 @@ func (s *stripe) record(id int) {
 }
 
 // getOptimistic attempts one lock-free Get on s: snapshot the stripe's
-// seqlock stamp, probe the backend with torn-read-safe loads under an
-// epoch pin, revalidate. served is false when the stripe cannot serve
+// seqlock stamp, probe the backend with torn-read-safe loads,
+// revalidate. served is false when the stripe cannot serve
 // optimistic reads (backend declined store.OptimisticReader) or the
 // retry budget is exhausted — the caller then takes the locked path.
 // A validated hit is linearizable at some instant inside its
 // read window (see optimistic.Seq), so a hit is exactly as correct as a
-// locked Get, minus the queueing.
+// locked Get, minus the queueing. The descriptor loaded at the top of an
+// attempt may be replaced before the probe ends; Reconfigure poisons its
+// stamp before publishing the replacement, so that attempt's Validate
+// fails and the next one loads the published descriptor.
 //
 // The injector hook does not run here: injected faults model long
 // critical sections, and this path's entire point is having none. A
@@ -622,9 +619,7 @@ func (m *Map) getOptimistic(s *stripe, key uint64) (val uint64, ok, served bool)
 		}
 		stamp, stable := d.seq.ReadBegin()
 		if stable {
-			h := m.epoch.Pin()
 			v, present := d.opt.GetOptimistic(key)
-			h.Unpin()
 			if d.seq.Validate(stamp) {
 				s.optHits.Add(1)
 				return v, present, true
@@ -847,16 +842,3 @@ func (m *Map) BackendSpec() string { return m.cfgBackend }
 // ReadPath returns the canonical form of the read-path spec the map was
 // built with ("locked", "optimistic", "optimistic?retries=N").
 func (m *Map) ReadPath() string { return m.readPath.String() }
-
-// EpochStats reads the map's grace-period clock: pinned lock-free
-// readers, retirements enqueued and collected. On a locked-read map all
-// fields stay zero (nothing pins, Reconfigure still retires but with no
-// readers every advance succeeds immediately).
-func (m *Map) EpochStats() optimistic.EpochStats { return m.epoch.Stats() }
-
-// RetiredDescriptors gauges stripe descriptors replaced by Reconfigure
-// whose grace period has not yet completed. Nonzero means some reader
-// pinned at swap time may still be traversing a migrated-away table —
-// safe (the seqlock poison keeps it from validating anything), but live
-// memory a non-GC port would not yet have freed.
-func (m *Map) RetiredDescriptors() int64 { return m.retired.Load() }

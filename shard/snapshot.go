@@ -78,14 +78,6 @@ func (m *Map) SnapshotLite(ctx context.Context) (Snapshot, error) {
 }
 
 func (m *Map) snapshotImpl(ctx context.Context, lite bool) (Snapshot, error) {
-	if lite {
-		// The lite path is the steady-state sampling path (controller,
-		// /metrics), which makes it the natural heartbeat for epoch
-		// collection: one cheap advance attempt per sample keeps retired
-		// descriptors from waiting on the next Reconfigure to be counted
-		// dead.
-		m.epoch.TryAdvance()
-	}
 	out := Snapshot{Stripes: make([]StripeSnapshot, len(m.stripes))}
 	scans := m.scans.Load()
 	for i := range m.stripes {
