@@ -1,7 +1,9 @@
 package skiplist
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -152,14 +154,14 @@ func TestDeterministicTowers(t *testing.T) {
 		t.Fatalf("heights diverge: %d vs %d", a.height, b.height)
 	}
 	for lvl := 0; lvl < a.height; lvl++ {
-		x, y := a.head.next[lvl], b.head.next[lvl]
-		for x != nil && y != nil {
-			if x.key != y.key {
-				t.Fatalf("level %d diverges: %d vs %d", lvl, x.key, y.key)
+		x, y := a.link(head, lvl), b.link(head, lvl)
+		for x != 0 && y != 0 {
+			if a.key(x) != b.key(y) {
+				t.Fatalf("level %d diverges: %d vs %d", lvl, a.key(x), b.key(y))
 			}
-			x, y = x.next[lvl], y.next[lvl]
+			x, y = a.link(x, lvl), b.link(y, lvl)
 		}
-		if x != nil || y != nil {
+		if x != 0 || y != 0 {
 			t.Fatalf("level %d lengths diverge", lvl)
 		}
 	}
@@ -298,5 +300,162 @@ func TestHookedMatchesUnhooked(t *testing.T) {
 	bm, bok := hooked.Min()
 	if am != bm || aok != bok || (bok && (len(path) != 1 || keyAt[path[0]] != bm)) {
 		t.Fatalf("Min=%d,%v bare, %d,%v hooked (visits %v)", am, aok, bm, bok, path)
+	}
+}
+
+// TestArenaLimit lowers the offset space to two chunks: the Put that
+// needs a third panics with the list's size, instead of handing out an
+// offset that wraps onto a live node, and leaves the list intact.
+func TestArenaLimit(t *testing.T) {
+	defer func(limit uint64) { arenaLimit = limit }(arenaLimit)
+	arenaLimit = 2 << chunkShift
+	l := New(1)
+	var msg string
+	func() {
+		defer func() { msg, _ = recover().(string) }()
+		for k := uint64(0); ; k++ {
+			l.Put(k, k)
+		}
+	}()
+	want := fmt.Sprintf("list of %d keys is full", l.Len())
+	if l.Len() == 0 || !strings.Contains(msg, want) || !strings.Contains(msg, "2^32 words") {
+		t.Fatalf("panic %q; want one containing %q and the capacity", msg, want)
+	}
+	if len(l.chunks) != 2 || !l.CheckInvariants() {
+		t.Fatalf("list damaged by the refused Put: %d chunks", len(l.chunks))
+	}
+	if v, ok := l.Get(uint64(l.Len() - 1)); !ok || v != uint64(l.Len()-1) {
+		t.Fatalf("last key before the limit reads %d,%v", v, ok)
+	}
+}
+
+// TestChurnReusesFreedNodes: replacing random resident keys with new ones
+// is served from the free lists. No chunk is added, and the high-water
+// mark stays where the load phase put it but for the nodes by which a
+// size class's population has exceeded its own earlier peak (heights are
+// redrawn, so the mix of sizes wanders around its mean).
+func TestChurnReusesFreedNodes(t *testing.T) {
+	const keys, pairs = 1 << 14, 1 << 18
+	l := New(9)
+	rng := rand.New(rand.NewSource(3))
+	resident := make([]uint64, keys)
+	for i := range resident {
+		resident[i] = rng.Uint64()
+		l.Put(resident[i], 1)
+	}
+	loaded, reserved := l.arenaWords()
+	for i := 0; i < pairs; i++ {
+		j := rng.Intn(keys)
+		if !l.Delete(resident[j]) {
+			t.Fatalf("pair %d: resident key missing", i)
+		}
+		resident[j] = rng.Uint64()
+		l.Put(resident[j], 2)
+	}
+	used, after := l.arenaWords()
+	if after != reserved {
+		t.Fatalf("churn grew the arena from %d to %d words", reserved, after)
+	}
+	if used > loaded+loaded/32 {
+		t.Fatalf("high-water mark moved from %d to %d words over %d put/delete pairs", loaded, used, pairs)
+	}
+	if l.Len() != keys || !l.CheckInvariants() {
+		t.Fatalf("Len=%d after churn, or invariants violated", l.Len())
+	}
+}
+
+func TestFootprintPerKey(t *testing.T) {
+	const keys = 1 << 16
+	l := New(4)
+	for k := uint64(0); k < keys; k++ {
+		l.Put(k*0x9e3779b97f4a7c15, k)
+	}
+	_, reserved := l.arenaWords()
+	if perKey := float64(reserved*8) / keys; perKey > 32 {
+		t.Fatalf("%d keys reserve %d arena words: %.1f B/key, want <= 32", keys, reserved, perKey)
+	}
+	if _, empty := New(4).arenaWords(); empty*8 >= 16<<10 {
+		t.Fatalf("an empty list reserves %d bytes, want < 16 KiB", empty*8)
+	}
+}
+
+// TestSteadyStateDoesNotAllocate: reads, overwrites and scans never reach
+// the runtime's allocator, and fresh Puts reach it once per chunk.
+func TestSteadyStateDoesNotAllocate(t *testing.T) {
+	const keys = 1 << 14
+	l := New(6)
+	for k := uint64(0); k < keys; k++ {
+		l.Put(k*2, k)
+	}
+	var sum uint64
+	each := func(_, v uint64) bool { sum += v; return true }
+	k := uint64(0)
+	for _, tc := range []struct {
+		name string
+		max  float64
+		op   func()
+	}{
+		{"Get", 0, func() { v, _ := l.Get(k % (2 * keys)); sum += v }},
+		{"Put over a resident key", 0, func() { l.Put(k%keys*2, k) }},
+		{"Scan of 64 keys", 0, func() { l.Scan(k%keys*2, k%keys*2+126, each) }},
+		{"Put of a new key", 0.01, func() { l.Put(k*2+1, k) }},
+	} {
+		if got := testing.AllocsPerRun(10000, func() { tc.op(); k += 7919 }); got > tc.max {
+			t.Errorf("%s: %v allocs/op, want <= %v", tc.name, got, tc.max)
+		}
+	}
+}
+
+// TestAuditCatchesCorruption: the arena audit in CheckInvariants is not
+// vacuous. Each case damages a healthy list the way a bug in alloc,
+// Delete or the link packing would.
+func TestAuditCatchesCorruption(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(l *List)
+	}{
+		{"a freed node leaks", func(l *List) { l.free[minNodeWords] = 0 }},
+		{"a live node is on a free list", func(l *List) {
+			n := l.link(head, 0)
+			w := nodeWords(l.nodeHeight(n))
+			l.node(n)[keyWord], l.free[w] = uint64(l.free[w]), n
+		}},
+		{"a free node is on the wrong size's list", func(l *List) {
+			l.free[minNodeWords+1], l.free[minNodeWords] = l.free[minNodeWords], l.free[minNodeWords+1]
+		}},
+		{"a stored height exceeds the node's links", func(l *List) {
+			for n := l.link(head, 0); ; n = l.link(n, 0) {
+				if words := l.node(n); l.nodeHeight(n) == 1 {
+					words[slotWord] += 2
+					return
+				}
+			}
+		}},
+		{"a node is linked above its height", func(l *List) {
+			for n := l.link(head, 0); ; n = l.link(n, 0) {
+				if l.nodeHeight(n) == 1 {
+					l.setLink(head, l.height-1, n)
+					return
+				}
+			}
+		}},
+		{"a chunk was closed with room to spare", func(l *List) {
+			l.chunks[0] = l.chunks[0][: len(l.chunks[0])-maxNodeWords : cap(l.chunks[0])]
+		}},
+	} {
+		l := New(8)
+		for k := uint64(0); k < 400; k++ {
+			l.Put(k, k)
+		}
+		for k := uint64(0); k < 400; k += 2 {
+			l.Delete(k)
+		}
+		if !l.CheckInvariants() {
+			t.Fatal("healthy list fails the audit")
+		}
+		tc.damage(l)
+		if l.CheckInvariants() {
+			t.Errorf("%s: CheckInvariants still passes", tc.name)
+		}
 	}
 }

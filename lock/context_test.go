@@ -397,10 +397,10 @@ func TestLockContextAsksDoneOnlyToWait(t *testing.T) {
 			// before, and it has asked for Done by then.
 			m.Lock()
 			const budget = 20 * time.Millisecond
+			start := time.Now() // before the deadline is fixed, or the wait can read short of the budget
 			brief, cancelBrief := context.WithTimeout(context.Background(), budget)
 			defer cancelBrief()
 			ctx = &countingCtx{Context: brief}
-			start := time.Now()
 			var err error
 			runWithTimeout(t, 30*time.Second, func() { err = m.LockContext(ctx) })
 			if !errors.Is(err, context.DeadlineExceeded) {
