@@ -186,7 +186,10 @@ func (c *Cond) WaitContext(ctx context.Context) error {
 }
 
 // Signal wakes the waiter at the head of the queue, if any. It may be
-// called with or without holding c.L.
+// called with or without holding c.L. Unlike a lock's or semaphore's
+// grant it does not yield to the waiter it wakes: that waiter's next act
+// is c.L.Lock(), which the signaller usually holds (BenchmarkProdCons:
+// 0.5 µs per message as is, 1.2–2.5 µs with a yield).
 func (c *Cond) Signal() {
 	c.mu.Lock()
 	w := c.popHead()

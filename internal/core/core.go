@@ -25,11 +25,19 @@ import (
 const DefaultFairnessPeriod = 1000
 
 // DefaultSpinBudget is the bounded spin phase of spin-then-park waiting,
-// in poll iterations. The paper uses ~20000 cycles, an empirical estimate
-// of a context-switch round trip; on the goroutine substrate a poll
-// iteration is a load plus an occasional yield, and this count plays the
-// same role.
-const DefaultSpinBudget = 4096
+// in poll iterations — none: on goroutines "spin-then-park" is "park".
+// The paper spins ~20000 cycles because a context-switch round trip costs
+// a kernel thread that (§5.1). Here (2-CPU container, internal/park's
+// benchmarks) a Parker ping-pong is 0.36–0.47 µs, so a park and its wake
+// cost ~0.2 µs, while a polite spin phase must yield every 64 polls and
+// one runtime.Gosched is 0.09 µs alone and 0.8–3.4 µs behind eight
+// runnable peers — several times the park it postpones; and an idle M
+// already spins for work before it sleeps. Chosen by sweep with lock's
+// directed handoff in place, over {0, 16, 64, 256, 1024, 4096} on the
+// benchmark's lock_oversub and map_hot_write (CHANGES.md, PR 22): 0–256
+// tie on the first, 0 is best on the second, 1024 and up lose half. A
+// lock that wants a spin phase says spin=N in its spec.
+const DefaultSpinBudget = 0
 
 // Policy carries the tunables of a CR lock. The paper stresses parameter
 // parsimony: the ACS size is never a tunable — it emerges from culling —
@@ -49,7 +57,8 @@ type Policy struct {
 	Seed uint64
 }
 
-// DefaultPolicy returns the paper's defaults.
+// DefaultPolicy returns the defaults: the paper's fairness period and this
+// substrate's spin budget.
 func DefaultPolicy() Policy {
 	return Policy{FairnessPeriod: DefaultFairnessPeriod, SpinBudget: DefaultSpinBudget}
 }

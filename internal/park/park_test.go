@@ -2,6 +2,7 @@ package park
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -251,4 +252,58 @@ func TestParkContextNil(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("ParkContext without cancellation did not behave like Park")
 	}
+}
+
+// The three costs core.DefaultSpinBudget's comment weighs against each
+// other: what a waiter pays to park and be woken, and what one polite
+// yield of a spin phase costs with and without other runnable goroutines.
+
+// BenchmarkParkRoundTrip is a ping-pong between two goroutines: one op is
+// a full round trip, two parks and two unparks.
+func BenchmarkParkRoundTrip(b *testing.B) {
+	ping, pong := NewParker(), NewParker()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < b.N; i++ {
+			ping.Park()
+			pong.Unpark()
+		}
+	}()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ping.Unpark()
+		pong.Park()
+	}
+	<-done
+}
+
+// BenchmarkGoschedAlone is a yield with nothing else to run.
+func BenchmarkGoschedAlone(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		runtime.Gosched()
+	}
+}
+
+// BenchmarkGoschedWith8Runnable is the same yield as a spinning waiter
+// makes it: behind eight runnable peers that are yielding too.
+func BenchmarkGoschedWith8Runnable(b *testing.B) {
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				runtime.Gosched()
+			}
+		}()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runtime.Gosched()
+	}
+	b.StopTimer()
+	stop.Store(true)
+	wg.Wait()
 }

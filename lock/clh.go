@@ -275,7 +275,7 @@ func (l *CLH) Unlock() {
 		panic("lock: CLH.Unlock of unlocked mutex")
 	}
 	l.ownerNode = nil
-	grantStats(l.stats, n.grant())
+	handoffDone(l.stats, n.grant())
 }
 
 // Stats returns a snapshot of the lock's event counters.

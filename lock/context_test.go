@@ -3,6 +3,7 @@ package lock
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,98 +44,106 @@ func TestCancelStress(t *testing.T) {
 	}
 	for _, name := range contextLocks() {
 		t.Run(name, func(t *testing.T) {
-			m := MustNew(name, WithSeed(1), WithSpinBudget(64)).(ContextMutex)
-			var (
-				unprotected int // data race if exclusion fails
-				inside      atomic.Int32
-				maxInside   atomic.Int32
-				successes   atomic.Int64
-				cancels     atomic.Int64
-			)
-			cs := func() {
-				if v := inside.Add(1); v > maxInside.Load() {
-					maxInside.Store(v)
-				}
-				unprotected++
-				inside.Add(-1)
-			}
-			runWithTimeout(t, 120*time.Second, func() {
-				var wg sync.WaitGroup
-				for g := 0; g < goroutines; g++ {
-					wg.Add(1)
-					go func(id int) {
-						defer wg.Done()
-						rng := uint64(id)*0x9e3779b97f4a7c15 + 1
-						next := func() uint64 {
-							rng ^= rng << 13
-							rng ^= rng >> 7
-							rng ^= rng << 17
-							return rng
+			// Every waiter parks at once (0, also the default), or polls
+			// first: the abandon CAS must win or lose cleanly against a
+			// grant from either state, and the yield that follows a grant
+			// to a parked waiter must not lose or repeat one.
+			for _, spin := range []int{0, 64} {
+				t.Run(fmt.Sprintf("spin=%d", spin), func(t *testing.T) {
+					m := MustNew(name, WithSeed(1), WithSpinBudget(spin)).(ContextMutex)
+					var (
+						unprotected int // data race if exclusion fails
+						inside      atomic.Int32
+						maxInside   atomic.Int32
+						successes   atomic.Int64
+						cancels     atomic.Int64
+					)
+					cs := func() {
+						if v := inside.Add(1); v > maxInside.Load() {
+							maxInside.Store(v)
 						}
-						for i := 0; i < iters; i++ {
-							switch next() % 4 {
-							case 0: // plain lock
-								m.Lock()
-								cs()
-								m.Unlock()
-								successes.Add(1)
-							case 1: // uncancellable context
-								if err := m.LockContext(context.Background()); err != nil {
-									t.Errorf("Background LockContext failed: %v", err)
-									return
+						unprotected++
+						inside.Add(-1)
+					}
+					runWithTimeout(t, 120*time.Second, func() {
+						var wg sync.WaitGroup
+						for g := 0; g < goroutines; g++ {
+							wg.Add(1)
+							go func(id int) {
+								defer wg.Done()
+								rng := uint64(id)*0x9e3779b97f4a7c15 + 1
+								next := func() uint64 {
+									rng ^= rng << 13
+									rng ^= rng >> 7
+									rng ^= rng << 17
+									return rng
 								}
-								cs()
-								m.Unlock()
-								successes.Add(1)
-							default: // racing deadline, 0–40µs
-								d := time.Duration(next()%41) * time.Microsecond
-								ctx, cancel := context.WithTimeout(context.Background(), d)
-								err := m.LockContext(ctx)
-								cancel()
-								if err != nil {
-									if !errors.Is(err, context.DeadlineExceeded) {
-										t.Errorf("unexpected LockContext error: %v", err)
-										return
+								for i := 0; i < iters; i++ {
+									switch next() % 4 {
+									case 0: // plain lock
+										m.Lock()
+										cs()
+										m.Unlock()
+										successes.Add(1)
+									case 1: // uncancellable context
+										if err := m.LockContext(context.Background()); err != nil {
+											t.Errorf("Background LockContext failed: %v", err)
+											return
+										}
+										cs()
+										m.Unlock()
+										successes.Add(1)
+									default: // racing deadline, 0–40µs
+										d := time.Duration(next()%41) * time.Microsecond
+										ctx, cancel := context.WithTimeout(context.Background(), d)
+										err := m.LockContext(ctx)
+										cancel()
+										if err != nil {
+											if !errors.Is(err, context.DeadlineExceeded) {
+												t.Errorf("unexpected LockContext error: %v", err)
+												return
+											}
+											cancels.Add(1)
+										} else {
+											cs()
+											m.Unlock()
+											successes.Add(1)
+										}
 									}
-									cancels.Add(1)
-								} else {
-									cs()
-									m.Unlock()
-									successes.Add(1)
 								}
-							}
+							}(g)
 						}
-					}(g)
-				}
-				wg.Wait()
-			})
-			if got := int64(unprotected); got != successes.Load() {
-				t.Errorf("mutual exclusion violated: %d CS executions vs %d successful acquisitions",
-					got, successes.Load())
-			}
-			if maxInside.Load() != 1 {
-				t.Errorf("critical section occupancy reached %d", maxInside.Load())
-			}
-			// Post-storm liveness: the lock must still cycle cleanly.
-			runWithTimeout(t, 60*time.Second, func() {
-				for i := 0; i < 100; i++ {
-					m.Lock()
-					m.Unlock()
-				}
-			})
-			snap := m.(Instrumented).Stats()
-			if snap.Cancels != uint64(cancels.Load()) {
-				t.Errorf("Cancels=%d does not reconcile with %d observed timeouts",
-					snap.Cancels, cancels.Load())
-			}
-			if snap.Abandons > snap.Cancels {
-				t.Errorf("Abandons=%d exceeds Cancels=%d", snap.Abandons, snap.Cancels)
-			}
-			if want := successes.Load(); snap.Acquires != uint64(want) {
-				// The drain above adds 100 more.
-				if snap.Acquires != uint64(want)+100 {
-					t.Errorf("Acquires=%d, want %d (+100 drain)", snap.Acquires, want)
-				}
+						wg.Wait()
+					})
+					if got := int64(unprotected); got != successes.Load() {
+						t.Errorf("mutual exclusion violated: %d CS executions vs %d successful acquisitions",
+							got, successes.Load())
+					}
+					if maxInside.Load() != 1 {
+						t.Errorf("critical section occupancy reached %d", maxInside.Load())
+					}
+					// Post-storm liveness: the lock must still cycle cleanly.
+					runWithTimeout(t, 60*time.Second, func() {
+						for i := 0; i < 100; i++ {
+							m.Lock()
+							m.Unlock()
+						}
+					})
+					snap := m.(Instrumented).Stats()
+					if snap.Cancels != uint64(cancels.Load()) {
+						t.Errorf("Cancels=%d does not reconcile with %d observed timeouts",
+							snap.Cancels, cancels.Load())
+					}
+					if snap.Abandons > snap.Cancels {
+						t.Errorf("Abandons=%d exceeds Cancels=%d", snap.Abandons, snap.Cancels)
+					}
+					if want := successes.Load(); snap.Acquires != uint64(want) {
+						// The drain above adds 100 more.
+						if snap.Acquires != uint64(want)+100 {
+							t.Errorf("Acquires=%d, want %d (+100 drain)", snap.Acquires, want)
+						}
+					}
+				})
 			}
 		})
 	}

@@ -1,0 +1,173 @@
+package lock
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// oneP runs the rest of the test on a single P, where scheduling is a
+// script: a goroutine runs until it blocks or yields, and a yield runs
+// every other runnable goroutine first.
+func oneP(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// letOthersRun yields until every other goroutine has blocked or, if it
+// spins, has had several quanta. The handoff tests build their locks with
+// arrivals=1 so a LOITER waiter goes straight to the inner queue: with
+// spin=0 nothing on the way to the parker yields, so one pass would do.
+func letOthersRun() {
+	for i := 0; i < 8; i++ {
+		runtime.Gosched()
+	}
+}
+
+// handoffSpec builds name with an explicit spin budget. arrivals is a
+// LOITER parameter; the other locks' grammar accepts and ignores it.
+func handoffSpec(name string, spin int) string {
+	return fmt.Sprintf("%s?seed=1&arrivals=1&spin=%d", name, spin)
+}
+
+// order is an append-only log two goroutines write without the lock.
+type order struct {
+	mu  sync.Mutex
+	log []string
+}
+
+func (o *order) add(s string) {
+	o.mu.Lock()
+	o.log = append(o.log, s)
+	o.mu.Unlock()
+}
+
+func (o *order) String() string { return strings.Join(o.log, " ") }
+
+// yieldAttempts is how often a test that expects a yield to have
+// dispatched the woken waiter may replay its script. One dispatch in 61
+// polls the global run queue first — where the yielder has just put
+// itself — so a single replay can legitimately run the yielder on. The
+// orders a test accepts never occur without the yield, so "one replay
+// shows it" still tells the two apart.
+const yieldAttempts = 3
+
+// TestDirectedHandoff pins the directed handoff, per lock: A holds, B
+// enqueues and parks, A unlocks and then logs "A", B logs "B" once it
+// owns the lock. The unlock had to unpark B, so it must also have handed
+// B the P: the log reads "B A". Without the yield B sits in runnext,
+// owning the lock, until A next blocks — "A B".
+func TestDirectedHandoff(t *testing.T) {
+	oneP(t)
+	for _, name := range stpLocks() {
+		t.Run(name, func(t *testing.T) {
+			var got string
+			for try := 0; try < yieldAttempts && got != "B A"; try++ {
+				m := MustNew(handoffSpec(name, 0))
+				var o order
+				done := make(chan struct{})
+				m.Lock()
+				go func() {
+					m.Lock()
+					o.add("B")
+					m.Unlock()
+					close(done)
+				}()
+				letOthersRun() // B parks
+				m.Unlock()
+				o.add("A")
+				<-done
+				got = o.String()
+				// The precondition, after the fact: B was granted while parked.
+				if s := m.(Instrumented).Stats(); s.Parks != 1 || s.Unparks != 1 {
+					t.Fatalf("Parks %d, Unparks %d; want 1 and 1 (B was not parked at the grant)", s.Parks, s.Unparks)
+				}
+			}
+			if got != "B A" {
+				t.Errorf("order %q, want %q: the unlock did not yield to the waiter it unparked", got, "B A")
+			}
+		})
+	}
+}
+
+// TestHandoffToSpinnerDoesNotYield is the other half: a successor that is
+// still polling is already running somewhere, so the unlock that grants
+// it keeps its P — A logs first.
+func TestHandoffToSpinnerDoesNotYield(t *testing.T) {
+	oneP(t)
+	for _, name := range stpLocks() {
+		t.Run(name, func(t *testing.T) {
+			m := MustNew(handoffSpec(name, 1<<30))
+			var o order
+			done := make(chan struct{})
+			m.Lock()
+			go func() {
+				m.Lock()
+				o.add("B")
+				m.Unlock()
+				close(done)
+			}()
+			letOthersRun() // B is enqueued and polling, yielding every 64 polls
+			m.Unlock()
+			o.add("A")
+			<-done
+			if got := o.String(); got != "A B" {
+				t.Errorf("order %q, want %q: the unlock yielded to a successor that was spinning", got, "A B")
+			}
+			if s := m.(Instrumented).Stats(); s.Parks != 0 {
+				t.Errorf("Parks %d, want 0 (B parked inside a 2^30-poll budget)", s.Parks)
+			}
+		})
+	}
+}
+
+// TestHandoffPastAbandonedWaiter: B parks under a context and is
+// cancelled there, C parks behind it. A's unlock must skip B's abandoned
+// slot, grant C, and yield to C — once: the grant is neither lost with B
+// nor announced twice.
+func TestHandoffPastAbandonedWaiter(t *testing.T) {
+	oneP(t)
+	for _, name := range stpLocks() {
+		t.Run(name, func(t *testing.T) {
+			var got string
+			for try := 0; try < yieldAttempts && got != "C A"; try++ {
+				m := MustNew(handoffSpec(name, 0)).(ContextMutex)
+				var o order
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				errc := make(chan error, 1)
+				done := make(chan struct{})
+				m.Lock()
+				go func() { errc <- m.LockContext(ctx) }()
+				letOthersRun() // B parks
+				go func() {
+					m.Lock()
+					o.add("C")
+					m.Unlock()
+					close(done)
+				}()
+				letOthersRun() // C parks behind B
+				cancel()
+				if err := <-errc; !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled waiter: LockContext = %v, want context.Canceled", err)
+				}
+				letOthersRun() // LOITER: C, elevated by B's resignation, parks as standby
+				m.Unlock()
+				o.add("A")
+				<-done
+				got = o.String()
+				s := m.(Instrumented).Stats()
+				if s.Acquires != 2 || s.Cancels != 1 || s.Unparks != 1 {
+					t.Fatalf("Acquires %d, Cancels %d, Unparks %d; want 2, 1 and 1", s.Acquires, s.Cancels, s.Unparks)
+				}
+			}
+			if got != "C A" {
+				t.Errorf("order %q, want %q", got, "C A")
+			}
+		})
+	}
+}

@@ -47,7 +47,8 @@ func freeLifoNode(n *lifoNode) {
 // pops, so the pop path is immune to ABA. LIFO handoff pairs especially
 // well with spin-then-park waiting: the thread most likely to be granted
 // next is the most recently arrived, which is also the thread most likely
-// to still be spinning (§5.1, Appendix A.2).
+// to still be spinning (§5.1, Appendix A.2) — given a spin phase
+// (spin=N); at the default budget of 0 LIFO keeps only its warm cache.
 type LIFOCR struct {
 	// top encodes the composite lock word:
 	//   nil          — unlocked
@@ -181,7 +182,6 @@ func (l *LIFOCR) Unlock() {
 		// unlinking interior nodes is safe; new pushes only change the top.
 		if top.next != nil && l.trial.Promote() {
 			if l.grantEldest(top) {
-				l.stats.Inc(core.EvPromotions)
 				return
 			}
 			continue
@@ -197,7 +197,7 @@ func (l *LIFOCR) Unlock() {
 		}
 		if l.top.CompareAndSwap(top, repl) {
 			if ok, unparked := top.tryGrant(); ok {
-				grantStats(l.stats, unparked)
+				handoffDone(l.stats, unparked)
 				return
 			}
 			l.stats.Inc(core.EvAbandons)
@@ -222,7 +222,8 @@ func (l *LIFOCR) grantEldest(start *lifoNode) bool {
 		eldest := prev.next
 		prev.next = nil
 		if ok, unparked := eldest.tryGrant(); ok {
-			grantStats(l.stats, unparked)
+			l.stats.Inc(core.EvPromotions)
+			handoffDone(l.stats, unparked)
 			return true
 		}
 		l.stats.Inc(core.EvAbandons)

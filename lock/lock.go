@@ -59,6 +59,10 @@
 // analogue of SPARC RD CCR,G0 politeness). WaitSpinThenPark corresponds to
 // "-STP": a bounded spin of Policy.SpinBudget polls followed by parking on
 // a per-waiter Parker, mirroring spin-then-park over lwp_park/lwp_unpark.
+// The budget defaults to zero (a goroutine park costs less than one
+// polite yield: core.DefaultSpinBudget), and an unlock that had to unpark
+// its successor yields its P to it, so the lock is never owned by a
+// goroutine that is merely runnable.
 package lock
 
 import (
@@ -80,8 +84,8 @@ type Mutex interface {
 type WaitPolicy int
 
 const (
-	// WaitSpinThenPark spins for the policy's SpinBudget polls, then
-	// parks. The paper's preferred policy for CR locks ("-STP").
+	// WaitSpinThenPark spins for the policy's SpinBudget polls (default
+	// none), then parks. The paper's preferred policy for CR locks ("-STP").
 	WaitSpinThenPark WaitPolicy = iota
 	// WaitSpin spins politely without bound ("-S").
 	WaitSpin

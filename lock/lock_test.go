@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 func TestMain(m *testing.M) {
@@ -513,6 +515,9 @@ func TestOptionsClamp(t *testing.T) {
 	}
 	if c.patience != 1 || c.arrivalSpins != 1 {
 		t.Fatalf("patience/arrivalSpins not clamped: %d %d", c.patience, c.arrivalSpins)
+	}
+	if got := buildConfig(nil).policy.SpinBudget; got != core.DefaultSpinBudget {
+		t.Fatalf("default spin budget %d, want core.DefaultSpinBudget = %d", got, core.DefaultSpinBudget)
 	}
 }
 

@@ -59,6 +59,19 @@ type loiterStandby struct {
 	parker    *park.Parker
 	state     atomic.Uint32 // sbWaiting / sbGranted / sbCancelled
 	impatient atomic.Bool
+	// parked is set while the standby is in its parker, not polling.
+	// Advisory: a stale read costs or saves wake one yield.
+	parked atomic.Bool
+}
+
+// wake unparks the standby and, if that took it off its parker, hands it
+// this P (see yieldToWoken). The caller is finished with the lock.
+func (sb *loiterStandby) wake() {
+	parked := sb.parked.Load()
+	sb.parker.Unpark()
+	if parked {
+		yieldToWoken()
+	}
 }
 
 // LOITER ("Locking: Outer-Inner with ThRottling", Appendix A.1) is a
@@ -77,7 +90,7 @@ type loiterStandby struct {
 // the lock by direct handoff at the next unlock, bounding starvation.
 //
 // This is the paper's 3-stage waiting policy: spin globally; then enqueue
-// and spin locally; then park.
+// and spin locally (spin=N; none by default); then park.
 type LOITER struct {
 	// outer is the barging-spun lock word; it owns its cache line so the
 	// fast-path CAS storm does not invalidate the standby pointer or the
@@ -275,7 +288,9 @@ func (l *LOITER) standbyWait(sb *loiterStandby, ctx context.Context) {
 		politePause(i)
 	}
 	l.stats.Inc(core.EvParks)
+	sb.parked.Store(true)
 	sb.parker.ParkContext(ctx)
+	sb.parked.Store(false)
 }
 
 // TryLock acquires the lock if the outer word is free.
@@ -308,8 +323,8 @@ func (l *LOITER) Unlock() {
 		sb.state.CompareAndSwap(sbWaiting, sbGranted) {
 		// Anti-starvation direct handoff: ownership conveys; the outer
 		// word stays 1.
-		sb.parker.Unpark()
 		l.stats.Inc3(core.EvPromotions, core.EvHandoffs, core.EvUnparks)
+		sb.wake()
 		return
 	}
 	l.outer.Store(0)
@@ -321,9 +336,11 @@ func (l *LOITER) Unlock() {
 	// necessarily observes outer == 0 before parking. A just-cancelled
 	// standby may be unparked redundantly; the stale permit is harmless.
 	if sb = l.standby.Load(); sb != nil {
-		// Wake the heir presumptive so it can re-contend.
-		sb.parker.Unpark()
+		// Wake the heir presumptive so it can re-contend. It holds the
+		// inner lock, so wasSlow is false: this is the unlock's last act.
 		l.stats.Inc(core.EvUnparks)
+		sb.wake()
+		return
 	}
 	if wasSlow {
 		// We came via the slow path and still hold the inner lock;

@@ -180,8 +180,8 @@ func (l *MCS) Unlock() {
 			}
 		}
 		if ok, unparked := succ.tryGrant(); ok {
-			grantStats(l.stats, unparked)
 			freeMCSNode(n)
+			handoffDone(l.stats, unparked)
 			return
 		}
 		// succ abandoned its acquisition: it becomes the departing head

@@ -164,8 +164,8 @@ func (l *MCSCR) Unlock() {
 	// to be abandoned, fall through to the ordinary release.
 	if l.psSize.Load() > 0 && l.trial.Promote() {
 		if t := l.psPopLiveTail(); t != nil {
-			l.graftAndGrant(n, t)
 			l.stats.Inc(core.EvPromotions)
+			l.graftAndGrant(n, t)
 			return
 		}
 	}
@@ -190,7 +190,7 @@ func (l *MCSCR) releaseChain(n *mcsNode) {
 						freeMCSNode(n)
 						if ok, unparked := t.tryGrant(); ok {
 							l.stats.Inc(core.EvReprovisions)
-							grantStats(l.stats, unparked)
+							handoffDone(l.stats, unparked)
 							return
 						}
 						// t abandoned in the handoff window; it is now the
@@ -231,8 +231,8 @@ func (l *MCSCR) releaseChain(n *mcsNode) {
 			succ = nn
 		}
 		if ok, unparked := succ.tryGrant(); ok {
-			grantStats(l.stats, unparked)
 			freeMCSNode(n)
+			handoffDone(l.stats, unparked)
 			return
 		}
 		// succ abandoned: it becomes the departing head and the walk
@@ -253,7 +253,7 @@ func (l *MCSCR) graftAndGrant(n, t *mcsNode) {
 		if l.tail.CompareAndSwap(n, t) {
 			freeMCSNode(n)
 			if ok, unparked := t.tryGrant(); ok {
-				grantStats(l.stats, unparked)
+				handoffDone(l.stats, unparked)
 				return
 			}
 			l.stats.Inc(core.EvAbandons)
@@ -267,7 +267,7 @@ func (l *MCSCR) graftAndGrant(n, t *mcsNode) {
 	t.next.Store(succ)
 	freeMCSNode(n)
 	if ok, unparked := t.tryGrant(); ok {
-		grantStats(l.stats, unparked)
+		handoffDone(l.stats, unparked)
 		return
 	}
 	l.stats.Inc(core.EvAbandons)

@@ -56,7 +56,7 @@ func Lookup(name string) (Registration, bool) { return registry.Lookup(name) }
 // Parameters (each maps onto the corresponding Option):
 //
 //	fairness=N   Bernoulli promotion period (0 disables)     WithFairnessPeriod
-//	spin=N       spin-then-park poll budget                  WithSpinBudget
+//	spin=N       polls before a waiter parks (default 0)     WithSpinBudget
 //	seed=N       lock-local PRNG seed                        WithSeed
 //	wait=s|stp   waiting policy (spin / spin-then-park)      WithWaitPolicy
 //	patience=N   LOITER standby impatience threshold         WithPatience

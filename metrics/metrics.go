@@ -29,8 +29,9 @@ import (
 const DefaultWindow = 1000
 
 // History is an admission history: element i is the id of the thread that
-// performed the i-th lock acquisition.
-type History []int
+// performed the i-th lock acquisition. Ids are worker indexes and are
+// stored in 32 bits: a 2^20-admission window is 4 MB, not 8.
+type History []int32
 
 // Recorder accumulates an admission history. It is not synchronized: the
 // paper's protocol is to record inside the critical section, where the lock
@@ -52,7 +53,7 @@ type Recorder struct {
 	// distinct is the number of nonzero entries — RecentLWSS(history,
 	// window), maintained incrementally.
 	//lockcheck:guardedby external
-	counts map[int]int
+	counts map[int32]int
 	//lockcheck:guardedby external
 	distinct int
 }
@@ -72,14 +73,19 @@ func NewRecorderWindow(n, window int) *Recorder {
 	return &Recorder{
 		history: make(History, 0, n),
 		window:  window,
-		counts:  make(map[int]int, 64),
+		counts:  make(map[int32]int, 64),
 	}
 }
 
-// Record appends one admission by thread id.
+// Record appends one admission by thread id. The id is stored in 32 bits
+// (see History); one that does not fit is a caller bug and panics.
 //
 //lockcheck:cs
-func (r *Recorder) Record(id int) {
+func (r *Recorder) Record(tid int) {
+	id := int32(tid)
+	if int(id) != tid {
+		panic("metrics: Recorder.Record id does not fit in 32 bits")
+	}
 	r.history = append(r.history, id)
 	if r.counts[id]++; r.counts[id] == 1 {
 		r.distinct++
@@ -122,20 +128,21 @@ func (r *Recorder) Snapshot() History {
 // Len returns the number of recorded admissions.
 func (r *Recorder) Len() int { return len(r.history) }
 
-// Reset discards the recorded history but keeps the capacity. It
+// Reset discards the recorded history but keeps the capacity, the window
+// map's too (callers reset inside their critical section). It
 // invalidates every slice previously returned by History (see the
 // ownership rule there); Snapshot copies are unaffected. The trailing
 // distinct count starts over with the history.
 func (r *Recorder) Reset() {
 	r.history = r.history[:0]
-	r.counts = make(map[int]int, 64)
+	clear(r.counts)
 	r.distinct = 0
 }
 
 // LWSS returns the lock working set size of h: the number of distinct
 // thread ids present.
 func LWSS(h History) int {
-	seen := make(map[int]struct{}, 64)
+	seen := make(map[int32]struct{}, 64)
 	for _, id := range h {
 		seen[id] = struct{}{}
 	}
@@ -194,7 +201,7 @@ func RecentLWSS(h History, window int) int {
 // A thread that reacquires on the very next admission has TTR 1; under a
 // perfectly cyclic schedule over n threads every TTR is n.
 func TTRs(h History) []int {
-	last := make(map[int]int, 64)
+	last := make(map[int32]int, 64)
 	ttrs := make([]int, 0, len(h))
 	for i, id := range h {
 		if prev, ok := last[id]; ok {
@@ -221,8 +228,8 @@ func MTTR(h History) float64 {
 }
 
 // Counts returns the per-thread admission counts of h keyed by thread id.
-func Counts(h History) map[int]int {
-	c := make(map[int]int, 64)
+func Counts(h History) map[int32]int {
+	c := make(map[int32]int, 64)
 	for _, id := range h {
 		c[id]++
 	}

@@ -76,7 +76,7 @@ func TestAvgLWSSBounds(t *testing.T) {
 		rng := xrand.New(seed)
 		h := make(History, int(n))
 		for i := range h {
-			h[i] = rng.Intn(nt)
+			h[i] = int32(rng.Intn(nt))
 		}
 		got := AvgLWSS(h, 8)
 		return got >= 1 && got <= float64(min(8, nt))
@@ -100,7 +100,7 @@ func TestMTTRCyclic(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 8} {
 		h := make(History, n*10)
 		for i := range h {
-			h[i] = i % n
+			h[i] = int32(i % n)
 		}
 		if got := MTTR(h); !almostEq(got, float64(n)) {
 			t.Fatalf("n=%d MTTR=%v", n, got)
@@ -278,13 +278,13 @@ func TestSummarizeFIFOVersusCR(t *testing.T) {
 	fifo := make(History, 0, threads*rounds)
 	for r := 0; r < rounds; r++ {
 		for th := 0; th < threads; th++ {
-			fifo = append(fifo, th)
+			fifo = append(fifo, int32(th))
 		}
 	}
 	rng := xrand.New(1)
 	cr := make(History, 0, threads*rounds)
-	acs := []int{0, 1, 2, 3, 4}
-	nextOutside := 5
+	acs := []int32{0, 1, 2, 3, 4}
+	nextOutside := int32(5)
 	for len(cr) < threads*rounds {
 		for _, th := range acs {
 			cr = append(cr, th)
@@ -416,4 +416,45 @@ func TestNewRecorderDefaultWindow(t *testing.T) {
 		}
 	}()
 	NewRecorderWindow(8, 0)
+}
+
+// TestRecordIDsAreStoredIn32Bits: the history holds int32 ids. Every id
+// that fits round-trips, negative ones included; one that does not is a
+// caller bug and panics instead of aliasing another thread.
+func TestRecordIDsAreStoredIn32Bits(t *testing.T) {
+	r := NewRecorder(4)
+	for _, id := range []int{0, -1, math.MaxInt32, math.MinInt32} {
+		r.Record(id)
+	}
+	if h := r.History(); h[1] != -1 || h[2] != math.MaxInt32 || h[3] != math.MinInt32 {
+		t.Fatalf("ids did not round-trip: %v", h)
+	}
+	big := int64(1) << 32
+	if int64(int(big)) != big {
+		return // 32-bit int: every id fits
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Record(1<<32) did not panic")
+		}
+		if r.Len() != 4 {
+			t.Fatalf("a rejected id was recorded: Len %d", r.Len())
+		}
+	}()
+	r.Record(int(big))
+}
+
+// TestResetDoesNotAllocate: callers swap and reset recorders inside their
+// critical section, so Reset must reuse the window map, not rebuild it.
+func TestResetDoesNotAllocate(t *testing.T) {
+	r := NewRecorder(64)
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 32; i++ {
+			r.Record(i % 8)
+		}
+		r.Reset()
+	})
+	if allocs != 0 {
+		t.Fatalf("Record+Reset cycle allocates %.1f times", allocs)
+	}
 }

@@ -399,3 +399,46 @@ func TestBufferPoolPattern(t *testing.T) {
 		t.Fatalf("buffers leaked: %d want %d", len(pool), buffers)
 	}
 }
+
+// TestReleaseYieldsToWokenWaiter pins Release's directed handoff on one
+// P: A holds the only permit, B parks for it, A releases and then logs.
+// The permit went to B by direct handoff, so B must run with it before A
+// goes on: "B A". One dispatch in 61 polls the global run queue first —
+// where the yielder has just put itself — so the script may be replayed;
+// without the yield the order is "A B" every time.
+func TestReleaseYieldsToWokenWaiter(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	var got string
+	for try := 0; try < 3 && got != "B A"; try++ {
+		s := NewFIFO(1)
+		var mu sync.Mutex
+		got = ""
+		log := func(who string) {
+			mu.Lock()
+			got += who
+			mu.Unlock()
+		}
+		done := make(chan struct{})
+		s.Acquire()
+		go func() {
+			s.Acquire()
+			log("B")
+			s.Release()
+			close(done)
+		}()
+		for s.Waiters() == 0 {
+			runtime.Gosched()
+		}
+		runtime.Gosched() // B, enqueued, runs on into its parker
+		s.Release()
+		log(" A")
+		<-done
+		if st := s.Stats(); st.Parks != 1 || st.Unparks != 1 {
+			t.Fatalf("Parks %d, Unparks %d; want 1 and 1", st.Parks, st.Unparks)
+		}
+	}
+	if got != "B A" {
+		t.Fatalf("order %q, want %q: Release did not yield to the waiter it woke", got, "B A")
+	}
+}

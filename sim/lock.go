@@ -166,7 +166,7 @@ func (l *Lock) Held() bool { return l.held }
 func (l *Lock) admit(t *Thread) {
 	l.held = true
 	l.owner = t
-	l.hist = append(l.hist, t.ID)
+	l.hist = append(l.hist, int32(t.ID))
 	l.stats.Acquires++
 }
 
@@ -175,7 +175,7 @@ func (l *Lock) admit(t *Thread) {
 // is free and unqueued.
 func (l *Lock) tryAcquireNow(t *Thread) bool {
 	if l.kind == KindNull {
-		l.hist = append(l.hist, t.ID)
+		l.hist = append(l.hist, int32(t.ID))
 		l.stats.Acquires++
 		return true
 	}
