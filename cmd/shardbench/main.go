@@ -84,11 +84,11 @@
 // counters land in a "chaos" JSON object per cell and an indented detail
 // line under the table row.
 //
-// The results are written to -json (default BENCH_shard.json; the copy at
-// the repository root tracks the service-path perf trajectory alongside
-// BENCH_locks.json). With -append, an existing -json file is extended to
-// a JSON array of records instead of overwritten — so a chaos run can
-// ride alongside the steady-state record.
+// With -json FILE the results are also written as JSON (BENCH_shard.json
+// at the repository root is one such record, a historical snapshot). With
+// -append, an existing -json file is extended to a JSON array of records
+// instead of overwritten — so a chaos run can ride alongside the
+// steady-state record.
 package main
 
 import (
@@ -134,7 +134,7 @@ func main() {
 		faultSample = flag.Duration("fault-sample", 25*time.Millisecond, "chaos sampler cadence for phase accounting and recovery detection")
 		faultTarget = flag.Float64("fault-target", 0.05, "trailing miss rate at or below which the SLO counts as recovered")
 		seed        = flag.Uint64("seed", 1, "base PRNG seed for locks, backends, and workload")
-		jsonPath    = flag.String("json", "BENCH_shard.json", "write results to this file as JSON ('' disables)")
+		jsonPath    = flag.String("json", "", "write results to this file as JSON ('' disables)")
 		appendJSON  = flag.Bool("append", false, "append the record to -json as a JSON array instead of overwriting")
 		list        = flag.Bool("list", false, "list registered lock, backend, policy, and fault specs with their summaries, then exit")
 	)

@@ -17,7 +17,6 @@ package condvar
 import (
 	"context"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/park"
@@ -105,48 +104,14 @@ func (c *Cond) Wait() {
 	c.L.Lock()
 }
 
-// WaitTimeout is Wait with a deadline. It reports whether the caller was
-// signaled (true) or timed out (false). c.L is reacquired in either case.
-//
-//lockcheck:holds c.L
-func (c *Cond) WaitTimeout(d time.Duration) bool {
-	w := &waiter{parker: park.NewParker()}
-	c.enqueue(w)
-	c.L.Unlock()
-	deadline := time.Now().Add(d)
-	signaled := false
-	for {
-		remain := time.Until(deadline)
-		if !w.parker.ParkTimeout(remain) {
-			// Timed out: remove ourselves unless a signal raced in.
-			c.mu.Lock()
-			if w.signaled {
-				signaled = true
-			} else {
-				c.unlink(w)
-			}
-			c.mu.Unlock()
-			break
-		}
-		c.mu.Lock()
-		done := w.signaled
-		c.mu.Unlock()
-		if done {
-			signaled = true
-			break
-		}
-	}
-	c.L.Lock()
-	return signaled
-}
-
 // WaitContext is Wait with cancellation: it returns nil when the caller
 // was signaled and ctx.Err() when ctx ended first, unlinking the waiter
 // so a later Signal is not consumed by a departed goroutine. As with
 // Wait, c.L is reacquired unconditionally before returning — the caller
 // still holds the lock on the error path and must release it. A signal
 // that races the cancellation wins: WaitContext returns nil and the
-// signal is consumed. An uncancellable ctx degenerates to Wait.
+// signal is consumed. An uncancellable ctx degenerates to Wait; a
+// deadline context is the timed wait.
 //
 //lockcheck:holds c.L
 func (c *Cond) WaitContext(ctx context.Context) error {

@@ -197,13 +197,17 @@ func TestMostlyLIFOAdmissionBias(t *testing.T) {
 	}
 }
 
+// The timed wait is WaitContext under a deadline context.
+
 func TestWaitTimeoutExpires(t *testing.T) {
 	var mu sync.Mutex
 	c := NewFIFO(&mu)
+	start := time.Now() // before the deadline is fixed, or the wait can read short
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
 	mu.Lock()
-	start := time.Now()
-	if c.WaitTimeout(30 * time.Millisecond) {
-		t.Fatal("WaitTimeout reported a signal that never came")
+	if err := c.WaitContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("WaitContext = %v, want context.DeadlineExceeded", err)
 	}
 	mu.Unlock()
 	if time.Since(start) < 25*time.Millisecond {
@@ -221,11 +225,13 @@ func TestWaitTimeoutSignaled(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		c.Signal()
 	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
 	mu.Lock()
-	ok := c.WaitTimeout(5 * time.Second)
+	err := c.WaitContext(ctx)
 	mu.Unlock()
-	if !ok {
-		t.Fatal("missed the signal")
+	if err != nil {
+		t.Fatalf("missed the signal: %v", err)
 	}
 }
 

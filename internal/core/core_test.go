@@ -6,16 +6,8 @@ import (
 )
 
 func TestDefaultPolicy(t *testing.T) {
-	p := DefaultPolicy()
-	if p.FairnessPeriod != 1000 {
-		t.Fatalf("fairness period %d, want the paper's 1000", p.FairnessPeriod)
-	}
-	// The default is "park": on goroutines a park/unpark round trip costs
-	// less than one polite yield of a spin phase (see DefaultSpinBudget).
-	// Negative budgets cannot reach a Policy: lock.WithSpinBudget clamps
-	// them to 0 (lock.TestOptionsClamp).
-	if p.SpinBudget != DefaultSpinBudget || DefaultSpinBudget != 0 {
-		t.Fatalf("spin budget %d (DefaultSpinBudget %d), want 0", p.SpinBudget, DefaultSpinBudget)
+	if DefaultFairnessPeriod != 1000 {
+		t.Fatalf("fairness period %d, want the paper's 1000", DefaultFairnessPeriod)
 	}
 }
 

@@ -57,28 +57,36 @@ func TestRedundantUnparksCollapse(t *testing.T) {
 	}
 }
 
+// The timed park is ParkContext under a deadline context.
+
+func parkFor(p *Parker, d time.Duration) bool {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return p.ParkContext(ctx)
+}
+
 func TestParkTimeoutExpires(t *testing.T) {
 	p := NewParker()
 	start := time.Now()
-	if p.ParkTimeout(20 * time.Millisecond) {
-		t.Fatal("ParkTimeout reported a permit that was never granted")
+	if parkFor(p, 20*time.Millisecond) {
+		t.Fatal("timed park reported a permit that was never granted")
 	}
 	if time.Since(start) < 15*time.Millisecond {
-		t.Fatal("ParkTimeout returned too early")
+		t.Fatal("timed park returned too early")
 	}
 }
 
 func TestParkTimeoutZeroAndNegative(t *testing.T) {
 	p := NewParker()
-	if p.ParkTimeout(0) {
-		t.Fatal("ParkTimeout(0) must not consume a permit that does not exist")
+	if parkFor(p, 0) {
+		t.Fatal("an expired deadline must not consume a permit that does not exist")
 	}
-	if p.ParkTimeout(-time.Second) {
-		t.Fatal("negative timeout must behave like zero")
+	if parkFor(p, -time.Second) {
+		t.Fatal("a deadline in the past must behave like an expired one")
 	}
 	p.Unpark()
-	if !p.ParkTimeout(0) {
-		t.Fatal("ParkTimeout(0) must consume a pending permit")
+	if !parkFor(p, 0) {
+		t.Fatal("an expired deadline must still consume a pending permit")
 	}
 }
 
@@ -88,8 +96,8 @@ func TestParkTimeoutConsumesLatePermit(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		p.Unpark()
 	}()
-	if !p.ParkTimeout(2 * time.Second) {
-		t.Fatal("ParkTimeout missed a permit granted before the deadline")
+	if !parkFor(p, 2*time.Second) {
+		t.Fatal("timed park missed a permit granted before the deadline")
 	}
 }
 
@@ -254,9 +262,9 @@ func TestParkContextNil(t *testing.T) {
 	}
 }
 
-// The three costs core.DefaultSpinBudget's comment weighs against each
-// other: what a waiter pays to park and be woken, and what one polite
-// yield of a spin phase costs with and without other runnable goroutines.
+// The three costs that make lock's spin-then-park waiters park at once:
+// what a waiter pays to park and be woken, and what one polite yield of a
+// spin phase costs with and without other runnable goroutines.
 
 // BenchmarkParkRoundTrip is a ping-pong between two goroutines: one op is
 // a full round trip, two parks and two unparks.

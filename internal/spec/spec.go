@@ -6,7 +6,7 @@
 // with a spec string — a registered name optionally followed by URL-style
 // parameters:
 //
-//	mcscr-stp?fairness=500&spin=4096&seed=42
+//	mcscr-stp?fairness=500&seed=42
 //	skiplist?seed=7
 //
 // The package deliberately carries no domain knowledge. A Registry[B] is

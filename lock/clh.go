@@ -145,9 +145,10 @@ func (l *CLH) TryLockFor(d time.Duration) bool { return tryLockFor(l, d) }
 
 // waitOn waits for a node on the predecessor chain to be granted,
 // inheriting earlier predecessors whenever a cancelled waiter abandons
-// the node being watched. ctx may be nil, or have a nil Done() — first
-// asked for here — and then the wait is unbounded. On err != nil the
-// caller still owns its node and must abandon it itself.
+// the node being watched: under WaitSpin it polls the predecessor's cell,
+// otherwise it parks on it at once. ctx may be nil, or have a nil Done()
+// — first asked for here — and then the wait is unbounded. On err != nil
+// the caller still owns its node and must abandon it itself.
 //
 // Each inheritance step path-compresses: the walker republishes its own
 // node's pred to the inherited target (retarget), so when the walker
@@ -168,54 +169,40 @@ func (l *CLH) waitOn(ctx context.Context, n, pred *clhNode) (parked bool, err er
 		// the tail — so there is no wait, and nothing to ask ctx for.
 		return false, nil
 	}
-	var done <-chan struct{}
+	var done <-chan struct{} // nil never fires below
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	spinOnly := l.cfg.wait == WaitSpin
-	budget := l.cfg.policy.SpinBudget
-	for {
-		// Spin phase on the current predecessor.
-		for i := 0; spinOnly || i < budget; i++ {
-			switch pred.state.Load() {
-			case stateGranted:
-				return parked, nil
-			case stateAbandoned:
-				pred = l.inherit(n, pred)
-				i = 0
-				continue
-			}
-			if done != nil && i%ctxCheckEvery == ctxCheckEvery-1 {
-				select {
-				case <-done:
-					return parked, ctx.Err()
-				default:
-				}
-			}
-			politePause(i)
-		}
-		// Park phase: publish stateParked on the predecessor's cell (or
-		// adopt a parked state left behind by an abandoning waiter). The
-		// full switch is required here, not just in the spin phase: with a
-		// zero spin budget this is the only place granted or abandoned
-		// predecessors are noticed before parking.
-		switch s := pred.state.Load(); s {
+	for i := 0; ; i++ {
+		switch pred.state.Load() {
 		case stateGranted:
 			return parked, nil
 		case stateAbandoned:
 			pred = l.inherit(n, pred)
 			continue
 		case stateWaiting:
+			if l.cfg.wait == WaitSpin {
+				if i%ctxCheckEvery == ctxCheckEvery-1 {
+					select {
+					case <-done:
+						return parked, ctx.Err()
+					default:
+					}
+				}
+				politePause(i)
+				continue
+			}
+			// Publish stateParked on the predecessor's cell.
 			if pred.parker == nil {
 				pred.parker = park.NewParker()
 			}
 			if !pred.state.CompareAndSwap(stateWaiting, stateParked) {
 				continue // granted or abandoned; re-examine
 			}
-		case stateParked:
-			// A cancelled predecessor-watcher left the cell parked; its
-			// parker is published by the CAS that set the state.
 		}
+		// The cell is parked: by us, or left so by a cancelled
+		// predecessor-watcher, whose parker the CAS that set the state
+		// published.
 		parked = true
 		for {
 			pred.parker.ParkContext(ctx)

@@ -3,7 +3,6 @@ package lock
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -44,13 +43,15 @@ func TestCancelStress(t *testing.T) {
 	}
 	for _, name := range contextLocks() {
 		t.Run(name, func(t *testing.T) {
-			// Every waiter parks at once (0, also the default), or polls
-			// first: the abandon CAS must win or lose cleanly against a
-			// grant from either state, and the yield that follows a grant
-			// to a parked waiter must not lose or repeat one.
-			for _, spin := range []int{0, 64} {
-				t.Run(fmt.Sprintf("spin=%d", spin), func(t *testing.T) {
-					m := MustNew(name, WithSeed(1), WithSpinBudget(spin)).(ContextMutex)
+			// Every waiter parks at once, or polls: the abandon CAS must win
+			// or lose cleanly against a grant from either state, and the
+			// yield that follows a grant to a parked waiter must not lose or
+			// repeat one. A name's -s/-stp suffix wins over wait=, so the
+			// mcs* pairs run one shape twice; clh, lifocr and loiter run
+			// both.
+			for _, wait := range []string{"stp", "s"} {
+				t.Run("wait="+wait, func(t *testing.T) {
+					m := MustNew(name + "?seed=1&wait=" + wait).(ContextMutex)
 					var (
 						unprotected int // data race if exclusion fails
 						inside      atomic.Int32
@@ -155,8 +156,7 @@ func TestCancelStress(t *testing.T) {
 func TestCancelParkedWaiter(t *testing.T) {
 	for _, name := range contextLocks() {
 		t.Run(name, func(t *testing.T) {
-			// spin=0 parks (or for spin-free locks, waits) immediately.
-			m := MustNew(name + "?spin=0&seed=2").(ContextMutex)
+			m := MustNew(name + "?seed=2").(ContextMutex)
 			m.Lock()
 			ctx, cancel := context.WithCancel(context.Background())
 			errc := make(chan error, 1)
@@ -187,7 +187,7 @@ func TestCancelParkedWaiter(t *testing.T) {
 func TestCancelChainExcision(t *testing.T) {
 	for _, name := range contextLocks() {
 		t.Run(name, func(t *testing.T) {
-			m := MustNew(name + "?spin=0&seed=3").(ContextMutex)
+			m := MustNew(name + "?seed=3").(ContextMutex)
 			m.Lock()
 			ctx, cancel := context.WithCancel(context.Background())
 			var acquired atomic.Int64
@@ -304,56 +304,64 @@ func TestTryLockFor(t *testing.T) {
 
 // TestMCSCRCancelOnPassiveList drives a waiter into the passive set and
 // cancels it there: the passive-list pops must filter the abandoned node
-// and the PS must fully drain afterwards.
+// and the PS must fully drain afterwards. Culling happens only at unlock,
+// so the test cycles the lock: behind the holder queue the doomed waiter
+// A, then B and C; the holder's unlock culls A (it has two successors)
+// and grants B. A is cancelled while B holds, so nothing can grant it.
 func TestMCSCRCancelOnPassiveList(t *testing.T) {
-	m := MustNew("mcscr-stp?seed=5&spin=0").(*MCSCR)
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		m.Lock()
-		ctx, cancel := context.WithCancel(context.Background())
-		errs := make(chan error, 4)
-		var wg sync.WaitGroup
-		for i := 0; i < 4; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs <- m.LockContext(ctx)
-			}()
+	m := MustNew("mcscr-stp?seed=5&fairness=0").(*MCSCR)
+	deadline := time.Now().Add(30 * time.Second)
+	// enqueue starts f and waits until its acquisition has linked its node
+	// behind the current tail: the cull reads those links.
+	enqueue := func(f func()) {
+		tail := m.tail.Load()
+		go f()
+		if !waitUntil(deadline, func() bool { return tail.next.Load() != nil }) {
+			t.Fatal("waiter never enqueued")
 		}
-		// Cycle the lock so the unlock path culls surplus waiters to the
-		// PS (the culler needs to observe >= 2 chain waiters).
-		if !waitUntil(deadline, func() bool { return m.Stats().Culls > 0 || m.PassiveSize() > 0 }) {
-			cancel()
-			m.Unlock()
-			t.Skip("culling never engaged (single-CPU scheduling); covered by TestCancelStress")
-		}
-		cancel()
-		m.Unlock()
-		granted := 0
-		for i := 0; i < 4; i++ {
-			if err := <-errs; err == nil {
-				granted++
-			}
-		}
-		// Unlock on behalf of any waiters that won grant-wins races; each
-		// unlock also reprovisions/excises from the PS.
-		for i := 0; i < granted; i++ {
-			m.Unlock()
-		}
-		wg.Wait()
-		// Drain: reprovision pops filter abandoned PS entries.
-		runWithTimeout(t, 30*time.Second, func() {
-			for m.PassiveSize() > 0 {
-				m.Lock()
-				m.Unlock()
-			}
-		})
-		if ps := m.PassiveSize(); ps != 0 {
-			t.Fatalf("passive set retained %d abandoned entries", ps)
-		}
-		return // one full round suffices
 	}
-	t.Fatal("test deadline exhausted")
+	m.Lock()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	enqueue(func() { errc <- m.LockContext(ctx) })
+	acquired, release := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ { // B, then C
+		wg.Add(1)
+		enqueue(func() {
+			defer wg.Done()
+			m.Lock()
+			acquired <- struct{}{}
+			<-release
+			m.Unlock()
+		})
+	}
+	awaitAcquired := func() { runWithTimeout(t, 30*time.Second, func() { <-acquired }) }
+	m.Unlock()
+	awaitAcquired() // B owns the lock
+	if s := m.Stats(); s.Culls != 1 || m.PassiveSize() != 1 {
+		t.Fatalf("Culls %d, passive size %d after the first unlock; want 1 and 1", s.Culls, m.PassiveSize())
+	}
+	cancel()
+	var err error
+	runWithTimeout(t, 30*time.Second, func() { err = <-errc })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("waiter on the passive list: LockContext = %v, want context.Canceled", err)
+	}
+	close(release)
+	awaitAcquired() // C: B's unlock granted it, and C's unlock pops the abandoned A
+	runWithTimeout(t, 30*time.Second, wg.Wait)
+	if ps := m.PassiveSize(); ps != 0 {
+		t.Fatalf("passive set retained %d abandoned entries", ps)
+	}
+	if s := m.Stats(); s.Cancels != 1 || s.Abandons != 1 || s.Acquires != 3 {
+		t.Fatalf("Cancels %d, Abandons %d, Acquires %d; want 1, 1 and 3", s.Cancels, s.Abandons, s.Acquires)
+	}
+	runWithTimeout(t, 30*time.Second, func() {
+		m.Lock()
+		m.Unlock()
+	})
 }
 
 // countingCtx counts the Done calls made on the context it wraps.
@@ -376,7 +384,7 @@ func (c *countingCtx) Done() <-chan struct{} {
 func TestLockContextAsksDoneOnlyToWait(t *testing.T) {
 	for _, name := range contextLocks() {
 		t.Run(name, func(t *testing.T) {
-			m := MustNew(name + "?seed=7&spin=64").(ContextMutex)
+			m := MustNew(name + "?seed=7").(ContextMutex)
 			stats := m.(Instrumented).Stats
 
 			live, cancel := context.WithTimeout(context.Background(), time.Hour)

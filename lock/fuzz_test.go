@@ -7,7 +7,7 @@ import "testing"
 // verdict on a constant is production's verdict on the same string.
 func FuzzNew(f *testing.F) {
 	f.Add("mcs-stp")
-	f.Add("mcscr-stp?fairness=500&spin=4096&seed=42")
+	f.Add("mcscr-stp?fairness=500&seed=42&wait=stp")
 	f.Add("mcscr-spt")
 	f.Add("mcs-s?fairness=0")
 	f.Add("tas?spin=-1")

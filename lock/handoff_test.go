@@ -3,7 +3,6 @@ package lock
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -20,18 +19,27 @@ func oneP(t *testing.T) {
 
 // letOthersRun yields until every other goroutine has blocked or, if it
 // spins, has had several quanta. The handoff tests build their locks with
-// arrivals=1 so a LOITER waiter goes straight to the inner queue: with
-// spin=0 nothing on the way to the parker yields, so one pass would do.
+// arrivals=1 so a LOITER waiter goes straight to the inner queue: a
+// parking waiter then meets no yield on the way to its parker, so one
+// pass would do.
 func letOthersRun() {
 	for i := 0; i < 8; i++ {
 		runtime.Gosched()
 	}
 }
 
-// handoffSpec builds name with an explicit spin budget. arrivals is a
-// LOITER parameter; the other locks' grammar accepts and ignores it.
-func handoffSpec(name string, spin int) string {
-	return fmt.Sprintf("%s?seed=1&arrivals=1&spin=%d", name, spin)
+// handoffSpec builds name, or with spin its "-S" form: the -s twin where
+// the name carries the policy, wait=s otherwise. arrivals is a LOITER
+// parameter; the other locks' grammar accepts and ignores it.
+func handoffSpec(name string, spin bool) string {
+	const params = "?seed=1&arrivals=1"
+	if !spin {
+		return name + params
+	}
+	if base, ok := strings.CutSuffix(name, "-stp"); ok {
+		return base + "-s" + params
+	}
+	return name + params + "&wait=s"
 }
 
 // order is an append-only log two goroutines write without the lock.
@@ -67,7 +75,7 @@ func TestDirectedHandoff(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var got string
 			for try := 0; try < yieldAttempts && got != "B A"; try++ {
-				m := MustNew(handoffSpec(name, 0))
+				m := MustNew(handoffSpec(name, false))
 				var o order
 				done := make(chan struct{})
 				m.Lock()
@@ -96,12 +104,12 @@ func TestDirectedHandoff(t *testing.T) {
 
 // TestHandoffToSpinnerDoesNotYield is the other half: a successor that is
 // still polling is already running somewhere, so the unlock that grants
-// it keeps its P — A logs first.
+// it keeps its P — A logs first. Each lock runs in its "-S" form.
 func TestHandoffToSpinnerDoesNotYield(t *testing.T) {
 	oneP(t)
 	for _, name := range stpLocks() {
 		t.Run(name, func(t *testing.T) {
-			m := MustNew(handoffSpec(name, 1<<30))
+			m := MustNew(handoffSpec(name, true))
 			var o order
 			done := make(chan struct{})
 			m.Lock()
@@ -119,7 +127,7 @@ func TestHandoffToSpinnerDoesNotYield(t *testing.T) {
 				t.Errorf("order %q, want %q: the unlock yielded to a successor that was spinning", got, "A B")
 			}
 			if s := m.(Instrumented).Stats(); s.Parks != 0 {
-				t.Errorf("Parks %d, want 0 (B parked inside a 2^30-poll budget)", s.Parks)
+				t.Errorf("Parks %d, want 0 (B parked under WaitSpin)", s.Parks)
 			}
 		})
 	}
@@ -135,7 +143,7 @@ func TestHandoffPastAbandonedWaiter(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var got string
 			for try := 0; try < yieldAttempts && got != "C A"; try++ {
-				m := MustNew(handoffSpec(name, 0)).(ContextMutex)
+				m := MustNew(handoffSpec(name, false)).(ContextMutex)
 				var o order
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()

@@ -47,8 +47,8 @@ func freeLifoNode(n *lifoNode) {
 // pops, so the pop path is immune to ABA. LIFO handoff pairs especially
 // well with spin-then-park waiting: the thread most likely to be granted
 // next is the most recently arrived, which is also the thread most likely
-// to still be spinning (§5.1, Appendix A.2) — given a spin phase
-// (spin=N); at the default budget of 0 LIFO keeps only its warm cache.
+// to still be spinning (§5.1, Appendix A.2) — on kernel threads; here a
+// spin-then-park waiter parks at once, so LIFO keeps only its warm cache.
 type LIFOCR struct {
 	// top encodes the composite lock word:
 	//   nil          — unlocked
@@ -80,7 +80,7 @@ func NewLIFOCR(opts ...Option) *LIFOCR {
 	cfg := buildConfig(opts)
 	return &LIFOCR{
 		cfg:   cfg,
-		trial: core.NewTrial(cfg.policy.FairnessPeriod, cfg.policy.Seed),
+		trial: core.NewTrial(cfg.fairness, cfg.seed),
 		stats: cfg.newStats(),
 	}
 }
@@ -129,13 +129,7 @@ func (l *LIFOCR) lockStack(ctx context.Context) error {
 			break
 		}
 	}
-	var parked bool
-	var err error
-	if ctx == nil {
-		parked = n.await(l.cfg.wait, l.cfg.policy.SpinBudget)
-	} else {
-		parked, err = n.awaitCtx(ctx, l.cfg.wait, l.cfg.policy.SpinBudget)
-	}
+	parked, err := n.await(ctx, l.cfg.wait)
 	if err != nil {
 		// The node is now stateAbandoned and stays on the stack; the
 		// holder reclaims it when a pop reaches it.

@@ -34,7 +34,7 @@
 // # Construction
 //
 // Locks are usually built from a registry spec — New("mcscr-stp"),
-// New("clh?wait=s&spin=1024") — so lock choice and tuning can live in
+// New("clh?wait=s&seed=42") — so lock choice and tuning can live in
 // configuration; Names lists the registered implementations and Register
 // adds new ones. The typed constructors (NewMCSCR, NewTAS, ...) remain
 // for callers that want the concrete types.
@@ -57,12 +57,12 @@
 // WaitSpin corresponds to the paper's "-S" variants: polite unbounded
 // spinning (the poll loop yields to the Go scheduler periodically, the
 // analogue of SPARC RD CCR,G0 politeness). WaitSpinThenPark corresponds to
-// "-STP": a bounded spin of Policy.SpinBudget polls followed by parking on
-// a per-waiter Parker, mirroring spin-then-park over lwp_park/lwp_unpark.
-// The budget defaults to zero (a goroutine park costs less than one
-// polite yield: core.DefaultSpinBudget), and an unlock that had to unpark
-// its successor yields its P to it, so the lock is never owned by a
-// goroutine that is merely runnable.
+// "-STP", spin-then-park over lwp_park/lwp_unpark, without the spin: a
+// waiter parks at once on a per-waiter Parker, because a goroutine park
+// and its wake cost less than one polite yield of a spin phase (see
+// politePause). An unlock that had to unpark its successor yields its P
+// to it, so the lock is never owned by a goroutine that is merely
+// runnable.
 package lock
 
 import (
@@ -84,8 +84,9 @@ type Mutex interface {
 type WaitPolicy int
 
 const (
-	// WaitSpinThenPark spins for the policy's SpinBudget polls (default
-	// none), then parks. The paper's preferred policy for CR locks ("-STP").
+	// WaitSpinThenPark parks at once: the paper's preferred policy for CR
+	// locks ("-STP") without its spin phase, which costs a goroutine more
+	// than the park.
 	WaitSpinThenPark WaitPolicy = iota
 	// WaitSpin spins politely without bound ("-S").
 	WaitSpin
@@ -106,8 +107,11 @@ func (w WaitPolicy) String() string {
 // Option configures a lock at construction time.
 type Option func(*config)
 
+// config carries a lock's tunables. The paper stresses parameter
+// parsimony: the ACS size is never a tunable — it emerges from culling.
 type config struct {
-	policy       core.Policy
+	fairness     uint64 // Bernoulli promotion period (MCSCR, LIFOCR)
+	seed         uint64 // fairness-trial PRNG seed
 	wait         WaitPolicy
 	patience     int  // LOITER standby impatience threshold
 	arrivalSpins int  // LOITER fast-path attempt bound
@@ -116,7 +120,7 @@ type config struct {
 
 func defaultConfig() config {
 	return config{
-		policy:       core.DefaultPolicy(),
+		fairness:     core.DefaultFairnessPeriod,
 		wait:         WaitSpinThenPark,
 		patience:     DefaultPatience,
 		arrivalSpins: DefaultArrivalSpins,
@@ -149,23 +153,13 @@ func WithWaitPolicy(w WaitPolicy) Option {
 // eldest passive thread with probability 1/k per unlock). 0 disables
 // long-term fairness enforcement. Default 1000, as in the paper.
 func WithFairnessPeriod(k uint64) Option {
-	return func(c *config) { c.policy.FairnessPeriod = k }
-}
-
-// WithSpinBudget sets the spin-then-park spin budget in poll iterations.
-func WithSpinBudget(n int) Option {
-	return func(c *config) {
-		if n < 0 {
-			n = 0
-		}
-		c.policy.SpinBudget = n
-	}
+	return func(c *config) { c.fairness = k }
 }
 
 // WithSeed seeds the lock-local PRNG used by fairness trials, making runs
 // reproducible. Zero (the default) selects a fixed internal seed.
 func WithSeed(seed uint64) Option {
-	return func(c *config) { c.policy.Seed = seed }
+	return func(c *config) { c.seed = seed }
 }
 
 // WithStats enables or disables event-counter maintenance (default

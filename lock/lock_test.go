@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 func TestMain(m *testing.M) {
@@ -329,11 +327,11 @@ func waitUntil(deadline time.Time, cond func() bool) bool {
 // it so the standby's next attempt fails too (attempt 2 > patience 1 →
 // impatient), wait for it to park again, and unlock — the unlock path
 // must now convey ownership by direct handoff (a Promotions event).
-// Spin budget 0 makes each failed standby attempt park immediately, so
-// the LOITER Parks counter is the progress signal. Rounds retry only the
-// one racy step (retaking the lock before the woken standby).
+// A spin-then-park standby parks at each failed attempt, so the LOITER
+// Parks counter is the progress signal. Rounds retry only the one racy
+// step (retaking the lock before the woken standby).
 func TestLOITERImpatienceHandoff(t *testing.T) {
-	m := NewLOITER(WithPatience(1), WithArrivalSpins(1), WithSpinBudget(0))
+	m := NewLOITER(WithPatience(1), WithArrivalSpins(1))
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
 		base := m.Stats()
@@ -509,15 +507,9 @@ func TestWaitPolicyString(t *testing.T) {
 }
 
 func TestOptionsClamp(t *testing.T) {
-	c := buildConfig([]Option{WithSpinBudget(-5), WithPatience(0), WithArrivalSpins(0)})
-	if c.policy.SpinBudget != 0 {
-		t.Fatalf("negative spin budget not clamped: %d", c.policy.SpinBudget)
-	}
+	c := buildConfig([]Option{WithPatience(0), WithArrivalSpins(0)})
 	if c.patience != 1 || c.arrivalSpins != 1 {
 		t.Fatalf("patience/arrivalSpins not clamped: %d %d", c.patience, c.arrivalSpins)
-	}
-	if got := buildConfig(nil).policy.SpinBudget; got != core.DefaultSpinBudget {
-		t.Fatalf("default spin budget %d, want core.DefaultSpinBudget = %d", got, core.DefaultSpinBudget)
 	}
 }
 

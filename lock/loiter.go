@@ -90,7 +90,8 @@ func (sb *loiterStandby) wake() {
 // the lock by direct handoff at the next unlock, bounding starvation.
 //
 // This is the paper's 3-stage waiting policy: spin globally; then enqueue
-// and spin locally (spin=N; none by default); then park.
+// and spin locally; then park. Here the middle stage is WaitSpin's alone:
+// a spin-then-park waiter parks as soon as it has enqueued.
 type LOITER struct {
 	// outer is the barging-spun lock word; it owns its cache line so the
 	// fast-path CAS storm does not invalidate the standby pointer or the
@@ -132,11 +133,7 @@ func init() {
 func NewLOITER(opts ...Option) *LOITER {
 	cfg := buildConfig(opts)
 	return &LOITER{
-		inner: NewMCS(
-			WithWaitPolicy(cfg.wait),
-			WithSpinBudget(cfg.policy.SpinBudget),
-			WithStats(!cfg.noStats),
-		),
+		inner: NewMCS(WithWaitPolicy(cfg.wait), WithStats(!cfg.noStats)),
 		cfg:   cfg,
 		stats: cfg.newStats(),
 	}
@@ -259,33 +256,33 @@ func (l *LOITER) lockSlow(ctx context.Context) error {
 	return nil
 }
 
-// standbyWait waits for the outer lock to change state: a bounded polite
-// spin, then (under spin-then-park) parking until the unlock path's
+// standbyWait waits for the outer lock to change state: under WaitSpin a
+// polite poll, otherwise parking at once until the unlock path's
 // heir-presumptive unpark — or ctx cancellation, handled by the caller.
+// The poll returns on an unpark too, so impatience counts the same
+// wake-ups under either policy.
 func (l *LOITER) standbyWait(sb *loiterStandby, ctx context.Context) {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	budget := l.cfg.policy.SpinBudget
 	if l.cfg.wait == WaitSpin {
-		budget = 1 << 62 // unbounded
-	}
-	for i := 0; i < budget; i++ {
-		if sb.state.Load() != sbWaiting || l.outer.Load() == 0 {
-			return
+		var done <-chan struct{} // nil never fires below
+		if ctx != nil {
+			done = ctx.Done()
 		}
-		if sb.parker.TryConsume() {
-			return // unpark raced ahead of our park
-		}
-		if done != nil && i%ctxCheckEvery == ctxCheckEvery-1 {
-			select {
-			case <-done:
+		for i := 0; ; i++ {
+			if sb.state.Load() != sbWaiting || l.outer.Load() == 0 {
 				return
-			default:
 			}
+			if sb.parker.TryConsume() {
+				return // an unlock woke us
+			}
+			if i%ctxCheckEvery == ctxCheckEvery-1 {
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+			politePause(i)
 		}
-		politePause(i)
 	}
 	l.stats.Inc(core.EvParks)
 	sb.parked.Store(true)

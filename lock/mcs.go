@@ -117,13 +117,7 @@ func (l *MCS) lockChain(ctx context.Context) error {
 		return nil
 	}
 	pred.next.Store(n)
-	var parked bool
-	var err error
-	if ctx == nil {
-		parked = n.await(l.cfg.wait, l.cfg.policy.SpinBudget)
-	} else {
-		parked, err = n.awaitCtx(ctx, l.cfg.wait, l.cfg.policy.SpinBudget)
-	}
+	parked, err := n.await(ctx, l.cfg.wait)
 	if err != nil {
 		// The node is now stateAbandoned; the unlock path owns it.
 		cancelStats(l.stats, parked)

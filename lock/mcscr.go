@@ -63,7 +63,7 @@ func NewMCSCR(opts ...Option) *MCSCR {
 	cfg := buildConfig(opts)
 	return &MCSCR{
 		cfg:   cfg,
-		trial: core.NewTrial(cfg.policy.FairnessPeriod, cfg.policy.Seed),
+		trial: core.NewTrial(cfg.fairness, cfg.seed),
 		stats: cfg.newStats(),
 	}
 }
@@ -110,13 +110,7 @@ func (l *MCSCR) lockChain(ctx context.Context) error {
 		return nil
 	}
 	pred.next.Store(n)
-	var parked bool
-	var err error
-	if ctx == nil {
-		parked = n.await(l.cfg.wait, l.cfg.policy.SpinBudget)
-	} else {
-		parked, err = n.awaitCtx(ctx, l.cfg.wait, l.cfg.policy.SpinBudget)
-	}
+	parked, err := n.await(ctx, l.cfg.wait)
 	if err != nil {
 		// The node is now stateAbandoned; an unlock path owns it.
 		cancelStats(l.stats, parked)

@@ -49,16 +49,15 @@ func Lookup(name string) (Registration, bool) { return registry.Lookup(name) }
 // optionally followed by URL-style parameters:
 //
 //	"mcscr-stp"
-//	"mcscr-stp?fairness=500&spin=4096&seed=42"
+//	"mcscr-stp?fairness=500&seed=42"
 //	"clh?wait=s"
 //	"loiter?patience=16&arrivals=8&stats=false"
 //
 // Parameters (each maps onto the corresponding Option):
 //
 //	fairness=N   Bernoulli promotion period (0 disables)     WithFairnessPeriod
-//	spin=N       polls before a waiter parks (default 0)     WithSpinBudget
 //	seed=N       lock-local PRNG seed                        WithSeed
-//	wait=s|stp   waiting policy (spin / spin-then-park)      WithWaitPolicy
+//	wait=s|stp   waiting policy (spin / park)                WithWaitPolicy
 //	patience=N   LOITER standby impatience threshold         WithPatience
 //	arrivals=N   LOITER bounded arrival attempts             WithArrivalSpins
 //	stats=BOOL   event-counter maintenance                   WithStats
@@ -106,13 +105,6 @@ var grammar = spec.NewGrammar[Option]("lock", map[string]spec.ParamFunc[Option]{
 			return nil, err
 		}
 		return WithFairnessPeriod(n), nil
-	},
-	"spin": func(v string) (Option, error) {
-		n, err := spec.NonNegInt(v)
-		if err != nil {
-			return nil, err
-		}
-		return WithSpinBudget(n), nil
 	},
 	"seed": func(v string) (Option, error) {
 		n, err := spec.Uint(v)

@@ -67,13 +67,13 @@ func TestRegistryAliases(t *testing.T) {
 // TestSpecParameters verifies that spec parameters reach the lock's
 // configuration and that they override programmatic options.
 func TestSpecParameters(t *testing.T) {
-	m := MustNew("mcscr-stp?fairness=500&spin=128&seed=42")
+	m := MustNew("mcscr-stp?fairness=500&seed=42")
 	l, ok := m.(*MCSCR)
 	if !ok {
 		t.Fatalf("spec built %T, want *MCSCR", m)
 	}
-	if l.cfg.policy.FairnessPeriod != 500 || l.cfg.policy.SpinBudget != 128 || l.cfg.policy.Seed != 42 {
-		t.Fatalf("spec params not applied: %+v", l.cfg.policy)
+	if l.cfg.fairness != 500 || l.cfg.seed != 42 {
+		t.Fatalf("spec params not applied: %+v", l.cfg)
 	}
 	if l.cfg.wait != WaitSpinThenPark {
 		t.Fatal("mcscr-stp did not select spin-then-park")
@@ -81,7 +81,7 @@ func TestSpecParameters(t *testing.T) {
 
 	// Spec overrides programmatic options.
 	m = MustNew("mcscr-stp?fairness=7", WithFairnessPeriod(1000))
-	if got := m.(*MCSCR).cfg.policy.FairnessPeriod; got != 7 {
+	if got := m.(*MCSCR).cfg.fairness; got != 7 {
 		t.Fatalf("spec did not override option: fairness=%d want 7", got)
 	}
 
@@ -116,8 +116,7 @@ func TestSpecErrors(t *testing.T) {
 		"nosuch":              "unknown lock",
 		"":                    "unknown lock",
 		"mcs-stp?bogus=1":     "unknown parameter",
-		"mcs-stp?spin=abc":    "bad value",
-		"mcs-stp?spin=-1":     "bad value",
+		"mcscr-stp?spin=64":   "unknown parameter",
 		"mcs-stp?fairness=-1": "bad value",
 		"mcs-stp?wait=never":  "bad value",
 		"loiter?patience=0":   "bad value",

@@ -21,8 +21,8 @@ const politeEvery = 64
 // trip through the global run queue, 0.09 µs alone and 0.8–3.4 µs behind
 // eight runnable peers, against ~0.2 µs to park and be woken — the right
 // trade only where spinning is the whole policy ("-S" locks, tas, ticket,
-// the unlock paths' link waits). A spin-then-park waiter pays it only if
-// its spec asks for a spin phase (core.DefaultSpinBudget).
+// the unlock paths' link waits). A spin-then-park waiter therefore parks
+// at once: its spin phase would cost more than the park it postponed.
 func politePause(i int) {
 	if i%politeEvery == politeEvery-1 {
 		runtime.Gosched()
@@ -34,8 +34,8 @@ func politePause(i int) {
 //	granter:  tryGrant: CAS(waiting→granted) or CAS(parked→granted)
 //	          (unparking in the latter case); an abandoned cell is skipped.
 //	          An unlock that had to unpark ends in handoffDone's yield.
-//	waiter:   spin while state != granted (budget polls);
-//	          then CAS(waiting→parked) and park until granted;
+//	waiter:   under WaitSpin, poll while state != granted; otherwise
+//	          CAS(waiting→parked) at once and park until granted;
 //	          on context cancellation, CAS(waiting|parked→abandoned).
 //
 // Exactly one of the racing transitions wins: a waiter whose abandon CAS
@@ -116,7 +116,7 @@ func (w *waitCell) tryGrant() (ok, unparked bool) {
 // predecessor's cell, so the abandoning owner must unpark it). It reports
 // whether the abandon won; false means the cell was granted first and the
 // caller owns the lock. Used for cells other goroutines wait on; a waiter
-// abandoning the cell it itself parks on uses awaitCtx's inline CASes.
+// abandoning the cell it itself parks on uses await's inline CASes.
 func (w *waitCell) abandon() bool {
 	for {
 		switch s := w.state.Load(); s {
@@ -137,82 +137,53 @@ func (w *waitCell) abandon() bool {
 	}
 }
 
-// await blocks until grant, using the given policy and spin budget.
-// It reports whether the waiter parked at least once.
-func (w *waitCell) await(policy WaitPolicy, budget int) (parked bool) {
-	if policy == WaitSpin {
-		for i := 0; w.state.Load() != stateGranted; i++ {
-			politePause(i)
-		}
-		return false
-	}
-	for i := 0; i < budget; i++ {
-		if w.state.Load() == stateGranted {
-			return false
-		}
-		politePause(i)
-	}
-	// Budget exhausted: advertise that we are parking. The parker must
-	// exist before the CAS publishes stateParked — the granter reads
-	// w.parker only after observing stateParked, so the CAS's release
-	// ordering makes the plain parker store visible to it. If the CAS
-	// fails the grant already happened.
-	if w.parker == nil {
-		w.parker = park.NewParker()
-	}
-	if !w.state.CompareAndSwap(stateWaiting, stateParked) {
-		return false
-	}
-	for w.state.Load() != stateGranted {
-		w.parker.Park() // spurious returns re-check the flag
-	}
-	return true
-}
-
-// awaitCtx is await with cancellation. This is where a queued
+// await blocks until the cell is granted: under WaitSpin it polls
+// politely, otherwise it parks at once. This is where a queued
 // acquisition first asks for ctx.Done() — its caller has enqueued and is
-// about to wait — and a nil channel (ctx can never be cancelled) means
-// the plain await. On err == nil the waiter was granted and owns the
-// lock. On err != nil the cell has been atomically moved to
-// stateAbandoned: the waiter must NOT free the node — ownership of it
-// passes to whichever unlock path excises it — and must not touch the
-// cell again. parked reports whether the waiter parked at least once.
+// about to wait — and a nil ctx or a nil channel means the wait cannot be
+// cancelled (a nil channel never fires below). On err == nil the waiter
+// was granted and owns the lock. On err != nil the cell has been
+// atomically moved to stateAbandoned: the waiter must NOT free the node —
+// ownership of it passes to whichever unlock path excises it — and must
+// not touch the cell again. parked reports whether the waiter parked.
 //
 // Grant-wins: when a grant races the cancellation, the CAS to abandoned
-// fails, the waiter keeps the lock, and awaitCtx returns nil even though
+// fails, the waiter keeps the lock, and await returns nil even though
 // ctx is done. Callers surface that as a successful acquisition — the
 // lock must then be unlocked as usual.
-func (w *waitCell) awaitCtx(ctx context.Context, policy WaitPolicy, budget int) (parked bool, err error) {
-	done := ctx.Done()
-	if done == nil {
-		return w.await(policy, budget), nil
+func (w *waitCell) await(ctx context.Context, policy WaitPolicy) (parked bool, err error) {
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
 	}
-	spinOnly := policy == WaitSpin
-	for i := 0; spinOnly || i < budget; i++ {
-		if w.state.Load() == stateGranted {
-			return false, nil
-		}
-		if i%ctxCheckEvery == ctxCheckEvery-1 {
-			select {
-			case <-done:
-				if w.state.CompareAndSwap(stateWaiting, stateAbandoned) {
-					return false, ctx.Err()
+	if policy == WaitSpin {
+		for i := 0; w.state.Load() != stateGranted; i++ {
+			if i%ctxCheckEvery == ctxCheckEvery-1 {
+				select {
+				case <-done:
+					if w.state.CompareAndSwap(stateWaiting, stateAbandoned) {
+						return false, ctx.Err()
+					}
+					// The CAS can only lose to a grant (we never parked):
+					// grant-wins, we own the lock.
+					return false, nil
+				default:
 				}
-				// The CAS can only lose to a grant (we never parked):
-				// grant-wins, we own the lock.
-				return false, nil
-			default:
 			}
+			politePause(i)
 		}
-		politePause(i)
+		return false, nil
 	}
-	// Budget exhausted: advertise that we are parking (see await for the
-	// parker-visibility argument; identical here).
+	// Advertise that we are parking. The parker must exist before the CAS
+	// publishes stateParked — the granter reads w.parker only after
+	// observing stateParked, so the CAS's release ordering makes the plain
+	// parker store visible to it. If the CAS fails the grant already
+	// happened.
 	if w.parker == nil {
 		w.parker = park.NewParker()
 	}
 	if !w.state.CompareAndSwap(stateWaiting, stateParked) {
-		return false, nil // grant already happened
+		return false, nil
 	}
 	for {
 		w.parker.ParkContext(ctx)

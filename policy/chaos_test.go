@@ -145,9 +145,11 @@ func TestChaosStallStormDemoteRecover(t *testing.T) {
 
 	// Phase 2 — inject. The storm must demote the stripe to the culling
 	// lock while the fault is still active.
+	// The controller publishes a swap before it counts it, so each wait
+	// below also waits for the count to catch up with the spec.
 	set.Arm()
 	waitFor("slo to demote the stormed stripe", func() bool {
-		return lockSpecOf(idx) == "mcscr-stp"
+		return lockSpecOf(idx) == "mcscr-stp" && ctl.Swaps() >= 1
 	})
 	if !set.Active() {
 		t.Fatal("fault no longer active at demotion — the storm script is wrong")
@@ -170,7 +172,7 @@ func TestChaosStallStormDemoteRecover(t *testing.T) {
 	// FIFO spec, exactly once.
 	set.Disarm()
 	waitFor("slo to restore the original spec", func() bool {
-		return lockSpecOf(idx) == "mcs-stp"
+		return lockSpecOf(idx) == "mcs-stp" && ctl.Swaps() >= 2
 	})
 	if got := ctl.Swaps(); got != 2 {
 		t.Fatalf("Swaps = %d after restore, want 2 (demote + restore)", got)

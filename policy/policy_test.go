@@ -195,7 +195,7 @@ func TestMalthusianAlreadyHot(t *testing.T) {
 	// collapsed it looks — including when its spec carries parameters
 	// the bare hot= default lacks: demoting "mcscr-stp?fairness=500" to
 	// "mcscr-stp" would discard the tuning and churn the queue.
-	for _, spec := range []string{DefaultHotLockSpec, "mcscr-stp?fairness=500&spin=128"} {
+	for _, spec := range []string{DefaultHotLockSpec, "mcscr-stp?fairness=500&seed=42"} {
 		p := MustNew("malthusian?parks=10&hold=1")
 		prev := snap(0, spec, "hashmap", 0, 0, 0, 64)
 		cur := snap(0, spec, "hashmap", 1<<20, 1<<20, 0, 64)
