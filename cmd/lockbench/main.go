@@ -9,7 +9,7 @@
 //	lockbench -lock mcscr-stp -threads 8 -duration 2s
 //	lockbench -lock 'mcscr-stp?fairness=500&seed=42' -threads 16
 //	lockbench -lock all -threads 16 -ncs 2000   (every lock but null)
-//	lockbench -lock all -json BENCH_locks.json
+//	lockbench -lock all -json /tmp/locks.json
 //
 // With -cancel-frac F (and -cancel-after D), that fraction of
 // acquisitions goes through LockContext with a deadline of D, and the
@@ -18,9 +18,9 @@
 // its cost to the surviving acquisitions.
 //
 // With -json, the results table (plus each lock's CR event counters) is
-// also written to the named file as a machine-readable benchmark record;
-// BENCH_locks.json checked into the repository root tracks the perf
-// trajectory across changes.
+// also written to the named file as a machine-readable record of one run.
+// The repository's performance trajectory is not kept here but in
+// benchmark/results/history.jsonl (go run ./benchmark).
 //
 // Note: host-machine numbers demonstrate lock overheads and fairness
 // behaviour, not the paper's hardware collapse curves — those come from
@@ -68,7 +68,7 @@ type result struct {
 }
 
 // record is the top-level -json document: enough environment detail to
-// compare BENCH_locks.json files across machines and changes.
+// compare two records across machines and changes.
 type record struct {
 	GOMAXPROCS  int      `json:"gomaxprocs"`
 	NumCPU      int      `json:"num_cpu"`

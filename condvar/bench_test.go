@@ -1,6 +1,7 @@
 package condvar
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,15 +26,26 @@ type waitSignaler interface {
 	Signal()
 }
 
-// BenchmarkProdCons is the §6.7 bounded queue on goroutines: 12 producers
-// and 3 consumers over one mcscr-stp mutex and two condition variables,
-// one op per message. "under" signals while holding the mutex (the usual
-// discipline, and examples/pipeline's); "after" signals once it is
-// released. sync.Cond over the same mutex is the bystander row (ROADMAP
-// item 3's comparator). Exported API only, so the file builds against an
-// older commit for a before/after.
+// BenchmarkProdCons is the §6.7 bounded queue on goroutines: producers and
+// consumers over one mcscr-stp mutex and two condition variables, one op
+// per message, in five shapes — producer-heavy, consumer-heavy, a
+// one-slot handoff, a crowd on a small queue, and a quiet one-slot pair.
+// "under" signals while holding the mutex (the usual discipline, and
+// examples/pipeline's); "after" signals once it is released. sync.Cond
+// over the same mutex is the bystander row (ROADMAP item 3's comparator).
+// Exported API only, so the file builds against an older commit for a
+// before/after.
 func BenchmarkProdCons(b *testing.B) {
-	const producers, consumers, capacity = 12, 3, 64
+	for _, shape := range []struct{ producers, consumers, capacity int }{
+		{12, 3, 64}, {3, 12, 64}, {8, 8, 1}, {32, 32, 4}, {2, 2, 1},
+	} {
+		b.Run(fmt.Sprintf("%dp%dc-q%d", shape.producers, shape.consumers, shape.capacity), func(b *testing.B) {
+			benchProdCons(b, shape.producers, shape.consumers, shape.capacity)
+		})
+	}
+}
+
+func benchProdCons(b *testing.B, producers, consumers, capacity int) {
 	type conds func(l sync.Locker) (notEmpty, notFull waitSignaler)
 	kinds := []struct {
 		name string

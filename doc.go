@@ -9,8 +9,8 @@
 //     and striped, optionally disabled (WithStats) event counters. Locks
 //     are built from registry specs (lock.New("mcscr-stp?fairness=500"))
 //     and every implementation satisfies lock.ContextMutex — acquisition
-//     with context cancellation and deadlines (LockContext, TryLockFor),
-//     with waiter-excision protocols specified in DESIGN.md;
+//     bounded by context cancellation and deadlines (LockContext), with
+//     waiter-excision protocols specified in DESIGN.md;
 //   - packages condvar and semaphore: concurrency-restricting waiter
 //     admission (mostly-LIFO) for condition variables and semaphores;
 //     condvar adds context-aware waiting (WaitContext);

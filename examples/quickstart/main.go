@@ -6,13 +6,14 @@
 // into a passive set (improving cache residency for the active ones) and
 // periodically promotes the eldest passive thread for long-term fairness.
 // Every lock also satisfies lock.ContextMutex, so request-scoped code can
-// bound its wait with a context or a duration.
+// bound its wait with a context — a deadline context for a duration.
 //
 //	go run ./examples/quickstart
 //	go run ./examples/quickstart 'lifocr?fairness=100&seed=7'
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -69,18 +70,23 @@ func main() {
 	// request whose budget runs out abandons its place in the queue
 	// instead of waiting forever.
 	cm := m.(lock.ContextMutex)
+	lockFor := func(d time.Duration) error {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		defer cancel()
+		return cm.LockContext(ctx)
+	}
 	m.Lock()
 	start := time.Now()
-	if cm.TryLockFor(25 * time.Millisecond) {
-		fmt.Println("TryLockFor unexpectedly succeeded on a held lock")
+	if err := lockFor(25 * time.Millisecond); err == nil {
+		fmt.Println("LockContext unexpectedly succeeded on a held lock")
 		m.Unlock()
 	} else {
-		fmt.Printf("TryLockFor gave up after %v (lock was held), as a deadline-bound request should\n",
-			time.Since(start).Round(time.Millisecond))
+		fmt.Printf("LockContext gave up after %v with %v (lock was held), as a deadline-bound request should\n",
+			time.Since(start).Round(time.Millisecond), err)
 	}
 	//lockcheck:ignore cm is m through a type assertion, an alias the lockset cannot prove
 	m.Unlock()
-	if cm.TryLockFor(25 * time.Millisecond) {
+	if lockFor(25*time.Millisecond) == nil {
 		fmt.Println("...and acquired immediately once the lock was free")
 		//lockcheck:ignore cm is m through a type assertion, an alias the lockset cannot prove
 		m.Unlock()

@@ -37,10 +37,10 @@
 // stamp validation (not mutual exclusion) supplying correctness. Such
 // a function must not directly:
 //
-//   - call a lock-acquisition method (Lock, LockContext, TryLock,
-//     TryLockFor, RLock, TryRLock, Acquire, AcquireContext, AcquireFor —
-//     on any receiver: one lock acquire and the "wait-free read" claim,
-//     and its counters, are fiction);
+//   - call a lock-acquisition method (Lock, LockContext, TryLock, RLock,
+//     TryRLock, Acquire, AcquireContext — on any receiver: one lock
+//     acquire and the "wait-free read" claim, and its counters, are
+//     fiction);
 //   - block: channel send/receive/select, goroutine launch, or
 //     time.Sleep/After/Tick/NewTimer/NewTicker/AfterFunc;
 //   - plainly store to shared state (assignment or ++/-- whose target
@@ -111,9 +111,9 @@ var patientMethods = map[string]bool{
 // core.Locker family, sync locks, and the semaphore), denied on any
 // receiver inside an optimistic read section.
 var optDeniedLockMethods = map[string]bool{
-	"Lock": true, "LockContext": true, "TryLock": true, "TryLockFor": true,
+	"Lock": true, "LockContext": true, "TryLock": true,
 	"RLock": true, "TryRLock": true,
-	"Acquire": true, "AcquireContext": true, "AcquireFor": true,
+	"Acquire": true, "AcquireContext": true,
 }
 
 // optDeniedTime are the time functions that block or enlist the runtime

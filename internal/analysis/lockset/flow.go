@@ -747,10 +747,8 @@ func (a *fnAnalysis) calleeOf(call *ast.CallExpr) *types.Func {
 // result: none → unconditional, bool → success branch, error → nil
 // branch.
 var acquireNames = map[string]bool{
-	"Lock": true, "RLock": true, "TryLock": true, "TryRLock": true,
-	"LockContext": true, "TryLockFor": true,
+	"Lock": true, "RLock": true, "TryLock": true, "TryRLock": true, "LockContext": true,
 	"Acquire": true, "AcquireContext": true, "TryAcquire": true,
-	"AcquireFor": true,
 }
 
 var releaseNames = map[string]bool{

@@ -13,9 +13,9 @@ import (
 )
 
 var (
-	goodLock, _  = lock.New("mcs-s")
+	goodLock, _  = lock.New("mcs-stp")
 	typoLock, _  = lock.New("mcscr-spt?fairness=500") // want `invalid spec constant`
-	badParam, _  = lock.New("mcs-s?bogus=1")          // want `invalid spec constant`
+	badParam, _  = lock.New("clh?wait=s")             // want `invalid spec constant`
 	mustLock     = lock.MustNew("mcscr-stp?fairness=500")
 	badMust      = lock.MustNew("mcscr-stp?fairness=oops") // want `invalid spec constant`
 	goodStore, _ = store.New("skiplist?seed=7")

@@ -144,7 +144,7 @@ type Snapshot struct {
 	SlowPath     uint64
 
 	// Cancels counts acquisition attempts that returned with a context
-	// error: exactly one per failed LockContext/TryLockFor call.
+	// error: exactly one per failed LockContext or AcquireContext call.
 	Cancels uint64
 	// Abandons counts abandoned waiter nodes excised by someone other
 	// than the cancelled waiter itself: the unlock path's chain walk,

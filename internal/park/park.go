@@ -46,7 +46,7 @@ func (p *Parker) Park() {
 		}
 		<-p.gate
 		// Loop: the gate token may be stale (a prior permit was consumed
-		// by TryConsume before we drained the gate), which surfaces as a
+		// by a CAS before its token was drained), which surfaces as a
 		// spurious wakeup permitted by the park contract.
 	}
 }
@@ -97,10 +97,4 @@ func (p *Parker) Unpark() {
 		// A wakeup token is already queued; the owner will observe
 		// state==1 when it drains the gate.
 	}
-}
-
-// TryConsume consumes a pending permit without blocking and reports whether
-// one was pending. Used by a spinning waiter to poll for an unpark.
-func (p *Parker) TryConsume() bool {
-	return p.state.CompareAndSwap(1, 0)
 }

@@ -52,7 +52,7 @@ func TestRedundantUnparksCollapse(t *testing.T) {
 		p.Unpark()
 	}
 	p.Park() // consumes the single pending permit
-	if got := p.TryConsume(); got {
+	if got := tryConsume(p); got {
 		t.Fatal("redundant unparks deposited more than one permit")
 	}
 }
@@ -101,17 +101,26 @@ func TestParkTimeoutConsumesLatePermit(t *testing.T) {
 	}
 }
 
+// The non-blocking consume is ParkContext under a context that is already
+// done: it takes a pending permit and reports whether there was one.
+
+func tryConsume(p *Parker) bool {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return p.ParkContext(ctx)
+}
+
 func TestTryConsume(t *testing.T) {
 	p := NewParker()
-	if p.TryConsume() {
-		t.Fatal("TryConsume invented a permit")
+	if tryConsume(p) {
+		t.Fatal("a non-blocking consume invented a permit")
 	}
 	p.Unpark()
-	if !p.TryConsume() {
-		t.Fatal("TryConsume missed a pending permit")
+	if !tryConsume(p) {
+		t.Fatal("a non-blocking consume missed a pending permit")
 	}
-	if p.TryConsume() {
-		t.Fatal("TryConsume double-consumed")
+	if tryConsume(p) {
+		t.Fatal("a non-blocking consume double-consumed")
 	}
 }
 
@@ -168,7 +177,7 @@ func TestManyUnparkers(t *testing.T) {
 		p.Park()
 		wg.Wait()
 		// Drain any extra permit so the next round starts neutral.
-		p.TryConsume()
+		tryConsume(p)
 		for {
 			select {
 			case <-p.gate:
@@ -231,7 +240,7 @@ func TestParkContextPermitBeatsCancel(t *testing.T) {
 	p.Unpark()
 	if !p.ParkContext(ctx) {
 		// Permit must still be pending.
-		if !p.TryConsume() {
+		if !p.state.CompareAndSwap(1, 0) {
 			t.Fatal("permit lost across a cancelled ParkContext")
 		}
 	}

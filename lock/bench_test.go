@@ -2,21 +2,18 @@ package lock
 
 import (
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// stpLocks enumerates the registered locks whose default waiting policy
-// is spin-then-park — the ones whose unlock can find its successor
-// parked. The "-s" names, tas and ticket never park; null never waits.
+// stpLocks enumerates the registered queue locks, whose waiters park —
+// the ones whose unlock can find its successor parked. tas and ticket
+// never park; null never waits.
 func stpLocks() []string {
 	var names []string
 	for _, n := range Names() {
-		switch {
-		case n == "null", n == "tas", n == "ticket", strings.HasSuffix(n, "-s"):
-		default:
+		if n != "null" && n != "tas" && n != "ticket" {
 			names = append(names, n)
 		}
 	}

@@ -3,7 +3,6 @@ package lock
 import (
 	"context"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/pad"
@@ -57,20 +56,19 @@ type CLH struct {
 	// lock-protected. The displaced predecessor is simply dropped and
 	// reclaimed by the GC (see newCLHNode).
 	ownerNode *clhNode
-	cfg       config
 	stats     *core.Stats
 }
 
 // NewCLH returns an unlocked CLH lock.
 func NewCLH(opts ...Option) *CLH {
 	cfg := buildConfig(opts)
-	return &CLH{cfg: cfg, stats: cfg.newStats()}
+	return &CLH{stats: cfg.newStats()}
 }
 
 func init() {
 	Register(Registration{
 		Name:    "clh",
-		Summary: "CLH queue lock: FIFO, local spinning on the predecessor (wait=s|stp)",
+		Summary: "CLH queue lock: FIFO, waiting on the predecessor's node",
 		Build:   func(opts ...Option) Mutex { return NewCLH(opts...) },
 	})
 }
@@ -140,15 +138,12 @@ func (l *CLH) LockContext(ctx context.Context) error {
 	return nil
 }
 
-// TryLockFor is TryLock with a patience bound, built on LockContext.
-func (l *CLH) TryLockFor(d time.Duration) bool { return tryLockFor(l, d) }
-
 // waitOn waits for a node on the predecessor chain to be granted,
 // inheriting earlier predecessors whenever a cancelled waiter abandons
-// the node being watched: under WaitSpin it polls the predecessor's cell,
-// otherwise it parks on it at once. ctx may be nil, or have a nil Done()
-// — first asked for here — and then the wait is unbounded. On err != nil
-// the caller still owns its node and must abandon it itself.
+// the node being watched: it parks on the predecessor's cell at once. ctx
+// may be nil, or have a nil Done() — first asked for here — and then the
+// wait is unbounded. On err != nil the caller still owns its node and must
+// abandon it itself.
 //
 // Each inheritance step path-compresses: the walker republishes its own
 // node's pred to the inherited target (retarget), so when the walker
@@ -169,11 +164,7 @@ func (l *CLH) waitOn(ctx context.Context, n, pred *clhNode) (parked bool, err er
 		// the tail — so there is no wait, and nothing to ask ctx for.
 		return false, nil
 	}
-	var done <-chan struct{} // nil never fires below
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	for i := 0; ; i++ {
+	for {
 		switch pred.state.Load() {
 		case stateGranted:
 			return parked, nil
@@ -181,17 +172,6 @@ func (l *CLH) waitOn(ctx context.Context, n, pred *clhNode) (parked bool, err er
 			pred = l.inherit(n, pred)
 			continue
 		case stateWaiting:
-			if l.cfg.wait == WaitSpin {
-				if i%ctxCheckEvery == ctxCheckEvery-1 {
-					select {
-					case <-done:
-						return parked, ctx.Err()
-					default:
-					}
-				}
-				politePause(i)
-				continue
-			}
 			// Publish stateParked on the predecessor's cell.
 			if pred.parker == nil {
 				pred.parker = park.NewParker()

@@ -1,13 +1,11 @@
 package lock
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
 // ContextMutex is the context-aware acquisition contract. Every lock in
 // this package satisfies it, so any lock built by New can serve request
-// paths that carry deadlines or cancellation.
+// paths that carry deadlines or cancellation. A wait bounded by a
+// duration is LockContext under context.WithTimeout.
 //
 // Semantics shared by all implementations:
 //
@@ -40,31 +38,4 @@ type ContextMutex interface {
 	// cancelled or its deadline passes. It returns nil once the lock is
 	// held and ctx.Err() after a cancelled attempt.
 	LockContext(ctx context.Context) error
-	// TryLockFor acquires the lock within d and reports whether it did.
-	// d <= 0 degenerates to TryLock.
-	TryLockFor(d time.Duration) bool
-}
-
-// lockContexter is the implementation subset tryLockFor needs; taking the
-// narrow interface keeps the helper usable from every lock's TryLockFor
-// method without import cycles or generics.
-type lockContexter interface {
-	TryLock() bool
-	LockContext(ctx context.Context) error
-}
-
-// tryLockFor is the shared TryLockFor implementation: an immediate
-// TryLock, then a deadline-bounded LockContext.
-//
-//lockcheck:acquires m
-func tryLockFor(m lockContexter, d time.Duration) bool {
-	if m.TryLock() {
-		return true
-	}
-	if d <= 0 {
-		return false
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	return m.LockContext(ctx) == nil
 }

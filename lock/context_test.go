@@ -42,110 +42,106 @@ func TestCancelStress(t *testing.T) {
 		iters = 120
 	}
 	for _, name := range contextLocks() {
+		// Every queued waiter parks at once: the abandon CAS must win or
+		// lose cleanly against a grant, and the yield that follows a grant
+		// to a parked waiter must not lose or repeat one. The subtest is
+		// named for that one waiting shape, spin-then-park.
 		t.Run(name, func(t *testing.T) {
-			// Every waiter parks at once, or polls: the abandon CAS must win
-			// or lose cleanly against a grant from either state, and the
-			// yield that follows a grant to a parked waiter must not lose or
-			// repeat one. A name's -s/-stp suffix wins over wait=, so the
-			// mcs* pairs run one shape twice; clh, lifocr and loiter run
-			// both.
-			for _, wait := range []string{"stp", "s"} {
-				t.Run("wait="+wait, func(t *testing.T) {
-					m := MustNew(name + "?seed=1&wait=" + wait).(ContextMutex)
-					var (
-						unprotected int // data race if exclusion fails
-						inside      atomic.Int32
-						maxInside   atomic.Int32
-						successes   atomic.Int64
-						cancels     atomic.Int64
-					)
-					cs := func() {
-						if v := inside.Add(1); v > maxInside.Load() {
-							maxInside.Store(v)
-						}
-						unprotected++
-						inside.Add(-1)
+			t.Run("wait=stp", func(t *testing.T) {
+				m := MustNew(name + "?seed=1").(ContextMutex)
+				var (
+					unprotected int // data race if exclusion fails
+					inside      atomic.Int32
+					maxInside   atomic.Int32
+					successes   atomic.Int64
+					cancels     atomic.Int64
+				)
+				cs := func() {
+					if v := inside.Add(1); v > maxInside.Load() {
+						maxInside.Store(v)
 					}
-					runWithTimeout(t, 120*time.Second, func() {
-						var wg sync.WaitGroup
-						for g := 0; g < goroutines; g++ {
-							wg.Add(1)
-							go func(id int) {
-								defer wg.Done()
-								rng := uint64(id)*0x9e3779b97f4a7c15 + 1
-								next := func() uint64 {
-									rng ^= rng << 13
-									rng ^= rng >> 7
-									rng ^= rng << 17
-									return rng
-								}
-								for i := 0; i < iters; i++ {
-									switch next() % 4 {
-									case 0: // plain lock
-										m.Lock()
-										cs()
-										m.Unlock()
-										successes.Add(1)
-									case 1: // uncancellable context
-										if err := m.LockContext(context.Background()); err != nil {
-											t.Errorf("Background LockContext failed: %v", err)
+					unprotected++
+					inside.Add(-1)
+				}
+				runWithTimeout(t, 120*time.Second, func() {
+					var wg sync.WaitGroup
+					for g := 0; g < goroutines; g++ {
+						wg.Add(1)
+						go func(id int) {
+							defer wg.Done()
+							rng := uint64(id)*0x9e3779b97f4a7c15 + 1
+							next := func() uint64 {
+								rng ^= rng << 13
+								rng ^= rng >> 7
+								rng ^= rng << 17
+								return rng
+							}
+							for i := 0; i < iters; i++ {
+								switch next() % 4 {
+								case 0: // plain lock
+									m.Lock()
+									cs()
+									m.Unlock()
+									successes.Add(1)
+								case 1: // uncancellable context
+									if err := m.LockContext(context.Background()); err != nil {
+										t.Errorf("Background LockContext failed: %v", err)
+										return
+									}
+									cs()
+									m.Unlock()
+									successes.Add(1)
+								default: // racing deadline, 0–40µs
+									d := time.Duration(next()%41) * time.Microsecond
+									ctx, cancel := context.WithTimeout(context.Background(), d)
+									err := m.LockContext(ctx)
+									cancel()
+									if err != nil {
+										if !errors.Is(err, context.DeadlineExceeded) {
+											t.Errorf("unexpected LockContext error: %v", err)
 											return
 										}
+										cancels.Add(1)
+									} else {
 										cs()
 										m.Unlock()
 										successes.Add(1)
-									default: // racing deadline, 0–40µs
-										d := time.Duration(next()%41) * time.Microsecond
-										ctx, cancel := context.WithTimeout(context.Background(), d)
-										err := m.LockContext(ctx)
-										cancel()
-										if err != nil {
-											if !errors.Is(err, context.DeadlineExceeded) {
-												t.Errorf("unexpected LockContext error: %v", err)
-												return
-											}
-											cancels.Add(1)
-										} else {
-											cs()
-											m.Unlock()
-											successes.Add(1)
-										}
 									}
 								}
-							}(g)
-						}
-						wg.Wait()
-					})
-					if got := int64(unprotected); got != successes.Load() {
-						t.Errorf("mutual exclusion violated: %d CS executions vs %d successful acquisitions",
-							got, successes.Load())
+							}
+						}(g)
 					}
-					if maxInside.Load() != 1 {
-						t.Errorf("critical section occupancy reached %d", maxInside.Load())
-					}
-					// Post-storm liveness: the lock must still cycle cleanly.
-					runWithTimeout(t, 60*time.Second, func() {
-						for i := 0; i < 100; i++ {
-							m.Lock()
-							m.Unlock()
-						}
-					})
-					snap := m.(Instrumented).Stats()
-					if snap.Cancels != uint64(cancels.Load()) {
-						t.Errorf("Cancels=%d does not reconcile with %d observed timeouts",
-							snap.Cancels, cancels.Load())
-					}
-					if snap.Abandons > snap.Cancels {
-						t.Errorf("Abandons=%d exceeds Cancels=%d", snap.Abandons, snap.Cancels)
-					}
-					if want := successes.Load(); snap.Acquires != uint64(want) {
-						// The drain above adds 100 more.
-						if snap.Acquires != uint64(want)+100 {
-							t.Errorf("Acquires=%d, want %d (+100 drain)", snap.Acquires, want)
-						}
+					wg.Wait()
+				})
+				if got := int64(unprotected); got != successes.Load() {
+					t.Errorf("mutual exclusion violated: %d CS executions vs %d successful acquisitions",
+						got, successes.Load())
+				}
+				if maxInside.Load() != 1 {
+					t.Errorf("critical section occupancy reached %d", maxInside.Load())
+				}
+				// Post-storm liveness: the lock must still cycle cleanly.
+				runWithTimeout(t, 60*time.Second, func() {
+					for i := 0; i < 100; i++ {
+						m.Lock()
+						m.Unlock()
 					}
 				})
-			}
+				snap := m.(Instrumented).Stats()
+				if snap.Cancels != uint64(cancels.Load()) {
+					t.Errorf("Cancels=%d does not reconcile with %d observed timeouts",
+						snap.Cancels, cancels.Load())
+				}
+				if snap.Abandons > snap.Cancels {
+					t.Errorf("Abandons=%d exceeds Cancels=%d", snap.Abandons, snap.Cancels)
+				}
+				if want := successes.Load(); snap.Acquires != uint64(want) {
+					// The drain above adds 100 more.
+					if snap.Acquires != uint64(want)+100 {
+						t.Errorf("Acquires=%d, want %d (+100 drain)", snap.Acquires, want)
+					}
+				}
+			})
 		})
 	}
 }
@@ -258,45 +254,62 @@ func TestLockContextBackground(t *testing.T) {
 	}
 }
 
-func TestTryLockFor(t *testing.T) {
+// lockFor is a wait bounded by a duration: LockContext under a deadline d
+// from now.
+func lockFor(m ContextMutex, d time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return m.LockContext(ctx)
+}
+
+// TestLockContextDeadline: a wait bounded by a duration of zero or less is
+// TryLock, and a positive one is a deadline context — it gives up at the
+// deadline, not before, and takes a release that comes inside it.
+func TestLockContextDeadline(t *testing.T) {
 	for _, name := range contextLocks() {
 		t.Run(name, func(t *testing.T) {
 			m := MustNew(name).(ContextMutex)
-			// Free lock: immediate success, even with no budget.
-			if !m.TryLockFor(0) {
-				t.Fatal("TryLockFor(0) on a free lock failed")
+			// Free lock: immediate success, with no budget.
+			if !m.TryLock() {
+				t.Fatal("TryLock on a free lock failed")
 			}
 			// Held lock, no budget: immediate failure.
-			if m.TryLockFor(0) || m.TryLockFor(-time.Second) {
-				t.Fatal("TryLockFor(<=0) on a held lock succeeded")
+			if m.TryLock() {
+				t.Fatal("TryLock on a held lock succeeded")
+			}
+			for _, d := range []time.Duration{0, -time.Second} {
+				if err := lockFor(m, d); !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("deadline %v from now on a held lock: %v", d, err)
+				}
 			}
 			// Held lock, short budget: timed failure.
+			const budget = 20 * time.Millisecond
 			start := time.Now()
-			if m.TryLockFor(20 * time.Millisecond) {
-				t.Fatal("TryLockFor acquired a held lock")
+			if err := lockFor(m, budget); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("a %v wait on a held lock: %v", budget, err)
 			}
-			if time.Since(start) > 5*time.Second {
-				t.Fatal("TryLockFor overshot its deadline grossly")
+			if waited := time.Since(start); waited < budget || waited > 5*time.Second {
+				t.Fatalf("a %v wait on a held lock gave up after %v", budget, waited)
 			}
 			m.Unlock()
 			// Contended but released within the budget: success.
 			release := make(chan struct{})
 			m.Lock()
-			done := make(chan bool, 1)
+			done := make(chan error, 1)
 			go func() {
 				<-release
 				time.Sleep(10 * time.Millisecond)
 				m.Unlock()
 			}()
-			go func() { close(release); done <- m.TryLockFor(30 * time.Second) }()
+			go func() { close(release); done <- lockFor(m, 30*time.Second) }()
 			select {
-			case ok := <-done:
-				if !ok {
-					t.Fatal("TryLockFor missed a release inside its budget")
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("missed a release inside the budget: %v", err)
 				}
 				m.Unlock()
 			case <-time.After(60 * time.Second):
-				t.Fatal("TryLockFor hung")
+				t.Fatal("a bounded wait hung")
 			}
 		})
 	}

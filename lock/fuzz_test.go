@@ -7,9 +7,9 @@ import "testing"
 // verdict on a constant is production's verdict on the same string.
 func FuzzNew(f *testing.F) {
 	f.Add("mcs-stp")
-	f.Add("mcscr-stp?fairness=500&seed=42&wait=stp")
+	f.Add("mcscr-stp?fairness=500&seed=42&stats=false")
 	f.Add("mcscr-spt")
-	f.Add("mcs-s?fairness=0")
+	f.Add("mcs?fairness=0")
 	f.Add("tas?spin=-1")
 	f.Add("MCS-STP ")
 	f.Add("mcs-stp?seed=1&seed=2")

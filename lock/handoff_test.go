@@ -6,7 +6,10 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // oneP runs the rest of the test on a single P, where scheduling is a
@@ -28,19 +31,9 @@ func letOthersRun() {
 	}
 }
 
-// handoffSpec builds name, or with spin its "-S" form: the -s twin where
-// the name carries the policy, wait=s otherwise. arrivals is a LOITER
+// handoffSpec builds name for the one-P order tests. arrivals is a LOITER
 // parameter; the other locks' grammar accepts and ignores it.
-func handoffSpec(name string, spin bool) string {
-	const params = "?seed=1&arrivals=1"
-	if !spin {
-		return name + params
-	}
-	if base, ok := strings.CutSuffix(name, "-stp"); ok {
-		return base + "-s" + params
-	}
-	return name + params + "&wait=s"
-}
+func handoffSpec(name string) string { return name + "?seed=1&arrivals=1" }
 
 // order is an append-only log two goroutines write without the lock.
 type order struct {
@@ -75,7 +68,7 @@ func TestDirectedHandoff(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var got string
 			for try := 0; try < yieldAttempts && got != "B A"; try++ {
-				m := MustNew(handoffSpec(name, false))
+				m := MustNew(handoffSpec(name))
 				var o order
 				done := make(chan struct{})
 				m.Lock()
@@ -102,35 +95,82 @@ func TestDirectedHandoff(t *testing.T) {
 	}
 }
 
-// TestHandoffToSpinnerDoesNotYield is the other half: a successor that is
-// still polling is already running somewhere, so the unlock that grants
-// it keeps its P — A logs first. Each lock runs in its "-S" form.
+// TestHandoffToSpinnerDoesNotYield is the other half: a successor granted
+// before it parked — in the paper's terms still spinning, here between its
+// enqueue and its park — is running already, so the unlock that grants it
+// on the waiting→granted edge keeps its P. The queue is staged by hand:
+// the test enqueues a node and never waits on it, so the grant must find
+// the cell waiting. C is made runnable before the unlock; had the unlock
+// yielded, C would log before A.
 func TestHandoffToSpinnerDoesNotYield(t *testing.T) {
 	oneP(t)
 	for _, name := range stpLocks() {
 		t.Run(name, func(t *testing.T) {
-			m := MustNew(handoffSpec(name, true))
+			st := stageWaiting(t, MustNew(name))
+			before := st.stats()
 			var o order
 			done := make(chan struct{})
-			m.Lock()
 			go func() {
-				m.Lock()
-				o.add("B")
-				m.Unlock()
+				o.add("C")
 				close(done)
 			}()
-			letOthersRun() // B is enqueued and polling, yielding every 64 polls
-			m.Unlock()
+			st.unlock()
 			o.add("A")
 			<-done
-			if got := o.String(); got != "A B" {
-				t.Errorf("order %q, want %q: the unlock yielded to a successor that was spinning", got, "A B")
+			if got := o.String(); got != "A C" {
+				t.Errorf("order %q, want %q: the unlock yielded to a successor that had not parked", got, "A C")
 			}
-			if s := m.(Instrumented).Stats(); s.Parks != 0 {
-				t.Errorf("Parks %d, want 0 (B parked under WaitSpin)", s.Parks)
+			if s := st.cell.state.Load(); s != stateGranted {
+				t.Fatalf("waiting cell in state %d after the unlock, want granted", s)
 			}
+			if s := st.stats(); s.Handoffs != before.Handoffs+1 || s.Unparks != before.Unparks {
+				t.Errorf("Handoffs %d → %d, Unparks %d → %d; want +1 and +0",
+					before.Handoffs, s.Handoffs, before.Unparks, s.Unparks)
+			}
+			st.release()
 		})
 	}
+}
+
+// staged is a queue lock held with one waiter enqueued behind the holder
+// that never parks: cell is what the unlock grants, stats counts the
+// grant, and release finishes the waiter's acquisition and unlocks.
+type staged struct {
+	cell            *waitCell
+	unlock, release func()
+	stats           func() core.Snapshot
+}
+
+func stageWaiting(t *testing.T, m Mutex) staged {
+	switch l := m.(type) {
+	case *MCS:
+		return stageChain(l.Lock, l.Unlock, &l.tail, &l.owner, l.Stats)
+	case *MCSCR:
+		return stageChain(l.Lock, l.Unlock, &l.tail, &l.owner, l.Stats)
+	case *LOITER:
+		// LOITER queues on its inner MCS lock; the outer word has no waiters.
+		return stageChain(l.inner.Lock, l.inner.Unlock, &l.inner.tail, &l.inner.owner, l.InnerStats)
+	case *CLH:
+		l.Lock()
+		n := newCLHNode()
+		pred := l.tail.Swap(n) // the holder's node, whose cell n's waiter watches
+		return staged{&pred.waitCell, l.Unlock, func() { l.ownerNode = n; l.Unlock() }, l.Stats}
+	case *LIFOCR:
+		l.Lock()
+		n := newLifoNode()
+		l.top.Store(n) // pushed on the holder's empty stack
+		return staged{&n.waitCell, l.Unlock, func() { freeLifoNode(n); l.Unlock() }, l.Stats}
+	}
+	t.Fatalf("no waiter staging for %T", m)
+	return staged{}
+}
+
+// stageChain stages an MCS chain: the holder's node, then n.
+func stageChain(lock, unlock func(), tail *atomic.Pointer[mcsNode], owner **mcsNode, stats func() core.Snapshot) staged {
+	lock()
+	n := newMCSNode()
+	tail.Swap(n).next.Store(n)
+	return staged{&n.waitCell, unlock, func() { *owner = n; unlock() }, stats}
 }
 
 // TestHandoffPastAbandonedWaiter: B parks under a context and is
@@ -143,7 +183,7 @@ func TestHandoffPastAbandonedWaiter(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var got string
 			for try := 0; try < yieldAttempts && got != "C A"; try++ {
-				m := MustNew(handoffSpec(name, false)).(ContextMutex)
+				m := MustNew(handoffSpec(name)).(ContextMutex)
 				var o order
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()

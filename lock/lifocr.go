@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/pad"
@@ -48,7 +47,7 @@ func freeLifoNode(n *lifoNode) {
 // well with spin-then-park waiting: the thread most likely to be granted
 // next is the most recently arrived, which is also the thread most likely
 // to still be spinning (§5.1, Appendix A.2) — on kernel threads; here a
-// spin-then-park waiter parks at once, so LIFO keeps only its warm cache.
+// waiter parks at once, so LIFO keeps only its warm cache.
 type LIFOCR struct {
 	// top encodes the composite lock word:
 	//   nil          — unlocked
@@ -63,7 +62,6 @@ type LIFOCR struct {
 	lockedEmpty lifoNode
 
 	trial *core.Trial // lock-protected (unlock path only)
-	cfg   config
 	stats *core.Stats
 }
 
@@ -79,7 +77,6 @@ func init() {
 func NewLIFOCR(opts ...Option) *LIFOCR {
 	cfg := buildConfig(opts)
 	return &LIFOCR{
-		cfg:   cfg,
 		trial: core.NewTrial(cfg.fairness, cfg.seed),
 		stats: cfg.newStats(),
 	}
@@ -129,7 +126,7 @@ func (l *LIFOCR) lockStack(ctx context.Context) error {
 			break
 		}
 	}
-	parked, err := n.await(ctx, l.cfg.wait)
+	parked, err := n.await(ctx)
 	if err != nil {
 		// The node is now stateAbandoned and stays on the stack; the
 		// holder reclaims it when a pop reaches it.
@@ -141,9 +138,6 @@ func (l *LIFOCR) lockStack(ctx context.Context) error {
 	slowAcquireStats(l.stats, parked)
 	return nil
 }
-
-// TryLockFor is TryLock with a patience bound, built on LockContext.
-func (l *LIFOCR) TryLockFor(d time.Duration) bool { return tryLockFor(l, d) }
 
 // TryLock acquires the lock if it is free.
 func (l *LIFOCR) TryLock() bool {

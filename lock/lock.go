@@ -18,23 +18,23 @@
 //   - TAS / TTAS with randomized backoff (competitive succession, global
 //     spinning, unbounded bypass);
 //   - Ticket (FIFO, global spinning);
-//   - CLH and MCS (FIFO, local spinning, direct handoff);
+//   - CLH and MCS (FIFO, local waiting, direct handoff);
 //   - Null (degenerate; for harness calibration only).
 //
 // All locks satisfy sync.Locker — and ContextMutex: acquisition can be
-// bounded by a context (LockContext) or a duration (TryLockFor), with a
-// cancelled waiter excised from the lock's waiter structures without
-// breaking handoff (the per-lock protocols are specified in DESIGN.md
-// §3). Queue-based locks allocate their waiter nodes from pools (except
-// CLH, which allocates per acquisition: GC reclamation is what keeps its
-// TryLock pointer-CAS immune to ABA and its abandoned-node excision
-// safe) and are safe for use by any number of goroutines; no per-thread
-// registration is required.
+// bounded by a context (LockContext; a deadline context bounds it by a
+// duration), with a cancelled waiter excised from the lock's waiter
+// structures without breaking handoff (the per-lock protocols are
+// specified in DESIGN.md §3). Queue-based locks allocate their waiter
+// nodes from pools (except CLH, which allocates per acquisition: GC
+// reclamation is what keeps its TryLock pointer-CAS immune to ABA and its
+// abandoned-node excision safe) and are safe for use by any number of
+// goroutines; no per-thread registration is required.
 //
 // # Construction
 //
 // Locks are usually built from a registry spec — New("mcscr-stp"),
-// New("clh?wait=s&seed=42") — so lock choice and tuning can live in
+// New("lifocr?fairness=100&seed=42") — so lock choice and tuning can live in
 // configuration; Names lists the registered implementations and Register
 // adds new ones. The typed constructors (NewMCSCR, NewTAS, ...) remain
 // for callers that want the concrete types.
@@ -52,17 +52,18 @@
 // branch. Contended lock words and per-waiter flags are cache-line
 // isolated (see internal/pad) so local spinning stays local.
 //
-// # Waiting policies
+// # Waiting
 //
-// WaitSpin corresponds to the paper's "-S" variants: polite unbounded
-// spinning (the poll loop yields to the Go scheduler periodically, the
-// analogue of SPARC RD CCR,G0 politeness). WaitSpinThenPark corresponds to
-// "-STP", spin-then-park over lwp_park/lwp_unpark, without the spin: a
-// waiter parks at once on a per-waiter Parker, because a goroutine park
-// and its wake cost less than one polite yield of a spin phase (see
-// politePause). An unlock that had to unpark its successor yields its P
-// to it, so the lock is never owned by a goroutine that is merely
-// runnable.
+// The paper offers each queue lock spinning ("-S") or spin-then-park
+// ("-STP") over lwp_park/lwp_unpark. Here a queued waiter has one shape,
+// "-STP" without the spin: it parks at once on a per-waiter Parker,
+// because a goroutine park and its wake cost less than one polite yield
+// of a spin phase (see politePause), and a waiter that polls without
+// bound loses to it at every thread count (DESIGN.md §5). The "-S" shape
+// survives only in the simulator. An unlock that had to unpark its
+// successor yields its P to it, so the lock is never owned by a goroutine
+// that is merely runnable. What still spins: TAS and Ticket, the paper's
+// global-spinning baselines, and LOITER's bounded arrival phase.
 package lock
 
 import (
@@ -80,30 +81,6 @@ type Mutex interface {
 	TryLock() bool
 }
 
-// WaitPolicy selects how a contended waiter waits (§5.1).
-type WaitPolicy int
-
-const (
-	// WaitSpinThenPark parks at once: the paper's preferred policy for CR
-	// locks ("-STP") without its spin phase, which costs a goroutine more
-	// than the park.
-	WaitSpinThenPark WaitPolicy = iota
-	// WaitSpin spins politely without bound ("-S").
-	WaitSpin
-)
-
-// String returns the paper's suffix for the policy.
-func (w WaitPolicy) String() string {
-	switch w {
-	case WaitSpin:
-		return "S"
-	case WaitSpinThenPark:
-		return "STP"
-	default:
-		return "?"
-	}
-}
-
 // Option configures a lock at construction time.
 type Option func(*config)
 
@@ -112,16 +89,14 @@ type Option func(*config)
 type config struct {
 	fairness     uint64 // Bernoulli promotion period (MCSCR, LIFOCR)
 	seed         uint64 // fairness-trial PRNG seed
-	wait         WaitPolicy
-	patience     int  // LOITER standby impatience threshold
-	arrivalSpins int  // LOITER fast-path attempt bound
-	noStats      bool // WithStats(false): skip counter maintenance entirely
+	patience     int    // LOITER standby impatience threshold
+	arrivalSpins int    // LOITER fast-path attempt bound
+	noStats      bool   // WithStats(false): skip counter maintenance entirely
 }
 
 func defaultConfig() config {
 	return config{
 		fairness:     core.DefaultFairnessPeriod,
-		wait:         WaitSpinThenPark,
 		patience:     DefaultPatience,
 		arrivalSpins: DefaultArrivalSpins,
 	}
@@ -142,11 +117,6 @@ func buildConfig(opts []Option) config {
 		o(&c)
 	}
 	return c
-}
-
-// WithWaitPolicy selects the waiting policy (default WaitSpinThenPark).
-func WithWaitPolicy(w WaitPolicy) Option {
-	return func(c *config) { c.wait = w }
 }
 
 // WithFairnessPeriod sets the Bernoulli promotion period k (promote the

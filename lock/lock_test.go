@@ -21,22 +21,18 @@ func TestMain(m *testing.M) {
 }
 
 // builders enumerates every real (mutual-exclusion-providing) lock in the
-// package under both waiting policies, resolved through the registry so
-// the spec grammar itself is exercised by the whole suite.
+// package, resolved through the registry so the spec grammar itself is
+// exercised by the whole suite. The queue locks carry the paper's "-STP"
+// label: their waiters park (the "-S" shape is simulator-only).
 func builders() map[string]func() Mutex {
 	specs := map[string]string{
 		"TAS":        "tas",
 		"Ticket":     "ticket",
-		"CLH-S":      "clh?wait=s",
-		"CLH-STP":    "clh?wait=stp",
-		"MCS-S":      "mcs-s",
+		"CLH-STP":    "clh",
 		"MCS-STP":    "mcs-stp",
-		"MCSCR-S":    "mcscr-s?seed=1",
 		"MCSCR-STP":  "mcscr-stp?seed=1",
-		"LIFOCR-S":   "lifocr?wait=s&seed=1",
-		"LIFOCR-STP": "lifocr?wait=stp&seed=1",
-		"LOITER-S":   "loiter?wait=s&seed=1",
-		"LOITER-STP": "loiter?wait=stp&seed=1",
+		"LIFOCR-STP": "lifocr?seed=1",
+		"LOITER-STP": "loiter?seed=1",
 	}
 	out := make(map[string]func() Mutex, len(specs))
 	for name, spec := range specs {
@@ -494,15 +490,6 @@ func TestFairnessPeriodZeroStillLive(t *testing.T) {
 	})
 	if ps := m.PassiveSize(); ps != 0 {
 		t.Fatalf("passive set not drained with fairness disabled: %d", ps)
-	}
-}
-
-func TestWaitPolicyString(t *testing.T) {
-	if WaitSpin.String() != "S" || WaitSpinThenPark.String() != "STP" {
-		t.Fatal("unexpected WaitPolicy strings")
-	}
-	if WaitPolicy(99).String() != "?" {
-		t.Fatal("unknown policy must stringify to ?")
 	}
 }
 

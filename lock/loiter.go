@@ -3,7 +3,6 @@ package lock
 import (
 	"context"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/pad"
@@ -59,19 +58,14 @@ type loiterStandby struct {
 	parker    *park.Parker
 	state     atomic.Uint32 // sbWaiting / sbGranted / sbCancelled
 	impatient atomic.Bool
-	// parked is set while the standby is in its parker, not polling.
-	// Advisory: a stale read costs or saves wake one yield.
-	parked atomic.Bool
 }
 
-// wake unparks the standby and, if that took it off its parker, hands it
-// this P (see yieldToWoken). The caller is finished with the lock.
+// wake unparks the standby and hands it this P (see yieldToWoken): the
+// standby waits parked, so a wake is a dispatch. The caller is finished
+// with the lock.
 func (sb *loiterStandby) wake() {
-	parked := sb.parked.Load()
 	sb.parker.Unpark()
-	if parked {
-		yieldToWoken()
-	}
+	yieldToWoken()
 }
 
 // LOITER ("Locking: Outer-Inner with ThRottling", Appendix A.1) is a
@@ -90,8 +84,10 @@ func (sb *loiterStandby) wake() {
 // the lock by direct handoff at the next unlock, bounding starvation.
 //
 // This is the paper's 3-stage waiting policy: spin globally; then enqueue
-// and spin locally; then park. Here the middle stage is WaitSpin's alone:
-// a spin-then-park waiter parks as soon as it has enqueued.
+// and spin locally; then park. Here the middle stage is gone: a waiter
+// parks as soon as it has enqueued, and the standby parks between its
+// attempts on the outer lock instead of polling it (DESIGN.md §5 has the
+// pairs behind that choice).
 type LOITER struct {
 	// outer is the barging-spun lock word; it owns its cache line so the
 	// fast-path CAS storm does not invalidate the standby pointer or the
@@ -128,12 +124,11 @@ func init() {
 	})
 }
 
-// NewLOITER returns an unlocked LOITER lock. The waiting-policy option
-// applies to both the inner MCS queue and the standby's wait.
+// NewLOITER returns an unlocked LOITER lock.
 func NewLOITER(opts ...Option) *LOITER {
 	cfg := buildConfig(opts)
 	return &LOITER{
-		inner: NewMCS(WithWaitPolicy(cfg.wait), WithStats(!cfg.noStats)),
+		inner: NewMCS(WithStats(!cfg.noStats)),
 		cfg:   cfg,
 		stats: cfg.newStats(),
 	}
@@ -171,9 +166,6 @@ func (l *LOITER) LockContext(ctx context.Context) error {
 	}
 	return l.lockSlow(ctx)
 }
-
-// TryLockFor is TryLock with a patience bound, built on LockContext.
-func (l *LOITER) TryLockFor(d time.Duration) bool { return tryLockFor(l, d) }
 
 // lockSlow is the contended path: arrival-phase barging, then the inner
 // queue, then standby duty. A nil ctx waits indefinitely, and so does one
@@ -245,7 +237,10 @@ func (l *LOITER) lockSlow(ctx context.Context) error {
 		if attempts > l.cfg.patience {
 			sb.impatient.Store(true)
 		}
-		l.standbyWait(sb, ctx)
+		// Park until the unlock path's heir-presumptive unpark, or until
+		// ctx ends (checked above on the next pass).
+		l.stats.Inc(core.EvParks)
+		sb.parker.ParkContext(ctx)
 	}
 	l.standby.Store(nil)
 	// On the sbGranted break the outer word was never released — ownership
@@ -254,40 +249,6 @@ func (l *LOITER) lockSlow(ctx context.Context) error {
 	l.slowOwner = true
 	l.stats.Inc2(core.EvSlowPath, core.EvAcquires)
 	return nil
-}
-
-// standbyWait waits for the outer lock to change state: under WaitSpin a
-// polite poll, otherwise parking at once until the unlock path's
-// heir-presumptive unpark — or ctx cancellation, handled by the caller.
-// The poll returns on an unpark too, so impatience counts the same
-// wake-ups under either policy.
-func (l *LOITER) standbyWait(sb *loiterStandby, ctx context.Context) {
-	if l.cfg.wait == WaitSpin {
-		var done <-chan struct{} // nil never fires below
-		if ctx != nil {
-			done = ctx.Done()
-		}
-		for i := 0; ; i++ {
-			if sb.state.Load() != sbWaiting || l.outer.Load() == 0 {
-				return
-			}
-			if sb.parker.TryConsume() {
-				return // an unlock woke us
-			}
-			if i%ctxCheckEvery == ctxCheckEvery-1 {
-				select {
-				case <-done:
-					return
-				default:
-				}
-			}
-			politePause(i)
-		}
-	}
-	l.stats.Inc(core.EvParks)
-	sb.parked.Store(true)
-	sb.parker.ParkContext(ctx)
-	sb.parked.Store(false)
 }
 
 // TryLock acquires the lock if the outer word is free.

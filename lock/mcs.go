@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/pad"
@@ -55,10 +54,10 @@ func freeMCSNode(n *mcsNode) {
 // flag. Arriving threads append a node at the tail; the owner's node is
 // the implicit head; unlock passes ownership to the next node.
 //
-// The waiting policy selects MCS-S (polite spin) or MCS-STP
-// (spin-then-park). The paper shows MCS-STP interacts badly with direct
-// handoff under contention: the longest waiter — next in FIFO order — is
-// the one most likely to have parked, so every handover pays an unpark.
+// This is the paper's MCS-STP. The paper shows it interacts badly with
+// direct handoff under contention: the longest waiter — next in FIFO
+// order — is the one most likely to have parked, so every handover pays an
+// unpark.
 type MCS struct {
 	// tail is the only word every arriving thread writes; it sits alone
 	// on its cache line, away from the holder-only fields below.
@@ -66,15 +65,13 @@ type MCS struct {
 	_    [pad.CacheLineSize - 8]byte
 
 	owner *mcsNode // node of the current holder; lock-protected
-	cfg   config
 	stats *core.Stats
 }
 
-// NewMCS returns an unlocked MCS lock. By default it uses spin-then-park
-// waiting; use WithWaitPolicy(WaitSpin) for the "-S" variant.
+// NewMCS returns an unlocked MCS lock.
 func NewMCS(opts ...Option) *MCS {
 	cfg := buildConfig(opts)
-	return &MCS{cfg: cfg, stats: cfg.newStats()}
+	return &MCS{stats: cfg.newStats()}
 }
 
 func init() {
@@ -82,12 +79,7 @@ func init() {
 		Name:    "mcs-stp",
 		Aliases: []string{"mcs"},
 		Summary: "classic MCS queue lock, spin-then-park waiting",
-		Build:   func(opts ...Option) Mutex { return NewMCS(append(opts, WithWaitPolicy(WaitSpinThenPark))...) },
-	})
-	Register(Registration{
-		Name:    "mcs-s",
-		Summary: "classic MCS queue lock, unbounded polite spinning",
-		Build:   func(opts ...Option) Mutex { return NewMCS(append(opts, WithWaitPolicy(WaitSpin))...) },
+		Build:   func(opts ...Option) Mutex { return NewMCS(opts...) },
 	})
 }
 
@@ -117,7 +109,7 @@ func (l *MCS) lockChain(ctx context.Context) error {
 		return nil
 	}
 	pred.next.Store(n)
-	parked, err := n.await(ctx, l.cfg.wait)
+	parked, err := n.await(ctx)
 	if err != nil {
 		// The node is now stateAbandoned; the unlock path owns it.
 		cancelStats(l.stats, parked)
@@ -127,9 +119,6 @@ func (l *MCS) lockChain(ctx context.Context) error {
 	slowAcquireStats(l.stats, parked)
 	return nil
 }
-
-// TryLockFor is TryLock with a patience bound, built on LockContext.
-func (l *MCS) TryLockFor(d time.Duration) bool { return tryLockFor(l, d) }
 
 // TryLock acquires the lock only if the chain is empty. The failure path
 // is allocation-free: a node is drawn from the pool only after the chain

@@ -3,7 +3,6 @@ package lock
 import (
 	"context"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/pad"
@@ -52,17 +51,13 @@ type MCSCR struct {
 	psSize atomic.Int64
 
 	trial *core.Trial
-	cfg   config
 	stats *core.Stats
 }
 
-// NewMCSCR returns an unlocked Malthusian MCS lock. The default waiting
-// policy is spin-then-park (MCSCR-STP); use WithWaitPolicy(WaitSpin) for
-// MCSCR-S.
+// NewMCSCR returns an unlocked Malthusian MCS lock, the paper's MCSCR-STP.
 func NewMCSCR(opts ...Option) *MCSCR {
 	cfg := buildConfig(opts)
 	return &MCSCR{
-		cfg:   cfg,
 		trial: core.NewTrial(cfg.fairness, cfg.seed),
 		stats: cfg.newStats(),
 	}
@@ -73,12 +68,7 @@ func init() {
 		Name:    "mcscr-stp",
 		Aliases: []string{"mcscr"},
 		Summary: "Malthusian MCS (§4): culling, reprovisioning, Bernoulli fairness; spin-then-park",
-		Build:   func(opts ...Option) Mutex { return NewMCSCR(append(opts, WithWaitPolicy(WaitSpinThenPark))...) },
-	})
-	Register(Registration{
-		Name:    "mcscr-s",
-		Summary: "Malthusian MCS (§4) with unbounded polite spinning",
-		Build:   func(opts ...Option) Mutex { return NewMCSCR(append(opts, WithWaitPolicy(WaitSpin))...) },
+		Build:   func(opts ...Option) Mutex { return NewMCSCR(opts...) },
 	})
 }
 
@@ -110,7 +100,7 @@ func (l *MCSCR) lockChain(ctx context.Context) error {
 		return nil
 	}
 	pred.next.Store(n)
-	parked, err := n.await(ctx, l.cfg.wait)
+	parked, err := n.await(ctx)
 	if err != nil {
 		// The node is now stateAbandoned; an unlock path owns it.
 		cancelStats(l.stats, parked)
@@ -120,9 +110,6 @@ func (l *MCSCR) lockChain(ctx context.Context) error {
 	slowAcquireStats(l.stats, parked)
 	return nil
 }
-
-// TryLockFor is TryLock with a patience bound, built on LockContext.
-func (l *MCSCR) TryLockFor(d time.Duration) bool { return tryLockFor(l, d) }
 
 // TryLock acquires the lock only if the chain is empty. The failure path
 // is allocation-free: a node is drawn from the pool only after the chain

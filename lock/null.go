@@ -1,9 +1,6 @@
 package lock
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
 // Null is the degenerate lock whose acquire and release operators return
 // immediately (§6.1). It provides no mutual exclusion and is suitable only
@@ -37,8 +34,5 @@ func (*Null) TryLock() bool { return true }
 // fail-fast clause of the ContextMutex contract is kept so harness code
 // measuring cancellation overhead sees uniform behaviour).
 func (*Null) LockContext(ctx context.Context) error { return ctx.Err() }
-
-// TryLockFor always succeeds.
-func (*Null) TryLockFor(time.Duration) bool { return true }
 
 var _ ContextMutex = (*Null)(nil)

@@ -1,9 +1,6 @@
 package lock
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/core"
 	"repro/internal/spec"
 )
@@ -14,10 +11,7 @@ type Instrumented interface {
 	Stats() core.Snapshot
 }
 
-// Builder constructs a lock from construction options. For
-// policy-suffixed names ("-s"/"-stp") the builder appends its wait policy
-// after the caller's options, so the name always wins over a conflicting
-// wait= parameter.
+// Builder constructs a lock from construction options.
 type Builder func(opts ...Option) Mutex
 
 // Registration describes one lock implementation to the registry. Each
@@ -50,21 +44,18 @@ func Lookup(name string) (Registration, bool) { return registry.Lookup(name) }
 //
 //	"mcscr-stp"
 //	"mcscr-stp?fairness=500&seed=42"
-//	"clh?wait=s"
 //	"loiter?patience=16&arrivals=8&stats=false"
 //
 // Parameters (each maps onto the corresponding Option):
 //
 //	fairness=N   Bernoulli promotion period (0 disables)     WithFairnessPeriod
 //	seed=N       lock-local PRNG seed                        WithSeed
-//	wait=s|stp   waiting policy (spin / park)                WithWaitPolicy
 //	patience=N   LOITER standby impatience threshold         WithPatience
 //	arrivals=N   LOITER bounded arrival attempts             WithArrivalSpins
 //	stats=BOOL   event-counter maintenance                   WithStats
 //
 // Spec parameters are applied after opts, so the spec overrides
-// programmatic defaults; a policy suffix in the name ("mcs-s") overrides
-// even a wait= parameter. Every lock New can build satisfies ContextMutex
+// programmatic defaults. Every lock New can build satisfies ContextMutex
 // (and Instrumented, though WithStats(false) makes snapshots zero).
 // Malformed specs — unknown name, unknown or duplicated parameter, bad
 // value — return a descriptive error and a nil Mutex.
@@ -113,7 +104,6 @@ var grammar = spec.NewGrammar[Option]("lock", map[string]spec.ParamFunc[Option]{
 		}
 		return WithSeed(n), nil
 	},
-	"wait": parseWait,
 	"patience": func(v string) (Option, error) {
 		n, err := spec.PosInt(v)
 		if err != nil {
@@ -136,13 +126,3 @@ var grammar = spec.NewGrammar[Option]("lock", map[string]spec.ParamFunc[Option]{
 		return WithStats(b), nil
 	},
 })
-
-func parseWait(v string) (Option, error) {
-	switch strings.ToLower(v) {
-	case "s", "spin":
-		return WithWaitPolicy(WaitSpin), nil
-	case "stp", "spinpark", "spin-then-park":
-		return WithWaitPolicy(WaitSpinThenPark), nil
-	}
-	return nil, fmt.Errorf("want s or stp")
-}

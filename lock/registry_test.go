@@ -3,15 +3,20 @@ package lock
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
-// TestRegistryNames pins the canonical name set: these are the names
-// lockbench, the benchmarks, and the examples rely on resolving.
+// knownLocks is the canonical name set: the names lockbench, the
+// benchmarks, and the examples rely on resolving.
+var knownLocks = []string{
+	"clh", "lifocr", "loiter", "mcs-stp",
+	"mcscr-stp", "null", "tas", "ticket",
+}
+
+// TestRegistryNames pins the canonical name set.
 func TestRegistryNames(t *testing.T) {
-	want := []string{
-		"clh", "lifocr", "loiter", "mcs-s", "mcs-stp",
-		"mcscr-s", "mcscr-stp", "null", "tas", "ticket",
-	}
+	want := knownLocks
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
@@ -72,28 +77,14 @@ func TestSpecParameters(t *testing.T) {
 	if !ok {
 		t.Fatalf("spec built %T, want *MCSCR", m)
 	}
-	if l.cfg.fairness != 500 || l.cfg.seed != 42 {
-		t.Fatalf("spec params not applied: %+v", l.cfg)
-	}
-	if l.cfg.wait != WaitSpinThenPark {
-		t.Fatal("mcscr-stp did not select spin-then-park")
+	if *l.trial != *core.NewTrial(500, 42) {
+		t.Fatal("spec params did not reach the fairness trial")
 	}
 
 	// Spec overrides programmatic options.
 	m = MustNew("mcscr-stp?fairness=7", WithFairnessPeriod(1000))
-	if got := m.(*MCSCR).cfg.fairness; got != 7 {
-		t.Fatalf("spec did not override option: fairness=%d want 7", got)
-	}
-
-	// The name's policy suffix overrides a conflicting wait parameter.
-	m = MustNew("mcs-s?wait=stp")
-	if got := m.(*MCS).cfg.wait; got != WaitSpin {
-		t.Fatalf("mcs-s?wait=stp built policy %v, want WaitSpin (name wins)", got)
-	}
-
-	// wait= works on unsuffixed names.
-	if got := MustNew("clh?wait=s").(*CLH).cfg.wait; got != WaitSpin {
-		t.Fatalf("clh?wait=s built policy %v", got)
+	if *m.(*MCSCR).trial != *core.NewTrial(7, 0) {
+		t.Fatal("spec did not override option: want fairness=7")
 	}
 
 	// stats=false yields zero snapshots.
@@ -115,10 +106,13 @@ func TestSpecErrors(t *testing.T) {
 	for spec, wantSub := range map[string]string{
 		"nosuch":              "unknown lock",
 		"":                    "unknown lock",
+		"mcs-s":               "unknown lock", // the "-S" shape is simulator-only
+		"mcscr-s?seed=1":      "unknown lock",
 		"mcs-stp?bogus=1":     "unknown parameter",
 		"mcscr-stp?spin=64":   "unknown parameter",
+		"clh?wait=s":          "unknown parameter",
+		"mcscr-stp?wait=stp":  "unknown parameter",
 		"mcs-stp?fairness=-1": "bad value",
-		"mcs-stp?wait=never":  "bad value",
 		"loiter?patience=0":   "bad value",
 		"loiter?arrivals=0":   "bad value",
 		"tas?stats=perhaps":   "bad value",
@@ -138,9 +132,9 @@ func TestSpecErrors(t *testing.T) {
 		}
 	}
 	// The unknown-name error must list the known names (discoverability).
-	_, err := New("nosuch")
-	if !strings.Contains(err.Error(), "mcscr-stp") {
-		t.Fatalf("unknown-lock error does not enumerate known locks: %v", err)
+	_, err := New("mcs-s")
+	if want := "(known locks: " + strings.Join(knownLocks, ", ") + ")"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("unknown-lock error %q does not list %q", err, want)
 	}
 }
 

@@ -20,9 +20,9 @@ const politeEvery = 64
 // counter. 63 iterations in 64 cost a load and a branch; the 64th is a
 // trip through the global run queue, 0.09 µs alone and 0.8–3.4 µs behind
 // eight runnable peers, against ~0.2 µs to park and be woken — the right
-// trade only where spinning is the whole policy ("-S" locks, tas, ticket,
-// the unlock paths' link waits). A spin-then-park waiter therefore parks
-// at once: its spin phase would cost more than the park it postponed.
+// trade only where spinning is the whole policy (tas, ticket, LOITER's
+// arrival phase, the unlock paths' link waits). A queued waiter therefore
+// parks at once: a spin phase would cost more than the park it postponed.
 func politePause(i int) {
 	if i%politeEvery == politeEvery-1 {
 		runtime.Gosched()
@@ -34,8 +34,7 @@ func politePause(i int) {
 //	granter:  tryGrant: CAS(waiting→granted) or CAS(parked→granted)
 //	          (unparking in the latter case); an abandoned cell is skipped.
 //	          An unlock that had to unpark ends in handoffDone's yield.
-//	waiter:   under WaitSpin, poll while state != granted; otherwise
-//	          CAS(waiting→parked) at once and park until granted;
+//	waiter:   CAS(waiting→parked) at once and park until granted;
 //	          on context cancellation, CAS(waiting|parked→abandoned).
 //
 // Exactly one of the racing transitions wins: a waiter whose abandon CAS
@@ -137,8 +136,7 @@ func (w *waitCell) abandon() bool {
 	}
 }
 
-// await blocks until the cell is granted: under WaitSpin it polls
-// politely, otherwise it parks at once. This is where a queued
+// await parks at once until the cell is granted. This is where a queued
 // acquisition first asks for ctx.Done() — its caller has enqueued and is
 // about to wait — and a nil ctx or a nil channel means the wait cannot be
 // cancelled (a nil channel never fires below). On err == nil the waiter
@@ -151,28 +149,10 @@ func (w *waitCell) abandon() bool {
 // fails, the waiter keeps the lock, and await returns nil even though
 // ctx is done. Callers surface that as a successful acquisition — the
 // lock must then be unlocked as usual.
-func (w *waitCell) await(ctx context.Context, policy WaitPolicy) (parked bool, err error) {
+func (w *waitCell) await(ctx context.Context) (parked bool, err error) {
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
-	}
-	if policy == WaitSpin {
-		for i := 0; w.state.Load() != stateGranted; i++ {
-			if i%ctxCheckEvery == ctxCheckEvery-1 {
-				select {
-				case <-done:
-					if w.state.CompareAndSwap(stateWaiting, stateAbandoned) {
-						return false, ctx.Err()
-					}
-					// The CAS can only lose to a grant (we never parked):
-					// grant-wins, we own the lock.
-					return false, nil
-				default:
-				}
-			}
-			politePause(i)
-		}
-		return false, nil
 	}
 	// Advertise that we are parking. The parker must exist before the CAS
 	// publishes stateParked — the granter reads w.parker only after
@@ -227,7 +207,7 @@ func handoffDone(s *core.Stats, unparked bool) {
 // that is not running", with every other waiter behind it. Yielding
 // dispatches it at once, as sync.Mutex's starvation-mode handoff does.
 // Call it once per unlock, after the unlock's own bookkeeping, and never
-// for a successor that was still spinning — that one is already running.
+// for a successor granted before it parked — that one is still running.
 func yieldToWoken() { runtime.Gosched() }
 
 // slowAcquireStats records a queued acquisition.

@@ -3,7 +3,6 @@ package lock
 import (
 	"context"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/pad"
@@ -110,9 +109,6 @@ func (l *TAS) lockSlow(ctx context.Context) error {
 		b.pause()
 	}
 }
-
-// TryLockFor is TryLock with a patience bound, built on LockContext.
-func (l *TAS) TryLockFor(d time.Duration) bool { return tryLockFor(l, d) }
 
 // TryLock acquires the lock if it is free.
 //

@@ -3,7 +3,6 @@ package lock
 import (
 	"context"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/pad"
@@ -99,9 +98,6 @@ func (l *Ticket) LockContext(ctx context.Context) error {
 		politePause(i)
 	}
 }
-
-// TryLockFor is TryLock with a patience bound, built on LockContext.
-func (l *Ticket) TryLockFor(d time.Duration) bool { return tryLockFor(l, d) }
 
 // TryLock acquires the lock only if no other thread holds or awaits it.
 func (l *Ticket) TryLock() bool {

@@ -25,7 +25,6 @@ package semaphore
 import (
 	"context"
 	"runtime"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/park"
@@ -101,7 +100,8 @@ func (s *Semaphore) Acquire() {
 
 // AcquireContext obtains one permit, abandoning the wait when ctx is
 // cancelled or its deadline passes. It returns nil once a permit is held
-// and ctx.Err() after an abandoned attempt.
+// and ctx.Err() after an abandoned attempt. A wait bounded by a duration
+// is AcquireContext under context.WithTimeout.
 //
 // The grant-vs-abandon race is arbitrated under the internal latch, the
 // same authority Release grants under: whichever of {grant, abandon}
@@ -124,22 +124,6 @@ func (s *Semaphore) AcquireContext(ctx context.Context) error {
 		return err
 	}
 	return s.acquire(ctx)
-}
-
-// AcquireFor obtains a permit within d and reports whether it did.
-// d <= 0 degenerates to TryAcquire.
-//
-//lockcheck:acquires s
-func (s *Semaphore) AcquireFor(d time.Duration) bool {
-	if s.TryAcquire() {
-		return true
-	}
-	if d <= 0 {
-		return false
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	return s.AcquireContext(ctx) == nil
 }
 
 // acquire is the shared acquisition body; a nil ctx waits indefinitely

@@ -112,16 +112,28 @@ func TestPermitConservation(t *testing.T) {
 	}
 }
 
-func TestAcquireFor(t *testing.T) {
+// acquireFor is the timed acquire: AcquireContext under a deadline d
+// from now.
+func acquireFor(s *Semaphore, d time.Duration) bool {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return s.AcquireContext(ctx) == nil
+}
+
+func TestAcquireContextDeadline(t *testing.T) {
 	s := NewFIFO(0)
-	if s.AcquireFor(20 * time.Millisecond) {
+	start := time.Now()
+	if acquireFor(s, 20*time.Millisecond) {
 		t.Fatal("acquired a permit that does not exist")
+	}
+	if waited := time.Since(start); waited < 20*time.Millisecond || waited > 5*time.Second {
+		t.Fatalf("timed acquire gave up after %v of a 20ms budget", waited)
 	}
 	if s.Waiters() != 0 {
 		t.Fatal("timed-out waiter left on queue")
 	}
 	s.Release()
-	if !s.AcquireFor(20 * time.Millisecond) {
+	if !acquireFor(s, 20*time.Millisecond) {
 		t.Fatal("failed to acquire an available permit")
 	}
 	// Late release must reach a timed waiter.
@@ -129,7 +141,7 @@ func TestAcquireFor(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		s.Release()
 	}()
-	if !s.AcquireFor(5 * time.Second) {
+	if !acquireFor(s, 5*time.Second) {
 		t.Fatal("missed a permit released before the deadline")
 	}
 }
@@ -247,8 +259,8 @@ func TestAcquireContextCancelWhileWaiting(t *testing.T) {
 	if s.Count() != 1 {
 		t.Fatalf("permit leaked to a cancelled waiter: count=%d", s.Count())
 	}
-	if !s.AcquireFor(time.Second) {
-		t.Fatal("AcquireFor missed the available permit")
+	if !acquireFor(s, time.Second) {
+		t.Fatal("timed acquire missed the available permit")
 	}
 }
 
@@ -256,8 +268,8 @@ func TestNoStats(t *testing.T) {
 	s := NewFIFO(1).NoStats()
 	s.Acquire()
 	s.Release()
-	if !s.AcquireFor(time.Second) {
-		t.Fatal("AcquireFor failed with a permit available")
+	if !acquireFor(s, time.Second) {
+		t.Fatal("timed acquire failed with a permit available")
 	}
 	s.Release()
 	if snap := s.Stats(); snap.Acquires != 0 {
@@ -265,13 +277,24 @@ func TestNoStats(t *testing.T) {
 	}
 }
 
-func TestAcquireForDegenerate(t *testing.T) {
+// TestAcquireContextExpiredDeadline: a wait bounded by zero or less is
+// TryAcquire. A deadline already past fails fast — even with a permit
+// available, and without consuming it.
+func TestAcquireContextExpiredDeadline(t *testing.T) {
 	s := NewFIFO(1)
-	if !s.AcquireFor(0) {
-		t.Fatal("AcquireFor(0) failed with a permit available")
+	for _, d := range []time.Duration{0, -time.Second} {
+		if acquireFor(s, d) {
+			t.Fatalf("deadline %v from now acquired a permit", d)
+		}
 	}
-	if s.AcquireFor(0) {
-		t.Fatal("AcquireFor(0) acquired a permit that does not exist")
+	if s.Count() != 1 || s.Waiters() != 0 {
+		t.Fatalf("expired deadlines disturbed the semaphore: count=%d waiters=%d", s.Count(), s.Waiters())
+	}
+	if !s.TryAcquire() {
+		t.Fatal("TryAcquire failed with a permit available")
+	}
+	if s.TryAcquire() {
+		t.Fatal("TryAcquire acquired a permit that does not exist")
 	}
 	s.Release()
 }
