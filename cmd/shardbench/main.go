@@ -10,7 +10,7 @@
 //	shardbench -stripes 1,8,64 -lock tas,mcscr-stp -cancel-frac 0.2
 //	shardbench -stripes 1,16 -lock 'mcscr-stp?fairness=500' -backend hashmap,skiplist,rbtree
 //	shardbench -stripes 8 -backend skiplist -scan-frac 0.1 -scan-span 256
-//	shardbench -stripes 8 -lock mcs-stp -dist zipf -policy static,malthusian
+//	shardbench -stripes 8 -backend hashmap -scan-frac 0.3 -policy static,scanaware
 //	shardbench -read-frac 0.95 -read-path locked,optimistic -dist zipf
 //	shardbench -list
 //
@@ -25,11 +25,12 @@
 // With -policy, each cell additionally runs a shard.Controller driving
 // the named adaptation policy (see policy.New) at -adapt-interval: the
 // controller snapshots the map, diffs, and live-reconfigures stripes the
-// policy says are mis-specced — a zipf-hot stripe demoted to a culling
-// lock by "malthusian", a scan-swamped stripe flipped to an ordered
-// backend by "scanaware". The swaps column (and "swaps" JSON field)
-// counts applied reconfigurations per cell; sweep "static,malthusian" to
-// price adaptation against a frozen baseline on identical traffic.
+// policy says are mis-specced — a scan-swamped stripe flipped to an
+// ordered backend by "scanaware", a stripe burning its deadline budget
+// demoted to a culling lock by "slo". The swaps column (and "swaps" JSON
+// field) counts applied reconfigurations per cell; sweep
+// "static,scanaware" to price adaptation against a frozen baseline on
+// identical traffic.
 //
 // The request loop itself — schedule, key pick, op mix, deadline draw,
 // accounting, and the harness half of fault injection — is

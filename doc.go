@@ -23,7 +23,7 @@
 //   - package store: the stripe-backend registry (hashmap, skiplist,
 //     rbtree; store.Ordered for range scans);
 //   - package policy: the adaptation-policy registry the shard
-//     controller drives (static, malthusian, scanaware);
+//     controller drives (static, scanaware, slo);
 //   - package sim (with sim/cache): a deterministic discrete-event model
 //     of the paper's SPARC T5 evaluation machine — cores, strands,
 //     pipeline sharing, shared LLC, DTLBs, scheduler, park/unpark and

@@ -35,46 +35,17 @@ type History []int32
 
 // Recorder accumulates an admission history. It is not synchronized: the
 // paper's protocol is to record inside the critical section, where the lock
-// itself serializes appends.
-//
-// Alongside the history the Recorder maintains the trailing-window
-// distinct-thread count incrementally (see RecentDistinct): each Record
-// charges O(1) expected map work instead of the O(window) walk the
-// standalone RecentLWSS pays, so a controller can read the live working
-// set on every poll without rescanning history.
+// itself serializes appends. Record is therefore only the append: every
+// instrument, RecentLWSS included, is computed from the history afterwards,
+// outside the section it would otherwise lengthen.
 type Recorder struct {
 	//lockcheck:guardedby external
 	history History
-	//lockcheck:guardedby external
-	window int
-
-	// counts holds per-id occurrence counts within the trailing window
-	// (entries are deleted at zero, so the map never outgrows the window);
-	// distinct is the number of nonzero entries — RecentLWSS(history,
-	// window), maintained incrementally.
-	//lockcheck:guardedby external
-	counts map[int32]int
-	//lockcheck:guardedby external
-	distinct int
 }
 
-// NewRecorder returns a Recorder with capacity pre-sized for n admissions
-// and the trailing distinct count over DefaultWindow.
+// NewRecorder returns a Recorder with capacity pre-sized for n admissions.
 func NewRecorder(n int) *Recorder {
-	return NewRecorderWindow(n, DefaultWindow)
-}
-
-// NewRecorderWindow is NewRecorder with an explicit trailing window for
-// RecentDistinct. It panics when window <= 0, like RecentLWSS.
-func NewRecorderWindow(n, window int) *Recorder {
-	if window <= 0 {
-		panic(fmt.Sprintf("metrics: Recorder window %d <= 0", window))
-	}
-	return &Recorder{
-		history: make(History, 0, n),
-		window:  window,
-		counts:  make(map[int32]int, 64),
-	}
+	return &Recorder{history: make(History, 0, n)}
 }
 
 // Record appends one admission by thread id. The id is stored in 32 bits
@@ -87,25 +58,7 @@ func (r *Recorder) Record(tid int) {
 		panic("metrics: Recorder.Record id does not fit in 32 bits")
 	}
 	r.history = append(r.history, id)
-	if r.counts[id]++; r.counts[id] == 1 {
-		r.distinct++
-	}
-	if len(r.history) > r.window {
-		// The admission that just fell out of the trailing window.
-		old := r.history[len(r.history)-1-r.window]
-		if r.counts[old]--; r.counts[old] == 0 {
-			r.distinct--
-			delete(r.counts, old)
-		}
-	}
 }
-
-// RecentDistinct returns the number of distinct thread ids in the trailing
-// window of the history: identical to RecentLWSS(History(), window) for
-// the window the Recorder was built with, but O(1) — the count is
-// maintained incrementally by Record. Like every history-derived
-// instrument it freezes when the owner stops recording.
-func (r *Recorder) RecentDistinct() int { return r.distinct }
 
 // History returns the recorded admission history.
 //
@@ -128,16 +81,11 @@ func (r *Recorder) Snapshot() History {
 // Len returns the number of recorded admissions.
 func (r *Recorder) Len() int { return len(r.history) }
 
-// Reset discards the recorded history but keeps the capacity, the window
-// map's too (callers reset inside their critical section). It
-// invalidates every slice previously returned by History (see the
-// ownership rule there); Snapshot copies are unaffected. The trailing
-// distinct count starts over with the history.
-func (r *Recorder) Reset() {
-	r.history = r.history[:0]
-	clear(r.counts)
-	r.distinct = 0
-}
+// Reset discards the recorded history but keeps the capacity (callers
+// reset inside their critical section). It invalidates every slice
+// previously returned by History (see the ownership rule there);
+// Snapshot copies are unaffected.
+func (r *Recorder) Reset() { r.history = r.history[:0] }
 
 // LWSS returns the lock working set size of h: the number of distinct
 // thread ids present.

@@ -355,69 +355,6 @@ func TestRecentLWSS(t *testing.T) {
 	RecentLWSS(h, 0)
 }
 
-// TestRecentDistinctOracle drives the Recorder's incremental trailing
-// distinct count against the standalone RecentLWSS walk as a
-// differential oracle: after every Record the two must agree exactly,
-// over a stream engineered to churn ids in and out of the window.
-func TestRecentDistinctOracle(t *testing.T) {
-	for _, window := range []int{1, 2, 7, 64} {
-		r := NewRecorderWindow(4096, window)
-		// Deterministic mixed stream: runs of one id, bursts of distinct
-		// ids, and revisits — the cases where eviction accounting breaks.
-		id, x := 0, uint64(12345)
-		for i := 0; i < 3000; i++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			switch x % 4 {
-			case 0:
-				id = int(x % 5) // tight reuse set
-			case 1:
-				id = i // fresh id
-			case 2:
-				// keep the previous id: a run
-			case 3:
-				id = int(x % 97) // wide reuse set
-			}
-			r.Record(id)
-			want := RecentLWSS(r.History(), window)
-			if got := r.RecentDistinct(); got != want {
-				t.Fatalf("window %d, step %d: RecentDistinct = %d, oracle RecentLWSS = %d", window, i, got, want)
-			}
-		}
-		// Reset starts the count over with the history.
-		r.Reset()
-		if got := r.RecentDistinct(); got != 0 {
-			t.Fatalf("window %d: RecentDistinct after Reset = %d", window, got)
-		}
-		r.Record(1)
-		r.Record(1)
-		r.Record(2)
-		if got := r.RecentDistinct(); got != RecentLWSS(r.History(), window) {
-			t.Fatalf("window %d: post-Reset RecentDistinct = %d", window, got)
-		}
-	}
-}
-
-// TestNewRecorderDefaultWindow: NewRecorder's trailing count uses
-// DefaultWindow, and a non-positive explicit window panics like
-// RecentLWSS does.
-func TestNewRecorderDefaultWindow(t *testing.T) {
-	r := NewRecorder(8)
-	for i := 0; i < 5; i++ {
-		r.Record(i)
-	}
-	if got := r.RecentDistinct(); got != 5 {
-		t.Fatalf("RecentDistinct = %d want 5", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewRecorderWindow(n, 0) did not panic")
-		}
-	}()
-	NewRecorderWindow(8, 0)
-}
-
 // TestRecordIDsAreStoredIn32Bits: the history holds int32 ids. Every id
 // that fits round-trips, negative ones included; one that does not is a
 // caller bug and panics instead of aliasing another thread.
@@ -445,7 +382,7 @@ func TestRecordIDsAreStoredIn32Bits(t *testing.T) {
 }
 
 // TestResetDoesNotAllocate: callers swap and reset recorders inside their
-// critical section, so Reset must reuse the window map, not rebuild it.
+// critical section, so Reset must keep the history's storage.
 func TestResetDoesNotAllocate(t *testing.T) {
 	r := NewRecorder(64)
 	allocs := testing.AllocsPerRun(100, func() {

@@ -6,7 +6,7 @@ import "testing"
 // policy spec in the module; it must be total and deterministic.
 func FuzzNew(f *testing.F) {
 	f.Add("static")
-	f.Add("malthusian")
+	f.Add("scanaware?scanfrac=0.3&to=rbtree")
 	f.Add("slo?target=0.1&hot=mcscr-stp")
 	f.Add("slo?target=2")
 	f.Add("scanaware")

@@ -6,7 +6,7 @@
 // and storage policies it adapts:
 //
 //	p, err := policy.New("static")
-//	p, err := policy.New("malthusian?lwss=6&parks=64&hold=2")
+//	p, err := policy.New("slo?target=0.05&hot=mcscr-stp")
 //	p := policy.MustNew("scanaware?scanfrac=0.3&to=skiplist")
 //
 // A policy implements shard.Policy: a Decide function the controller
@@ -41,21 +41,15 @@ type Policy = shard.Policy
 
 // Defaults for the built-in policies' parameters.
 const (
-	// DefaultLWSS is the recent working-set size at or above which
-	// "malthusian" considers a stripe collapsing.
-	DefaultLWSS = 8.0
-	// DefaultParks is the per-interval park count at or above which
-	// "malthusian" considers a stripe collapsing.
-	DefaultParks = 64
 	// DefaultHold is how many consecutive intervals a signal must
-	// persist before a policy acts on it — the hysteresis that keeps a
+	// persist before "scanaware" acts on it — the hysteresis that keeps a
 	// borderline stripe from flapping between specs.
 	DefaultHold = 2
 	// DefaultScanFrac is the scan share of traffic at or above which
 	// "scanaware" flips a stripe to an ordered backend.
 	DefaultScanFrac = 0.5
-	// DefaultHotLockSpec is the culling/passivating lock spec
-	// "malthusian" demotes a collapsing stripe to.
+	// DefaultHotLockSpec is the culling/passivating lock spec "slo"
+	// demotes a stripe burning its deadline budget to.
 	DefaultHotLockSpec = "mcscr-stp"
 	// DefaultOrderedSpec is the ordered backend spec "scanaware" flips a
 	// scan-dominated stripe to.
@@ -80,8 +74,6 @@ const (
 // understand. A policy reads what applies to it and ignores the rest —
 // the same contract the lock and backend options follow.
 type config struct {
-	lwss     float64
-	parks    uint64
 	hold     int
 	scanFrac float64
 	hotLock  string
@@ -100,8 +92,6 @@ type Option func(*config)
 
 func resolve(opts []Option) config {
 	cfg := config{
-		lwss:      DefaultLWSS,
-		parks:     DefaultParks,
 		hold:      DefaultHold,
 		scanFrac:  DefaultScanFrac,
 		hotLock:   DefaultHotLockSpec,
@@ -152,17 +142,15 @@ func Lookup(name string) (Registration, bool) { return registry.Lookup(name) }
 // followed by URL-style parameters:
 //
 //	"static"
-//	"malthusian?lwss=6&parks=64&hold=2"
+//	"slo?target=0.1&slow=40&hot=mcscr-stp"
 //	"scanaware?scanfrac=0.3&to=rbtree"
 //
 // Parameters (a policy reads what applies to it and ignores the rest):
 //
-//	lwss=N        recent-LWSS collapse threshold, "malthusian" (0 disables)
-//	parks=N       per-interval parks threshold, "malthusian" (0 disables)
-//	hold=N        hysteresis depth in intervals, both directions (>= 1)
+//	hold=N        "scanaware" hysteresis depth in intervals, both directions (>= 1)
 //	scanfrac=F    scan share at which "scanaware" flips, 0..1 (0 disables:
 //	              a zero threshold would read every interval as hot and calm)
-//	hot=SPEC      lock spec "malthusian"/"slo" demote to (URL-escaped)
+//	hot=SPEC      lock spec "slo" demotes to (URL-escaped)
 //	to=SPEC       ordered backend spec "scanaware" flips to (URL-escaped)
 //	target=F      deadline-miss budget "slo" defends, 0..1 (0 disables)
 //	fast=N        fast burn window, non-idle intervals: bounds reaction time
@@ -209,8 +197,6 @@ func param[T any](parse func(string) (T, error), set func(*config, T)) spec.Para
 }
 
 var grammar = spec.NewGrammar[Option]("policy", map[string]spec.ParamFunc[Option]{
-	"lwss":     param(spec.Uint, func(c *config, n uint64) { c.lwss = float64(n) }),
-	"parks":    param(spec.Uint, func(c *config, n uint64) { c.parks = n }),
 	"hold":     param(spec.PosInt, func(c *config, n int) { c.hold = n }),
 	"scanfrac": param(spec.Frac, func(c *config, f float64) { c.scanFrac = f }),
 	"hot":      param(stripeLockSpec, func(c *config, v string) { c.hotLock = v }),

@@ -1,46 +1,38 @@
 package policy
 
 import (
-	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/lock"
-	"repro/metrics"
 	"repro/shard"
 )
 
 func TestRegistry(t *testing.T) {
-	names := Names()
-	for _, want := range []string{"malthusian", "scanaware", "static"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("Names() = %v, missing %q", names, want)
-		}
+	if got := strings.Join(Names(), " "); got != "scanaware slo static" {
+		t.Fatalf("Names() = %q want \"scanaware slo static\"", got)
 	}
 	if _, ok := Lookup("noop"); !ok {
 		t.Fatal("alias noop did not resolve")
 	}
-	for _, spec := range []string{"static", "malthusian?lwss=6&parks=32&hold=3", "scanaware?scanfrac=0.25&to=rbtree", "malthusian?hot=lifocr"} {
+	for _, spec := range []string{"static", "slo?target=0.1&fast=2&slow=8&hot=lifocr", "scanaware?scanfrac=0.25&to=rbtree&hold=3"} {
 		if _, err := New(spec); err != nil {
 			t.Fatalf("New(%q): %v", spec, err)
 		}
 	}
 	for _, bad := range []struct{ spec, frag string }{
 		{"no-such-policy", "unknown policy"},
+		{"Malthusian", "unknown policy"},
 		{"static?bogus=1", "unknown parameter"},
-		{"malthusian?hold=0", "bad value"},
-		{"malthusian?lwss=x", "bad value"},
+		{"slo?parks=64", "unknown parameter"},
+		{"scanaware?lwss=8", "unknown parameter"},
+		{"scanaware?hold=0", "bad value"},
 		{"scanaware?scanfrac=1.5", "bad value"},
 		{"scanaware?scanfrac=0.5&scanfrac=0.6", "given 2 times"},
-		{"malthusian?hot=no-such-lock", "bad value"},
+		{"slo?hot=no-such-lock", "bad value"},
 		{"scanaware?to=no-such-backend", "bad value"},
 		{"scanaware?to=hashmap", "not ordered"},
 	} {
@@ -50,6 +42,14 @@ func TestRegistry(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), bad.frag) {
 			t.Fatalf("New(%q) error %q missing %q", bad.spec, err, bad.frag)
+		}
+	}
+	// The unknown-name error lists what is registered. Names fold case,
+	// so this is the deleted park-keyed policy's name too.
+	_, err := New("Malthusian")
+	for _, name := range []string{"scanaware", "slo", "static"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("New(\"Malthusian\") error %q does not list %q", err, name)
 		}
 	}
 }
@@ -76,7 +76,7 @@ func TestHotSpecRequiresContextMutex(t *testing.T) {
 	})
 	// The parse-time contract: a hot= target the shard layer would
 	// reject must fail at policy.New, not silently never swap.
-	_, err := New("malthusian?hot=plain-test-lock")
+	_, err := New("slo?hot=plain-test-lock")
 	if err == nil || !strings.Contains(err.Error(), "ContextMutex") {
 		t.Fatalf("New accepted a non-ContextMutex hot target: %v", err)
 	}
@@ -92,142 +92,41 @@ func TestStatic(t *testing.T) {
 	}
 }
 
-// snap builds a scripted stripe snapshot: cumulative parks/acquires and a
-// recent working set, the signals the built-in policies read.
-func snap(idx int, lockSpec, backendSpec string, parks, acquires, scans uint64, recentLWSS float64) shard.StripeSnapshot {
+// snap builds a scripted stripe snapshot: cumulative acquires and scan
+// attempts, the signals scanaware reads.
+func snap(idx int, backendSpec string, acquires, scans uint64) shard.StripeSnapshot {
 	return shard.StripeSnapshot{
 		Index:       idx,
-		LockSpec:    lockSpec,
+		LockSpec:    "tas",
 		BackendSpec: backendSpec,
 		Ordered:     backendSpec != "hashmap",
-		Counters:    shard.Counters{Scans: scans, Lock: core.Snapshot{Parks: parks, Acquires: acquires}},
-		Fairness:    metrics.Summary{RecentLWSS: recentLWSS},
-	}
-}
-
-func TestMalthusianDemotesAndRestores(t *testing.T) {
-	p := MustNew("malthusian?parks=100&lwss=8&hold=2")
-	prev := snap(3, "mcs-stp", "hashmap", 0, 0, 0, 2)
-
-	// Interval 1: park storm begins. hold=2, so no swap yet.
-	cur := snap(3, "mcs-stp", "hashmap", 150, 1000, 0, 2)
-	if _, _, swap := p.Decide(prev, cur); swap {
-		t.Fatal("demoted after one hot interval (hold=2)")
-	}
-	// Interval 2: storm persists — demote to the hot spec, lock only.
-	prev, cur = cur, snap(3, "mcs-stp", "hashmap", 300, 2000, 0, 2)
-	ls, bs, swap := p.Decide(prev, cur)
-	if !swap || ls != DefaultHotLockSpec || bs != "" {
-		t.Fatalf("Decide = %q, %q, %v want %q, \"\", true", ls, bs, swap, DefaultHotLockSpec)
-	}
-
-	// Demoted. Calm intervals must persist hold times before restore.
-	prev, cur = cur, snap(3, "mcscr-stp", "hashmap", 310, 2500, 0, 2) // 10 parks < 50
-	if _, _, swap := p.Decide(prev, cur); swap {
-		t.Fatal("restored after one calm interval")
-	}
-	prev, cur = cur, snap(3, "mcscr-stp", "hashmap", 320, 3000, 0, 2)
-	ls, bs, swap = p.Decide(prev, cur)
-	if !swap || ls != "mcs-stp" || bs != "" {
-		t.Fatalf("restore Decide = %q, %q, %v want original mcs-stp", ls, bs, swap)
-	}
-}
-
-func TestMalthusianLWSSTrigger(t *testing.T) {
-	p := MustNew("malthusian?parks=0&lwss=8&hold=1")
-	prev := snap(0, "tas", "hashmap", 0, 0, 0, 0)
-	// Wide recent working set alone demotes (parks trigger disabled).
-	cur := snap(0, "tas", "hashmap", 0, 1000, 0, 12)
-	if ls, _, swap := p.Decide(prev, cur); !swap || ls != DefaultHotLockSpec {
-		t.Fatalf("LWSS trigger: %q, %v", ls, swap)
-	}
-	// Working set narrows below the threshold: restore.
-	prev, cur = cur, snap(0, "mcscr-stp", "hashmap", 0, 2000, 0, 3)
-	if ls, _, swap := p.Decide(prev, cur); !swap || ls != "tas" {
-		t.Fatalf("LWSS restore: %q, %v", ls, swap)
-	}
-}
-
-// TestMalthusianNoFlapping drives a stripe that oscillates hot/calm every
-// interval: with hold=2 the signal never persists, so the policy must
-// never swap in either direction.
-func TestMalthusianNoFlapping(t *testing.T) {
-	p := MustNew("malthusian?parks=100&lwss=0&hold=2")
-	var parks uint64
-	prev := snap(0, "mcs-stp", "hashmap", parks, 0, 0, 0)
-	for i := 0; i < 40; i++ {
-		if i%2 == 0 {
-			parks += 500 // hot interval
-		} else {
-			parks += 1 // calm interval
-		}
-		cur := snap(0, "mcs-stp", "hashmap", parks, 0, 0, 0)
-		if ls, bs, swap := p.Decide(prev, cur); swap {
-			t.Fatalf("flapped at interval %d: %q, %q", i, ls, bs)
-		}
-		prev = cur
-	}
-}
-
-// TestMalthusianBorderlineHysteresis: a demoted stripe sitting in the
-// hysteresis band (above half the threshold, below the threshold) must
-// stay demoted forever — the band is sticky by design.
-func TestMalthusianBorderlineHysteresis(t *testing.T) {
-	p := MustNew("malthusian?parks=100&lwss=0&hold=1")
-	var parks uint64
-	prev := snap(0, "mcs-stp", "hashmap", parks, 0, 0, 0)
-	parks += 200
-	cur := snap(0, "mcs-stp", "hashmap", parks, 0, 0, 0)
-	if _, _, swap := p.Decide(prev, cur); !swap {
-		t.Fatal("did not demote")
-	}
-	for i := 0; i < 20; i++ {
-		parks += 75 // in (50, 100): neither hot nor calm
-		prev, cur = cur, snap(0, "mcscr-stp", "hashmap", parks, 0, 0, 0)
-		if _, _, swap := p.Decide(prev, cur); swap {
-			t.Fatalf("swapped inside the hysteresis band at interval %d", i)
-		}
-	}
-}
-
-func TestMalthusianAlreadyHot(t *testing.T) {
-	// A stripe already running the hot lock is left alone no matter how
-	// collapsed it looks — including when its spec carries parameters
-	// the bare hot= default lacks: demoting "mcscr-stp?fairness=500" to
-	// "mcscr-stp" would discard the tuning and churn the queue.
-	for _, spec := range []string{DefaultHotLockSpec, "mcscr-stp?fairness=500&seed=42"} {
-		p := MustNew("malthusian?parks=10&hold=1")
-		prev := snap(0, spec, "hashmap", 0, 0, 0, 64)
-		cur := snap(0, spec, "hashmap", 1<<20, 1<<20, 0, 64)
-		if _, _, swap := p.Decide(prev, cur); swap {
-			t.Fatalf("swapped a stripe already on the hot lock (%q)", spec)
-		}
+		Counters:    shard.Counters{Scans: scans, Lock: core.Snapshot{Acquires: acquires}},
 	}
 }
 
 func TestScanawareFlipsAndRestores(t *testing.T) {
 	p := MustNew("scanaware?scanfrac=0.5&hold=2")
-	prev := snap(1, "tas", "hashmap", 0, 0, 0, 0)
+	prev := snap(1, "hashmap", 0, 0)
 
 	// Scan-dominated intervals (share 1.0 — scans rejected by hashmap,
 	// so acquires stay 0 while attempts mount).
-	cur := snap(1, "tas", "hashmap", 0, 0, 100, 0)
+	cur := snap(1, "hashmap", 0, 100)
 	if _, _, swap := p.Decide(prev, cur); swap {
 		t.Fatal("flipped after one interval (hold=2)")
 	}
-	prev, cur = cur, snap(1, "tas", "hashmap", 0, 0, 200, 0)
+	prev, cur = cur, snap(1, "hashmap", 0, 200)
 	ls, bs, swap := p.Decide(prev, cur)
 	if !swap || ls != "" || bs != DefaultOrderedSpec {
 		t.Fatalf("flip Decide = %q, %q, %v want \"\", %q, true", ls, bs, swap, DefaultOrderedSpec)
 	}
 
 	// Scans fade (share <= 0.25 of acquisitions): restore the hashmap.
-	prev = snap(1, "tas", DefaultOrderedSpec, 0, 1000, 200, 0)
-	cur = snap(1, "tas", DefaultOrderedSpec, 0, 2000, 210, 0) // 10/1000
+	prev = snap(1, DefaultOrderedSpec, 1000, 200)
+	cur = snap(1, DefaultOrderedSpec, 2000, 210) // 10/1000
 	if _, _, swap := p.Decide(prev, cur); swap {
 		t.Fatal("restored after one calm interval")
 	}
-	prev, cur = cur, snap(1, "tas", DefaultOrderedSpec, 0, 3000, 215, 0)
+	prev, cur = cur, snap(1, DefaultOrderedSpec, 3000, 215)
 	ls, bs, swap = p.Decide(prev, cur)
 	if !swap || bs != "hashmap" {
 		t.Fatalf("restore Decide = %q, %q, %v want hashmap back", ls, bs, swap)
@@ -236,22 +135,22 @@ func TestScanawareFlipsAndRestores(t *testing.T) {
 
 func TestScanawareIdleAndNoFlap(t *testing.T) {
 	p := MustNew("scanaware?scanfrac=0.5&hold=2")
-	prev := snap(0, "tas", "hashmap", 0, 0, 0, 0)
+	prev := snap(0, "hashmap", 0, 0)
 	// One hot interval...
-	cur := snap(0, "tas", "hashmap", 0, 0, 100, 0)
+	cur := snap(0, "hashmap", 0, 100)
 	if _, _, swap := p.Decide(prev, cur); swap {
 		t.Fatal("flipped early")
 	}
 	// ...then idle intervals: no evidence, no decay, no flip.
 	for i := 0; i < 5; i++ {
-		prev, cur = cur, snap(0, "tas", "hashmap", 0, 0, 100, 0)
+		prev, cur = cur, snap(0, "hashmap", 0, 100)
 		if _, _, swap := p.Decide(prev, cur); swap {
 			t.Fatal("flipped on an idle interval")
 		}
 	}
 	// Evidence survives the idle gap: the next hot interval completes
 	// the hold and flips.
-	prev, cur = cur, snap(0, "tas", "hashmap", 0, 0, 200, 0)
+	prev, cur = cur, snap(0, "hashmap", 0, 200)
 	if _, bs, swap := p.Decide(prev, cur); !swap || bs != DefaultOrderedSpec {
 		t.Fatalf("idle gap decayed the signal: %q, %v", bs, swap)
 	}
@@ -260,14 +159,14 @@ func TestScanawareIdleAndNoFlap(t *testing.T) {
 	// never accumulates hold consecutive hot intervals — no flip, ever.
 	p2 := MustNew("scanaware?scanfrac=0.5&hold=2")
 	scans, acqs := uint64(0), uint64(0)
-	prev = snap(0, "tas", "hashmap", 0, 0, 0, 0)
+	prev = snap(0, "hashmap", 0, 0)
 	for i := 0; i < 40; i++ {
 		if i%2 == 0 {
 			scans += 100 // all-scan interval
 		} else {
 			acqs += 1000 // all-point interval
 		}
-		cur = snap(0, "tas", "hashmap", 0, acqs, scans, 0)
+		cur = snap(0, "hashmap", acqs, scans)
 		if _, _, swap := p2.Decide(prev, cur); swap {
 			t.Fatalf("scanaware flapped at interval %d", i)
 		}
@@ -281,27 +180,22 @@ func TestScanawareIdleAndNoFlap(t *testing.T) {
 // while the signal persists — not believe its own memory of a swap that
 // did not happen.
 func TestRejectedSwapResync(t *testing.T) {
-	// malthusian whose demotion never shows up in the stripe's spec.
-	p := MustNew("malthusian?parks=10&lwss=0&hold=1&hot=tas")
-	var parks uint64
-	prev := snap(0, "mcs-stp", "hashmap", parks, 0, 0, 0)
+	// slo whose demotion never shows up in the stripe's spec.
+	s := newSLOScript(MustNew("slo?target=0.1&fast=1&slow=1&min=1&hot=tas"), "mcs-stp")
 	for i := 0; i < 3; i++ {
-		parks += 100
-		cur := snap(0, "mcs-stp", "hashmap", parks, 0, 0, 0) // swap rejected: spec unchanged
-		ls, _, swap := p.Decide(prev, cur)
+		ls, _, swap := s.interval(100, 50) // swap rejected: spec unchanged
 		if !swap || ls != "tas" {
 			t.Fatalf("interval %d: Decide = %q, %v — stopped retrying after a rejected swap", i, ls, swap)
 		}
-		prev = cur
 	}
 
 	// scanaware whose flip never shows up either.
 	ps := MustNew("scanaware?scanfrac=0.5&hold=1&to=rbtree")
 	var scanned uint64
-	sprev := snap(0, "tas", "hashmap", 0, 0, scanned, 0)
+	sprev := snap(0, "hashmap", 0, scanned)
 	for i := 0; i < 3; i++ {
 		scanned += 100
-		cur := snap(0, "tas", "hashmap", 0, 0, scanned, 0) // flip rejected: still unordered
+		cur := snap(0, "hashmap", 0, scanned) // flip rejected: still unordered
 		_, bs, swap := ps.Decide(sprev, cur)
 		if !swap || bs != "rbtree" {
 			t.Fatalf("interval %d: Decide = %q, %v — stopped retrying after a rejected flip", i, bs, swap)
@@ -318,11 +212,11 @@ func TestRejectedSwapResync(t *testing.T) {
 func TestScanawareRejectedScansDenominator(t *testing.T) {
 	p := MustNew("scanaware?scanfrac=0.5&hold=1")
 	var scansSeen, acq uint64
-	prev := snap(0, "tas", "hashmap", 0, acq, scansSeen, 0)
+	prev := snap(0, "hashmap", acq, scansSeen)
 	for i := 0; i < 5; i++ {
 		scansSeen += 500
 		acq += 1000 // point ops only: rejected scans never acquired
-		cur := snap(0, "tas", "hashmap", 0, acq, scansSeen, 0)
+		cur := snap(0, "hashmap", acq, scansSeen)
 		if _, _, swap := p.Decide(prev, cur); swap {
 			t.Fatalf("interval %d: flipped at a true scan share of 1/3 (threshold 0.5)", i)
 		}
@@ -331,7 +225,7 @@ func TestScanawareRejectedScansDenominator(t *testing.T) {
 	// At a true share of 0.6 (1500 scans vs 1000 point ops), it flips.
 	scansSeen += 1500
 	acq += 1000
-	cur := snap(0, "tas", "hashmap", 0, acq, scansSeen, 0)
+	cur := snap(0, "hashmap", acq, scansSeen)
 	if _, bs, swap := p.Decide(prev, cur); !swap || bs != DefaultOrderedSpec {
 		t.Fatalf("true share 0.6 did not flip: %q, %v", bs, swap)
 	}
@@ -345,18 +239,18 @@ func TestScanawareRejectedScansDenominator(t *testing.T) {
 func TestScanawareMonitoringNoise(t *testing.T) {
 	p := MustNew("scanaware?scanfrac=0.5&hold=1")
 	// Flip first: one genuinely scan-dominated interval.
-	prev := snap(0, "tas", "hashmap", 0, 0, 0, 0)
-	cur := snap(0, "tas", "hashmap", 0, 0, 100, 0)
+	prev := snap(0, "hashmap", 0, 0)
+	cur := snap(0, "hashmap", 0, 100)
 	if _, bs, swap := p.Decide(prev, cur); !swap || bs != DefaultOrderedSpec {
 		t.Fatalf("did not flip: %q, %v", bs, swap)
 	}
 	// A long lull where only the monitor touches the stripe (3 acquires
 	// per interval, no scans): never restores.
 	acq := uint64(0)
-	prev = snap(0, "tas", DefaultOrderedSpec, 0, acq, 100, 0)
+	prev = snap(0, DefaultOrderedSpec, acq, 100)
 	for i := 0; i < 50; i++ {
 		acq += 3
-		cur = snap(0, "tas", DefaultOrderedSpec, 0, acq, 100, 0)
+		cur = snap(0, DefaultOrderedSpec, acq, 100)
 		if _, bs, swap := p.Decide(prev, cur); swap {
 			t.Fatalf("monitoring noise restored the backend at interval %d (%q)", i, bs)
 		}
@@ -364,17 +258,17 @@ func TestScanawareMonitoringNoise(t *testing.T) {
 	}
 }
 
-// TestScanawareZeroFracDisabled: scanfrac=0 disables the policy (the
-// malthusian "0 disables" convention) — without that rule every interval
-// would read as both hot (share >= 0) and calm (share <= 0), migrating
-// the stripe back and forth forever on pure point traffic.
+// TestScanawareZeroFracDisabled: scanfrac=0 disables the policy (as
+// target=0 disables slo) — without that rule every interval would read
+// as both hot (share >= 0) and calm (share <= 0), migrating the stripe
+// back and forth forever on pure point traffic.
 func TestScanawareZeroFracDisabled(t *testing.T) {
 	p := MustNew("scanaware?scanfrac=0&hold=1")
 	var acq uint64
-	prev := snap(0, "tas", "hashmap", 0, acq, 0, 0)
+	prev := snap(0, "hashmap", acq, 0)
 	for i := 0; i < 10; i++ {
 		acq += 1000
-		cur := snap(0, "tas", "hashmap", 0, acq, 0, 0)
+		cur := snap(0, "hashmap", acq, 0)
 		if _, bs, swap := p.Decide(prev, cur); swap {
 			t.Fatalf("scanfrac=0 swapped at interval %d (%q)", i, bs)
 		}
@@ -388,8 +282,8 @@ func TestScanawareAlreadyOrdered(t *testing.T) {
 	// migration for zero functional gain.
 	p := MustNew("scanaware?hold=1&scanfrac=0.1")
 	for _, spec := range []string{"skiplist", "rbtree", "skiplist?seed=7"} {
-		prev := snap(0, "tas", spec, 0, 0, 0, 0)
-		cur := snap(0, "tas", spec, 0, 0, 1000, 0)
+		prev := snap(0, spec, 0, 0)
+		cur := snap(0, spec, 0, 1000)
 		if _, _, swap := p.Decide(prev, cur); swap {
 			t.Fatalf("flipped a stripe already ordered (%q)", spec)
 		}
@@ -397,63 +291,49 @@ func TestScanawareAlreadyOrdered(t *testing.T) {
 }
 
 // TestPolicyAgainstLiveMap wires a registry policy against real map
-// snapshots, deterministically: a short HistoryWindow makes RecentLWSS
-// the trailing working set of the last 8 admissions, which single-
-// threaded identified traffic can widen (8 distinct client ids) and
-// narrow (8 admissions by one id) at will. The malthusian policy must
-// demote the hammered stripe, leave the idle stripe alone, and restore
-// when the working set narrows. This is the integration seam the unit
-// snapshots above mock.
+// snapshots, deterministically: scans on a hashmap map are rejected but
+// still counted, so the scanaware policy must see the demand, flip every
+// stripe to the ordered backend through Reconfigure, and the same scan
+// must then be served, in order, with no entry lost to the migration.
+// This is the integration seam the scripted snapshots above mock.
 func TestPolicyAgainstLiveMap(t *testing.T) {
-	m := shard.MustNew(shard.Config{
-		Stripes: 2, LockSpec: "tas", HistoryCap: 1 << 12, HistoryWindow: 8,
-	})
-	pol := MustNew("malthusian?parks=0&lwss=4&hold=1")
-	key := uint64(0)
-	idx := m.StripeFor(key)
-	other := 1 - idx
+	m := shard.MustNew(shard.Config{Stripes: 2, LockSpec: "tas", BackendSpec: "hashmap"})
+	pol := MustNew("scanaware?scanfrac=0.5&hold=1")
+	const keys = 64
+	for k := uint64(0); k < keys; k++ {
+		m.Put(k, k*10)
+	}
+	visit := func(k, v uint64) bool { return true }
 
 	prev := m.Snapshot()
-	for id := 0; id < 8; id++ {
-		ctx := shard.WithClientID(context.Background(), id)
-		if _, err := m.PutContext(ctx, key, 1); err != nil {
-			t.Fatal(err)
+	for i := 0; i < 32; i++ {
+		if err := m.Scan(0, keys-1, visit); !errors.Is(err, shard.ErrUnordered) {
+			t.Fatalf("Scan on hashmap stripes = %v want ErrUnordered", err)
 		}
 	}
 	cur := m.Snapshot()
-	if got := cur.Stripes[idx].Fairness.RecentLWSS; got != 8 {
-		t.Fatalf("RecentLWSS=%v want 8", got)
-	}
-	if _, _, swap := pol.Decide(prev.Stripes[other], cur.Stripes[other]); swap {
-		t.Fatal("demoted the idle stripe")
-	}
-	ls, bs, swap := pol.Decide(prev.Stripes[idx], cur.Stripes[idx])
-	if !swap || ls != DefaultHotLockSpec {
-		t.Fatalf("Decide = %q, %q, %v want demote to %q", ls, bs, swap, DefaultHotLockSpec)
-	}
-	if err := m.Reconfigure(idx, ls, bs); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := m.StripeSpecs(idx); got != DefaultHotLockSpec {
-		t.Fatalf("stripe %d spec %q after demote", idx, got)
-	}
-
-	// Narrow the trailing working set to one client: calm, restore.
-	ctx := shard.WithClientID(context.Background(), 0)
-	for i := 0; i < 8; i++ {
-		if _, err := m.PutContext(ctx, key, 2); err != nil {
+	for i := range cur.Stripes {
+		ls, bs, swap := pol.Decide(prev.Stripes[i], cur.Stripes[i])
+		if !swap || ls != "" || bs != DefaultOrderedSpec {
+			t.Fatalf("stripe %d: Decide = %q, %q, %v want flip to %q", i, ls, bs, swap, DefaultOrderedSpec)
+		}
+		if err := m.Reconfigure(i, ls, bs); err != nil {
 			t.Fatal(err)
 		}
+		if _, got := m.StripeSpecs(i); got != DefaultOrderedSpec {
+			t.Fatalf("stripe %d backend %q after flip", i, got)
+		}
 	}
-	prev, cur = cur, m.Snapshot()
-	ls, _, swap = pol.Decide(prev.Stripes[idx], cur.Stripes[idx])
-	if !swap || ls != "tas" {
-		t.Fatalf("restore Decide = %q, %v want tas back", ls, swap)
-	}
-	if err := m.Reconfigure(idx, ls, ""); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := m.StripeSpecs(idx); got != "tas" {
-		t.Fatalf("stripe %d spec %q after restore", idx, got)
+
+	var next uint64
+	err := m.Scan(0, keys-1, func(k, v uint64) bool {
+		if k != next || v != k*10 {
+			t.Fatalf("Scan visited (%d, %d) want (%d, %d)", k, v, next, next*10)
+		}
+		next++
+		return true
+	})
+	if err != nil || next != keys {
+		t.Fatalf("Scan after flip = %v after %d keys, want nil after %d", err, next, keys)
 	}
 }

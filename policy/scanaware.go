@@ -45,10 +45,10 @@ func init() {
 // hold consecutive intervals flips it back. Flipping back surrenders
 // order — subsequent scans fail with ErrUnordered until demand rebuilds
 // — which is the honest cost of paying for order only while it earns
-// its point-op overhead. scanfrac=0 disables the policy entirely (the
-// same "0 disables this trigger" convention as malthusian's thresholds);
-// without that rule a zero threshold would read every interval as both
-// hot and calm and migrate the stripe back and forth forever.
+// its point-op overhead. scanfrac=0 disables the policy entirely, as
+// target=0 disables slo; without that rule a zero threshold would read
+// every interval as both hot and calm and migrate the stripe back and
+// forth forever.
 //
 // Two sources of counter noise are filtered before they can masquerade
 // as evidence: an interval with fewer than minEvidence acquisitions is
@@ -91,7 +91,7 @@ const minEvidence = 16
 
 func (p *scanaware) Decide(prev, cur shard.StripeSnapshot) (lockSpec, backendSpec string, swap bool) {
 	if p.frac == 0 {
-		// Disabled, the same convention as malthusian's zero thresholds.
+		// Disabled, the same convention as slo's target=0.
 		return "", "", false
 	}
 	s := p.state(cur.Index)

@@ -1,7 +1,10 @@
 package policy
 
 import (
+	"strings"
+
 	"repro/internal/core"
+	"repro/lock"
 	"repro/shard"
 )
 
@@ -23,9 +26,26 @@ func init() {
 	})
 }
 
+// sameLock reports whether two lock specs name the same registered lock,
+// ignoring parameters and resolving aliases: "mcscr-stp?fairness=500" is
+// the same lock as "mcscr-stp". Unregistered names fall back to a
+// case-insensitive name comparison.
+func sameLock(a, b string) bool {
+	return lockName(a) == lockName(b)
+}
+
+func lockName(spec string) string {
+	name, _, _ := strings.Cut(spec, "?")
+	if reg, ok := lock.Lookup(name); ok {
+		return reg.Name
+	}
+	return strings.ToLower(strings.TrimSpace(name))
+}
+
 // slo steers each stripe by the objective itself instead of a mechanism
-// proxy: where "malthusian" watches parks and working-set width, slo
-// watches the deadline-miss rate the service actually promised to keep
+// proxy such as a park count, whose meaning a change of waiting policy
+// can silently invert: slo watches the deadline-miss rate the service
+// actually promised to keep
 // (StripeSnapshot.DeadlineAttempts/DeadlineMisses) and reconfigures the
 // stripe's lock when the budget is burning. The alerting logic is the
 // SRE two-window burn-rate pattern, adapted from paging humans to
@@ -55,14 +75,14 @@ func init() {
 //     intervals.
 //   - Restore the original spec when the burn rate is at or below
 //     target/2 over both windows AND the slow window consists entirely
-//     of post-demotion samples. The halved re-entry band is the same
-//     hysteresis "malthusian" uses; the full-window requirement is the
-//     stronger half: post-demotion calm intervals drag the slow mean
-//     under the band while storm samples are still in the ring, and a
-//     rate-only rule would restore mid-incident on that decay (then
-//     promptly re-demote — flapping). Demanding slow consecutive
-//     intervals of post-demotion evidence makes "sustained calm" mean
-//     sustained.
+//     of post-demotion samples. The halved re-entry band is a
+//     hysteresis (a rate between target/2 and target neither demotes
+//     nor restores); the full-window requirement is the stronger half:
+//     post-demotion calm intervals drag the slow mean under the band
+//     while storm samples are still in the ring, and a rate-only rule
+//     would restore mid-incident on that decay (then promptly re-demote
+//     — flapping). Demanding slow consecutive intervals of
+//     post-demotion evidence makes "sustained calm" mean sustained.
 //
 // Both decisions also require the fast window to hold at least min
 // deadline-bounded attempts: a near-idle stripe's single missed op is
@@ -139,9 +159,9 @@ func (p *slo) Decide(prev, cur shard.StripeSnapshot) (lockSpec, backendSpec stri
 	s := p.state(cur.Index)
 	if s.demoted && !sameLock(cur.LockSpec, p.hot) {
 		// The demotion never landed, or another actor swapped the lock
-		// since. Resync to the observed state (same rule as malthusian);
-		// the ring keeps its evidence — the miss series is about the
-		// stripe, not about what we believed we did to it.
+		// since. Resync to the observed state (scanaware's rule too); the
+		// ring keeps its evidence — the miss series is about the stripe,
+		// not about what we believed we did to it.
 		s.demoted = false
 	}
 	dAttempts := core.SatSub(cur.DeadlineAttempts, prev.DeadlineAttempts)

@@ -10,7 +10,7 @@ import (
 // Policy decides, stripe by stripe, whether a stripe's observed behaviour
 // warrants a live reconfiguration. It is the control-plane contract the
 // policy package's registry implementations satisfy ("static",
-// "malthusian", "scanaware"), and the paper's thesis made operational:
+// "scanaware", "slo"), and the paper's thesis made operational:
 // admission policy should adapt to observed contention, so the decision
 // function consumes exactly what the map observes.
 type Policy interface {
@@ -27,12 +27,13 @@ type Policy interface {
 	// spec to restore) without synchronization. Counters in the
 	// snapshots are cumulative; subtract (core.Snapshot.Sub) for rates.
 	//
-	// The controller's snapshots are lite: Fairness carries only the
-	// cheap signals (Admissions, RecentLWSS); the O(history)-and-worse
+	// The controller's snapshots are lite: Fairness carries only
+	// Admissions and RecentLWSS (a walk of the trailing HistoryWindow
+	// admissions, taken outside the stripe lock); the O(history)-and-worse
 	// instruments (AvgLWSS, MTTR, Gini, RSTDDEV) read zero, because
 	// recomputing them per stripe per tick would cost the data plane
-	// more than any decision could win back. Policies must key on the
-	// cheap signals and the counter deltas.
+	// more than any decision could win back. Policies must key on those
+	// two and the counter deltas.
 	Decide(prev, cur StripeSnapshot) (lockSpec, backendSpec string, swap bool)
 }
 
@@ -68,10 +69,9 @@ type Controller struct {
 // Snapshot protocol), and an applied swap quiesces the stripe it
 // reconfigures — the control plane shares the data plane's locks by
 // design, so pick an interval that amortizes that cost (the default is a
-// comfortable 50ms). The lite snapshot's per-stripe cost is O(1)
-// regardless of Config.HistoryWindow: RecentLWSS comes from the
-// recorder's incrementally maintained trailing distinct count
-// (metrics.Recorder.RecentDistinct), not a window walk.
+// comfortable 50ms). On a history-recording map the lite snapshot also
+// walks each stripe's trailing Config.HistoryWindow admissions for
+// RecentLWSS, after the stripe lock is released.
 func StartController(ctx context.Context, m *Map, pol Policy, interval time.Duration) *Controller {
 	if interval <= 0 {
 		interval = DefaultControllerInterval

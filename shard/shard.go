@@ -430,9 +430,7 @@ func New(cfg Config) (*Map, error) {
 			// Preallocate the whole (bounded) cap: a growth-copy of a
 			// multi-MB history inside the critical section would charge an
 			// instrumentation stall to every queued request's deadline.
-			// The recorder's window matches the map's, so its incremental
-			// trailing distinct count is the lite snapshot's RecentLWSS.
-			s.rec = metrics.NewRecorderWindow(cfg.HistoryCap, window)
+			s.rec = metrics.NewRecorder(cfg.HistoryCap)
 			s.hcap = cfg.HistoryCap
 		}
 	}

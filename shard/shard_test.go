@@ -179,6 +179,41 @@ func TestHistoryCap(t *testing.T) {
 	}
 }
 
+// TestSnapshotLiteRecentLWSS: the lite snapshot computes RecentLWSS from
+// the history it captured under the stripe lock, after releasing it. It
+// must agree with the full Snapshot's Summarize as distinct clients widen
+// the trailing window and one client narrows it again.
+func TestSnapshotLiteRecentLWSS(t *testing.T) {
+	m := MustNew(Config{Stripes: 1, LockSpec: "tas", HistoryCap: 1 << 12, HistoryWindow: 8})
+	check := func(want float64) {
+		t.Helper()
+		lite, err := m.SnapshotLite(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := lite.Stripes[0].Fairness.RecentLWSS; got != want {
+			t.Fatalf("SnapshotLite RecentLWSS = %v want %v", got, want)
+		}
+		if got := m.Snapshot().Stripes[0].Fairness.RecentLWSS; got != want {
+			t.Fatalf("Snapshot RecentLWSS = %v want %v", got, want)
+		}
+	}
+	check(0)
+	for id := 0; id < 8; id++ {
+		if _, err := m.PutContext(WithClientID(context.Background(), id), 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		check(float64(id + 1))
+	}
+	ctx := WithClientID(context.Background(), 0)
+	for i := 0; i < 8; i++ {
+		if _, err := m.PutContext(ctx, 0, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(1)
+}
+
 // TestMonotonicReadsPerKey checks per-key linearizability: one writer per
 // key writes strictly increasing values, so any reader's successive
 // observations of that key must be non-decreasing.

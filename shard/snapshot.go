@@ -63,8 +63,8 @@ func (m *Map) SnapshotContext(ctx context.Context) (Snapshot, error) {
 }
 
 // SnapshotLite is Snapshot minus the expensive fairness instruments: the
-// per-stripe Fairness carries only Admissions and RecentLWSS (the
-// recorder's O(1) incrementally maintained trailing distinct count);
+// per-stripe Fairness carries only Admissions and RecentLWSS (a walk of
+// the trailing HistoryWindow admissions, outside the stripe lock);
 // AvgLWSS, MTTR, Gini, and RSTDDEV — each O(history) or O(history log
 // history) over up to HistoryCap records per stripe — come back zero.
 // It is the sampling path for steady-state monitors (the adaptation
@@ -88,22 +88,15 @@ func (m *Map) snapshotImpl(ctx context.Context, lite bool) (Snapshot, error) {
 		}
 		ln := d.table.Len()
 		var h metrics.History
-		recent := 0
 		if s.rec != nil {
 			h = s.rec.History()
-			// The incremental trailing distinct count is maintained under
-			// the stripe lock (Record runs in the critical section), so it
-			// must be read here, before the release — but it is O(1), which
-			// is the point: the lite path pays one integer read where the
-			// standalone metrics.RecentLWSS walk pays O(window).
-			recent = s.rec.RecentDistinct()
 		}
 		d.mu.Unlock()
 		var fairness metrics.Summary
 		if lite {
-			fairness = metrics.Summary{
-				Admissions: len(h),
-				RecentLWSS: float64(recent),
+			fairness.Admissions = len(h)
+			if len(h) > 0 {
+				fairness.RecentLWSS = float64(metrics.RecentLWSS(h, m.window))
 			}
 		} else {
 			fairness = metrics.Summarize(h, m.window)
