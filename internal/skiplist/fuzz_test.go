@@ -14,15 +14,22 @@ func fuzzKey(b byte) uint64 {
 	return uint64(b) << 40
 }
 
-// FuzzListAgainstModel decodes two bytes per operation (opcode, key) and
-// runs them against a map and a sorted key slice: every Put, Delete, Get,
-// Min and bounded Scan must answer as the model does, and CheckInvariants
-// — tower structure and the arena audit — must hold every 64 operations
-// and at the end.
+// fuzzWidths are the node widths an input's first byte chooses from: the
+// simulator's 1, the store's 32, and 2 and 3, which split, shift and
+// merge nodes within a few keys.
+var fuzzWidths = [...]int{1, 2, 3, 32}
+
+// FuzzListAgainstModel takes the list's width from the first byte, then
+// decodes two bytes per operation (opcode, key) and runs them against a
+// map and a sorted key slice: every Put, Delete, Get, Min and bounded
+// Scan must answer as the model does, and CheckInvariants — pair counts
+// and order, tower structure and the arena audit — must hold every 64
+// operations and at the end.
 func FuzzListAgainstModel(f *testing.F) {
 	var reinsert, boundary []byte
 	// The same few keys deleted and put back: each reinsertion draws a
-	// fresh height, so nodes change size class and free lists fill.
+	// fresh height, so at width 1 nodes change size class and free lists
+	// fill.
 	for round := 0; round < 24; round++ {
 		for k := byte(1); k <= 6; k++ {
 			reinsert = append(reinsert, 0, k, 4, k, 0, k)
@@ -39,12 +46,19 @@ func FuzzListAgainstModel(f *testing.F) {
 	for k := 130; k < 200; k++ {
 		boundary = append(boundary, 0, byte(k), 7, byte(k-20))
 	}
-	f.Add(reinsert)
-	f.Add(boundary)
-	f.Add([]byte{0, 0, 0, 255, 6, 0, 6, 255, 7, 0, 7, 250, 4, 0, 6, 0, 4, 255, 6, 255, 0, 255, 0, 0})
+	ends := []byte{0, 0, 0, 255, 6, 0, 6, 255, 7, 0, 7, 250, 4, 0, 6, 0, 4, 255, 6, 255, 0, 255, 0, 0}
+	for w := range fuzzWidths {
+		for _, ops := range [][]byte{reinsert, boundary, ends} {
+			f.Add(append([]byte{byte(w)}, ops...))
+		}
+	}
 
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		l := New(uint64(len(ops)))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		ops := in[1:]
+		l := New(uint64(len(ops)), fuzzWidths[int(in[0])%len(fuzzWidths)])
 		model := map[uint64]uint64{}
 		var keys []uint64 // the model's keys, ascending
 		at := func(k uint64) int { return sort.Search(len(keys), func(i int) bool { return keys[i] >= k }) }

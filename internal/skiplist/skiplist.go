@@ -1,19 +1,25 @@
-// Package skiplist implements an ordered map over a probabilistic skip
-// list. It serves two consumers with one type: the sharded store's
-// "skiplist" backend (package store), and the simulator, where it stands
-// in for the leveldb memtable in the kvstore workload (§6.5). The
-// simulator installs the optional NextAddr/Touch hooks so node visits
+// Package skiplist implements an ordered map over an unrolled skip list:
+// each node holds 1..width sorted pairs under one tower, and the towers
+// order the nodes by their minimum keys. The width is fixed when a list
+// is built. One type serves two consumers: the sharded store's
+// "skiplist" backend (package store) builds width 32, and the simulator,
+// where the list stands in for the leveldb memtable in the kvstore
+// workload (§6.5), builds width 1 — one key per tower, the classic list.
+// The simulator installs the optional NextAddr/Touch hooks so node visits
 // are charged to the cache model as the structure's pointer-chasing
 // footprint; the store leaves both nil and pays one nil check per node
 // visit.
 //
 // Nodes are not Go objects. A node is a run of 64-bit words in an arena
-// the list owns — key, value, then 32-bit slots packed two to a word:
-// slot 0 the tower height, slot 1+lvl the level-lvl link — and a link
-// is the word offset of the node it names, 0 for nil. A height-1 node is
-// 24 bytes, the tallest 72, about 27 bytes per key on average; the arena
-// holds no pointers, so the collector never scans it, and two or three
-// nodes share a cache line. DESIGN.md §7 has the reasons and the costs.
+// the list owns — its minimum key and that key's value, then 32-bit
+// slots packed two to a word (slot 0 the tower height and the pair
+// count, slot 1+lvl the level-lvl link), then keys 1..width-1, then
+// values 1..width-1 — and a link is the word offset of the node it
+// names, 0 for nil. A search reads only a node's first words. A width-1
+// node is the key-per-tower list's — key, value, slots — 24 to 72 bytes,
+// about 27 per key; a width-32 node is 520 to 568 bytes holding 16 to 32
+// pairs, about 23 bytes per key. The arena holds no pointers, so the
+// collector never scans it. DESIGN.md §7 has the reasons and the costs.
 package skiplist
 
 import (
@@ -25,17 +31,20 @@ import (
 const (
 	maxHeight = 12
 
-	// Node layout, in words: key, value, then the slots. Word 0 of a
+	// Node layout, in words: key 0 (the node's minimum), value 0, the
+	// slots, then keys 1..width-1 and values 1..width-1. Word 0 of a
 	// deleted node holds the next free offset instead of a key.
-	keyWord  = 0
-	valWord  = 1
-	slotWord = 2
+	keyWord      = 0
+	valWord      = 1
+	slotWord     = 2
+	maxSlotWords = (maxHeight + 2) / 2 // slotWords(maxHeight)
 
-	minNodeWords = slotWord + (1+2)/2 // nodeWords(1)
-	maxNodeWords = slotWord + (maxHeight+2)/2
+	// Slot 0 holds the tower height in its low 16 bits and the pair
+	// count in its high 16.
+	countShift = 16
 
 	// The head tower is the first node in the arena. Nothing links to
-	// it, so its offset doubles as the nil link.
+	// it, so its offset doubles as the nil link. It holds no pairs.
 	head = uint32(0)
 
 	// The arena is a list of chunks. Offset n lives in chunk n>>chunkShift
@@ -46,15 +55,17 @@ const (
 	chunkShift    = 15 // 32 Ki words = 256 KiB, the most one growth step zeroes
 	chunkMask     = 1<<chunkShift - 1
 	minChunkShift = 8
+
+	// maxWidth is the widest node whose tallest tower fits the first chunk.
+	maxWidth = (1<<minChunkShift - maxSlotWords) / 2
 )
 
 // arenaLimit is the number of word offsets a 32-bit link can name. A
 // variable only so that a test can lower it.
 var arenaLimit uint64 = 1 << 32
 
-// nodeWords is the size of a node of height h: key, value, and h+1 slots
-// two to a word.
-func nodeWords(h int) int { return slotWord + (h+2)/2 }
+// slotWords is the number of words holding a height-h tower's h+1 slots.
+func slotWords(h int) int { return (h + 2) / 2 }
 
 // List is a skip list mapping uint64 keys to uint64 values over the full
 // uint64 key domain. Beyond the point operations it serves the
@@ -62,11 +73,12 @@ func nodeWords(h int) int { return slotWord + (h+2)/2 }
 // the key order the tower structure maintains anyway.
 //
 // One list holds at most 2^32 arena words — 32 GiB, about 1.2 billion
-// keys; a Put that would pass that panics. The arena grows a chunk at a
-// time and never moves a node. Delete returns a node to the list's own
-// free lists, where a later Put of the same size finds it, not to the
-// runtime: the memory is released only when the list itself is dropped
-// (in the sharded store, by a Reconfigure that swaps the backend).
+// keys at width 1 — and a Put that would pass that panics. The arena
+// grows a chunk at a time and never moves a node. Delete returns an
+// emptied node to the list's own free lists, where a later Put needing
+// a node of the same size finds it, not to the runtime: the memory is
+// released only when the list itself is dropped (in the sharded store,
+// by a Reconfigure that swaps the backend).
 //
 // List is not safe for concurrent use: the caller's lock — in the
 // sharded store, the stripe's registry-built lock — provides mutual
@@ -76,9 +88,10 @@ type List struct {
 	// its capacity is untouched zeroes, or, once a later chunk exists, the
 	// slack a node did not fit into.
 	chunks [][]uint64
-	// free[w] heads the list of deleted w-word nodes, linked through
-	// their first word.
-	free   [maxNodeWords + 1]uint32
+	// free[s] heads the list of deleted nodes whose towers take s words
+	// (all nodes of one size), linked through their first word.
+	free   [maxSlotWords + 1]uint32
+	width  int
 	height int
 	size   int
 	rng    xrand.State
@@ -93,11 +106,14 @@ type List struct {
 	addr map[uint32]uint64
 }
 
-// New returns an empty list whose tower heights are drawn from a
-// generator seeded with seed (deterministic structure for a given insert
-// sequence).
-func New(seed uint64) *List {
-	l := &List{height: 1}
+// New returns an empty list whose nodes hold up to width pairs (1 to
+// 124) and whose tower heights are drawn from a generator seeded with
+// seed (deterministic structure for a given insert sequence).
+func New(seed uint64, width int) *List {
+	if width < 1 || width > maxWidth {
+		panic(fmt.Sprintf("skiplist: width %d outside 1..%d", width, maxWidth))
+	}
+	l := &List{width: width, height: 1}
 	l.rng.Seed(seed)
 	l.grow()
 	l.alloc(maxHeight) // the head, at offset 0
@@ -106,6 +122,10 @@ func New(seed uint64) *List {
 
 // Len returns the number of keys.
 func (l *List) Len() int { return l.size }
+
+// nodeWords is the size of a node of height h: pair 0, the slots, then
+// width-1 more keys and values.
+func (l *List) nodeWords(h int) int { return 2*l.width + slotWords(h) }
 
 // node returns the words of node n, running on to the end of its chunk.
 func (l *List) node(n uint32) []uint64 { return l.chunks[n>>chunkShift][n&chunkMask:] }
@@ -117,7 +137,9 @@ func (l *List) key(n uint32) uint64 { return l.node(n)[keyWord] }
 // read where a pointer node had one load.
 func slot(words []uint64, s uint) uint32 { return uint32(words[slotWord+s/2] >> (s % 2 * 32)) }
 
-func (l *List) nodeHeight(n uint32) int { return int(slot(l.node(n), 0)) }
+func height(words []uint64) int { return int(slot(words, 0) & 0xffff) }
+
+func count(words []uint64) int { return int(slot(words, 0) >> countShift) }
 
 func (l *List) link(n uint32, lvl int) uint32 { return slot(l.node(n), uint(lvl)+1) }
 
@@ -126,6 +148,101 @@ func (l *List) setLink(n uint32, lvl int, to uint32) {
 	w := &l.node(n)[slotWord+s/2]
 	shift := s % 2 * 32
 	*w = *w&^(0xffffffff<<shift) | uint64(to)<<shift
+}
+
+// pairs is a view of one node's pairs. Pair 0, the node's minimum, is
+// words 0 and 1, where a search reads it; pairs 1..width-1 are keys[1:]
+// and vals[1:]. keys[0] and vals[0] are the words before them, never a
+// pair.
+type pairs struct {
+	words, keys, vals []uint64
+}
+
+func (l *List) pairs(n uint32) pairs {
+	w := l.node(n)
+	s := slotWord - 1 + slotWords(height(w)) // the last slot word
+	return pairs{w, w[s : s+l.width], w[s+l.width-1 : s+2*l.width-1]}
+}
+
+func (p pairs) len() int { return count(p.words) }
+
+func (p pairs) setLen(c int) {
+	p.words[slotWord] = p.words[slotWord]&^(0xffff<<countShift) | uint64(c)<<countShift
+}
+
+func (p pairs) pair(i int) (key, val uint64) {
+	if i == 0 {
+		return p.words[keyWord], p.words[valWord]
+	}
+	return p.keys[i], p.vals[i]
+}
+
+func (p pairs) set(i int, key, val uint64) {
+	if i == 0 {
+		p.words[keyWord], p.words[valWord] = key, val
+	} else {
+		p.keys[i], p.vals[i] = key, val
+	}
+}
+
+// search returns the index of the first of pairs 1..len-1 whose key is
+// >= key (len if none, 1 in the head) and whether that key equals key.
+// Pair 0 is not searched: wherever search is called, the node's minimum
+// is below key.
+func (p pairs) search(key uint64) (int, bool) {
+	lo, hi := 1, p.len()
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if p.keys[m] < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < p.len() && p.keys[lo] == key
+}
+
+// insert puts key/val at index i of a node holding fewer than width
+// pairs, moving pairs i.. up one.
+func (p pairs) insert(i int, key, val uint64) {
+	c := p.len()
+	if i == 0 && c > 0 {
+		// The new pair takes pair 0's words, and the old minimum is
+		// inserted as pair 1.
+		key, p.words[keyWord] = p.words[keyWord], key
+		val, p.words[valWord] = p.words[valWord], val
+		i = 1
+	}
+	if i > 0 {
+		copy(p.keys[i+1:c+1], p.keys[i:c])
+		copy(p.vals[i+1:c+1], p.vals[i:c])
+	}
+	p.set(i, key, val)
+	p.setLen(c + 1)
+}
+
+// remove deletes pair i of a node holding at least two, moving pairs
+// i+1.. down one.
+func (p pairs) remove(i int) {
+	c := p.len()
+	if i == 0 {
+		p.set(0, p.keys[1], p.vals[1])
+		i = 1
+	}
+	copy(p.keys[i:c-1], p.keys[i+1:c])
+	copy(p.vals[i:c-1], p.vals[i+1:c])
+	p.setLen(c - 1)
+}
+
+// moveTail appends pairs from.. of p to q, which has room for them.
+func (p pairs) moveTail(from int, q pairs) {
+	c, qc := p.len(), q.len()
+	for i := from; i < c; i++ {
+		k, v := p.pair(i)
+		q.set(qc+i-from, k, v)
+	}
+	q.setLen(qc + c - from)
+	p.setLen(from)
 }
 
 // grow appends an empty chunk. Existing chunks are never reallocated: a
@@ -143,15 +260,17 @@ func (l *List) grow() {
 	l.chunks = append(l.chunks, make([]uint64, 0, words))
 }
 
-// alloc returns a zeroed node of height h with its height slot set: a
-// deleted node of the same size if there is one, else fresh words from
-// the last chunk, or from a new chunk when the node would straddle.
+// alloc returns a zeroed node of height h with its height set and no
+// pairs: a deleted node of the same size if there is one, else fresh
+// words from the last chunk, or from a new chunk when the node would
+// straddle.
 func (l *List) alloc(h int) uint32 {
-	w := nodeWords(h)
-	n := l.free[w]
+	s := slotWords(h)
+	w := l.nodeWords(h)
+	n := l.free[s]
 	if n != 0 {
 		words := l.node(n)[:w]
-		l.free[w] = uint32(words[keyWord])
+		l.free[s] = uint32(words[keyWord])
 		clear(words)
 	} else {
 		last := len(l.chunks) - 1
@@ -181,9 +300,10 @@ func (l *List) randomHeight() int {
 	return h
 }
 
-// findGE locates the first node with key >= key and fills prev with the
-// predecessors at each level.
-func (l *List) findGE(key uint64, prev *[maxHeight]uint32) uint32 {
+// findGE locates n, the first node whose minimum is >= key, and x, the
+// last node whose minimum is < key (the head if there is none), and
+// fills prev with x's counterpart at each level: prev[0] is x.
+func (l *List) findGE(key uint64, prev *[maxHeight]uint32) (n, x uint32) {
 	// x's words are kept across steps and levels, so a step resolves one
 	// offset to its chunk (the candidate's), not three.
 	x, xw := head, l.node(head)
@@ -204,36 +324,90 @@ func (l *List) findGE(key uint64, prev *[maxHeight]uint32) uint32 {
 			prev[lvl] = x
 		}
 	}
-	n := slot(xw, 1)
+	n = slot(xw, 1)
 	l.touch(n)
-	return n
+	return n, x
 }
 
 // Get returns the value for key and whether it is present.
 func (l *List) Get(key uint64) (uint64, bool) {
-	if n := l.findGE(key, nil); n != 0 {
+	n, x := l.findGE(key, nil)
+	if n != 0 {
 		if words := l.node(n); words[keyWord] == key {
 			return words[valWord], true
 		}
+	}
+	xp := l.pairs(x)
+	if i, ok := xp.search(key); ok {
+		return xp.vals[i], true
 	}
 	return 0, false
 }
 
 // Put inserts or updates key. It reports whether the key was new.
+//
+// A new key goes into x, the last node whose minimum is below it, if x
+// has room (the head never has). Else, if the next node n has room, n
+// takes key or x's last pair at its front. Else a new node is linked in
+// after x: it takes only key when key is below every pair or past the
+// last pair of the last node, and otherwise x's upper half, with key
+// going to whichever half it falls in. At width 1 only the last case
+// happens, with key alone.
 func (l *List) Put(key, val uint64) bool {
 	var prev [maxHeight]uint32 // zero is the head: right for every level above l.height
-	n := l.findGE(key, &prev)
-	if n != 0 && l.key(n) == key {
-		l.node(n)[valWord] = val
+	n, x := l.findGE(key, &prev)
+	var np pairs
+	if n != 0 {
+		if np = l.pairs(n); np.words[keyWord] == key {
+			np.words[valWord] = val
+			return false
+		}
+	}
+	xp := l.pairs(x)
+	i, found := xp.search(key)
+	if found {
+		xp.vals[i] = val
 		return false
 	}
+	c := xp.len()
+	switch {
+	case x != head && c < l.width:
+		xp.insert(i, key, val)
+	case n != 0 && np.len() < l.width:
+		if x != head && i < c {
+			k, v := xp.pair(c - 1)
+			np.insert(0, k, v)
+			xp.setLen(c - 1)
+			xp.insert(i, key, val)
+		} else {
+			np.insert(0, key, val)
+		}
+	default:
+		nn := l.pairs(l.newNode(&prev))
+		if x == head || n == 0 && i == c {
+			nn.insert(0, key, val)
+			break
+		}
+		s := (l.width + 1) / 2
+		xp.moveTail(s, nn)
+		if i < s {
+			xp.insert(i, key, val)
+		} else {
+			nn.insert(i-s, key, val)
+		}
+	}
+	l.size++
+	return true
+}
+
+// newNode links a node with no pairs in after prev at every level of a
+// freshly drawn height.
+func (l *List) newNode(prev *[maxHeight]uint32) uint32 {
 	h := l.randomHeight()
 	nn := l.alloc(h)
 	if h > l.height {
 		l.height = h
 	}
-	words := l.node(nn)
-	words[keyWord], words[valWord] = key, val
 	if l.NextAddr != nil {
 		if l.addr == nil {
 			l.addr = map[uint32]uint64{}
@@ -245,29 +419,58 @@ func (l *List) Put(key, val uint64) bool {
 		l.setLink(nn, lvl, l.link(prev[lvl], lvl))
 		l.setLink(prev[lvl], lvl, nn)
 	}
-	l.size++
-	return true
+	return nn
 }
 
 // Delete removes key, reporting whether it was present.
+//
+// A node the delete empties is unlinked. Otherwise, when x or n is left
+// holding at most ⌈width/4⌉ pairs and the two fit in one node, n's pairs
+// move to x and n is unlinked. At width 1 neither holds more than one
+// pair, so only the first case happens.
 func (l *List) Delete(key uint64) bool {
 	var prev [maxHeight]uint32
-	n := l.findGE(key, &prev)
-	if n == 0 || l.key(n) != key {
+	n, x := l.findGE(key, &prev)
+	var np pairs
+	if n != 0 {
+		np = l.pairs(n)
+	}
+	xp := l.pairs(x)
+	if n != 0 && np.words[keyWord] == key {
+		if np.len() == 1 {
+			l.unlink(n, &prev)
+			l.size--
+			return true
+		}
+		np.remove(0)
+	} else if i, found := xp.search(key); found {
+		xp.remove(i)
+	} else {
 		return false
 	}
-	h := l.nodeHeight(n)
+	l.size--
+	if x != head && n != 0 {
+		if cx, cn := xp.len(), np.len(); min(cx, cn) <= (l.width+3)/4 && cx+cn <= l.width {
+			np.moveTail(0, xp)
+			l.unlink(n, &prev)
+		}
+	}
+	return true
+}
+
+// unlink takes node n, whose predecessor at each of its levels is prev,
+// out of the list and puts it on the free list of its size.
+func (l *List) unlink(n uint32, prev *[maxHeight]uint32) {
+	h := height(l.node(n))
 	for lvl := 0; lvl < h; lvl++ {
 		if l.link(prev[lvl], lvl) == n {
 			l.setLink(prev[lvl], lvl, l.link(n, lvl))
 		}
 	}
-	w := nodeWords(h)
-	l.node(n)[keyWord] = uint64(l.free[w])
-	l.free[w] = n
+	s := slotWords(h)
+	l.node(n)[keyWord] = uint64(l.free[s])
+	l.free[s] = n
 	delete(l.addr, n)
-	l.size--
-	return true
 }
 
 // Min returns the smallest key, or ok=false when empty.
@@ -285,10 +488,26 @@ func (l *List) Min() (key uint64, ok bool) {
 // domain is Scan(0, ^uint64(0), fn). The list must not be mutated during
 // the walk.
 func (l *List) Scan(lo, hi uint64, fn func(key, val uint64) bool) {
-	for n := l.findGE(lo, nil); n != 0; {
+	n, x := l.findGE(lo, nil)
+	xp := l.pairs(x)
+	i, _ := xp.search(lo)
+	for c := xp.len(); i < c; i++ {
+		if xp.keys[i] > hi || !fn(xp.keys[i], xp.vals[i]) {
+			return
+		}
+	}
+	for n != 0 {
 		words := l.node(n)
 		if words[keyWord] > hi || !fn(words[keyWord], words[valWord]) {
 			return
+		}
+		if c := count(words); c > 1 {
+			p := l.pairs(n)
+			for i := 1; i < c; i++ {
+				if p.keys[i] > hi || !fn(p.keys[i], p.vals[i]) {
+					return
+				}
+			}
 		}
 		n = slot(words, 1) // the level-0 link
 		l.touch(n)
@@ -312,18 +531,20 @@ func (l *List) arenaWords() (used, reserved int) {
 	return used, reserved
 }
 
-// CheckInvariants verifies level-0 strict ordering, the size count, and
-// that each higher level is exactly the ascending subsequence of level 0
-// whose stored height reaches it; then audits the arena: every allocated
-// word belongs to exactly one of the head, a reachable node or a node on
-// the free list of its size (so no free node is reachable), and a chunk
-// was closed only because a node did not fit in what it had left. For
-// tests.
+// CheckInvariants verifies that every node holds 1..width pairs and that
+// level 0 yields strictly ascending keys, within nodes and across them,
+// as many as the size count; that each higher level is exactly the
+// ascending subsequence of level-0 nodes whose stored height reaches it;
+// then audits the arena: every allocated word belongs to exactly one of
+// the head, a reachable node or a node on the free list of its size (so
+// no free node is reachable), and a chunk was closed only because a node
+// did not fit in what it had left. For tests.
 func (l *List) CheckInvariants() bool {
+	maxWords := l.nodeWords(maxHeight)
 	owned := make([][]bool, len(l.chunks))
 	for i, c := range l.chunks {
 		owned[i] = make([]bool, len(c))
-		if i < len(l.chunks)-1 && cap(c)-len(c) >= maxNodeWords {
+		if i < len(l.chunks)-1 && cap(c)-len(c) >= maxWords {
 			return false
 		}
 	}
@@ -344,49 +565,61 @@ func (l *List) CheckInvariants() bool {
 		claimed += w
 		return true
 	}
-	if l.nodeHeight(head) != maxHeight || !claim(head, maxNodeWords) {
+	if height(l.node(head)) != maxHeight || l.pairs(head).len() != 0 || !claim(head, maxWords) {
 		return false
 	}
 
-	seen := map[uint64]bool{}
+	level0 := map[uint32]bool{}
 	var reach [maxHeight + 1]int // reach[h]: nodes of height >= h
+	keys := 0
+	var last uint64
 	for x := l.link(head, 0); x != 0; x = l.link(x, 0) {
-		h := l.nodeHeight(x)
-		if h < 1 || h > l.height || !claim(x, nodeWords(h)) {
+		h := height(l.node(x))
+		if h < 1 || h > l.height || !claim(x, l.nodeWords(h)) {
 			return false
 		}
-		if next := l.link(x, 0); next != 0 && l.key(next) <= l.key(x) {
+		p := l.pairs(x)
+		c := p.len()
+		if c < 1 || c > l.width {
 			return false
 		}
-		seen[l.key(x)] = true
+		for i := 0; i < c; i++ {
+			k, _ := p.pair(i)
+			if keys+i > 0 && k <= last {
+				return false
+			}
+			last = k
+		}
+		keys += c
+		level0[x] = true
 		for lvl := 1; lvl <= h; lvl++ {
 			reach[lvl]++
 		}
 	}
-	if len(seen) != l.size {
+	if keys != l.size {
 		return false
 	}
 	for lvl := 1; lvl < maxHeight; lvl++ {
 		prev := uint64(0)
-		count := 0
+		nodes := 0
 		for x := l.link(head, lvl); x != 0; x = l.link(x, lvl) {
-			if !seen[l.key(x)] || l.nodeHeight(x) <= lvl {
+			if !level0[x] || height(l.node(x)) <= lvl {
 				return false
 			}
-			if count > 0 && l.key(x) <= prev {
+			if nodes > 0 && l.key(x) <= prev {
 				return false
 			}
 			prev = l.key(x)
-			count++
+			nodes++
 		}
-		if count != reach[lvl+1] {
+		if nodes != reach[lvl+1] {
 			return false
 		}
 	}
 
-	for w := minNodeWords; w <= maxNodeWords; w++ {
-		for n := l.free[w]; n != 0; n = uint32(l.node(n)[keyWord]) {
-			if !claim(n, w) || nodeWords(l.nodeHeight(n)) != w {
+	for s := slotWords(1); s <= maxSlotWords; s++ {
+		for n := l.free[s]; n != 0; n = uint32(l.node(n)[keyWord]) {
+			if !claim(n, 2*l.width+s) || slotWords(height(l.node(n))) != s {
 				return false
 			}
 		}

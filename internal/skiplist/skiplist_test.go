@@ -3,6 +3,7 @@ package skiplist
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -10,8 +11,23 @@ import (
 	"repro/internal/xrand"
 )
 
+// widths are the node widths the width-generic tests run at: the
+// simulator's 1, the store's 32, and 2 and 3, which split, shift and
+// merge nodes within a few keys.
+var widths = []int{1, 2, 3, 32}
+
+func forWidths(t *testing.T, ws []int, f func(t *testing.T, width int)) {
+	for _, w := range ws {
+		t.Run(fmt.Sprintf("width=%d", w), func(t *testing.T) { f(t, w) })
+	}
+}
+
 func TestPutGetDelete(t *testing.T) {
-	l := New(1)
+	forWidths(t, widths, testPutGetDelete)
+}
+
+func testPutGetDelete(t *testing.T, width int) {
+	l := New(1, width)
 	for i := uint64(1); i <= 200; i++ {
 		l.Put(i*3, i)
 	}
@@ -36,7 +52,11 @@ func TestPutGetDelete(t *testing.T) {
 }
 
 func TestMin(t *testing.T) {
-	l := New(3)
+	forWidths(t, widths, testMin)
+}
+
+func testMin(t *testing.T, width int) {
+	l := New(3, width)
 	if _, ok := l.Min(); ok {
 		t.Fatal("Min on empty list")
 	}
@@ -51,7 +71,7 @@ func TestMin(t *testing.T) {
 func TestInvariantsUnderRandomOps(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
-		l := New(seed ^ 0xabcd)
+		l := New(seed^0xabcd, widths[seed%uint64(len(widths))])
 		model := map[uint64]uint64{}
 		for op := 0; op < 500; op++ {
 			k := uint64(rng.Intn(200)) + 1
@@ -86,7 +106,11 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 }
 
 func TestOrderedOps(t *testing.T) {
-	l := New(7)
+	forWidths(t, widths, testOrderedOps)
+}
+
+func testOrderedOps(t *testing.T, width int) {
+	l := New(7, width)
 	rng := rand.New(rand.NewSource(1))
 	present := map[uint64]uint64{}
 	for i := 0; i < 5000; i++ {
@@ -141,10 +165,15 @@ func TestOrderedOps(t *testing.T) {
 	}
 }
 
-// TestDeterministicTowers: two lists with the same seed and insert
-// sequence are structurally identical — the property WithSeed exists for.
+// TestDeterministicTowers: two lists with the same seed, width and
+// insert sequence are structurally identical — the property seed= exists
+// for.
 func TestDeterministicTowers(t *testing.T) {
-	a, b := New(42), New(42)
+	forWidths(t, widths, testDeterministicTowers)
+}
+
+func testDeterministicTowers(t *testing.T, width int) {
+	a, b := New(42, width), New(42, width)
 	for i := uint64(0); i < 500; i++ {
 		k := (i * 2654435761) % 1000
 		a.Put(k, i)
@@ -168,7 +197,11 @@ func TestDeterministicTowers(t *testing.T) {
 }
 
 func TestScanBounds(t *testing.T) {
-	l := New(1)
+	forWidths(t, widths, testScanBounds)
+}
+
+func testScanBounds(t *testing.T, width int) {
+	l := New(1, width)
 	for _, k := range []uint64{0, 5, 10, 15, ^uint64(0)} {
 		l.Put(k, k)
 	}
@@ -199,8 +232,10 @@ func TestScanBounds(t *testing.T) {
 	}
 }
 
+// The footprint tests run at width 1, the simulator's configuration.
+
 func TestTouchReportsPath(t *testing.T) {
-	l := New(5)
+	l := New(5, 1)
 	next := uint64(0)
 	l.NextAddr = func() uint64 { next += 64; return next }
 	for i := uint64(1); i <= 1024; i++ {
@@ -221,7 +256,7 @@ func TestHookedMatchesUnhooked(t *testing.T) {
 	// NextAddr, and each point operation's reported nodes are a skip
 	// path: strictly ascending keys below the target, then the first
 	// node at or past it.
-	bare, hooked := New(11), New(11)
+	bare, hooked := New(11, 1), New(11, 1)
 	next := uint64(0)
 	keyAt := map[uint64]uint64{} // filled when a fresh Put reports its new node
 	hooked.NextAddr = func() uint64 { next += 128; return next }
@@ -307,9 +342,13 @@ func TestHookedMatchesUnhooked(t *testing.T) {
 // needs a third panics with the list's size, instead of handing out an
 // offset that wraps onto a live node, and leaves the list intact.
 func TestArenaLimit(t *testing.T) {
+	forWidths(t, []int{1, 32}, testArenaLimit)
+}
+
+func testArenaLimit(t *testing.T, width int) {
 	defer func(limit uint64) { arenaLimit = limit }(arenaLimit)
 	arenaLimit = 2 << chunkShift
-	l := New(1)
+	l := New(1, width)
 	var msg string
 	func() {
 		defer func() { msg, _ = recover().(string) }()
@@ -329,21 +368,18 @@ func TestArenaLimit(t *testing.T) {
 	}
 }
 
-// TestChurnReusesFreedNodes: replacing random resident keys with new ones
-// is served from the free lists. No chunk is added, and the high-water
-// mark stays where the load phase put it but for the nodes by which a
-// size class's population has exceeded its own earlier peak (heights are
-// redrawn, so the mix of sizes wanders around its mean).
-func TestChurnReusesFreedNodes(t *testing.T) {
+// churn loads 2^14 random keys into l, then replaces a random resident
+// key with a new one 2^18 times. It returns the arena's high-water mark
+// and reservation after the load and after the churn.
+func churn(t *testing.T, l *List) (loaded, reserved, used, after int) {
 	const keys, pairs = 1 << 14, 1 << 18
-	l := New(9)
 	rng := rand.New(rand.NewSource(3))
 	resident := make([]uint64, keys)
 	for i := range resident {
 		resident[i] = rng.Uint64()
 		l.Put(resident[i], 1)
 	}
-	loaded, reserved := l.arenaWords()
+	loaded, reserved = l.arenaWords()
 	for i := 0; i < pairs; i++ {
 		j := rng.Intn(keys)
 		if !l.Delete(resident[j]) {
@@ -352,29 +388,67 @@ func TestChurnReusesFreedNodes(t *testing.T) {
 		resident[j] = rng.Uint64()
 		l.Put(resident[j], 2)
 	}
-	used, after := l.arenaWords()
+	used, after = l.arenaWords()
+	if l.Len() != keys || !l.CheckInvariants() {
+		t.Fatalf("Len=%d after churn, or invariants violated", l.Len())
+	}
+	return loaded, reserved, used, after
+}
+
+// TestChurnReusesFreedNodes: at width 1, replacing random resident keys
+// with new ones is served from the free lists. No chunk is added, and
+// the high-water mark stays where the load phase put it but for the
+// nodes by which a size class's population has exceeded its own earlier
+// peak (heights are redrawn, so the mix of sizes wanders around its
+// mean).
+func TestChurnReusesFreedNodes(t *testing.T) {
+	loaded, reserved, used, after := churn(t, New(9, 1))
 	if after != reserved {
 		t.Fatalf("churn grew the arena from %d to %d words", reserved, after)
 	}
 	if used > loaded+loaded/32 {
-		t.Fatalf("high-water mark moved from %d to %d words over %d put/delete pairs", loaded, used, pairs)
+		t.Fatalf("high-water mark moved from %d to %d words", loaded, used)
 	}
-	if l.Len() != keys || !l.CheckInvariants() {
-		t.Fatalf("Len=%d after churn, or invariants violated", l.Len())
+}
+
+// TestChurnFatNodes: at width 32 the same churn adds no chunk either.
+// Nodes refill less than a random load fills them, so the high-water
+// mark rises past the load's; it must stay at or below where a width-1
+// list ends the same sequence.
+func TestChurnFatNodes(t *testing.T) {
+	_, reserved, used, after := churn(t, New(9, 32))
+	if after != reserved {
+		t.Fatalf("churn grew the arena from %d to %d words", reserved, after)
+	}
+	if _, _, thin, _ := churn(t, New(9, 1)); used > thin {
+		t.Fatalf("high-water mark after churn is %d words at width 32, %d at width 1", used, thin)
 	}
 }
 
 func TestFootprintPerKey(t *testing.T) {
+	forWidths(t, []int{1, 32}, testFootprintPerKey)
+}
+
+func testFootprintPerKey(t *testing.T, width int) {
 	const keys = 1 << 16
-	l := New(4)
-	for k := uint64(0); k < keys; k++ {
-		l.Put(k*0x9e3779b97f4a7c15, k)
+	for _, load := range []struct {
+		name string
+		key  func(i uint64) uint64
+	}{
+		{"random", func(i uint64) uint64 { return i * 0x9e3779b97f4a7c15 }},
+		{"ascending", func(i uint64) uint64 { return i }},
+		{"descending", func(i uint64) uint64 { return keys - i }},
+	} {
+		l := New(4, width)
+		for i := uint64(0); i < keys; i++ {
+			l.Put(load.key(i), i)
+		}
+		_, reserved := l.arenaWords()
+		if perKey := float64(reserved*8) / keys; perKey > 32 {
+			t.Fatalf("%s load: %d keys reserve %d arena words: %.1f B/key, want <= 32", load.name, keys, reserved, perKey)
+		}
 	}
-	_, reserved := l.arenaWords()
-	if perKey := float64(reserved*8) / keys; perKey > 32 {
-		t.Fatalf("%d keys reserve %d arena words: %.1f B/key, want <= 32", keys, reserved, perKey)
-	}
-	if _, empty := New(4).arenaWords(); empty*8 >= 16<<10 {
+	if _, empty := New(4, width).arenaWords(); empty*8 >= 16<<10 {
 		t.Fatalf("an empty list reserves %d bytes, want < 16 KiB", empty*8)
 	}
 }
@@ -382,8 +456,12 @@ func TestFootprintPerKey(t *testing.T) {
 // TestSteadyStateDoesNotAllocate: reads, overwrites and scans never reach
 // the runtime's allocator, and fresh Puts reach it once per chunk.
 func TestSteadyStateDoesNotAllocate(t *testing.T) {
+	forWidths(t, []int{1, 32}, testSteadyStateDoesNotAllocate)
+}
+
+func testSteadyStateDoesNotAllocate(t *testing.T, width int) {
 	const keys = 1 << 14
-	l := New(6)
+	l := New(6, width)
 	for k := uint64(0); k < keys; k++ {
 		l.Put(k*2, k)
 	}
@@ -406,44 +484,200 @@ func TestSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestWidthsAgree runs one operation sequence through lists of widths 1,
+// 2, 3 and 32 and a map: every Put, Delete, Get and bounded Scan must
+// answer alike, and after every batch each list must pass
+// CheckInvariants and yield the model's pairs from Range. The batches
+// cover ascending, descending and random bulk loads, overwrites, deletes
+// down to empty and back, so widths 2 and 3 split, shift and merge nodes
+// many times over.
+func TestWidthsAgree(t *testing.T) {
+	lists := make([]*List, len(widths))
+	for i, w := range widths {
+		lists[i] = New(1, w)
+	}
+	model := map[uint64]uint64{}
+	rng := rand.New(rand.NewSource(7))
+	sorted := func() []uint64 {
+		keys := make([]uint64, 0, len(model))
+		for k := range model {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		return keys
+	}
+	check := func(batch string) {
+		var want []uint64
+		for _, k := range sorted() {
+			want = append(want, k, model[k])
+		}
+		for i, l := range lists {
+			var got []uint64
+			l.Range(func(k, v uint64) bool { got = append(got, k, v); return true })
+			if l.Len() != len(model) || !slices.Equal(got, want) || !l.CheckInvariants() {
+				t.Fatalf("after %s, width %d: Len=%d (model %d), Range agrees %v, invariants %v",
+					batch, widths[i], l.Len(), len(model), slices.Equal(got, want), l.CheckInvariants())
+			}
+			if m, ok := l.Min(); ok != (len(want) > 0) || ok && m != want[0] {
+				t.Fatalf("after %s, width %d: Min=%d,%v", batch, widths[i], m, ok)
+			}
+		}
+	}
+	put := func(k, v uint64) {
+		_, had := model[k]
+		model[k] = v
+		for i, l := range lists {
+			if fresh := l.Put(k, v); fresh == had {
+				t.Fatalf("width %d: Put(%d) fresh=%v, model had=%v", widths[i], k, fresh, had)
+			}
+		}
+	}
+	del := func(k uint64) {
+		_, had := model[k]
+		delete(model, k)
+		for i, l := range lists {
+			if got := l.Delete(k); got != had {
+				t.Fatalf("width %d: Delete(%d)=%v, model had=%v", widths[i], k, got, had)
+			}
+		}
+	}
+	get := func(k uint64) {
+		want, had := model[k]
+		for i, l := range lists {
+			if v, ok := l.Get(k); ok != had || v != want {
+				t.Fatalf("width %d: Get(%d)=%d,%v, model %d,%v", widths[i], k, v, ok, want, had)
+			}
+		}
+	}
+	scan := func(lo, hi uint64, limit int) {
+		var want []uint64
+		for _, k := range sorted() {
+			if k >= lo && k <= hi && len(want) < 2*limit {
+				want = append(want, k, model[k])
+			}
+		}
+		for i, l := range lists {
+			var got []uint64
+			l.Scan(lo, hi, func(k, v uint64) bool { got = append(got, k, v); return len(got) < 2*limit })
+			if !slices.Equal(got, want) {
+				t.Fatalf("width %d: Scan(%d, %d) limit %d yields %v, model %v", widths[i], lo, hi, limit, got, want)
+			}
+		}
+	}
+
+	for k := uint64(1000); k < 1300; k++ {
+		put(k*4, k)
+	}
+	check("ascending load")
+	for k := uint64(999); k >= 700; k-- {
+		put(k*4, k)
+	}
+	check("descending load")
+	for i := 0; i < 300; i++ {
+		put(uint64(rng.Intn(8000)), uint64(i))
+	}
+	check("random load")
+	for batch := 0; batch < 20; batch++ {
+		for i := 0; i < 400; i++ {
+			k := uint64(rng.Intn(8000))
+			switch rng.Intn(6) {
+			case 0, 1:
+				put(k, rng.Uint64())
+			case 2:
+				del(k)
+			case 3: // an overwrite and a delete of resident keys
+				if keys := sorted(); len(keys) > 0 {
+					put(keys[rng.Intn(len(keys))], rng.Uint64())
+					del(keys[rng.Intn(len(keys))])
+				}
+			case 4:
+				get(k)
+			case 5:
+				scan(k, k+uint64(rng.Intn(400)), 1+rng.Intn(80))
+			}
+		}
+		check(fmt.Sprintf("mixed batch %d", batch))
+	}
+	for _, k := range sorted() {
+		if rng.Intn(4) != 0 {
+			del(k)
+		}
+	}
+	check("deleting three in four")
+	for _, k := range sorted() {
+		del(k)
+	}
+	check("deleting the rest")
+	for k := uint64(0); k < 200; k++ {
+		put(k, k)
+		put(^k, k)
+	}
+	scan(0, ^uint64(0), 1000)
+	check("reloading both ends of the domain")
+}
+
 // TestAuditCatchesCorruption: the arena audit in CheckInvariants is not
 // vacuous. Each case damages a healthy list the way a bug in alloc,
-// Delete or the link packing would.
+// Put, Delete or the link packing would.
 func TestAuditCatchesCorruption(t *testing.T) {
+	// second returns the first node and the one after it.
+	second := func(l *List) (uint32, uint32) {
+		n := l.link(head, 0)
+		return n, l.link(n, 0)
+	}
 	for _, tc := range []struct {
 		name   string
+		width  int
 		damage func(l *List)
 	}{
-		{"a freed node leaks", func(l *List) { l.free[minNodeWords] = 0 }},
-		{"a live node is on a free list", func(l *List) {
+		{"a freed node leaks", 1, func(l *List) { l.free[slotWords(1)] = 0 }},
+		{"a live node is on a free list", 1, func(l *List) {
 			n := l.link(head, 0)
-			w := nodeWords(l.nodeHeight(n))
-			l.node(n)[keyWord], l.free[w] = uint64(l.free[w]), n
+			s := slotWords(height(l.node(n)))
+			l.node(n)[keyWord], l.free[s] = uint64(l.free[s]), n
 		}},
-		{"a free node is on the wrong size's list", func(l *List) {
-			l.free[minNodeWords+1], l.free[minNodeWords] = l.free[minNodeWords], l.free[minNodeWords+1]
+		{"a free node is on the wrong size's list", 1, func(l *List) {
+			l.free[2], l.free[1] = l.free[1], l.free[2]
 		}},
-		{"a stored height exceeds the node's links", func(l *List) {
+		{"a stored height exceeds the node's links", 1, func(l *List) {
 			for n := l.link(head, 0); ; n = l.link(n, 0) {
-				if words := l.node(n); l.nodeHeight(n) == 1 {
+				if words := l.node(n); height(words) == 1 {
 					words[slotWord] += 2
 					return
 				}
 			}
 		}},
-		{"a node is linked above its height", func(l *List) {
+		{"a node is linked above its height", 1, func(l *List) {
 			for n := l.link(head, 0); ; n = l.link(n, 0) {
-				if l.nodeHeight(n) == 1 {
+				if height(l.node(n)) == 1 {
 					l.setLink(head, l.height-1, n)
 					return
 				}
 			}
 		}},
-		{"a chunk was closed with room to spare", func(l *List) {
-			l.chunks[0] = l.chunks[0][: len(l.chunks[0])-maxNodeWords : cap(l.chunks[0])]
+		{"a chunk was closed with room to spare", 1, func(l *List) {
+			l.chunks[0] = l.chunks[0][: len(l.chunks[0])-l.nodeWords(maxHeight) : cap(l.chunks[0])]
+		}},
+		{"a node holds no pairs", 32, func(l *List) {
+			n, _ := second(l)
+			l.pairs(n).setLen(0)
+		}},
+		{"a node holds more pairs than the width", 32, func(l *List) {
+			n, _ := second(l)
+			l.pairs(n).setLen(33)
+		}},
+		{"pairs are out of order inside a node", 32, func(l *List) {
+			n, _ := second(l)
+			p := l.pairs(n)
+			p.keys[1], p.keys[2] = p.keys[2], p.keys[1]
+		}},
+		{"a node's minimum is not above its predecessor's last key", 32, func(l *List) {
+			n, m := second(l)
+			p := l.pairs(n)
+			l.node(m)[keyWord] = p.keys[p.len()-1]
 		}},
 	} {
-		l := New(8)
+		l := New(8, tc.width)
 		for k := uint64(0); k < 400; k++ {
 			l.Put(k, k)
 		}
@@ -451,7 +685,7 @@ func TestAuditCatchesCorruption(t *testing.T) {
 			l.Delete(k)
 		}
 		if !l.CheckInvariants() {
-			t.Fatal("healthy list fails the audit")
+			t.Fatalf("%s: healthy list fails the audit", tc.name)
 		}
 		tc.damage(l)
 		if l.CheckInvariants() {

@@ -43,7 +43,11 @@ func BuildKVStore(e *sim.Engine, l *sim.Lock, n int, p KVStoreParams) *skiplist.
 		span = 4096
 	}
 
-	mem := skiplist.New(e.Config().Seed + 17)
+	// Width 1: one key per tower, as in leveldb's memtable, so every
+	// operation's footprint is the classic skip path the cache model and
+	// the pinned touch digest were built on. The store's width-32 list
+	// would charge far fewer, larger nodes.
+	mem := skiplist.New(e.Config().Seed+17, 1)
 	nextAddr := sharedBase
 	mem.NextAddr = func() uint64 { nextAddr += 128; return nextAddr }
 	for i := 0; i < keys; i++ {
