@@ -91,17 +91,8 @@ func main() {
 		cancelFrac  = flag.Float64("cancel-frac", 0, "fraction of acquisitions using LockContext with a deadline (0..1)")
 		cancelAfter = flag.Duration("cancel-after", 50*time.Microsecond, "LockContext deadline for -cancel-frac acquisitions")
 		jsonPath    = flag.String("json", "", "also write results to this file as JSON")
-		list        = flag.Bool("list", false, "list registered lock specs with their summaries, then exit")
 	)
 	flag.Parse()
-
-	if *list {
-		for _, n := range lock.Names() {
-			reg, _ := lock.Lookup(n)
-			fmt.Printf("%-11s %s\n", n, reg.Summary)
-		}
-		return
-	}
 
 	specs := []string{*name}
 	if *name == "all" {

@@ -14,7 +14,10 @@
 // /metrics on the metrics address, arm chaos over the wire with the
 // FAULT verb (wire.Client.FaultArm), and stop it with SIGTERM — the
 // server drains: accepted requests finish and their responses flush
-// before the process exits.
+// before the process exits. With -history-cap N each stripe records
+// which connection made each of its first N admissions, and /metrics
+// gains the per-stripe LWSS gauge. -list prints every registered lock, backend,
+// policy and fault with its summary.
 package main
 
 import (
@@ -25,7 +28,11 @@ import (
 	"syscall"
 	"time"
 
+	"repro/fault"
+	"repro/lock"
+	"repro/policy"
 	"repro/server"
+	"repro/store"
 )
 
 func main() {
@@ -44,7 +51,13 @@ func main() {
 	flag.DurationVar(&cfg.MetricsInterval, "metrics-interval", time.Second, "/metrics sampler cadence")
 	flag.Uint64Var(&cfg.Seed, "seed", 0, "deterministic seed for stochastic lock/pool behavior (0 = off)")
 	flag.IntVar(&cfg.HistoryCap, "history-cap", 0, "per-stripe admission history capacity (0 = off; enables LWSS gauges)")
+	list := flag.Bool("list", false, "list registered lock, backend, policy, and fault specs with their summaries, then exit")
 	flag.Parse()
+
+	if *list {
+		printRegistries()
+		return
+	}
 
 	s, err := server.New(cfg)
 	if err != nil {
@@ -70,4 +83,33 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("shardd: drained")
+}
+
+// printRegistries renders the four registries' canonical names with
+// their Registration.Summary lines: pick the lock and the backend, the
+// policy that re-picks both at runtime, and the fault that tries to
+// break all three.
+func printRegistries() {
+	section := func(title string, names []string, summary func(string) string) {
+		fmt.Println(title)
+		for _, name := range names {
+			fmt.Printf("  %-11s %s\n", name, summary(name))
+		}
+	}
+	section("locks (-lock; see lock.New for parameters):", lock.Names(), func(n string) string {
+		reg, _ := lock.Lookup(n)
+		return reg.Summary
+	})
+	section("backends (-backend; see store.New for parameters):", store.Names(), func(n string) string {
+		reg, _ := store.Lookup(n)
+		return reg.Summary
+	})
+	section("policies (-policy; see policy.New for parameters):", policy.Names(), func(n string) string {
+		reg, _ := policy.Lookup(n)
+		return reg.Summary
+	})
+	section("faults (the FAULT verb, shardload -fault; see fault.New for parameters):", fault.Names(), func(n string) string {
+		reg, _ := fault.Lookup(n)
+		return reg.Summary
+	})
 }

@@ -8,21 +8,23 @@
 // its responses return.
 //
 // The request loop is internal/loadgen's Run over a loadgen.WireDial
-// target — the same loop, with the same accounting rules (stated in that
-// package's comment), that cmd/shardbench runs in-process — so cells land
-// in the same benchfmt JSON schema (-json/-append) and BENCH_shard.json
-// stays one comparable series whether a cell was driven in-process or
-// over the wire. With -fault, the spec is parsed here and armed on the
-// server over the FAULT verb on one timeline: the server runs the
-// data-plane half (stalls inside stripe critical sections), the generator
-// the harness half (hotkey reroutes its keys, surge dials extra
-// connections), and the chaos record reports each from where it ran.
+// target, with the accounting rules stated in that package's comment; a
+// cell lands in the internal/benchfmt JSON schema (-json, and -append to
+// grow one file into a series). The lock, backend, read path and policy
+// under test are shardd's flags, so every service cell is a shardd
+// started with the cell's flags and a shardload run against it.
+//
+// With -fault, the spec is parsed here and armed on the server over the
+// FAULT verb on one timeline: the server runs the data-plane half (stalls
+// inside stripe critical sections), the generator the harness half
+// (hotkey reroutes its keys, surge dials extra connections), and the
+// chaos record reports each from where it ran.
 //
 // Quickstart against a local shardd:
 //
 //	shardd -addr 127.0.0.1:7070 -metrics-addr 127.0.0.1:7071 -policy slo &
 //	shardload -addr 127.0.0.1:7070 -conns 8 -rate 20000 -duration 10s \
-//	    -deadline 2ms -deadline-frac 0.5 -classes 2 -json BENCH_shard.json -append
+//	    -deadline 2ms -deadline-frac 0.5 -classes 2 -json cells.json -append
 package main
 
 import (
@@ -122,8 +124,8 @@ func main() {
 // server's conn model and the generator's reconnect errors. INFO is read
 // before and after the run: identity and live specs come from the later
 // one (they reflect anything the server's controller did while we were
-// storming it), the counter columns from the difference — the interval
-// accounting shardbench gets from two snapshots, read over the wire.
+// storming it), the counter columns from the difference — the run's
+// interval, read over the wire.
 func runCell(c loadgen.Traffic, chaos *loadgen.Chaos, addr string, admin *wire.Client) (benchfmt.Result, string, int) {
 	before, _ := serverInfo(admin)
 	if chaos != nil {

@@ -54,10 +54,10 @@ func spyDial(addr string) (loadgen.Dial, *[]loadgen.Request) {
 }
 
 // TestScanAccountingMatchesShardbench pins the two places shardload's
-// scan accounting used to disagree with shardbench's under the shared
-// benchfmt schema: a scan covers scan_span keys, not scan_span+1 (the
-// wire's bounds are inclusive), and a refused scan is not a scan — nor,
-// under the shared loop, an op or a deadline attempt.
+// scan accounting once disagreed with the in-process generator it
+// replaced (cmd/shardbench, since deleted): a scan covers scan_span keys,
+// not scan_span+1 (the wire's bounds are inclusive), and a refused scan
+// is not a scan — nor an op or a deadline attempt.
 func TestScanAccountingMatchesShardbench(t *testing.T) {
 	traffic := loadgen.Traffic{
 		Workers: 1, Duration: 100 * time.Millisecond, Keys: 256, Dist: "uniform",

@@ -1,9 +1,6 @@
-// Package benchfmt is the BENCH_shard.json cell schema, shared by
-// cmd/shardbench (in-process cells) and cmd/shardload (remote cells
-// over the wire). The schema used to live as untyped literals inside
-// shardbench's main package; it is a contract — CI's python validators
-// and every cross-PR comparison parse it — so it lives here once, and
-// both emitters stay one comparable series.
+// Package benchfmt is the JSON cell schema cmd/shardload writes with
+// -json. It is a contract — CI's python validators parse it — so it is
+// typed here rather than built from literals in the command.
 //
 // The zero-value rule throughout: rates are 0 (never NaN — encoding/json
 // rejects NaN), omitempty fields vanish when a cell did not exercise
@@ -19,8 +16,8 @@ import (
 )
 
 // Result is one benchmark cell: a (dist, lock, backend, policy,
-// stripes, threads) point with its throughput, latency, deadline, and
-// fairness columns.
+// stripes, threads) point with its throughput, latency and deadline
+// columns.
 type Result struct {
 	Dist     string  `json:"dist"`
 	Lock     string  `json:"lock"`
@@ -62,21 +59,13 @@ type Result struct {
 	DeadlineMisses   int     `json:"deadline_misses,omitempty"`
 	MissRate         float64 `json:"miss_rate,omitempty"`
 
-	// Per-stripe fairness, aggregated: the mean/max of each stripe's
-	// AvgLWSS and Gini over its admission history. Max is the collapse
-	// detector — a single collapsed stripe vanishes from a mean.
-	MeanLWSS float64 `json:"mean_lwss"`
-	MaxLWSS  float64 `json:"max_lwss"`
-	MeanGini float64 `json:"mean_gini"`
-	MaxGini  float64 `json:"max_gini"`
-
 	// Optimistic read-path outcomes for the cell's interval (zero, and
 	// omitted, on the locked path): hits are Gets served without a
 	// stripe-lock acquire, fallbacks the ones whose retry budget ran
 	// out. HitRate is hits/(hits+fallbacks), FallbackRate the
 	// complement; both 0 (never NaN) when the path saw no traffic.
-	// Both generators fill them from a shard.Counters difference
-	// (loadgen.Result.Fill) — snapshots in-process, INFO over the wire.
+	// loadgen.Result.Fill takes them from the difference of two INFO
+	// reads.
 	OptimisticHits         int     `json:"optimistic_hits,omitempty"`
 	OptimisticRetries      int     `json:"optimistic_retries,omitempty"`
 	OptimisticFallbacks    int     `json:"optimistic_fallbacks,omitempty"`
@@ -91,7 +80,7 @@ type Result struct {
 	Chaos *ChaosResult `json:"chaos,omitempty"`
 }
 
-// OptimisticLine is the report line both generators print under a cell
+// OptimisticLine is the report line shardload prints under a cell
 // that served optimistic reads; "" for a cell that served none.
 func (r Result) OptimisticLine() string {
 	if r.OptimisticHits == 0 && r.OptimisticFallbacks == 0 {
@@ -147,9 +136,7 @@ type Record struct {
 	ScanSpan   int     `json:"scan_span,omitempty"`
 	ZipfS      float64 `json:"zipf_s"`
 	Rate       float64 `json:"rate,omitempty"`
-	CancelFrac float64 `json:"cancel_frac,omitempty"`
 	Deadline   string  `json:"deadline,omitempty"`
-	Adapt      string  `json:"adapt_interval,omitempty"`
 
 	// Chaos timeline parameters, present when a fault is configured.
 	Fault       string  `json:"fault,omitempty"`
@@ -158,16 +145,14 @@ type Record struct {
 	FaultSample string  `json:"fault_sample,omitempty"`
 	FaultTarget float64 `json:"fault_target,omitempty"`
 
-	// Remote describes the serving side when the cells were driven over
-	// the wire (cmd/shardload); nil for in-process cells.
+	// Remote describes the serving side the cells were driven at.
 	Remote *Remote `json:"remote,omitempty"`
 
 	Results []Result `json:"results"`
 }
 
-// Remote describes the server side of a wire-driven run: where the
-// requests went and how the server was handling connections — the
-// dimensions an in-process cell does not have.
+// Remote describes the server side of a run: where the requests went
+// and how the server was handling connections.
 type Remote struct {
 	Addr      string `json:"addr"`
 	ConnModel string `json:"conn_model,omitempty"`
@@ -206,8 +191,7 @@ func WriteJSON(path string, rec Record, appendMode bool) error {
 }
 
 // PercentileMicros returns the q-quantile of ns (nanosecond samples) in
-// microseconds, using the nearest-rank estimate both emitters have
-// always used. It sorts ns in place.
+// microseconds, using the nearest-rank estimate. It sorts ns in place.
 func PercentileMicros(ns []int64, q float64) float64 {
 	if len(ns) == 0 {
 		return 0

@@ -1,12 +1,12 @@
-// Package loadgen is the one request loop behind cmd/shardbench
-// (in-process, over a *shard.Map) and cmd/shardload (over the wire, to
-// shardd). The paper drives every lock with the same load loop and varies
-// only the lock (arXiv:1511.06035 §6); here the thing varied is the
-// Target, and Run owns everything else: the Poisson or closed-loop
-// schedule, key pick and op mix, the deadline draw and class tag,
-// connection churn, the accounting, per-worker latency logs, and the
-// harness half of fault injection (hot-key rewrite, surge workers as extra
-// dialed targets) on a supervised chaos timeline.
+// Package loadgen is the request loop behind cmd/shardload, which drives
+// it over the wire at a shardd. The paper drives every lock with the same
+// load loop and varies only the lock (arXiv:1511.06035 §6); here the lock
+// is varied by shardd's flags, the Target is the seam tests script, and
+// Run owns everything else: the Poisson or closed-loop schedule, key pick
+// and op mix, the deadline draw and class tag, connection churn, the
+// accounting, per-worker latency logs, and the harness half of fault
+// injection (hot-key rewrite, surge workers as extra dialed targets) on a
+// supervised chaos timeline.
 //
 // Five accounting rules hold for every cell, whatever the target, and no
 // flag selects them:
@@ -29,7 +29,6 @@
 package loadgen
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -86,57 +85,6 @@ type Target interface {
 // Traffic.Workers up).
 type Dial func(worker int) (Target, error)
 
-// MapDial returns the in-process Dial: every worker shares m and tags its
-// requests with its id (shard.WithClientID), so admissions land in the
-// owning stripe's history. The class tag is one cached context per class,
-// built here, as server.classCtx does for shardd: a classed request
-// allocates nothing for it.
-func MapDial(m *shard.Map) Dial {
-	return func(worker int) (Target, error) {
-		t := &mapTarget{m: m}
-		t.class[0] = shard.WithClientID(context.Background(), worker)
-		for c := 1; c < shard.NumClasses; c++ {
-			t.class[c] = shard.WithClass(t.class[0], c)
-		}
-		return t, nil
-	}
-}
-
-type mapTarget struct {
-	m     *shard.Map
-	class [shard.NumClasses]context.Context // by request class; 0 is the untagged base
-}
-
-func (t *mapTarget) Do(r Request) Outcome {
-	ctx := t.class[0] // what shard.WithClass makes of a class out of range
-	if int(r.Class) < len(t.class) {
-		ctx = t.class[r.Class]
-	}
-	if !r.Deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, r.Deadline)
-		defer cancel()
-	}
-	var err error
-	switch r.Op {
-	case Get:
-		_, _, err = t.m.GetContext(ctx, r.Key)
-	case Put:
-		_, err = t.m.PutContext(ctx, r.Key, r.Arg)
-	case Scan:
-		err = t.m.ScanContext(ctx, r.Key, r.Arg, func(_, _ uint64) bool { return true })
-	}
-	switch {
-	case err == nil:
-		return OK
-	case errors.Is(err, shard.ErrUnordered):
-		return Rejected
-	}
-	return Missed // only the context can fail a map operation
-}
-
-func (*mapTarget) Close() {}
-
 // WireDial returns the remote Dial: one synchronous wire.Client
 // connection to the shardd at addr per worker.
 func WireDial(addr string) Dial {
@@ -177,10 +125,9 @@ func (t wireTarget) Do(r Request) Outcome {
 
 func (t wireTarget) Close() { t.cl.Close() }
 
-// Traffic is the load one cell offers. Every field is a flag of
-// shardbench, shardload or both.
+// Traffic is the load one cell offers. Every field is a shardload flag.
 type Traffic struct {
-	Workers  int           // -threads / -conns
+	Workers  int           // -conns
 	Duration time.Duration // nominal cell length
 	Rate     float64       // total requests/sec, Poisson, split across workers; 0 = closed loop
 
@@ -206,8 +153,6 @@ type Chaos struct {
 	// Set is the locally parsed fault set. Run arms and disarms it on the
 	// timeline and runs its harness hooks: every worker's key goes through
 	// Set.Key, and Set.ExtraThreads sizes the surge pool at each sample.
-	// Installing it as a map's injector (shardbench) puts the data-plane
-	// half, InCS, on the same clock.
 	Set        *fault.Set
 	After, For time.Duration
 	Sample     time.Duration // sampler cadence
@@ -218,8 +163,8 @@ type Chaos struct {
 	Arm, Disarm func()
 }
 
-// Validate reports the first flag value the loop cannot run with, in the
-// flag names shardbench and shardload share. c may be nil.
+// Validate reports the first flag value the loop cannot run with, in
+// shardload's flag names. c may be nil.
 func (t Traffic) Validate(c *Chaos) error {
 	switch {
 	case t.Dist != "uniform" && t.Dist != "zipf":
@@ -290,10 +235,10 @@ type Result struct {
 
 // Fill writes the generator-side columns of a benchfmt cell, and the
 // target-side counter columns from served — the target map's counters
-// after the run minus before it (shard.Counters.Sub), whether they were
-// snapshotted in-process or read from INFO. With Stats["acquires"] the
-// optimistic columns are the zero-lock-read claim in one row: on a
-// read-heavy cell, hits ≈ Gets and acquires ≈ writes.
+// after the run minus before it (shard.Counters.Sub), as read from INFO.
+// With Stats["acquires"] the optimistic columns are the zero-lock-read
+// claim in one row: on a read-heavy cell, hits ≈ Gets and acquires ≈
+// writes.
 func (r Result) Fill(t Traffic, served shard.Counters, out *benchfmt.Result) {
 	out.Dist = t.Dist
 	out.Threads = t.Workers

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/benchfmt"
-	"repro/shard"
 )
 
 // step is one scripted timeline event: the workers' cumulative counters
@@ -180,42 +179,5 @@ func TestSleepUntilStops(t *testing.T) {
 	}
 	if time.Since(start) > 10*time.Second {
 		t.Fatal("a stopped wait ran toward its target")
-	}
-}
-
-// TestMapTargetClassContexts: the in-process target tags a request with
-// its class from a context cached at dial time — the attempt lands in the
-// class's bucket, an out-of-range class in bucket 0 as shard.WithClass
-// has it, and the tag itself allocates nothing per request.
-func TestMapTargetClassContexts(t *testing.T) {
-	// tas keeps no pooled waiter nodes, so the allocation count below
-	// holds under -race too (where sync.Pool drops items at random).
-	m, err := shard.New(shard.Config{Stripes: 2, LockSpec: "tas"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tgt, err := MapDial(m)(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tgt.Close()
-	soon := time.Now().Add(time.Minute)
-	for _, r := range []Request{
-		{Op: Put, Key: 1, Arg: 1, Class: 2, Deadline: soon},
-		{Op: Get, Key: 1, Class: 2, Deadline: soon},
-		{Op: Get, Key: 1, Class: 200, Deadline: soon},
-		{Op: Get, Key: 1, Class: 3}, // patient: tagged, not budgeted
-	} {
-		if out := tgt.Do(r); out != OK {
-			t.Fatalf("%+v: outcome %d", r, out)
-		}
-	}
-	want := [shard.NumClasses]uint64{0: 1, 2: 2}
-	if got := m.Snapshot().ClassDeadlineAttempts; got != want {
-		t.Fatalf("attempts by class = %v, want %v", got, want)
-	}
-	classed := Request{Op: Get, Key: 1, Class: 3}
-	if n := testing.AllocsPerRun(100, func() { tgt.Do(classed) }); n != 0 {
-		t.Fatalf("a classed request allocated %.1f times, want 0", n)
 	}
 }

@@ -42,6 +42,16 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer fctx.reset(nil, time.Time{})
 	payload := make([]byte, 0, 4096)
 	resp := make([]byte, 0, 4096)
+	// One context per request class, built once so the per-frame path
+	// does not allocate a WithClass context; a deadlined frame's context
+	// (frameCtx) forwards Value to its class's entry. A connection is one
+	// client to the stripes: the contexts carry its own id, so a stripe
+	// recording admission history counts connections (shard.WithClientID).
+	base := shard.WithClientID(context.Background(), int(s.clients.Add(1)))
+	var classCtx [shard.NumClasses]context.Context
+	for c := range classCtx {
+		classCtx[c] = shard.WithClass(base, c)
+	}
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return // EOF, peer reset, or the drain read-deadline
@@ -71,7 +81,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				resp = wire.AppendErrorResp(resp, h.Op, wire.StatusBadClass, "class out of range")
 				break
 			}
-			ctx := s.classCtx[h.Class]
+			ctx := classCtx[h.Class]
 			if h.DeadlineMicros != 0 {
 				// wire.ExpiredBudget — the client's budget was gone before
 				// the frame was written — is a budget of zero: the deadline

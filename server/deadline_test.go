@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -189,47 +190,61 @@ func TestFrameCtxLateTimer(t *testing.T) {
 
 // TestDeadlinedGetFrameDoesNotAllocate pins server.allocs_per_get_deadline
 // in tier-1: in steady state a deadlined GET frame served without waiting
-// allocates nothing, from the socket read to the socket write.
+// allocates nothing, from the socket read to the socket write — also when
+// the frame's context carries the connection's client id into a
+// recording stripe.
 func TestDeadlinedGetFrameDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	s, err := New(Config{Stripes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.m.Put(42, 4242)
-	client, srv := net.Pipe()
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		s.serveConn(srv)
-	}()
+	for _, hcap := range []int{0, 4096} {
+		t.Run(fmt.Sprintf("history-cap=%d", hcap), func(t *testing.T) {
+			s, err := New(Config{Stripes: 4, HistoryCap: hcap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.m.Put(42, 4242)
+			client, srv := net.Pipe()
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				s.serveConn(srv)
+			}()
 
-	req := wire.AppendGet(nil, 1, 100_000, 42) // class 1, 100 ms budget
-	resp := make([]byte, len(wire.AppendGetResp(nil, true, 4242)))
-	roundTrip := func() {
-		if _, err := client.Write(req); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := io.ReadFull(client, resp); err != nil {
-			t.Fatal(err)
-		}
+			req := wire.AppendGet(nil, 1, 100_000, 42) // class 1, 100 ms budget
+			resp := make([]byte, len(wire.AppendGetResp(nil, true, 4242)))
+			roundTrip := func() {
+				if _, err := client.Write(req); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := io.ReadFull(client, resp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 100; i++ { // pools, buffers and the runtime warm up
+				roundTrip()
+			}
+			if n := testing.AllocsPerRun(1000, roundTrip); n != 0 {
+				t.Errorf("a deadlined GET frame allocated %.2f times, want 0", n)
+			}
+			h, err := wire.ParseRespHeader(resp)
+			if err != nil || h.Status != wire.StatusOK {
+				t.Errorf("response header %+v, %v", h, err)
+			}
+			snap := s.m.Snapshot()
+			if snap.ClassDeadlineAttempts[1] < 1100 || snap.DeadlineMisses != 0 {
+				t.Errorf("class 1 attempts %d, misses %d: the frames were not served as budgeted", snap.ClassDeadlineAttempts[1], snap.DeadlineMisses)
+			}
+			admissions := 0
+			for _, st := range snap.Stripes {
+				admissions += st.Fairness.Admissions
+			}
+			if (hcap == 0) != (admissions == 0) {
+				t.Errorf("history cap %d recorded %d admissions", hcap, admissions)
+			}
+			client.Close()
+			srv.Close()
+			<-served
+		})
 	}
-	for i := 0; i < 100; i++ { // pools, buffers and the runtime warm up
-		roundTrip()
-	}
-	if n := testing.AllocsPerRun(1000, roundTrip); n != 0 {
-		t.Errorf("a deadlined GET frame allocated %.2f times, want 0", n)
-	}
-	h, err := wire.ParseRespHeader(resp)
-	if err != nil || h.Status != wire.StatusOK {
-		t.Errorf("response header %+v, %v", h, err)
-	}
-	if snap := s.m.Snapshot(); snap.ClassDeadlineAttempts[1] < 1100 || snap.DeadlineMisses != 0 {
-		t.Errorf("class 1 attempts %d, misses %d: the frames were not served as budgeted", snap.ClassDeadlineAttempts[1], snap.DeadlineMisses)
-	}
-	client.Close()
-	srv.Close()
-	<-served
 }

@@ -124,11 +124,8 @@ type Server struct {
 	wg  sync.WaitGroup // accept loop + per-connection serve loops
 	mwg sync.WaitGroup // metrics sampler + http server
 
-	// classCtx caches one context per request class so the per-request
-	// path does not allocate a WithClass context for every frame; a
-	// deadlined frame's context (frameCtx) forwards Value to its class's
-	// entry.
-	classCtx [shard.NumClasses]context.Context
+	// clients hands each connection its client id (serveConn).
+	clients atomic.Int64
 
 	// faultMu orders fault arm/disarm verbs; faultSet is the currently
 	// installed set (nil until the first arm).
@@ -192,9 +189,6 @@ func New(cfg Config) (*Server, error) {
 		conns: make(map[net.Conn]struct{}),
 	}
 	s.acceptCtx, s.acceptCancel = context.WithCancel(context.Background())
-	for c := range s.classCtx {
-		s.classCtx[c] = shard.WithClass(context.Background(), c)
-	}
 	if cfg.ConnModel == ConnPool {
 		// The Malthusian shape on purpose: mostly-LIFO admission keeps a
 		// small hot set of connections running while the surplus parks —

@@ -121,6 +121,27 @@ func TestE2ERoundTrips(t *testing.T) {
 	}
 }
 
+// TestE2EHistoryCapTagsConnections: with HistoryCap set, each
+// connection is one client id in the stripes' admission history, so a
+// live shardd's LWSS counts connections.
+func TestE2EHistoryCapTagsConnections(t *testing.T) {
+	s := startServer(t, server.Config{Stripes: 1, HistoryCap: 4096})
+	defer s.Drain()
+	a, b := dial(t, s), dial(t, s)
+	const n = 50
+	for i := uint64(0); i < n; i++ {
+		for _, cl := range []*wire.Client{a, b} {
+			if _, err := cl.Put(i, i, time.Time{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	f := s.Map().Snapshot().Stripes[0].Fairness
+	if f.Admissions != 2*n || f.AvgLWSS != 2 || f.RecentLWSS != 2 {
+		t.Fatalf("two connections, %d puts: %+v", 2*n, f)
+	}
+}
+
 // TestE2EUnorderedScan pins the ErrUnordered reply on a hashmap-backed
 // server.
 func TestE2EUnorderedScan(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 )
 
 // TestNames pins the canonical backend set: these are the names
-// shard.Config.BackendSpec, shardbench -backend, and the docs rely on
+// shard.Config.BackendSpec, shardd -backend, and the docs rely on
 // resolving.
 func TestNames(t *testing.T) {
 	want := []string{"hashmap", "rbtree", "skiplist"}
