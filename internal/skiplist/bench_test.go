@@ -9,10 +9,10 @@ import (
 	"repro/internal/xrand"
 )
 
-// The benchmarks run at width 1, the simulator's memtable, and width 32,
-// the store's backend. At each width they share one list of benchKeys
-// keys (none of them changes the key set), and all share one skewed
-// stream of resident keys. They touch only the exported API, so the same
+// The benchmarks run at width 1, the simulator's memtable, width 64, the
+// store's backend, and width 32, the next narrower choice. At each width
+// they share one list of benchKeys keys (none of them changes the key
+// set), and all share one skewed stream of resident keys. They touch only the exported API, so the same
 // file measures any commit's List that takes a width; each reports B/key,
 // the live-heap cost of the loaded list per key.
 const (
@@ -36,10 +36,10 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// benchWidths runs bench as a width=1 and a width=32 sub-benchmark, each
-// over its width's loaded list.
+// benchWidths runs bench as a width=1, a width=32 and a width=64
+// sub-benchmark, each over its width's loaded list.
 func benchWidths(b *testing.B, bench func(b *testing.B, l *List)) {
-	for _, width := range []int{1, 32} {
+	for _, width := range []int{1, 32, 64} {
 		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
 			bench(b, benchFixture(b, width))
 		})

@@ -15,9 +15,9 @@ func fuzzKey(b byte) uint64 {
 }
 
 // fuzzWidths are the node widths an input's first byte chooses from: the
-// simulator's 1, the store's 32, and 2 and 3, which split, shift and
+// simulator's 1, the store's 64, 32, and 2 and 3, which split, shift and
 // merge nodes within a few keys.
-var fuzzWidths = [...]int{1, 2, 3, 32}
+var fuzzWidths = [...]int{1, 2, 3, 32, 64}
 
 // FuzzListAgainstModel takes the list's width from the first byte, then
 // decodes two bytes per operation (opcode, key) and runs them against a

@@ -2,7 +2,7 @@
 // each node holds 1..width sorted pairs under one tower, and the towers
 // order the nodes by their minimum keys. The width is fixed when a list
 // is built. One type serves two consumers: the sharded store's
-// "skiplist" backend (package store) builds width 32, and the simulator,
+// "skiplist" backend (package store) builds width 64, and the simulator,
 // where the list stands in for the leveldb memtable in the kvstore
 // workload (§6.5), builds width 1 — one key per tower, the classic list.
 // The simulator installs the optional NextAddr/Touch hooks so node visits
@@ -10,16 +10,21 @@
 // footprint; the store leaves both nil and pays one nil check per node
 // visit.
 //
-// Nodes are not Go objects. A node is a run of 64-bit words in an arena
-// the list owns — its minimum key and that key's value, then 32-bit
-// slots packed two to a word (slot 0 the tower height and the pair
-// count, slot 1+lvl the level-lvl link), then keys 1..width-1, then
-// values 1..width-1 — and a link is the word offset of the node it
-// names, 0 for nil. A search reads only a node's first words. A width-1
-// node is the key-per-tower list's — key, value, slots — 24 to 72 bytes,
-// about 27 per key; a width-32 node is 520 to 568 bytes holding 16 to 32
-// pairs, about 23 bytes per key. The arena holds no pointers, so the
-// collector never scans it. DESIGN.md §7 has the reasons and the costs.
+// Nodes are not Go objects. A node is one or two runs of 64-bit words
+// in arenas the list owns, and a link is the word offset of the run it
+// names, 0 for nil. The tower, in the tower arena, holds the node's
+// minimum key and that key's value, then 32-bit slots packed two to a
+// word: slot 0 the tower height and the pair count, slot 1+lvl the
+// level-lvl link and, at width > 1, one more slot naming the node's pair
+// block. The block, in the block arena, holds keys 1..width-1 then values
+// 1..width-1. A search reads only minima and links, so it walks the tower
+// arena alone — a dense index of a few words a node — and reads one
+// block, that of the node where the key can be. A width-1 node is the
+// key-per-tower list's — key, value, slots — 24 to 72 bytes, about 27
+// per key, and its list has no block arena; a width-64 node is a 32- to
+// 72-byte tower and a 1,008-byte block, 32 to 64 pairs between them,
+// about 23 bytes per key. The arenas hold no pointers, so the collector never
+// scans them. DESIGN.md §7 has the reasons and the costs.
 package skiplist
 
 import (
@@ -31,70 +36,92 @@ import (
 const (
 	maxHeight = 12
 
-	// Node layout, in words: key 0 (the node's minimum), value 0, the
-	// slots, then keys 1..width-1 and values 1..width-1. Word 0 of a
-	// deleted node holds the next free offset instead of a key.
+	// Tower layout, in words: key 0 (the node's minimum), value 0, then
+	// the slots. Word 0 of a deleted tower holds the next free offset
+	// instead of a key, as word 0 of a deleted block does.
 	keyWord      = 0
 	valWord      = 1
 	slotWord     = 2
-	maxSlotWords = (maxHeight + 2) / 2 // slotWords(maxHeight)
+	maxSlotWords = (maxHeight + 3) / 2 // slotWords(maxHeight + 2): a tallest tower's slots, block slot included
 
 	// Slot 0 holds the tower height in its low 16 bits and the pair
 	// count in its high 16.
 	countShift = 16
 
-	// The head tower is the first node in the arena. Nothing links to
-	// it, so its offset doubles as the nil link. It holds no pairs.
+	// The head tower is the first in the tower arena, and at width > 1
+	// its block is the first in the block arena. Nothing links to either
+	// and neither is ever freed, so offset 0 doubles as the nil link and
+	// the end of both kinds of free list. The head holds no pairs.
 	head = uint32(0)
 
-	// The arena is a list of chunks. Offset n lives in chunk n>>chunkShift
+	// An arena is a list of chunks. Offset n lives in chunk n>>chunkShift
 	// at index n&chunkMask, so every chunk owns a fixed range of offsets
 	// whatever its real size: the first chunks are allocated short
 	// (1<<minChunkShift words, doubling) so that an empty list costs
-	// 2 KiB, and only the offsets they leave unused are lost.
+	// 2 KiB an arena, and only the offsets they leave unused are lost.
 	chunkShift    = 15 // 32 Ki words = 256 KiB, the most one growth step zeroes
 	chunkMask     = 1<<chunkShift - 1
 	minChunkShift = 8
 
-	// maxWidth is the widest node whose tallest tower fits the first chunk.
-	maxWidth = (1<<minChunkShift - maxSlotWords) / 2
+	// maxWidth is the widest node whose block fits the first chunk.
+	maxWidth = 1<<minChunkShift/2 + 1
 )
 
 // arenaLimit is the number of word offsets a 32-bit link can name. A
 // variable only so that a test can lower it.
 var arenaLimit uint64 = 1 << 32
 
-// slotWords is the number of words holding a height-h tower's h+1 slots.
-func slotWords(h int) int { return (h + 2) / 2 }
+// slotWords is the number of words holding n slots.
+func slotWords(n int) int { return (n + 1) / 2 }
+
+// arena is a list of chunks: chunks[i][:len] is allocated (to towers, or
+// to blocks); the rest of its capacity is untouched zeroes, or, once a
+// later chunk exists, the slack a run did not fit into.
+type arena [][]uint64
+
+// at returns the words from offset n to the end of its chunk.
+func (a arena) at(n uint32) []uint64 { return a[n>>chunkShift][n&chunkMask:] }
+
+// words returns how many words runs have ever occupied (the high-water
+// mark: freed runs still count) and how many the chunks reserve.
+func (a arena) words() (used, reserved int) {
+	for _, c := range a {
+		used += len(c)
+		reserved += cap(c)
+	}
+	return used, reserved
+}
 
 // List is a skip list mapping uint64 keys to uint64 values over the full
 // uint64 key domain. Beyond the point operations it serves the
 // ordered-read contract a store backend needs: Min / Scan / Range expose
 // the key order the tower structure maintains anyway.
 //
-// One list holds at most 2^32 arena words — 32 GiB, about 1.2 billion
-// keys at width 1 — and a Put that would pass that panics. The arena
-// grows a chunk at a time and never moves a node. Delete returns an
-// emptied node to the list's own free lists, where a later Put needing
-// a node of the same size finds it, not to the runtime: the memory is
-// released only when the list itself is dropped (in the sharded store,
-// by a Reconfigure that swaps the backend).
+// Each of a list's arenas holds at most 2^32 words — 32 GiB, about 1.2
+// billion keys at width 1 — and a Put that would pass that panics. An
+// arena grows a chunk at a time and never moves a tower or a block.
+// Delete returns an emptied node's tower and block to the list's own
+// free lists, where a later Put needing a tower of the same size (and a
+// block; all have one size) finds them, not to the runtime: the memory
+// is released only when the list itself is dropped (in the sharded
+// store, by a Reconfigure that swaps the backend).
 //
 // List is not safe for concurrent use: the caller's lock — in the
 // sharded store, the stripe's registry-built lock — provides mutual
 // exclusion.
 type List struct {
-	// chunks[i][:len] is allocated to nodes (the head first); the rest of
-	// its capacity is untouched zeroes, or, once a later chunk exists, the
-	// slack a node did not fit into.
-	chunks [][]uint64
-	// free[s] heads the list of deleted nodes whose towers take s words
-	// (all nodes of one size), linked through their first word.
-	free   [maxSlotWords + 1]uint32
-	width  int
-	height int
-	size   int
-	rng    xrand.State
+	// towers holds the towers, the head's first; blocks holds the pair
+	// blocks, the head's first, and is empty at width 1.
+	towers, blocks arena
+	// free[s] heads the list of deleted towers whose slots take s words
+	// (all towers of one size), linked through their first word;
+	// freeBlocks heads the list of deleted blocks, linked likewise.
+	free       [maxSlotWords + 1]uint32
+	freeBlocks uint32
+	width      int
+	height     int
+	size       int
+	rng        xrand.State
 
 	// NextAddr, if non-nil, supplies the virtual address of each new
 	// node; Touch, if non-nil, receives the address of every node an
@@ -107,7 +134,7 @@ type List struct {
 }
 
 // New returns an empty list whose nodes hold up to width pairs (1 to
-// 124) and whose tower heights are drawn from a generator seeded with
+// 129) and whose tower heights are drawn from a generator seeded with
 // seed (deterministic structure for a given insert sequence).
 func New(seed uint64, width int) *List {
 	if width < 1 || width > maxWidth {
@@ -115,53 +142,70 @@ func New(seed uint64, width int) *List {
 	}
 	l := &List{width: width, height: 1}
 	l.rng.Seed(seed)
-	l.grow()
-	l.alloc(maxHeight) // the head, at offset 0
+	l.alloc(maxHeight) // the head, at offset 0 of each arena
 	return l
 }
 
 // Len returns the number of keys.
 func (l *List) Len() int { return l.size }
 
-// nodeWords is the size of a node of height h: pair 0, the slots, then
-// width-1 more keys and values.
-func (l *List) nodeWords(h int) int { return 2*l.width + slotWords(h) }
+// towerSlots is the number of slots of a height-h tower: slot 0, h
+// links and, at width > 1, the block slot.
+func (l *List) towerSlots(h int) int {
+	if l.width > 1 {
+		return h + 2
+	}
+	return h + 1
+}
 
-// node returns the words of node n, running on to the end of its chunk.
-func (l *List) node(n uint32) []uint64 { return l.chunks[n>>chunkShift][n&chunkMask:] }
+// towerWords is the size of a height-h tower: pair 0, then the slots.
+func (l *List) towerWords(h int) int { return 2 + slotWords(l.towerSlots(h)) }
+
+// blockWords is the size of a block: width-1 keys, then as many values.
+func (l *List) blockWords() int { return 2 * (l.width - 1) }
+
+// node returns the words of tower n, running on to the end of its chunk.
+func (l *List) node(n uint32) []uint64 { return l.towers.at(n) }
 
 func (l *List) key(n uint32) uint64 { return l.node(n)[keyWord] }
 
-// slot returns 32-bit slot s of the node whose words these are: the low
+// slot returns 32-bit slot s of the tower whose words these are: the low
 // (even s) or high (odd s) half of word slotWord+s/2 — two shifts per
 // read where a pointer node had one load.
 func slot(words []uint64, s uint) uint32 { return uint32(words[slotWord+s/2] >> (s % 2 * 32)) }
+
+func setSlot(words []uint64, s uint, v uint32) {
+	w := &words[slotWord+s/2]
+	shift := s % 2 * 32
+	*w = *w&^(0xffffffff<<shift) | uint64(v)<<shift
+}
 
 func height(words []uint64) int { return int(slot(words, 0) & 0xffff) }
 
 func count(words []uint64) int { return int(slot(words, 0) >> countShift) }
 
+// block returns the offset of the block of a width > 1 tower: its slot
+// follows the last link.
+func block(words []uint64) uint32 { return slot(words, uint(height(words))+1) }
+
 func (l *List) link(n uint32, lvl int) uint32 { return slot(l.node(n), uint(lvl)+1) }
 
-func (l *List) setLink(n uint32, lvl int, to uint32) {
-	s := uint(lvl) + 1
-	w := &l.node(n)[slotWord+s/2]
-	shift := s % 2 * 32
-	*w = *w&^(0xffffffff<<shift) | uint64(to)<<shift
-}
+func (l *List) setLink(n uint32, lvl int, to uint32) { setSlot(l.node(n), uint(lvl)+1, to) }
 
 // pairs is a view of one node's pairs. Pair 0, the node's minimum, is
-// words 0 and 1, where a search reads it; pairs 1..width-1 are keys[1:]
-// and vals[1:]. keys[0] and vals[0] are the words before them, never a
-// pair.
+// words 0 and 1 of the tower, where a search reads it; pair i >= 1 is
+// keys[i-1] and vals[i-1], in the block (empty at width 1).
 type pairs struct {
 	words, keys, vals []uint64
 }
 
 func (l *List) pairs(n uint32) pairs {
 	w := l.node(n)
-	s := slotWord - 1 + slotWords(height(w)) // the last slot word
-	return pairs{w, w[s : s+l.width], w[s+l.width-1 : s+2*l.width-1]}
+	if l.width == 1 {
+		return pairs{words: w}
+	}
+	b, m := l.blocks.at(block(w)), l.width-1
+	return pairs{w, b[:m:m], b[m : 2*m : 2*m]}
 }
 
 func (p pairs) len() int { return count(p.words) }
@@ -174,14 +218,14 @@ func (p pairs) pair(i int) (key, val uint64) {
 	if i == 0 {
 		return p.words[keyWord], p.words[valWord]
 	}
-	return p.keys[i], p.vals[i]
+	return p.keys[i-1], p.vals[i-1]
 }
 
 func (p pairs) set(i int, key, val uint64) {
 	if i == 0 {
 		p.words[keyWord], p.words[valWord] = key, val
 	} else {
-		p.keys[i], p.vals[i] = key, val
+		p.keys[i-1], p.vals[i-1] = key, val
 	}
 }
 
@@ -190,7 +234,8 @@ func (p pairs) set(i int, key, val uint64) {
 // Pair 0 is not searched: wherever search is called, the node's minimum
 // is below key.
 func (p pairs) search(key uint64) (int, bool) {
-	lo, hi := 1, p.len()
+	n := p.len() - 1 // pairs 1..len-1 are keys[:n]
+	lo, hi := 0, n
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
 		if p.keys[m] < key {
@@ -199,7 +244,7 @@ func (p pairs) search(key uint64) (int, bool) {
 			hi = m
 		}
 	}
-	return lo, lo < p.len() && p.keys[lo] == key
+	return lo + 1, lo < n && p.keys[lo] == key
 }
 
 // insert puts key/val at index i of a node holding fewer than width
@@ -214,8 +259,8 @@ func (p pairs) insert(i int, key, val uint64) {
 		i = 1
 	}
 	if i > 0 {
-		copy(p.keys[i+1:c+1], p.keys[i:c])
-		copy(p.vals[i+1:c+1], p.vals[i:c])
+		copy(p.keys[i:c], p.keys[i-1:c-1])
+		copy(p.vals[i:c], p.vals[i-1:c-1])
 	}
 	p.set(i, key, val)
 	p.setLen(c + 1)
@@ -226,11 +271,11 @@ func (p pairs) insert(i int, key, val uint64) {
 func (p pairs) remove(i int) {
 	c := p.len()
 	if i == 0 {
-		p.set(0, p.keys[1], p.vals[1])
+		p.set(0, p.keys[0], p.vals[0])
 		i = 1
 	}
-	copy(p.keys[i:c-1], p.keys[i+1:c])
-	copy(p.vals[i:c-1], p.vals[i+1:c])
+	copy(p.keys[i-1:c-2], p.keys[i:c-1])
+	copy(p.vals[i-1:c-2], p.vals[i:c-1])
 	p.setLen(c - 1)
 }
 
@@ -245,44 +290,68 @@ func (p pairs) moveTail(from int, q pairs) {
 	p.setLen(from)
 }
 
-// grow appends an empty chunk. Existing chunks are never reallocated: a
-// copy inside a stripe's critical section would be charged to every
-// waiter.
-func (l *List) grow() {
-	n := len(l.chunks)
+// grow makes room for w words at the end of a's last chunk, appending a
+// chunk when they would straddle. Existing chunks are never
+// reallocated: a copy inside a stripe's critical section would be
+// charged to every waiter.
+func (l *List) grow(a *arena, w int) {
+	n := len(*a)
+	if n > 0 && len((*a)[n-1])+w <= cap((*a)[n-1]) {
+		return
+	}
 	if uint64(n+1)<<chunkShift > arenaLimit {
-		panic(fmt.Sprintf("skiplist: list of %d keys is full: a list's arena holds at most 2^32 words (32 GiB)", l.size))
+		panic(fmt.Sprintf("skiplist: list of %d keys is full: each of a list's arenas holds at most 2^32 words (32 GiB)", l.size))
 	}
 	words := 1 << chunkShift
 	if n < chunkShift-minChunkShift {
 		words = 1 << (minChunkShift + n)
 	}
-	l.chunks = append(l.chunks, make([]uint64, 0, words))
+	*a = append(*a, make([]uint64, 0, words))
 }
 
-// alloc returns a zeroed node of height h with its height set and no
-// pairs: a deleted node of the same size if there is one, else fresh
-// words from the last chunk, or from a new chunk when the node would
-// straddle.
+// take returns the offset of the w words at the end of a's last chunk
+// that grow made room for, and allocates them.
+func take(a arena, w int) uint32 {
+	last := len(a) - 1
+	c := a[last]
+	a[last] = c[:len(c)+w]
+	return uint32(last)<<chunkShift | uint32(len(c))
+}
+
+// alloc returns a zeroed tower of height h with its height set and no
+// pairs: a deleted tower of the same size if there is one, else fresh
+// words. At width > 1 its last slot names a block, likewise deleted or
+// fresh; a reused block is not cleared, since the pair count says how
+// much of it is live.
 func (l *List) alloc(h int) uint32 {
-	s := slotWords(h)
-	w := l.nodeWords(h)
+	s, bw := slotWords(l.towerSlots(h)), l.blockWords()
+	// Both arenas make room before either hands out a word, so a Put
+	// that an arena's limit refuses leaves every word owned.
+	if l.free[s] == 0 {
+		l.grow(&l.towers, 2+s)
+	}
+	if bw > 0 && l.freeBlocks == 0 {
+		l.grow(&l.blocks, bw)
+	}
 	n := l.free[s]
 	if n != 0 {
-		words := l.node(n)[:w]
+		words := l.node(n)[:2+s]
 		l.free[s] = uint32(words[keyWord])
 		clear(words)
 	} else {
-		last := len(l.chunks) - 1
-		if c := l.chunks[last]; len(c)+w > cap(c) {
-			l.grow()
-			last++
-		}
-		c := l.chunks[last]
-		l.chunks[last] = c[:len(c)+w]
-		n = uint32(last)<<chunkShift | uint32(len(c))
+		n = take(l.towers, 2+s)
 	}
-	l.node(n)[slotWord] = uint64(h)
+	words := l.node(n)
+	words[slotWord] = uint64(h)
+	if bw > 0 {
+		b := l.freeBlocks
+		if b != 0 {
+			l.freeBlocks = uint32(l.blocks.at(b)[0])
+		} else {
+			b = take(l.blocks, bw)
+		}
+		setSlot(words, uint(h)+1, b)
+	}
 	return n
 }
 
@@ -339,7 +408,7 @@ func (l *List) Get(key uint64) (uint64, bool) {
 	}
 	xp := l.pairs(x)
 	if i, ok := xp.search(key); ok {
-		return xp.vals[i], true
+		return xp.vals[i-1], true
 	}
 	return 0, false
 }
@@ -366,7 +435,7 @@ func (l *List) Put(key, val uint64) bool {
 	xp := l.pairs(x)
 	i, found := xp.search(key)
 	if found {
-		xp.vals[i] = val
+		xp.vals[i-1] = val
 		return false
 	}
 	c := xp.len()
@@ -459,16 +528,23 @@ func (l *List) Delete(key uint64) bool {
 }
 
 // unlink takes node n, whose predecessor at each of its levels is prev,
-// out of the list and puts it on the free list of its size.
+// out of the list and puts its tower on the free list of its size and
+// its block on the block free list.
 func (l *List) unlink(n uint32, prev *[maxHeight]uint32) {
-	h := height(l.node(n))
+	words := l.node(n)
+	h := height(words)
 	for lvl := 0; lvl < h; lvl++ {
 		if l.link(prev[lvl], lvl) == n {
 			l.setLink(prev[lvl], lvl, l.link(n, lvl))
 		}
 	}
-	s := slotWords(h)
-	l.node(n)[keyWord] = uint64(l.free[s])
+	if l.width > 1 {
+		b := block(words)
+		l.blocks.at(b)[0] = uint64(l.freeBlocks)
+		l.freeBlocks = b
+	}
+	s := slotWords(l.towerSlots(h))
+	words[keyWord] = uint64(l.free[s])
 	l.free[s] = n
 	delete(l.addr, n)
 }
@@ -492,7 +568,7 @@ func (l *List) Scan(lo, hi uint64, fn func(key, val uint64) bool) {
 	xp := l.pairs(x)
 	i, _ := xp.search(lo)
 	for c := xp.len(); i < c; i++ {
-		if xp.keys[i] > hi || !fn(xp.keys[i], xp.vals[i]) {
+		if xp.keys[i-1] > hi || !fn(xp.keys[i-1], xp.vals[i-1]) {
 			return
 		}
 	}
@@ -503,8 +579,8 @@ func (l *List) Scan(lo, hi uint64, fn func(key, val uint64) bool) {
 		}
 		if c := count(words); c > 1 {
 			p := l.pairs(n)
-			for i := 1; i < c; i++ {
-				if p.keys[i] > hi || !fn(p.keys[i], p.vals[i]) {
+			for i, k := range p.keys[:c-1] {
+				if k > hi || !fn(k, p.vals[i]) {
 					return
 				}
 			}
@@ -520,52 +596,81 @@ func (l *List) Range(fn func(key, val uint64) bool) {
 	l.Scan(0, ^uint64(0), fn)
 }
 
-// arenaWords returns how many arena words nodes have ever occupied (the
-// high-water mark: deleted nodes still count) and how many the chunks
-// reserve.
+// arenaWords returns how many words of both arenas towers and blocks
+// have ever occupied (the high-water mark: freed ones still count) and
+// how many the chunks reserve.
 func (l *List) arenaWords() (used, reserved int) {
-	for _, c := range l.chunks {
-		used += len(c)
-		reserved += cap(c)
+	tu, tr := l.towers.words()
+	bu, br := l.blocks.words()
+	return tu + bu, tr + br
+}
+
+// audit records which words of one arena CheckInvariants has found an
+// owner for.
+type audit struct {
+	owned   [][]bool
+	claimed int
+}
+
+// newAudit starts an audit of a, or reports false if a chunk before the
+// last was closed with room left for a run of max words.
+func newAudit(a arena, max int) (*audit, bool) {
+	au := &audit{owned: make([][]bool, len(a))}
+	for i, c := range a {
+		au.owned[i] = make([]bool, len(c))
+		if i < len(a)-1 && cap(c)-len(c) >= max {
+			return nil, false
+		}
 	}
-	return used, reserved
+	return au, true
+}
+
+// claim marks the w words at offset n, refusing words that lie outside
+// the allocated part of n's chunk or already have an owner.
+func (au *audit) claim(n uint32, w int) bool {
+	ci, at := int(n>>chunkShift), int(n&chunkMask)
+	if ci >= len(au.owned) || at+w > len(au.owned[ci]) {
+		return false
+	}
+	for i := at; i < at+w; i++ {
+		if au.owned[ci][i] {
+			return false
+		}
+		au.owned[ci][i] = true
+	}
+	au.claimed += w
+	return true
+}
+
+// complete reports whether every allocated word of a has an owner
+// (claims are disjoint, so equal counts leave no word unowned).
+func (au *audit) complete(a arena) bool {
+	used, _ := a.words()
+	return au.claimed == used
 }
 
 // CheckInvariants verifies that every node holds 1..width pairs and that
 // level 0 yields strictly ascending keys, within nodes and across them,
 // as many as the size count; that each higher level is exactly the
 // ascending subsequence of level-0 nodes whose stored height reaches it;
-// then audits the arena: every allocated word belongs to exactly one of
-// the head, a reachable node or a node on the free list of its size (so
-// no free node is reachable), and a chunk was closed only because a node
+// then audits both arenas: every allocated tower word belongs to exactly
+// one of the head, a reachable node or a tower on the free list of its
+// size (so no free tower is reachable), every allocated block word to
+// exactly one of the head's block, a reachable node's or a block on the
+// block free list, and a chunk was closed only because a tower or block
 // did not fit in what it had left. For tests.
 func (l *List) CheckInvariants() bool {
-	maxWords := l.nodeWords(maxHeight)
-	owned := make([][]bool, len(l.chunks))
-	for i, c := range l.chunks {
-		owned[i] = make([]bool, len(c))
-		if i < len(l.chunks)-1 && cap(c)-len(c) >= maxWords {
-			return false
-		}
+	bw := l.blockWords()
+	towers, ok := newAudit(l.towers, l.towerWords(maxHeight))
+	blocks, okb := newAudit(l.blocks, bw)
+	if !ok || !okb {
+		return false
 	}
-	// claim marks the w words of node n, refusing words that lie outside
-	// the allocated part of n's chunk or already have an owner.
-	claimed := 0
-	claim := func(n uint32, w int) bool {
-		ci, at := int(n>>chunkShift), int(n&chunkMask)
-		if ci >= len(owned) || at+w > len(owned[ci]) {
-			return false
-		}
-		for i := at; i < at+w; i++ {
-			if owned[ci][i] {
-				return false
-			}
-			owned[ci][i] = true
-		}
-		claimed += w
-		return true
+	// claim marks tower n, of height h, and its block.
+	claim := func(n uint32, h int) bool {
+		return towers.claim(n, l.towerWords(h)) && (bw == 0 || blocks.claim(block(l.node(n)), bw))
 	}
-	if height(l.node(head)) != maxHeight || l.pairs(head).len() != 0 || !claim(head, maxWords) {
+	if height(l.node(head)) != maxHeight || l.pairs(head).len() != 0 || !claim(head, maxHeight) {
 		return false
 	}
 
@@ -575,7 +680,7 @@ func (l *List) CheckInvariants() bool {
 	var last uint64
 	for x := l.link(head, 0); x != 0; x = l.link(x, 0) {
 		h := height(l.node(x))
-		if h < 1 || h > l.height || !claim(x, l.nodeWords(h)) {
+		if h < 1 || h > l.height || !claim(x, h) {
 			return false
 		}
 		p := l.pairs(x)
@@ -617,13 +722,17 @@ func (l *List) CheckInvariants() bool {
 		}
 	}
 
-	for s := slotWords(1); s <= maxSlotWords; s++ {
+	for s := range l.free {
 		for n := l.free[s]; n != 0; n = uint32(l.node(n)[keyWord]) {
-			if !claim(n, 2*l.width+s) || slotWords(height(l.node(n))) != s {
+			if !towers.claim(n, 2+s) || slotWords(l.towerSlots(height(l.node(n)))) != s {
 				return false
 			}
 		}
 	}
-	used, _ := l.arenaWords()
-	return claimed == used // claims are disjoint, so equality leaves no word unowned
+	for b := l.freeBlocks; b != 0; b = uint32(l.blocks.at(b)[0]) {
+		if !blocks.claim(b, bw) {
+			return false
+		}
+	}
+	return towers.complete(l.towers) && blocks.complete(l.blocks)
 }

@@ -12,9 +12,9 @@ import (
 )
 
 // widths are the node widths the width-generic tests run at: the
-// simulator's 1, the store's 32, and 2 and 3, which split, shift and
+// simulator's 1, the store's 64, 32, and 2 and 3, which split, shift and
 // merge nodes within a few keys.
-var widths = []int{1, 2, 3, 32}
+var widths = []int{1, 2, 3, 32, 64}
 
 func forWidths(t *testing.T, ws []int, f func(t *testing.T, width int)) {
 	for _, w := range ws {
@@ -338,9 +338,11 @@ func TestHookedMatchesUnhooked(t *testing.T) {
 	}
 }
 
-// TestArenaLimit lowers the offset space to two chunks: the Put that
-// needs a third panics with the list's size, instead of handing out an
-// offset that wraps onto a live node, and leaves the list intact.
+// TestArenaLimit lowers the offset space to two chunks an arena: the
+// Put that needs a third panics with the list's size, instead of handing
+// out an offset that wraps onto a live node, and leaves the list intact.
+// At width 1 the tower arena reaches the limit; at width 32 the block
+// arena does, with the tower arena still in its first chunk.
 func TestArenaLimit(t *testing.T) {
 	forWidths(t, []int{1, 32}, testArenaLimit)
 }
@@ -360,8 +362,12 @@ func testArenaLimit(t *testing.T, width int) {
 	if l.Len() == 0 || !strings.Contains(msg, want) || !strings.Contains(msg, "2^32 words") {
 		t.Fatalf("panic %q; want one containing %q and the capacity", msg, want)
 	}
-	if len(l.chunks) != 2 || !l.CheckInvariants() {
-		t.Fatalf("list damaged by the refused Put: %d chunks", len(l.chunks))
+	full, other := l.towers, l.blocks
+	if width > 1 {
+		full, other = l.blocks, l.towers
+	}
+	if len(full) != 2 || len(other) > 1 || !l.CheckInvariants() {
+		t.Fatalf("list damaged by the refused Put: %d tower chunks, %d block chunks", len(l.towers), len(l.blocks))
 	}
 	if v, ok := l.Get(uint64(l.Len() - 1)); !ok || v != uint64(l.Len()-1) {
 		t.Fatalf("last key before the limit reads %d,%v", v, ok)
@@ -422,6 +428,36 @@ func TestChurnFatNodes(t *testing.T) {
 	}
 	if _, _, thin, _ := churn(t, New(9, 1)); used > thin {
 		t.Fatalf("high-water mark after churn is %d words at width 32, %d at width 1", used, thin)
+	}
+}
+
+// TestNodeWords: a width-1 node of height h takes exactly the
+// key-per-tower node's 2 + (h+2)/2 words and its list reserves no block
+// arena; a width-32 node's tower holds one slot more and its block
+// 2·31 words in the block arena.
+func TestNodeWords(t *testing.T) {
+	forWidths(t, []int{1, 32}, testNodeWords)
+}
+
+func testNodeWords(t *testing.T, width int) {
+	l := New(1, width)
+	for h := 1; h <= maxHeight; h++ {
+		towers, _ := l.towers.words()
+		blocks, _ := l.blocks.words()
+		l.alloc(h)
+		dt, _ := l.towers.words()
+		db, _ := l.blocks.words()
+		wantTower, wantBlock := 2+(h+2)/2, 0
+		if width > 1 {
+			wantTower, wantBlock = 2+(h+3)/2, 2*(width-1)
+		}
+		if dt-towers != wantTower || db-blocks != wantBlock {
+			t.Fatalf("a height-%d node takes %d tower and %d block words, want %d and %d",
+				h, dt-towers, db-blocks, wantTower, wantBlock)
+		}
+	}
+	if width == 1 && l.blocks != nil {
+		t.Fatalf("a width-1 list reserves %d block chunks", len(l.blocks))
 	}
 }
 
@@ -630,10 +666,10 @@ func TestAuditCatchesCorruption(t *testing.T) {
 		width  int
 		damage func(l *List)
 	}{
-		{"a freed node leaks", 1, func(l *List) { l.free[slotWords(1)] = 0 }},
+		{"a freed node leaks", 1, func(l *List) { l.free[slotWords(l.towerSlots(1))] = 0 }},
 		{"a live node is on a free list", 1, func(l *List) {
 			n := l.link(head, 0)
-			s := slotWords(height(l.node(n)))
+			s := slotWords(l.towerSlots(height(l.node(n))))
 			l.node(n)[keyWord], l.free[s] = uint64(l.free[s]), n
 		}},
 		{"a free node is on the wrong size's list", 1, func(l *List) {
@@ -656,7 +692,7 @@ func TestAuditCatchesCorruption(t *testing.T) {
 			}
 		}},
 		{"a chunk was closed with room to spare", 1, func(l *List) {
-			l.chunks[0] = l.chunks[0][: len(l.chunks[0])-l.nodeWords(maxHeight) : cap(l.chunks[0])]
+			l.towers[0] = l.towers[0][: len(l.towers[0])-l.towerWords(maxHeight) : cap(l.towers[0])]
 		}},
 		{"a node holds no pairs", 32, func(l *List) {
 			n, _ := second(l)
@@ -669,12 +705,26 @@ func TestAuditCatchesCorruption(t *testing.T) {
 		{"pairs are out of order inside a node", 32, func(l *List) {
 			n, _ := second(l)
 			p := l.pairs(n)
-			p.keys[1], p.keys[2] = p.keys[2], p.keys[1]
+			p.keys[0], p.keys[1] = p.keys[1], p.keys[0]
 		}},
 		{"a node's minimum is not above its predecessor's last key", 32, func(l *List) {
 			n, m := second(l)
 			p := l.pairs(n)
-			l.node(m)[keyWord] = p.keys[p.len()-1]
+			l.node(m)[keyWord], _ = p.pair(p.len() - 1)
+		}},
+		{"a freed block leaks", 32, func(l *List) {
+			if l.freeBlocks == 0 {
+				t.Fatal("no block was freed")
+			}
+			l.freeBlocks = 0
+		}},
+		{"a live block is on the block free list", 32, func(l *List) {
+			b := block(l.node(l.link(head, 0)))
+			l.blocks.at(b)[0], l.freeBlocks = uint64(l.freeBlocks), b
+		}},
+		{"two towers name one block", 32, func(l *List) {
+			n, m := second(l)
+			setSlot(l.node(m), uint(height(l.node(m)))+1, block(l.node(n)))
 		}},
 	} {
 		l := New(8, tc.width)
@@ -682,6 +732,9 @@ func TestAuditCatchesCorruption(t *testing.T) {
 			l.Put(k, k)
 		}
 		for k := uint64(0); k < 400; k += 2 {
+			l.Delete(k)
+		}
+		for k := uint64(201); k < 300; k += 2 { // empties nodes at width 32
 			l.Delete(k)
 		}
 		if !l.CheckInvariants() {

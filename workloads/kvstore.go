@@ -45,7 +45,7 @@ func BuildKVStore(e *sim.Engine, l *sim.Lock, n int, p KVStoreParams) *skiplist.
 
 	// Width 1: one key per tower, as in leveldb's memtable, so every
 	// operation's footprint is the classic skip path the cache model and
-	// the pinned touch digest were built on. The store's width-32 list
+	// the pinned touch digest were built on. The store's width-64 list
 	// would charge far fewer, larger nodes.
 	mem := skiplist.New(e.Config().Seed+17, 1)
 	nextAddr := sharedBase
