@@ -8,7 +8,7 @@
 //
 //	shardd -addr :7070 -metrics-addr :7071 \
 //	    -stripes 16 -lock 'mcscr-stp?fairness=500' -backend skiplist \
-//	    -policy slo -conn-model pool -pool-size 64
+//	    -policy scanaware -conn-model pool -pool-size 64
 //
 // Drive it with cmd/shardload, scrape text-exposition counters from
 // /metrics on the metrics address, arm chaos over the wire with the

@@ -22,7 +22,7 @@
 //
 // Quickstart against a local shardd:
 //
-//	shardd -addr 127.0.0.1:7070 -metrics-addr 127.0.0.1:7071 -policy slo &
+//	shardd -addr 127.0.0.1:7070 -metrics-addr 127.0.0.1:7071 -lock mcscr-stp &
 //	shardload -addr 127.0.0.1:7070 -conns 8 -rate 20000 -duration 10s \
 //	    -deadline 2ms -deadline-frac 0.5 -classes 2 -json cells.json -append
 package main

@@ -9,6 +9,7 @@ import (
 	"repro/fault"
 	"repro/internal/loadgen"
 	"repro/server"
+	"repro/shard"
 	"repro/wire"
 )
 
@@ -147,7 +148,7 @@ func TestHarnessFaultsRunInTheGenerator(t *testing.T) {
 // swaps was reported cumulative).
 func TestCellReportsTheRunsCounters(t *testing.T) {
 	srv := startServer(t, "hashmap")
-	if err := srv.Map().Reconfigure(0, "tas", ""); err != nil {
+	if err := srv.Map().Reconfigure(0, "skiplist"); err != nil {
 		t.Fatal(err)
 	}
 	admin, err := wire.Dial(srv.Addr())
@@ -165,7 +166,7 @@ func TestCellReportsTheRunsCounters(t *testing.T) {
 	if r.Ops == 0 || r.Stats["acquires"] < uint64(r.Ops) || len(r.Stats) != 11 {
 		t.Errorf("%d ops, stats = %v; want all 11 lock events and at least one acquire per op", r.Ops, r.Stats)
 	}
-	if r.Lock != "tas" || connModel != server.ConnGoroutine {
+	if r.Lock != shard.DefaultLockSpec || connModel != server.ConnGoroutine {
 		t.Errorf("identity: lock %q, conn model %q", r.Lock, connModel)
 	}
 }

@@ -14,7 +14,7 @@
 //     the same lock. Paths are exact within one function: holding
 //     a.mu says nothing about b.mu.
 //   - a Class — the global name of the lock's declaration site
-//     ("shard.descriptor.mu", "semaphore.Semaphore"), used where exact
+//     ("shard.stripe.mu", "semaphore.Semaphore"), used where exact
 //     identity cannot cross a boundary: lock-order edges, class-form
 //     guards, and accesses whose base expression is not a plain path.
 package lockset
@@ -62,7 +62,7 @@ func (p Path) Extend(segs ...string) Path {
 
 // Class computes the path's global class name, or "" when the path has
 // none. A field-terminated path is classed by its declaring struct:
-// "shard.descriptor.mu". A bare variable is classed by its named type:
+// "shard.stripe.mu". A bare variable is classed by its named type:
 // "semaphore.Semaphore" — except for the stdlib sync types, whose
 // instances are too many and too unrelated for a shared global name to
 // mean anything in a lock-order graph.
@@ -100,7 +100,7 @@ func (p Path) Class() string {
 	return class
 }
 
-// FieldClass names a field by its declaring struct ("shard.descriptor.mu"),
+// FieldClass names a field by its declaring struct ("shard.stripe.mu"),
 // or "" when the field is not declared on a named struct of a named
 // package. This is the class an access through a non-path base (a call
 // result, a map index) is checked against.

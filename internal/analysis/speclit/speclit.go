@@ -1,7 +1,7 @@
 // Package speclit validates constant spec strings against the live
 // registries at analysis time. The module's four spec families — locks
 // ("mcscr-stp?fairness=500"), store backends ("skiplist?seed=7"),
-// adaptation policies ("slo?target=0.1&hot=mcscr-stp"), and fault sets
+// adaptation policies ("scanaware?scanfrac=0.3&to=rbtree"), and fault sets
 // ("stall?p=1&hold=1ms+surge?threads=64") — are parsed at runtime, so a
 // typo'd spec in a composite literal or a New call is a production
 // error waiting on the code path that builds it. This analyzer links
@@ -15,8 +15,8 @@
 //     (first argument)
 //   - shard.Config composite literals (LockSpec, BackendSpec fields;
 //     empty means "use the default" and is fine)
-//   - (*shard.Map).Reconfigure (lockSpec and backendSpec arguments;
-//     empty means "keep current" and is fine)
+//   - (*shard.Map).Reconfigure (the backendSpec argument; empty means
+//     "keep current" and is fine)
 //
 // Only untyped/typed string constants are checked — a spec computed at
 // runtime is the runtime parser's problem. In _test.go files only the
@@ -82,16 +82,6 @@ var funcTargets = map[string]funcTarget{
 	"repro/fault.MustNew":  {validateFault, true},
 }
 
-// reconfigureArgs maps (*shard.Map).Reconfigure's spec arguments to
-// validators; empty constants mean "keep the current spec".
-var reconfigureArgs = []struct {
-	index    int
-	validate validator
-}{
-	{1, validateLock},
-	{2, validateBackend},
-}
-
 // configFields maps shard.Config spec-string fields to validators;
 // empty constants mean "use the default".
 var configFields = map[string]validator{
@@ -152,20 +142,16 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, inTest bool) {
 
 	// Methods: (*shard.Map).Reconfigure. Like New, it returns its
 	// error, so tests may feed it bad specs deliberately.
-	if inTest || fn.Name() != "Reconfigure" || !isShardMapRecv(sig.Recv().Type()) {
+	// Its one spec argument, the backend, follows the stripe index.
+	if inTest || fn.Name() != "Reconfigure" || !isShardMapRecv(sig.Recv().Type()) || len(call.Args) < 2 {
 		return
 	}
-	for _, at := range reconfigureArgs {
-		if at.index >= len(call.Args) {
-			continue
-		}
-		s, lit, ok := constString(pass, call.Args[at.index])
-		if !ok || s == "" { // empty = keep current spec
-			continue
-		}
-		if err := at.validate(s); err != nil {
-			pass.Reportf(lit.Pos(), "invalid spec constant: %v", err)
-		}
+	s, lit, ok := constString(pass, call.Args[1])
+	if !ok || s == "" { // empty = keep current spec
+		return
+	}
+	if err := validateBackend(s); err != nil {
+		pass.Reportf(lit.Pos(), "invalid spec constant: %v", err)
 	}
 }
 

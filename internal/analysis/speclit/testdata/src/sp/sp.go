@@ -47,10 +47,9 @@ var badCfg = shard.Config{
 var defaultCfg = shard.Config{}
 
 func reconfigure(m *shard.Map) {
-	_ = m.Reconfigure(0, "mcs-stp", "skiplist")
-	_ = m.Reconfigure(0, "", "")                // empty = keep current
-	_ = m.Reconfigure(0, "mcs-spt", "skiplist") // want `invalid spec constant`
-	_ = m.Reconfigure(0, "mcs-stp", "sklist")   // want `invalid spec constant`
+	_ = m.Reconfigure(0, "skiplist")
+	_ = m.Reconfigure(0, "")       // empty = keep current
+	_ = m.Reconfigure(0, "sklist") // want `invalid spec constant`
 }
 
 // Runtime-computed specs are the runtime parser's problem; no findings.

@@ -7,12 +7,12 @@ import "testing"
 func FuzzNew(f *testing.F) {
 	f.Add("static")
 	f.Add("scanaware?scanfrac=0.3&to=rbtree")
-	f.Add("slo?target=0.1&hot=mcscr-stp")
-	f.Add("slo?target=2")
+	f.Add("scanaware?hold=3&scanfrac=0.25")
+	f.Add("slo")
 	f.Add("scanaware")
 	f.Add("malthusain")
 	f.Add("static?bogus=1")
-	f.Add("slo?target=0.1&target=0.2")
+	f.Add("scanaware?scanfrac=0.1&scanfrac=0.2")
 	f.Add(" STATIC ")
 	f.Fuzz(func(t *testing.T, s string) {
 		p1, err1 := New(s)

@@ -2,11 +2,10 @@
 // control plane, mirroring the lock and backend registries' design: each
 // policy self-registers from its own file's init, and consumers select
 // one with a spec string resolved by New — so the *adaptation* policy of
-// a sharded service is runtime configuration, exactly like the admission
-// and storage policies it adapts:
+// a sharded service is runtime configuration, exactly like the storage
+// policy it adapts:
 //
 //	p, err := policy.New("static")
-//	p, err := policy.New("slo?target=0.05&hot=mcscr-stp")
 //	p := policy.MustNew("scanaware?scanfrac=0.3&to=skiplist")
 //
 // A policy implements shard.Policy: a Decide function the controller
@@ -15,21 +14,22 @@
 // Decide runs on a single goroutine, so hysteresis counters and
 // remembered original specs need no synchronization — and they fail
 // safe: a target spec the map rejects leaves the stripe untouched
-// (Map.Reconfigure validates before quiescing).
+// (Map.Reconfigure validates before quiescing). A policy picks backends
+// only: a stripe keeps the lock shard.New built for it, and a culling
+// lock restricts concurrency under a convoy by itself.
 //
 // This registry is the third consumer of the internal/spec machinery,
 // after locks and backends: same grammar, same error contract, same
 // self-registration rule. Target-spec parameters whose values themselves
-// contain spec syntax ("hot=mcscr-stp?fairness=500") must be URL-escaped
-// ("hot=mcscr-stp%3Ffairness%3D500"), since the policy spec is itself a
-// URL query.
+// contain spec syntax ("to=skiplist?seed=7") must be URL-escaped
+// ("to=skiplist%3Fseed%3D7"), since the policy spec is itself a URL
+// query.
 package policy
 
 import (
 	"fmt"
 
 	"repro/internal/spec"
-	"repro/lock"
 	"repro/shard"
 	"repro/store"
 )
@@ -48,26 +48,9 @@ const (
 	// DefaultScanFrac is the scan share of traffic at or above which
 	// "scanaware" flips a stripe to an ordered backend.
 	DefaultScanFrac = 0.5
-	// DefaultHotLockSpec is the culling/passivating lock spec "slo"
-	// demotes a stripe burning its deadline budget to.
-	DefaultHotLockSpec = "mcscr-stp"
 	// DefaultOrderedSpec is the ordered backend spec "scanaware" flips a
 	// scan-dominated stripe to.
 	DefaultOrderedSpec = "skiplist"
-	// DefaultSLOTarget is the deadline-miss rate budget "slo" defends: the
-	// fraction of deadline-bounded operations allowed to expire.
-	DefaultSLOTarget = 0.05
-	// DefaultSLOFast and DefaultSLOSlow are the "slo" policy's burn-rate
-	// window lengths, in non-idle controller intervals. The fast window
-	// bounds reaction time; the slow window vetoes transient spikes and,
-	// after a demotion, holds the evidence that forces sustained calm
-	// before a restore.
-	DefaultSLOFast = 3
-	DefaultSLOSlow = 12
-	// DefaultSLOMinAttempts is the deadline-bounded traffic the "slo"
-	// fast window must contain before the policy acts either way — a
-	// near-idle stripe's one missed op is not a 100% burn rate.
-	DefaultSLOMinAttempts = 8
 )
 
 // config carries the construction parameters the built-in policies
@@ -76,13 +59,7 @@ const (
 type config struct {
 	hold     int
 	scanFrac float64
-	hotLock  string
 	ordered  string
-
-	sloTarget float64
-	sloFast   int
-	sloSlow   int
-	sloMin    uint64
 }
 
 // Option configures policy construction. The only options are the spec
@@ -92,22 +69,12 @@ type Option func(*config)
 
 func resolve(opts []Option) config {
 	cfg := config{
-		hold:      DefaultHold,
-		scanFrac:  DefaultScanFrac,
-		hotLock:   DefaultHotLockSpec,
-		ordered:   DefaultOrderedSpec,
-		sloTarget: DefaultSLOTarget,
-		sloFast:   DefaultSLOFast,
-		sloSlow:   DefaultSLOSlow,
-		sloMin:    DefaultSLOMinAttempts,
+		hold:     DefaultHold,
+		scanFrac: DefaultScanFrac,
+		ordered:  DefaultOrderedSpec,
 	}
 	for _, o := range opts {
 		o(&cfg)
-	}
-	// The slow window bounds the fast one whatever order fast= and slow=
-	// arrived in.
-	if cfg.sloSlow < cfg.sloFast {
-		cfg.sloSlow = cfg.sloFast
 	}
 	return cfg
 }
@@ -142,7 +109,6 @@ func Lookup(name string) (Registration, bool) { return registry.Lookup(name) }
 // followed by URL-style parameters:
 //
 //	"static"
-//	"slo?target=0.1&slow=40&hot=mcscr-stp"
 //	"scanaware?scanfrac=0.3&to=rbtree"
 //
 // Parameters (a policy reads what applies to it and ignores the rest):
@@ -150,15 +116,10 @@ func Lookup(name string) (Registration, bool) { return registry.Lookup(name) }
 //	hold=N        "scanaware" hysteresis depth in intervals, both directions (>= 1)
 //	scanfrac=F    scan share at which "scanaware" flips, 0..1 (0 disables:
 //	              a zero threshold would read every interval as hot and calm)
-//	hot=SPEC      lock spec "slo" demotes to (URL-escaped)
 //	to=SPEC       ordered backend spec "scanaware" flips to (URL-escaped)
-//	target=F      deadline-miss budget "slo" defends, 0..1 (0 disables)
-//	fast=N        fast burn window, non-idle intervals: bounds reaction time
-//	slow=N        slow burn window, vetoes spikes (raised to fast if shorter)
-//	min=N         fast-window attempts floor before "slo" acts either way
 //
-// hot= and to= are validated against their registries at parse time, so
-// a typo fails here rather than silently never swapping. Malformed specs
+// to= is validated against the backend registry at parse time, so a typo
+// fails here rather than silently never swapping. Malformed specs
 // — unknown name, unknown or duplicated parameter, bad value — return a
 // descriptive error and a nil Policy.
 func New(spec string) (Policy, error) {
@@ -199,33 +160,11 @@ func param[T any](parse func(string) (T, error), set func(*config, T)) spec.Para
 var grammar = spec.NewGrammar[Option]("policy", map[string]spec.ParamFunc[Option]{
 	"hold":     param(spec.PosInt, func(c *config, n int) { c.hold = n }),
 	"scanfrac": param(spec.Frac, func(c *config, f float64) { c.scanFrac = f }),
-	"hot":      param(stripeLockSpec, func(c *config, v string) { c.hotLock = v }),
 	"to":       param(orderedBackendSpec, func(c *config, v string) { c.ordered = v }),
-	"target":   param(spec.Frac, func(c *config, f float64) { c.sloTarget = f }),
-	// fast= and slow= each set only their own window; resolve re-clamps
-	// slow >= fast after both land, so they compose in either order.
-	"fast": param(spec.PosInt, func(c *config, n int) { c.sloFast = n }),
-	"slow": param(spec.PosInt, func(c *config, n int) { c.sloSlow = n }),
-	"min":  param(spec.Uint, func(c *config, n uint64) { c.sloMin = n }),
 })
 
-// stripeLockSpec validates a demotion target by building (and
-// discarding) the lock now; registry locks are cheap to construct. The
-// ContextMutex assertion mirrors shard.Map's own buildLock requirement,
-// so a custom-registered plain lock fails here instead of silently never
-// swapping at Reconfigure time.
-func stripeLockSpec(v string) (string, error) {
-	mtx, err := lock.New(v)
-	if err != nil {
-		return "", err
-	}
-	if _, ok := mtx.(lock.ContextMutex); !ok {
-		return "", fmt.Errorf("lock spec %q builds a %T, which is not a lock.ContextMutex (required for shard stripes)", v, mtx)
-	}
-	return v, nil
-}
-
-// orderedBackendSpec validates a flip target the same way.
+// orderedBackendSpec validates a flip target by building (and
+// discarding) the backend now.
 func orderedBackendSpec(v string) (string, error) {
 	b, err := store.New(v)
 	if err != nil {

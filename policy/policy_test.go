@@ -3,22 +3,20 @@ package policy
 import (
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/lock"
 	"repro/shard"
 )
 
 func TestRegistry(t *testing.T) {
-	if got := strings.Join(Names(), " "); got != "scanaware slo static" {
-		t.Fatalf("Names() = %q want \"scanaware slo static\"", got)
+	if got := strings.Join(Names(), " "); got != "scanaware static" {
+		t.Fatalf("Names() = %q want \"scanaware static\"", got)
 	}
 	if _, ok := Lookup("noop"); !ok {
 		t.Fatal("alias noop did not resolve")
 	}
-	for _, spec := range []string{"static", "slo?target=0.1&fast=2&slow=8&hot=lifocr", "scanaware?scanfrac=0.25&to=rbtree&hold=3"} {
+	for _, spec := range []string{"static", "scanaware?scanfrac=0.25&to=rbtree&hold=3"} {
 		if _, err := New(spec); err != nil {
 			t.Fatalf("New(%q): %v", spec, err)
 		}
@@ -27,12 +25,12 @@ func TestRegistry(t *testing.T) {
 		{"no-such-policy", "unknown policy"},
 		{"Malthusian", "unknown policy"},
 		{"static?bogus=1", "unknown parameter"},
-		{"slo?parks=64", "unknown parameter"},
+		{"slo", "unknown policy"},
 		{"scanaware?lwss=8", "unknown parameter"},
 		{"scanaware?hold=0", "bad value"},
 		{"scanaware?scanfrac=1.5", "bad value"},
 		{"scanaware?scanfrac=0.5&scanfrac=0.6", "given 2 times"},
-		{"slo?hot=no-such-lock", "bad value"},
+		{"scanaware?hot=mcscr-stp", "unknown parameter"},
 		{"scanaware?to=no-such-backend", "bad value"},
 		{"scanaware?to=hashmap", "not ordered"},
 	} {
@@ -47,46 +45,18 @@ func TestRegistry(t *testing.T) {
 	// The unknown-name error lists what is registered. Names fold case,
 	// so this is the deleted park-keyed policy's name too.
 	_, err := New("Malthusian")
-	for _, name := range []string{"scanaware", "slo", "static"} {
+	for _, name := range []string{"scanaware", "static"} {
 		if !strings.Contains(err.Error(), name) {
 			t.Fatalf("New(\"Malthusian\") error %q does not list %q", err, name)
 		}
 	}
 }
 
-// plainMutex satisfies lock.Mutex but not lock.ContextMutex: the class
-// of custom registration shard stripes cannot use.
-type plainMutex struct{ mu sync.Mutex }
-
-func (p *plainMutex) Lock()         { p.mu.Lock() }
-func (p *plainMutex) Unlock()       { p.mu.Unlock() }
-func (p *plainMutex) TryLock() bool { return p.mu.TryLock() }
-
-// registerPlainOnce guards the test-only registration: `go test -count=2`
-// reruns tests in one process, and re-registering a name panics.
-var registerPlainOnce sync.Once
-
-func TestHotSpecRequiresContextMutex(t *testing.T) {
-	registerPlainOnce.Do(func() {
-		lock.Register(lock.Registration{
-			Name:    "plain-test-lock",
-			Summary: "test-only: a Mutex without LockContext",
-			Build:   func(opts ...lock.Option) lock.Mutex { return &plainMutex{} },
-		})
-	})
-	// The parse-time contract: a hot= target the shard layer would
-	// reject must fail at policy.New, not silently never swap.
-	_, err := New("slo?hot=plain-test-lock")
-	if err == nil || !strings.Contains(err.Error(), "ContextMutex") {
-		t.Fatalf("New accepted a non-ContextMutex hot target: %v", err)
-	}
-}
-
 func TestStatic(t *testing.T) {
 	p := MustNew("static")
-	hot := shard.StripeSnapshot{Index: 0, LockSpec: "tas", Counters: shard.Counters{Lock: core.Snapshot{Parks: 1 << 20}}}
+	hot := shard.StripeSnapshot{Index: 0, Counters: shard.Counters{Lock: core.Snapshot{Parks: 1 << 20}}}
 	for i := 0; i < 10; i++ {
-		if _, _, swap := p.Decide(shard.StripeSnapshot{}, hot); swap {
+		if _, swap := p.Decide(shard.StripeSnapshot{}, hot); swap {
 			t.Fatal("static swapped")
 		}
 	}
@@ -97,7 +67,6 @@ func TestStatic(t *testing.T) {
 func snap(idx int, backendSpec string, acquires, scans uint64) shard.StripeSnapshot {
 	return shard.StripeSnapshot{
 		Index:       idx,
-		LockSpec:    "tas",
 		BackendSpec: backendSpec,
 		Ordered:     backendSpec != "hashmap",
 		Counters:    shard.Counters{Scans: scans, Lock: core.Snapshot{Acquires: acquires}},
@@ -111,25 +80,25 @@ func TestScanawareFlipsAndRestores(t *testing.T) {
 	// Scan-dominated intervals (share 1.0 — scans rejected by hashmap,
 	// so acquires stay 0 while attempts mount).
 	cur := snap(1, "hashmap", 0, 100)
-	if _, _, swap := p.Decide(prev, cur); swap {
+	if _, swap := p.Decide(prev, cur); swap {
 		t.Fatal("flipped after one interval (hold=2)")
 	}
 	prev, cur = cur, snap(1, "hashmap", 0, 200)
-	ls, bs, swap := p.Decide(prev, cur)
-	if !swap || ls != "" || bs != DefaultOrderedSpec {
-		t.Fatalf("flip Decide = %q, %q, %v want \"\", %q, true", ls, bs, swap, DefaultOrderedSpec)
+	bs, swap := p.Decide(prev, cur)
+	if !swap || bs != DefaultOrderedSpec {
+		t.Fatalf("flip Decide = %q, %v want %q, true", bs, swap, DefaultOrderedSpec)
 	}
 
 	// Scans fade (share <= 0.25 of acquisitions): restore the hashmap.
 	prev = snap(1, DefaultOrderedSpec, 1000, 200)
 	cur = snap(1, DefaultOrderedSpec, 2000, 210) // 10/1000
-	if _, _, swap := p.Decide(prev, cur); swap {
+	if _, swap := p.Decide(prev, cur); swap {
 		t.Fatal("restored after one calm interval")
 	}
 	prev, cur = cur, snap(1, DefaultOrderedSpec, 3000, 215)
-	ls, bs, swap = p.Decide(prev, cur)
+	bs, swap = p.Decide(prev, cur)
 	if !swap || bs != "hashmap" {
-		t.Fatalf("restore Decide = %q, %q, %v want hashmap back", ls, bs, swap)
+		t.Fatalf("restore Decide = %q, %v want hashmap back", bs, swap)
 	}
 }
 
@@ -138,20 +107,20 @@ func TestScanawareIdleAndNoFlap(t *testing.T) {
 	prev := snap(0, "hashmap", 0, 0)
 	// One hot interval...
 	cur := snap(0, "hashmap", 0, 100)
-	if _, _, swap := p.Decide(prev, cur); swap {
+	if _, swap := p.Decide(prev, cur); swap {
 		t.Fatal("flipped early")
 	}
 	// ...then idle intervals: no evidence, no decay, no flip.
 	for i := 0; i < 5; i++ {
 		prev, cur = cur, snap(0, "hashmap", 0, 100)
-		if _, _, swap := p.Decide(prev, cur); swap {
+		if _, swap := p.Decide(prev, cur); swap {
 			t.Fatal("flipped on an idle interval")
 		}
 	}
 	// Evidence survives the idle gap: the next hot interval completes
 	// the hold and flips.
 	prev, cur = cur, snap(0, "hashmap", 0, 200)
-	if _, bs, swap := p.Decide(prev, cur); !swap || bs != DefaultOrderedSpec {
+	if bs, swap := p.Decide(prev, cur); !swap || bs != DefaultOrderedSpec {
 		t.Fatalf("idle gap decayed the signal: %q, %v", bs, swap)
 	}
 
@@ -167,7 +136,7 @@ func TestScanawareIdleAndNoFlap(t *testing.T) {
 			acqs += 1000 // all-point interval
 		}
 		cur = snap(0, "hashmap", acqs, scans)
-		if _, _, swap := p2.Decide(prev, cur); swap {
+		if _, swap := p2.Decide(prev, cur); swap {
 			t.Fatalf("scanaware flapped at interval %d", i)
 		}
 		prev = cur
@@ -175,28 +144,18 @@ func TestScanawareIdleAndNoFlap(t *testing.T) {
 }
 
 // TestRejectedSwapResync: when a decided swap never lands (Map.Reconfigure
-// fails, or another actor swaps first), the
-// policy must resync from the observed stripe state and keep retrying
-// while the signal persists — not believe its own memory of a swap that
-// did not happen.
+// fails, or another actor swaps first), the policy must resync from the
+// observed stripe state and keep retrying while the signal persists — not
+// believe its own memory of a swap that did not happen.
 func TestRejectedSwapResync(t *testing.T) {
-	// slo whose demotion never shows up in the stripe's spec.
-	s := newSLOScript(MustNew("slo?target=0.1&fast=1&slow=1&min=1&hot=tas"), "mcs-stp")
-	for i := 0; i < 3; i++ {
-		ls, _, swap := s.interval(100, 50) // swap rejected: spec unchanged
-		if !swap || ls != "tas" {
-			t.Fatalf("interval %d: Decide = %q, %v — stopped retrying after a rejected swap", i, ls, swap)
-		}
-	}
-
-	// scanaware whose flip never shows up either.
+	// scanaware whose flip never shows up in the stripe's spec.
 	ps := MustNew("scanaware?scanfrac=0.5&hold=1&to=rbtree")
 	var scanned uint64
 	sprev := snap(0, "hashmap", 0, scanned)
 	for i := 0; i < 3; i++ {
 		scanned += 100
 		cur := snap(0, "hashmap", 0, scanned) // flip rejected: still unordered
-		_, bs, swap := ps.Decide(sprev, cur)
+		bs, swap := ps.Decide(sprev, cur)
 		if !swap || bs != "rbtree" {
 			t.Fatalf("interval %d: Decide = %q, %v — stopped retrying after a rejected flip", i, bs, swap)
 		}
@@ -217,7 +176,7 @@ func TestScanawareRejectedScansDenominator(t *testing.T) {
 		scansSeen += 500
 		acq += 1000 // point ops only: rejected scans never acquired
 		cur := snap(0, "hashmap", acq, scansSeen)
-		if _, _, swap := p.Decide(prev, cur); swap {
+		if _, swap := p.Decide(prev, cur); swap {
 			t.Fatalf("interval %d: flipped at a true scan share of 1/3 (threshold 0.5)", i)
 		}
 		prev = cur
@@ -226,7 +185,7 @@ func TestScanawareRejectedScansDenominator(t *testing.T) {
 	scansSeen += 1500
 	acq += 1000
 	cur := snap(0, "hashmap", acq, scansSeen)
-	if _, bs, swap := p.Decide(prev, cur); !swap || bs != DefaultOrderedSpec {
+	if bs, swap := p.Decide(prev, cur); !swap || bs != DefaultOrderedSpec {
 		t.Fatalf("true share 0.6 did not flip: %q, %v", bs, swap)
 	}
 }
@@ -241,7 +200,7 @@ func TestScanawareMonitoringNoise(t *testing.T) {
 	// Flip first: one genuinely scan-dominated interval.
 	prev := snap(0, "hashmap", 0, 0)
 	cur := snap(0, "hashmap", 0, 100)
-	if _, bs, swap := p.Decide(prev, cur); !swap || bs != DefaultOrderedSpec {
+	if bs, swap := p.Decide(prev, cur); !swap || bs != DefaultOrderedSpec {
 		t.Fatalf("did not flip: %q, %v", bs, swap)
 	}
 	// A long lull where only the monitor touches the stripe (3 acquires
@@ -251,15 +210,15 @@ func TestScanawareMonitoringNoise(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		acq += 3
 		cur = snap(0, DefaultOrderedSpec, acq, 100)
-		if _, bs, swap := p.Decide(prev, cur); swap {
+		if bs, swap := p.Decide(prev, cur); swap {
 			t.Fatalf("monitoring noise restored the backend at interval %d (%q)", i, bs)
 		}
 		prev = cur
 	}
 }
 
-// TestScanawareZeroFracDisabled: scanfrac=0 disables the policy (as
-// target=0 disables slo) — without that rule every interval would read
+// TestScanawareZeroFracDisabled: scanfrac=0 disables the policy —
+// without that rule every interval would read
 // as both hot (share >= 0) and calm (share <= 0), migrating the stripe
 // back and forth forever on pure point traffic.
 func TestScanawareZeroFracDisabled(t *testing.T) {
@@ -269,7 +228,7 @@ func TestScanawareZeroFracDisabled(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		acq += 1000
 		cur := snap(0, "hashmap", acq, 0)
-		if _, bs, swap := p.Decide(prev, cur); swap {
+		if bs, swap := p.Decide(prev, cur); swap {
 			t.Fatalf("scanfrac=0 swapped at interval %d (%q)", i, bs)
 		}
 		prev = cur
@@ -284,7 +243,7 @@ func TestScanawareAlreadyOrdered(t *testing.T) {
 	for _, spec := range []string{"skiplist", "rbtree", "skiplist?seed=7"} {
 		prev := snap(0, spec, 0, 0)
 		cur := snap(0, spec, 0, 1000)
-		if _, _, swap := p.Decide(prev, cur); swap {
+		if _, swap := p.Decide(prev, cur); swap {
 			t.Fatalf("flipped a stripe already ordered (%q)", spec)
 		}
 	}
@@ -313,14 +272,14 @@ func TestPolicyAgainstLiveMap(t *testing.T) {
 	}
 	cur := m.Snapshot()
 	for i := range cur.Stripes {
-		ls, bs, swap := pol.Decide(prev.Stripes[i], cur.Stripes[i])
-		if !swap || ls != "" || bs != DefaultOrderedSpec {
-			t.Fatalf("stripe %d: Decide = %q, %q, %v want flip to %q", i, ls, bs, swap, DefaultOrderedSpec)
+		bs, swap := pol.Decide(prev.Stripes[i], cur.Stripes[i])
+		if !swap || bs != DefaultOrderedSpec {
+			t.Fatalf("stripe %d: Decide = %q, %v want flip to %q", i, bs, swap, DefaultOrderedSpec)
 		}
-		if err := m.Reconfigure(i, ls, bs); err != nil {
+		if err := m.Reconfigure(i, bs); err != nil {
 			t.Fatal(err)
 		}
-		if _, got := m.StripeSpecs(i); got != DefaultOrderedSpec {
+		if got := m.Snapshot().Stripes[i].BackendSpec; got != DefaultOrderedSpec {
 			t.Fatalf("stripe %d backend %q after flip", i, got)
 		}
 	}

@@ -45,8 +45,8 @@ func init() {
 // hold consecutive intervals flips it back. Flipping back surrenders
 // order — subsequent scans fail with ErrUnordered until demand rebuilds
 // — which is the honest cost of paying for order only while it earns
-// its point-op overhead. scanfrac=0 disables the policy entirely, as
-// target=0 disables slo; without that rule a zero threshold would read
+// its point-op overhead. scanfrac=0 disables the policy entirely;
+// without that rule a zero threshold would read
 // every interval as both hot and calm and migrate the stripe back and
 // forth forever.
 //
@@ -89,10 +89,10 @@ func (p *scanaware) state(i int) *scanawareState {
 // calm — it is ignored, like the documented idle case.
 const minEvidence = 16
 
-func (p *scanaware) Decide(prev, cur shard.StripeSnapshot) (lockSpec, backendSpec string, swap bool) {
+func (p *scanaware) Decide(prev, cur shard.StripeSnapshot) (backendSpec string, swap bool) {
 	if p.frac == 0 {
-		// Disabled, the same convention as slo's target=0.
-		return "", "", false
+		// Disabled: see the type comment.
+		return "", false
 	}
 	s := p.state(cur.Index)
 	if s.flipped && cur.BackendSpec != p.to {
@@ -122,7 +122,7 @@ func (p *scanaware) Decide(prev, cur shard.StripeSnapshot) (lockSpec, backendSpe
 	}
 	if den < minEvidence {
 		// Idle (or monitoring-only) interval: no evidence either way.
-		return "", "", false
+		return "", false
 	}
 	share := float64(dScans) / float64(den)
 	if !s.flipped {
@@ -131,7 +131,7 @@ func (p *scanaware) Decide(prev, cur shard.StripeSnapshot) (lockSpec, backendSpe
 			// it is. Flipping would be an O(keys) migration for zero
 			// functional gain.
 			s.hotRuns, s.calmRuns = 0, 0
-			return "", "", false
+			return "", false
 		}
 		if share >= p.frac {
 			s.hotRuns++
@@ -142,9 +142,9 @@ func (p *scanaware) Decide(prev, cur shard.StripeSnapshot) (lockSpec, backendSpe
 			s.orig = cur.BackendSpec
 			s.flipped = true
 			s.hotRuns, s.calmRuns = 0, 0
-			return "", p.to, true
+			return p.to, true
 		}
-		return "", "", false
+		return "", false
 	}
 	if share <= p.frac/2 {
 		s.calmRuns++
@@ -154,7 +154,7 @@ func (p *scanaware) Decide(prev, cur shard.StripeSnapshot) (lockSpec, backendSpe
 	if s.calmRuns >= p.hold {
 		s.flipped = false
 		s.hotRuns, s.calmRuns = 0, 0
-		return "", s.orig, true
+		return s.orig, true
 	}
-	return "", "", false
+	return "", false
 }

@@ -17,6 +17,6 @@ func init() {
 // Decide calls) is priced identically in both.
 type staticPolicy struct{}
 
-func (staticPolicy) Decide(prev, cur shard.StripeSnapshot) (lockSpec, backendSpec string, swap bool) {
-	return "", "", false
+func (staticPolicy) Decide(prev, cur shard.StripeSnapshot) (backendSpec string, swap bool) {
+	return "", false
 }

@@ -259,7 +259,7 @@ func TestEveryCounterIsExported(t *testing.T) {
 		}
 		s.m.Get(k)
 	}
-	if err := s.m.Reconfigure(0, "tas", ""); err != nil {
+	if err := s.m.Reconfigure(0, "skiplist"); err != nil {
 		t.Fatal(err)
 	}
 	// Snapshots acquire the stripe locks they report on, so INFO sits

@@ -106,7 +106,7 @@ type Server struct {
 	// connection holds a slot for its whole serve loop, including every
 	// stripe acquisition inside it — the intended nesting:
 	//
-	//lockcheck:lockorder server.Server.pool<shard.descriptor.mu
+	//lockcheck:lockorder server.Server.pool<shard.stripe.mu
 	pool *semaphore.Semaphore
 
 	// acceptCtx ends when Drain begins: the pool stops admitting and
@@ -345,8 +345,8 @@ func (s *Server) Drain() error {
 	return nil
 }
 
-// Info renders the "key=value" lines the INFO verb returns. Specs are
-// live values: a controller swap shows up here.
+// Info renders the "key=value" lines the INFO verb returns. The backend
+// spec is a live value: a controller swap shows up here.
 func (s *Server) info() []byte {
 	// The timeout bounds stripe acquisition inside SnapshotLite, so an
 	// INFO verb is never held hostage by a collapsed stripe.
@@ -360,11 +360,12 @@ func (s *Server) info() []byte {
 	fmt.Fprintf(&b, "ordered=%t\n", s.m.Ordered())
 	fmt.Fprintf(&b, "policy=%s\n", s.cfg.Policy)
 	fmt.Fprintf(&b, "read_path=%s\n", s.m.ReadPath())
+	fmt.Fprintf(&b, "lock=%s\n", s.m.LockSpec())
 	if err == nil {
-		// One representative stripe: the specs are per-stripe live state,
-		// and stripe 0's is what the cell reports.
+		// One representative stripe: the backend spec is per-stripe live
+		// state, and stripe 0's is what the cell reports.
 		if len(snap.Stripes) > 0 {
-			fmt.Fprintf(&b, "lock=%s\nbackend=%s\n", snap.Stripes[0].LockSpec, snap.Stripes[0].BackendSpec)
+			fmt.Fprintf(&b, "backend=%s\n", snap.Stripes[0].BackendSpec)
 		}
 		// The whole cumulative counter set, one <name>= line each: a load
 		// generator parses it back (shard.ParseCounters) before and after

@@ -9,7 +9,7 @@ import (
 // TestClassAccounting pins the per-class deadline counters: budgeted
 // operations land under their context's class, unclassified traffic
 // lands in class 0, and the pooled totals are the class sums — the
-// contract that keeps pre-class callers (and the slo policy) unchanged.
+// contract that keeps pre-class callers unchanged.
 func TestClassAccounting(t *testing.T) {
 	m := MustNew(Config{Stripes: 1, LockSpec: "tas"})
 	m.Put(1, 1)

@@ -8,18 +8,17 @@ import (
 )
 
 // Policy decides, stripe by stripe, whether a stripe's observed behaviour
-// warrants a live reconfiguration. It is the control-plane contract the
-// policy package's registry implementations satisfy ("static",
-// "scanaware", "slo"), and the paper's thesis made operational:
-// admission policy should adapt to observed contention, so the decision
-// function consumes exactly what the map observes.
+// warrants moving it to another backend. It is the control-plane contract
+// the policy package's registry implementations satisfy ("static",
+// "scanaware"); the decision function consumes exactly what the map
+// observes. Admission is not a policy's to change: a stripe keeps the lock
+// New built for it, and a culling lock adapts to contention by itself.
 type Policy interface {
 	// Decide inspects one stripe's previous and current snapshots — one
-	// controller interval apart — and returns the specs to reconfigure
-	// the stripe to. swap=false means leave the stripe alone (the spec
-	// strings are then ignored); an empty returned spec keeps that half
-	// of the stripe's configuration, exactly as Map.Reconfigure
-	// documents.
+	// controller interval apart — and returns the backend spec to
+	// reconfigure the stripe to. swap=false means leave the stripe alone
+	// (the spec is then ignored); an empty spec keeps the current
+	// backend, exactly as Map.Reconfigure documents.
 	//
 	// Decide is always called from a single goroutine (the controller
 	// loop), for every stripe, every interval, in stripe order — an
@@ -34,7 +33,7 @@ type Policy interface {
 	// recomputing them per stripe per tick would cost the data plane
 	// more than any decision could win back. Policies must key on those
 	// two and the counter deltas.
-	Decide(prev, cur StripeSnapshot) (lockSpec, backendSpec string, swap bool)
+	Decide(prev, cur StripeSnapshot) (backendSpec string, swap bool)
 }
 
 // DefaultControllerInterval is the snapshot cadence when StartController
@@ -139,14 +138,14 @@ func (c *Controller) run(ctx context.Context) {
 		delta := cur.Sub(prev)
 		c.lastDelta.Store(&delta)
 		for i := range cur.Stripes {
-			lockSpec, backendSpec, swap := c.pol.Decide(prev.Stripes[i], cur.Stripes[i])
+			backendSpec, swap := c.pol.Decide(prev.Stripes[i], cur.Stripes[i])
 			if !swap {
 				continue
 			}
 			// reconfigure (not Reconfigure) reports whether a swap was
 			// actually applied: a decision whose specs already match the
 			// stripe's is a validated no-op and must not inflate Swaps.
-			applied, err := c.m.reconfigure(i, lockSpec, backendSpec)
+			applied, err := c.m.reconfigure(i, backendSpec)
 			if err != nil {
 				c.rejected.Add(1)
 				continue
@@ -156,9 +155,9 @@ func (c *Controller) run(ctx context.Context) {
 			}
 		}
 		// The pre-swap snapshot becomes the baseline: the next interval's
-		// deltas then include the swap's own effects (migration
-		// acquisitions, the reset-to-base counters), which is what the
-		// policy's hysteresis is sized to absorb.
+		// deltas then include the swap's own effects (the migration's
+		// stripe acquisition), which is what the policy's hysteresis is
+		// sized to absorb.
 		prev = cur
 	}
 }

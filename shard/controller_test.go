@@ -6,36 +6,29 @@ import (
 	"time"
 )
 
-// scriptedPolicy demotes stripe target once a given acquisition delta is
-// seen, then restores once, then goes quiet — a minimal stateful policy
+// scriptedPolicy moves stripe target to another backend once a given
+// acquisition delta is seen, then goes quiet — a minimal stateful policy
 // for exercising the controller loop end to end.
 type scriptedPolicy struct {
 	target  int
 	to      string
-	restore string
-	phase   int
+	swapped bool
 }
 
-func (p *scriptedPolicy) Decide(prev, cur StripeSnapshot) (string, string, bool) {
-	if cur.Index != p.target {
-		return "", "", false
+func (p *scriptedPolicy) Decide(prev, cur StripeSnapshot) (string, bool) {
+	if cur.Index != p.target || p.swapped || cur.Lock.Acquires <= prev.Lock.Acquires {
+		return "", false
 	}
-	switch p.phase {
-	case 0:
-		if cur.Lock.Acquires > prev.Lock.Acquires {
-			p.phase = 1
-			return p.to, "", true
-		}
-	case 1:
-		p.phase = 2
-		p.restore = "" // nothing to do; pinned demoted
-	}
-	return "", "", false
+	p.swapped = true
+	return p.to, true
 }
+
+// backendOf reads stripe i's live backend spec.
+func backendOf(m *Map, i int) string { return m.Snapshot().Stripes[i].BackendSpec }
 
 func TestControllerAppliesDecisions(t *testing.T) {
 	m := MustNew(Config{Stripes: 2, LockSpec: "tas"})
-	pol := &scriptedPolicy{target: 1, to: "mcscr-stp"}
+	pol := &scriptedPolicy{target: 1, to: "skiplist"}
 	c := StartController(context.Background(), m, pol, 2*time.Millisecond)
 	defer c.Stop()
 
@@ -55,11 +48,11 @@ func TestControllerAppliesDecisions(t *testing.T) {
 		m.Put(key, 1)
 	}
 	c.Stop()
-	if ls, _ := m.StripeSpecs(1); ls != "mcscr-stp" {
-		t.Fatalf("stripe 1 lock spec = %q want mcscr-stp", ls)
+	if bs := backendOf(m, 1); bs != "skiplist" {
+		t.Fatalf("stripe 1 backend = %q want skiplist", bs)
 	}
-	if ls, _ := m.StripeSpecs(0); ls != "tas" {
-		t.Fatalf("stripe 0 disturbed: %q", ls)
+	if bs := backendOf(m, 0); bs != "hashmap" {
+		t.Fatalf("stripe 0 disturbed: %q", bs)
 	}
 	if c.Swaps() != 1 {
 		t.Fatalf("Swaps=%d want 1", c.Swaps())
@@ -78,8 +71,8 @@ func TestControllerAppliesDecisions(t *testing.T) {
 // must count the rejection and leave the stripe untouched.
 type rejectingPolicy struct{}
 
-func (rejectingPolicy) Decide(prev, cur StripeSnapshot) (string, string, bool) {
-	return "no-such-lock", "", true
+func (rejectingPolicy) Decide(prev, cur StripeSnapshot) (string, bool) {
+	return "no-such-backend", true
 }
 
 func TestControllerRejectsBadSpecs(t *testing.T) {
@@ -96,8 +89,8 @@ func TestControllerRejectsBadSpecs(t *testing.T) {
 	if c.Swaps() != 0 {
 		t.Fatalf("Swaps=%d want 0", c.Swaps())
 	}
-	if ls, bs := m.StripeSpecs(0); ls != "tas" || bs != "hashmap" {
-		t.Fatalf("rejected policy disturbed specs: %q, %q", ls, bs)
+	if bs := backendOf(m, 0); bs != "hashmap" {
+		t.Fatalf("rejected policy disturbed the backend: %q", bs)
 	}
 }
 
@@ -120,7 +113,7 @@ func TestSnapshotSub(t *testing.T) {
 		}
 	}
 	m.Scan(0, ^uint64(0), func(_, _ uint64) bool { return true })
-	if err := m.Reconfigure(0, "mcs-stp", ""); err != nil {
+	if err := m.Reconfigure(0, "rbtree"); err != nil {
 		t.Fatal(err)
 	}
 	cur := m.Snapshot()

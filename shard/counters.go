@@ -31,9 +31,9 @@ type Counters struct {
 	// arrived at the stripe: context operations whose context can end
 	// (a deadline, or Done() != nil). DeadlineMisses counts the subset
 	// that expired before reaching the table. Deliberately not reset by
-	// Reconfigure — a swap changes the mechanism, not the objective, so
-	// the slo policy reads one coherent series across its own swaps.
-	// Both are the sums of the per-class arrays below.
+	// Reconfigure — a swap changes the storage, not the objective, so a
+	// reader sees one coherent series across swaps. Both are the sums of
+	// the per-class arrays below.
 	DeadlineAttempts uint64
 	DeadlineMisses   uint64
 	// ClassDeadlineAttempts and ClassDeadlineMisses break the same
@@ -53,20 +53,24 @@ type Counters struct {
 	OptimisticHits      uint64
 	OptimisticRetries   uint64
 	OptimisticFallbacks uint64
-	// Lock is the stripe lock's CR event counters, including those of
-	// retired locks from before any reconfiguration (zero when the spec
-	// set stats=false). Its events are enumerated by core.Snapshot and
-	// exported here under a "lock_" prefix.
+	// Lock is the stripe lock's CR event counters (zero when the spec
+	// set stats=false); the lock lives as long as the stripe, so they
+	// span every reconfiguration. Its events are enumerated by
+	// core.Snapshot and exported here under a "lock_" prefix.
 	Lock core.Snapshot
 }
 
-// load reads the counters the stripe itself keeps. Swaps and Lock live on
-// the descriptor and Scans on the map; the snapshot fills them in.
+// load reads the counters the stripe itself keeps, its lock's included.
+// Swaps live on the descriptor and Scans on the map; the snapshot fills
+// them in.
 func (s *stripe) load() Counters {
 	c := Counters{
 		OptimisticHits:      s.optHits.Load(),
 		OptimisticRetries:   s.optRetries.Load(),
 		OptimisticFallbacks: s.optFallbacks.Load(),
+	}
+	if s.stats != nil {
+		c.Lock = s.stats.Stats()
 	}
 	for k := 0; k < NumClasses; k++ {
 		c.ClassDeadlineAttempts[k] = s.deadlineAttempts[k].Load()

@@ -96,7 +96,7 @@ func TestSnapshotRollUp(t *testing.T) {
 	}
 	m.Scan(0, 100, func(_, _ uint64) bool { return true })
 	m.Scan(0, 100, func(_, _ uint64) bool { return true })
-	if err := m.Reconfigure(1, "tas", ""); err != nil {
+	if err := m.Reconfigure(1, "rbtree"); err != nil {
 		t.Fatal(err)
 	}
 

@@ -4,8 +4,8 @@ package shard
 // snapshots: the derivative a controller or bench decides on, where the
 // snapshots themselves are cumulative. The embedded Counters are the
 // interval's difference (Counters.Sub) — e.g. DeadlineAttempts and
-// DeadlineMisses are the burn-rate denominator and numerator the slo
-// policy windows over.
+// DeadlineMisses are an interval's deadline-miss denominator and
+// numerator.
 type StripeDelta struct {
 	Counters
 	// Index is the stripe's position in the map.

@@ -121,7 +121,7 @@ func TestDeadlineAccounting(t *testing.T) {
 	}
 
 	// Counters survive a reconfiguration: they belong to the stripe.
-	if err := m.Reconfigure(idx, "mcscr-stp", ""); err != nil {
+	if err := m.Reconfigure(idx, "skiplist"); err != nil {
 		t.Fatal(err)
 	}
 	st = m.Snapshot().Stripes[idx]

@@ -15,19 +15,23 @@ func TestReconfigureBasics(t *testing.T) {
 	for i := uint64(0); i < n; i++ {
 		m.Put(i, i*7)
 	}
-	if ls, bs := m.StripeSpecs(0); ls != "tas" || bs != "hashmap" {
-		t.Fatalf("StripeSpecs(0) = %q, %q", ls, bs)
+	if bs := backendOf(m, 0); bs != "hashmap" {
+		t.Fatalf("stripe 0 backend = %q", bs)
 	}
 
-	// Swap stripe 0's backend only; the lock spec stays.
-	if err := m.Reconfigure(0, "", "skiplist"); err != nil {
+	// Swap stripe 0's backend; the lock stays, for life.
+	before := m.Snapshot()
+	if err := m.Reconfigure(0, "skiplist"); err != nil {
 		t.Fatal(err)
 	}
-	if ls, bs := m.StripeSpecs(0); ls != "tas" || bs != "skiplist" {
-		t.Fatalf("after backend swap StripeSpecs(0) = %q, %q", ls, bs)
+	if bs := backendOf(m, 0); bs != "skiplist" {
+		t.Fatalf("after backend swap stripe 0 backend = %q", bs)
 	}
-	if ls, bs := m.StripeSpecs(1); ls != "tas" || bs != "hashmap" {
-		t.Fatalf("stripe 1 disturbed: %q, %q", ls, bs)
+	if bs := backendOf(m, 1); bs != "hashmap" {
+		t.Fatalf("stripe 1 disturbed: %q", bs)
+	}
+	if m.LockSpec() != "tas" {
+		t.Fatalf("LockSpec = %q after a backend swap", m.LockSpec())
 	}
 	// Every entry survived the migration.
 	if m.Len() != n {
@@ -46,7 +50,7 @@ func TestReconfigureBasics(t *testing.T) {
 		t.Fatal("Scan succeeded with unordered stripes")
 	}
 	for i := 1; i < m.Stripes(); i++ {
-		if err := m.Reconfigure(i, "", "skiplist"); err != nil {
+		if err := m.Reconfigure(i, "skiplist"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,33 +73,24 @@ func TestReconfigureBasics(t *testing.T) {
 		t.Fatalf("scan saw %d keys want %d", count, n)
 	}
 
-	// Swap a lock spec; counters stay monotonic via the descriptor base.
-	before := m.Snapshot()
-	if err := m.Reconfigure(0, "mcscr-stp", ""); err != nil {
-		t.Fatal(err)
-	}
-	if ls, bs := m.StripeSpecs(0); ls != "mcscr-stp" || bs != "skiplist" {
-		t.Fatalf("after lock swap StripeSpecs(0) = %q, %q", ls, bs)
-	}
-	m.Put(1, 1) // traffic on the new lock
+	// The stripe lock outlives every swap, so its counters only grow:
+	// the migrations' own acquisitions are in them.
 	after := m.Snapshot()
-	if after.Stripes[0].Lock.Acquires < before.Stripes[0].Lock.Acquires {
-		t.Fatalf("Acquires went backwards across lock swap: %d -> %d",
+	if after.Stripes[0].Lock.Acquires <= before.Stripes[0].Lock.Acquires {
+		t.Fatalf("Acquires did not grow across a backend swap: %d -> %d",
 			before.Stripes[0].Lock.Acquires, after.Stripes[0].Lock.Acquires)
 	}
-
-	// Swap counting: 4 backend swaps + 1 lock swap so far.
-	if after.Swaps != 5 {
-		t.Fatalf("Snapshot.Swaps=%d want 5", after.Swaps)
+	if after.Swaps != 4 {
+		t.Fatalf("Snapshot.Swaps=%d want 4", after.Swaps)
 	}
-	// A no-op reconfigure (same specs, explicit or empty) counts nothing.
-	if err := m.Reconfigure(0, "mcscr-stp", "skiplist"); err != nil {
+	// A no-op reconfigure (the current spec, or empty) counts nothing.
+	if err := m.Reconfigure(0, "skiplist"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Reconfigure(0, "", ""); err != nil {
+	if err := m.Reconfigure(0, ""); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Snapshot().Swaps; got != 5 {
+	if got := m.Snapshot().Swaps; got != 4 {
 		t.Fatalf("no-op reconfigure counted a swap: %d", got)
 	}
 }
@@ -103,23 +98,21 @@ func TestReconfigureBasics(t *testing.T) {
 func TestReconfigureErrors(t *testing.T) {
 	m := MustNew(Config{Stripes: 2, LockSpec: "tas"})
 	for _, tc := range []struct {
-		stripe             int
-		lockSpec, backends string
+		stripe  int
+		backend string
 	}{
-		{-1, "", ""},
-		{2, "", ""},
-		{0, "no-such-lock", ""},
-		{0, "tas?bogus=1", ""},
-		{0, "", "no-such-backend"},
-		{0, "", "skiplist?bogus=1"},
+		{-1, ""},
+		{2, ""},
+		{0, "no-such-backend"},
+		{0, "skiplist?bogus=1"},
 	} {
-		if err := m.Reconfigure(tc.stripe, tc.lockSpec, tc.backends); err == nil {
-			t.Fatalf("Reconfigure(%d, %q, %q) succeeded", tc.stripe, tc.lockSpec, tc.backends)
+		if err := m.Reconfigure(tc.stripe, tc.backend); err == nil {
+			t.Fatalf("Reconfigure(%d, %q) succeeded", tc.stripe, tc.backend)
 		}
 	}
 	// A failed reconfigure leaves the stripe untouched.
-	if ls, bs := m.StripeSpecs(0); ls != "tas" || bs != "hashmap" {
-		t.Fatalf("failed Reconfigure disturbed specs: %q, %q", ls, bs)
+	if bs := backendOf(m, 0); bs != "hashmap" {
+		t.Fatalf("failed Reconfigure disturbed the backend: %q", bs)
 	}
 	m.Put(1, 2)
 	if v, ok := m.Get(1); !ok || v != 2 {
@@ -129,11 +122,10 @@ func TestReconfigureErrors(t *testing.T) {
 
 // TestReconfigureStress is the live-reconfiguration differential: writers
 // own disjoint key ranges and readers assert per-key monotonicity while a
-// swapper cycles every stripe through lock × backend spec combinations.
-// The stripe tables are unsynchronized, so any hole in the swap protocol
-// (an op admitted under a retired lock touching a migrated table) is a
-// race report under -race; lost or duplicated entries surface in the
-// final model comparison.
+// swapper cycles every stripe through the backends. The stripe tables are
+// unsynchronized, so any hole in the swap protocol (an op touching a table
+// after it was migrated away) is a race report under -race; lost or
+// duplicated entries surface in the final model comparison.
 func TestReconfigureStress(t *testing.T) {
 	m := MustNew(Config{Stripes: 4, LockSpec: "mcs-stp", Seed: 11})
 	const (
@@ -142,7 +134,6 @@ func TestReconfigureStress(t *testing.T) {
 		writesPerKey   = 300
 		readerRoutines = 2
 	)
-	lockSpecs := []string{"tas", "mcs-stp", "mcscr-stp", "clh"}
 	backendSpecs := []string{"hashmap", "skiplist", "rbtree"}
 
 	var stop atomic.Bool
@@ -200,8 +191,8 @@ func TestReconfigureStress(t *testing.T) {
 		}(r)
 	}
 
-	// The swapper: random stripes through random spec combinations, as
-	// fast as the quiesce protocol allows.
+	// The swapper: random stripes through random backends, as fast as
+	// the quiesce protocol allows.
 	wg.Add(1)
 	swaps := 0
 	go func() {
@@ -209,10 +200,9 @@ func TestReconfigureStress(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		for !stop.Load() {
 			stripe := rng.Intn(m.Stripes())
-			ls := lockSpecs[rng.Intn(len(lockSpecs))]
 			bs := backendSpecs[rng.Intn(len(backendSpecs))]
-			if err := m.Reconfigure(stripe, ls, bs); err != nil {
-				t.Errorf("Reconfigure(%d, %q, %q): %v", stripe, ls, bs, err)
+			if err := m.Reconfigure(stripe, bs); err != nil {
+				t.Errorf("Reconfigure(%d, %q): %v", stripe, bs, err)
 				return
 			}
 			swaps++
@@ -260,7 +250,7 @@ func TestReconfigureStress(t *testing.T) {
 	if swaps == 0 {
 		t.Fatal("swapper never swapped")
 	}
-	// No-op Reconfigure calls (a random pick matching the current pair)
+	// No-op Reconfigure calls (a random pick matching the current backend)
 	// are not counted, so Swaps <= calls; but the counter must move.
 	if got := m.Snapshot().Swaps; got == 0 || got > uint64(swaps) {
 		t.Fatalf("Snapshot.Swaps=%d after %d Reconfigure calls", got, swaps)
@@ -268,8 +258,9 @@ func TestReconfigureStress(t *testing.T) {
 }
 
 // TestReconfigureContextOps checks the deadline path across swaps: a
-// context op that retries across a descriptor change still reconciles
-// Cancels exactly, and grant-wins semantics are unchanged.
+// context op queued behind a migration still reconciles Cancels exactly
+// with caller errors — the stripe lock, and so every count on it,
+// outlives the swaps.
 func TestReconfigureContextOps(t *testing.T) {
 	m := MustNew(Config{Stripes: 1, LockSpec: "mcs-stp", HistoryCap: 1 << 12})
 	const goroutines, iters = 4, 200
@@ -302,9 +293,9 @@ func TestReconfigureContextOps(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		specs := []string{"mcscr-stp", "mcs-stp"}
+		specs := []string{"skiplist", "hashmap"}
 		for i := 0; !stop.Load(); i++ {
-			if err := m.Reconfigure(0, specs[i%2], ""); err != nil {
+			if err := m.Reconfigure(0, specs[i%2]); err != nil {
 				t.Errorf("Reconfigure: %v", err)
 				return
 			}
@@ -321,12 +312,12 @@ func TestReconfigureContextOps(t *testing.T) {
 	if errs.Load()+succ.Load() != goroutines*iters {
 		t.Fatalf("accounting hole: %d+%d != %d", errs.Load(), succ.Load(), goroutines*iters)
 	}
-	// Cancels counted on retired locks after their retirement snapshot
-	// are dropped from Snapshot (the documented drain-window loss), so
-	// the visible count is a lower bound never exceeding caller errors.
 	snap := m.Snapshot()
-	if snap.Lock.Cancels > uint64(errs.Load()) {
-		t.Fatalf("Cancels=%d > caller errors %d", snap.Lock.Cancels, errs.Load())
+	if snap.Lock.Cancels != uint64(errs.Load()) {
+		t.Fatalf("Cancels=%d, caller errors %d", snap.Lock.Cancels, errs.Load())
+	}
+	if snap.Swaps == 0 {
+		t.Fatal("swapper never swapped")
 	}
 	// Every successful identified admission is in the history (history
 	// survives swaps: it belongs to the stripe, not the descriptor).

@@ -262,12 +262,13 @@ func (m *Map) scanChunkedStripes(ctx context.Context, lo, hi uint64, chunk int, 
 				continue
 			}
 			refilled++
-			d, err := m.stripes[i].lockCurrentContext(ctx)
-			if err != nil {
+			s := &m.stripes[i]
+			if err := s.lock(ctx); err != nil {
 				return stats, err
 			}
+			d := s.desc.Load()
 			if d.ordered == nil {
-				d.mu.Unlock()
+				s.mu.Unlock()
 				return stats, unorderedErr(i, d.backendSpec)
 			}
 			// Certify: under the lock the stamp is stable (even); if it —
@@ -280,7 +281,7 @@ func (m *Map) scanChunkedStripes(ctx context.Context, lo, hi uint64, chunk int, 
 			}
 			truncated, run = false, c.arr[:0] // refill the reusable backing array in place
 			d.ordered.Scan(c.next, hi, collect)
-			d.mu.Unlock()
+			s.mu.Unlock()
 			c.buf, c.arr = run, run
 			if truncated {
 				// More keys remain in (run[chunk-1].key, hi] — so that

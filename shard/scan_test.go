@@ -245,8 +245,8 @@ func TestScanChunkedStatsTorn(t *testing.T) {
 	}
 
 	// And a descriptor swap between refills decertifies too, even when
-	// the write volume alone would not (same-backend lock swap: table
-	// untouched, stamp poisoned + descriptor replaced).
+	// no write lands (an ordered-to-ordered backend swap: same pairs,
+	// stamp poisoned + descriptor replaced).
 	m2 := MustNew(Config{Stripes: 1, BackendSpec: "skiplist"})
 	for i := uint64(0); i < n; i++ {
 		m2.Put(i, i)
@@ -254,7 +254,7 @@ func TestScanChunkedStatsTorn(t *testing.T) {
 	swapped := false
 	stats, err = m2.ScanChunkedStats(context.Background(), 0, ^uint64(0), 8, func(k, v uint64) bool {
 		if !swapped {
-			if err := m2.Reconfigure(0, "tas", ""); err != nil {
+			if err := m2.Reconfigure(0, "rbtree"); err != nil {
 				t.Errorf("Reconfigure: %v", err)
 			}
 			swapped = true

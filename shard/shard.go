@@ -26,15 +26,17 @@
 //
 // # Live reconfiguration
 //
-// Stripe policy is not frozen at New: each stripe holds an atomically
-// published descriptor (lock + backend + the specs they were built from),
-// and Reconfigure swaps a stripe's descriptor while traffic is in flight —
-// quiescing under the old lock, migrating entries into the new backend,
-// then routing new arrivals through the new lock. StripeSpecs reports the
-// live specs. A Controller (see Policy) closes the loop the paper opens:
-// it watches per-stripe Snapshots and reconfigures stripes whose observed
-// contention says the current policy is wrong — the system-level analog of
-// MCSCR's culling, lifted from one lock to the whole stripe array.
+// A stripe owns one lock for its whole life: the admission policy is
+// chosen once, at New, and a culling lock keeps admission healthy under a
+// convoy by itself. The storage half is not frozen: each stripe publishes
+// its table through an atomically swapped descriptor, and Reconfigure
+// moves a stripe to another backend while traffic is in flight —
+// quiescing under the stripe lock, migrating entries into the new table
+// and publishing it before the lock is released. StripeSnapshot reports
+// the live backend spec. A Controller (see Policy) watches per-stripe
+// Snapshots and reconfigures stripes whose observed traffic says the
+// current backend is wrong (the "scanaware" policy flips a scan-dominated
+// stripe to an ordered backend).
 //
 // # Deadlines
 //
@@ -88,7 +90,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/hashmap"
 	"repro/lock"
 	"repro/metrics"
@@ -110,8 +111,7 @@ const (
 // zero) lands there, so existing callers see exactly the counters they
 // always did. Classes 1..NumClasses-1 are free for callers to assign
 // meaning to (the wire protocol carries one class byte per request);
-// per-class budgets are the first half of per-class SLOs — the slo
-// policy still steers on the pooled totals.
+// per-class budgets are the first half of per-class SLOs.
 const NumClasses = 4
 
 // ErrUnordered is returned by Scan, ScanChunked, and their context forms
@@ -142,8 +142,8 @@ type Config struct {
 	// Seed, when nonzero, seeds each stripe's lock and backend PRNGs
 	// with distinct values derived from it (unless a spec pins seed=
 	// itself, which wins). Zero leaves both on their fixed default
-	// seeds. Locks and backends built later by Reconfigure derive their
-	// seeds the same way.
+	// seeds. Backends built later by Reconfigure derive their seeds the
+	// same way.
 	Seed uint64
 
 	// Capacity pre-sizes the map for this many total keys, spread evenly
@@ -183,20 +183,18 @@ type Config struct {
 	ReadPath string
 }
 
-// descriptor is one stripe's swappable policy pair: the lock that admits
-// threads and the table they operate on, plus the specs both were built
-// from. A descriptor is immutable once published — Reconfigure builds a
-// new one and atomically replaces the old — so every field may be read
-// without synchronization after an atomic load of the pointer.
+// descriptor is one stripe's swappable storage: the table the stripe
+// lock guards, plus the spec it was built from. A descriptor is immutable
+// once published — Reconfigure builds a new one and atomically replaces
+// the old — so every field may be read without synchronization after an
+// atomic load of the pointer.
 type descriptor struct {
-	mu    lock.ContextMutex
-	stats lock.Instrumented // mu, when it maintains counters; else nil
 	// table is the one descriptor field mutated after publication (by
-	// the operations themselves), so it keeps the lock discipline the
-	// rest of the descriptor opted out of. The optimistic read path
-	// goes through opt, never table.
+	// the operations themselves), so it keeps the stripe's lock
+	// discipline. The optimistic read path goes through opt, never
+	// table.
 	//
-	//lockcheck:guardedby mu
+	//lockcheck:guardedby shard.stripe.mu
 	table   store.Backend
 	ordered store.Ordered // table, when it maintains key order; else nil
 
@@ -204,52 +202,45 @@ type descriptor struct {
 	// the map's read path is optimistic AND the backend opted in
 	// (store.OptimisticReader) — the per-stripe gate of the lock-free
 	// Get. seq is the stripe's seqlock stamp: bumped odd/even around
-	// every table mutation (under mu), validated by lock-free readers,
-	// read under mu by ScanChunked to certify cross-chunk consistency,
-	// and poisoned when Reconfigure retires this descriptor so stale
-	// readers can never validate against a migrated-away table. The
-	// stamp is maintained on every write path regardless of read path —
-	// two uncontended atomic adds under a held lock — so scan
-	// certification works even on locked-read maps.
+	// every table mutation (under the stripe lock), validated by
+	// lock-free readers, read under the stripe lock by ScanChunked to
+	// certify cross-chunk consistency, and poisoned when Reconfigure
+	// retires this descriptor so stale readers can never validate
+	// against a migrated-away table. The stamp is maintained on every
+	// write path regardless of read path — two uncontended atomic adds
+	// under a held lock — so scan certification works even on
+	// locked-read maps.
 	seq optimistic.Seq
 	opt store.OptimisticReader
 
-	lockSpec    string
 	backendSpec string
-
-	// base accumulates the counters of this stripe's retired locks, so
-	// Snapshot totals stay monotonic across reconfigurations. swaps is
-	// how many times this stripe has been reconfigured.
-	base  core.Snapshot
+	// swaps is how many times this stripe has been reconfigured.
 	swaps uint64
 }
 
-// snapshot reads the descriptor's visible lock counters: the retired
-// base plus the live lock's stats.
-func (d *descriptor) snapshot() core.Snapshot {
-	if d.stats == nil {
-		return d.base
-	}
-	return d.base.Add(d.stats.Stats())
-}
-
-// stripe is one shard: the atomically published descriptor (lock +
-// table), plus per-stripe state that survives reconfiguration. The lock
-// and the table live behind the descriptor pointer (each its own
-// allocation), but the header itself is 120 bytes and unpadded, and it
-// is written on the op paths: deadlineAttempts[class] once per budgeted
-// op and optHits once per lock-free Get. Adjacent headers in the slice
-// therefore share cache lines, and a write to one stripe's counters
-// invalidates the line its neighbour's desc is read from. No ladder rung
-// sizes this yet; ROADMAP item 4 lists it as a suspect with the rung.
+// stripe is one shard: its lock, built once in New and kept for the
+// stripe's whole life, the atomically published descriptor (table), and
+// per-stripe state that survives reconfiguration. Every table access
+// takes mu first and then loads desc; Reconfigure publishes under the
+// same lock, so a holder's descriptor is current until it unlocks. The
+// lock object and the table live behind pointers (each its own
+// allocation), but the header itself is 152 bytes (unsafe.Sizeof on
+// amd64) and unpadded, and it is written on the op paths:
+// deadlineAttempts[class] once per budgeted op and optHits once per
+// lock-free Get. Adjacent headers in the slice therefore share cache
+// lines, and a write to one stripe's counters invalidates the line its
+// neighbour's mu and desc are read from. No ladder rung sizes this yet;
+// ROADMAP item 6(e) lists it as a suspect with the rung.
 type stripe struct {
-	desc atomic.Pointer[descriptor]
+	mu    lock.ContextMutex
+	stats lock.Instrumented // mu, when it maintains counters; else nil
+	desc  atomic.Pointer[descriptor]
 
 	// swapMu serializes Reconfigure calls on this stripe. Operation
-	// paths never touch it. Reconfigure quiesces the stripe under the
-	// descriptor lock while holding swapMu, never the reverse:
+	// paths never touch it. Reconfigure quiesces the stripe under mu
+	// while holding swapMu, never the reverse:
 	//
-	//lockcheck:lockorder shard.stripe.swapMu<shard.descriptor.mu
+	//lockcheck:lockorder shard.stripe.swapMu<shard.stripe.mu
 	swapMu sync.Mutex
 
 	rec  *metrics.Recorder // nil when history is disabled
@@ -261,9 +252,9 @@ type stripe struct {
 	// unclassified traffic). A point context operation is budgeted when
 	// its context can end at all (a deadline, or ctx.Done() != nil) —
 	// that is the operation whose deadline semantics the lock machinery
-	// bounds, and the user-facing signal the slo policy decides on. The
-	// counters belong to the stripe, not the descriptor: a
-	// reconfiguration changes the mechanism, not the objective, so miss
+	// bounds, and the user-facing signal a caller's SLO is stated in.
+	// The counters belong to the stripe, not the descriptor: a
+	// reconfiguration changes the storage, not the objective, so miss
 	// history survives swaps.
 	deadlineAttempts [NumClasses]atomic.Uint64
 	deadlineMisses   [NumClasses]atomic.Uint64
@@ -281,43 +272,18 @@ type stripe struct {
 	optFallbacks atomic.Uint64
 }
 
-// lockCurrent acquires the stripe's current descriptor's lock and
-// returns the descriptor. The descriptor is re-validated after the
-// acquisition: a waiter that slept through a Reconfigure wakes holding
-// the retired lock, whose table has been migrated away — it releases and
-// retries on the published descriptor. The caller must d.mu.Unlock().
+// lock acquires the stripe lock, bounded by ctx unless ctx is nil (the
+// plain, uncancellable path). After a nil error the caller holds s.mu,
+// reads the table through s.desc.Load() and must s.mu.Unlock(). An error
+// return is the lock's one Cancels event.
 //
-//lockcheck:acquires return.mu
-func (s *stripe) lockCurrent() *descriptor {
-	for {
-		d := s.desc.Load()
-		d.mu.Lock()
-		if s.desc.Load() == d {
-			return d
-		}
-		d.mu.Unlock()
-	}
-}
-
-// lockCurrentContext is lockCurrent bounded by ctx; a nil ctx means the
-// plain (uncancellable) path. Exactly one lock Cancels event is counted
-// per error return — retries only happen after successful acquisitions.
-//
-//lockcheck:acquires return.mu
-func (s *stripe) lockCurrentContext(ctx context.Context) (*descriptor, error) {
+//lockcheck:acquires s.mu
+func (s *stripe) lock(ctx context.Context) error {
 	if ctx == nil {
-		return s.lockCurrent(), nil
+		s.mu.Lock()
+		return nil
 	}
-	for {
-		d := s.desc.Load()
-		if err := d.mu.LockContext(ctx); err != nil {
-			return nil, err
-		}
-		if s.desc.Load() == d {
-			return d, nil
-		}
-		d.mu.Unlock()
-	}
+	return s.mu.LockContext(ctx)
 }
 
 // Injector is the data-plane fault hook (see the fault package). When
@@ -356,7 +322,7 @@ type Map struct {
 	readPath optimistic.ReadPath
 
 	// Construction parameters reused when Reconfigure builds a stripe's
-	// replacement lock or backend.
+	// replacement backend.
 	seed      uint64
 	perStripe int
 
@@ -413,19 +379,9 @@ func New(cfg Config) (*Map, error) {
 		if err != nil {
 			return nil, err
 		}
-		d := &descriptor{
-			mu:          mu,
-			stats:       stats,
-			table:       table,
-			lockSpec:    spec,
-			backendSpec: bspec,
-		}
-		d.ordered, _ = table.(store.Ordered)
-		if rp.Optimistic {
-			d.opt, _ = table.(store.OptimisticReader)
-		}
 		s := &m.stripes[i]
-		s.desc.Store(d)
+		s.mu, s.stats = mu, stats
+		s.desc.Store(m.newDescriptor(table, bspec, 0))
 		if cfg.HistoryCap > 0 {
 			// Preallocate the whole (bounded) cap: a growth-copy of a
 			// multi-MB history inside the critical section would charge an
@@ -438,8 +394,7 @@ func New(cfg Config) (*Map, error) {
 }
 
 // buildLock builds stripe i's lock from spec, with the per-stripe derived
-// seed (see Config.Seed). Reconfigure uses the same path, so a swapped-in
-// lock is seeded exactly as a constructed one.
+// seed (see Config.Seed).
 func (m *Map) buildLock(spec string, i int) (lock.ContextMutex, lock.Instrumented, error) {
 	var opts []lock.Option
 	if m.seed != 0 {
@@ -460,7 +415,8 @@ func (m *Map) buildLock(spec string, i int) (lock.ContextMutex, lock.Instrumente
 }
 
 // buildBackend builds stripe i's table from spec, with the per-stripe
-// capacity share and derived seed.
+// capacity share and derived seed. Reconfigure uses the same path, so a
+// swapped-in table is sized and seeded exactly as a constructed one.
 func (m *Map) buildBackend(spec string, i int) (store.Backend, error) {
 	var opts []store.Option
 	if m.perStripe > 0 {
@@ -474,6 +430,17 @@ func (m *Map) buildBackend(spec string, i int) (store.Backend, error) {
 		return nil, fmt.Errorf("shard: stripe table: %w", err)
 	}
 	return table, nil
+}
+
+// newDescriptor wraps a freshly built table for publication, resolving
+// its ordered and optimistic-read extensions once.
+func (m *Map) newDescriptor(table store.Backend, spec string, swaps uint64) *descriptor {
+	d := &descriptor{table: table, backendSpec: spec, swaps: swaps}
+	d.ordered, _ = table.(store.Ordered)
+	if m.readPath.Optimistic {
+		d.opt, _ = table.(store.OptimisticReader)
+	}
+	return d
 }
 
 // derivedSeed gives stripe i a distinct seed so fairness trials (and
@@ -578,10 +545,6 @@ func (s *stripe) client(ctx context.Context) (int, bool) {
 // record appends one admission, inside the critical section (the stripe
 // lock serializes appends, the same protocol metrics.Recorder documents;
 // the cap check reads the recorder, so it too must run under the lock).
-// Appends before and after a reconfiguration are still totally ordered:
-// the swap acquires the old lock and publishes the new descriptor with a
-// release store, so a pre-swap append happens-before the swap, which
-// happens-before any append under the new lock.
 //
 //lockcheck:cs
 func (s *stripe) record(id int) {
@@ -634,9 +597,9 @@ func (m *Map) getOptimistic(s *stripe, key uint64) (val uint64, ok, served bool)
 // context can end at all — it carries a deadline or, failing that, can
 // be cancelled (Done() != nil; asked second, because a deadline context
 // may have to arm a timer to answer): only those can miss, and only
-// those are the SLO traffic the slo policy steers on. Monitoring paths
-// (Snapshot, Len, Range, Scan) never count — a controller polling a
-// collapsed stripe must not dilute the very miss rate it reacts to.
+// those are SLO traffic. Monitoring paths (Snapshot, Len, Range, Scan)
+// never count — a monitor polling a collapsed stripe must not dilute the
+// very miss rate it reports.
 // The class lookup (a context.Value walk) is paid only by budgeted
 // operations, which already built a cancellable context.
 func (s *stripe) budgeted(ctx context.Context) (int, bool) {
@@ -649,30 +612,30 @@ func (s *stripe) budgeted(ctx context.Context) (int, bool) {
 }
 
 // admit is a point operation's arrival at its stripe: it acquires the
-// current descriptor's lock — bounded by ctx unless ctx is nil — and
-// does the per-arrival accounting once for all three verbs: the budgeted
-// attempt and, if the deadline expires in the queue, its miss; and the
-// admission-history record, inside the critical section. The caller must
-// d.mu.Unlock().
+// stripe lock — bounded by ctx unless ctx is nil — and does the
+// per-arrival accounting once for all three verbs: the budgeted attempt
+// and, if the deadline expires in the queue, its miss; and the
+// admission-history record, inside the critical section. After a nil
+// error the caller must s.mu.Unlock().
 //
-//lockcheck:acquires return.mu
-func (s *stripe) admit(ctx context.Context) (*descriptor, error) {
+//lockcheck:acquires s.mu
+func (s *stripe) admit(ctx context.Context) error {
 	if ctx == nil {
-		return s.lockCurrent(), nil
+		s.mu.Lock()
+		return nil
 	}
 	id, recording := s.client(ctx)
 	cls, budgeted := s.budgeted(ctx)
-	d, err := s.lockCurrentContext(ctx)
-	if err != nil {
+	if err := s.mu.LockContext(ctx); err != nil {
 		if budgeted {
 			s.deadlineMisses[cls].Add(1)
 		}
-		return nil, err
+		return err
 	}
 	if recording {
 		s.record(id)
 	}
-	return d, nil
+	return nil
 }
 
 // Get returns the value for key and whether it was present.
@@ -728,41 +691,42 @@ func (m *Map) get(ctx context.Context, key uint64) (uint64, bool, error) {
 			return v, ok, nil
 		}
 	}
-	d, err := s.admit(ctx)
-	if err != nil {
+	if err := s.admit(ctx); err != nil {
 		return 0, false, err
 	}
 	m.inject(i)
-	v, ok := d.table.Get(key)
-	d.mu.Unlock()
+	v, ok := s.desc.Load().table.Get(key)
+	s.mu.Unlock()
 	return v, ok, nil
 }
 
 func (m *Map) put(ctx context.Context, key, val uint64) (bool, error) {
 	i := m.StripeFor(key)
-	d, err := m.stripes[i].admit(ctx)
-	if err != nil {
+	s := &m.stripes[i]
+	if err := s.admit(ctx); err != nil {
 		return false, err
 	}
+	d := s.desc.Load()
 	d.seq.WriteBegin()
 	m.inject(i)
 	fresh := d.table.Put(key, val)
 	d.seq.WriteEnd()
-	d.mu.Unlock()
+	s.mu.Unlock()
 	return fresh, nil
 }
 
 func (m *Map) del(ctx context.Context, key uint64) (bool, error) {
 	i := m.StripeFor(key)
-	d, err := m.stripes[i].admit(ctx)
-	if err != nil {
+	s := &m.stripes[i]
+	if err := s.admit(ctx); err != nil {
 		return false, err
 	}
+	d := s.desc.Load()
 	d.seq.WriteBegin()
 	m.inject(i)
 	present := d.table.Delete(key)
 	d.seq.WriteEnd()
-	d.mu.Unlock()
+	s.mu.Unlock()
 	return present, nil
 }
 
@@ -782,12 +746,12 @@ func (m *Map) LenContext(ctx context.Context) (int, error) {
 func (m *Map) lenStripes(ctx context.Context) (int, error) {
 	n := 0
 	for i := range m.stripes {
-		d, err := m.stripes[i].lockCurrentContext(ctx)
-		if err != nil {
+		s := &m.stripes[i]
+		if err := s.lock(ctx); err != nil {
 			return 0, err
 		}
-		n += d.table.Len()
-		d.mu.Unlock()
+		n += s.desc.Load().table.Len()
+		s.mu.Unlock()
 	}
 	return n, nil
 }
@@ -813,16 +777,16 @@ type kv struct{ key, val uint64 }
 func (m *Map) rangeStripes(ctx context.Context, fn func(key, val uint64) bool) error {
 	var pairs []kv
 	for i := range m.stripes {
-		d, err := m.stripes[i].lockCurrentContext(ctx)
-		if err != nil {
+		s := &m.stripes[i]
+		if err := s.lock(ctx); err != nil {
 			return err
 		}
 		pairs = pairs[:0]
-		d.table.Range(func(k, v uint64) bool {
+		s.desc.Load().table.Range(func(k, v uint64) bool {
 			pairs = append(pairs, kv{k, v})
 			return true
 		})
-		d.mu.Unlock()
+		s.mu.Unlock()
 		for _, p := range pairs {
 			if !fn(p.key, p.val) {
 				return nil
@@ -832,9 +796,15 @@ func (m *Map) rangeStripes(ctx context.Context, fn func(key, val uint64) bool) e
 	return nil
 }
 
+// LockSpec returns the spec every stripe's lock was built from
+// (Config.LockSpec, resolved). A stripe keeps its lock for life, so this
+// is also the live spec.
+func (m *Map) LockSpec() string { return m.cfgLock }
+
 // BackendSpec returns the construction-time backend spec the stripes
 // were originally built from (Config.BackendSpec, resolved). Live specs
-// may differ per stripe after Reconfigure — see StripeSpecs.
+// may differ per stripe after Reconfigure — see
+// StripeSnapshot.BackendSpec.
 func (m *Map) BackendSpec() string { return m.cfgBackend }
 
 // ReadPath returns the canonical form of the read-path spec the map was

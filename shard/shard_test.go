@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/store"
 )
 
@@ -19,7 +20,7 @@ func TestMain(m *testing.M) {
 	if runtime.GOMAXPROCS(0) < 4 {
 		runtime.GOMAXPROCS(4)
 	}
-	os.Exit(m.Run())
+	os.Exit(leakcheck.Run(m))
 }
 
 func TestConfigDefaultsAndRounding(t *testing.T) {

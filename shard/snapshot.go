@@ -14,10 +14,9 @@ type StripeSnapshot struct {
 	Index int
 	// Len is the stripe's key count.
 	Len int
-	// LockSpec and BackendSpec are the specs the stripe's current lock
-	// and backend were built from (live values — they change under
-	// Reconfigure).
-	LockSpec    string
+	// BackendSpec is the spec the stripe's current backend was built
+	// from (a live value — it changes under Reconfigure). The lock spec
+	// is the map's, for life: Map.LockSpec.
 	BackendSpec string
 	// Ordered reports whether the stripe's current backend maintains key
 	// order (satisfies store.Ordered).
@@ -82,16 +81,16 @@ func (m *Map) snapshotImpl(ctx context.Context, lite bool) (Snapshot, error) {
 	scans := m.scans.Load()
 	for i := range m.stripes {
 		s := &m.stripes[i]
-		d, err := s.lockCurrentContext(ctx)
-		if err != nil {
+		if err := s.lock(ctx); err != nil {
 			return Snapshot{}, err
 		}
+		d := s.desc.Load()
 		ln := d.table.Len()
 		var h metrics.History
 		if s.rec != nil {
 			h = s.rec.History()
 		}
-		d.mu.Unlock()
+		s.mu.Unlock()
 		var fairness metrics.Summary
 		if lite {
 			fairness.Admissions = len(h)
@@ -102,12 +101,11 @@ func (m *Map) snapshotImpl(ctx context.Context, lite bool) (Snapshot, error) {
 			fairness = metrics.Summarize(h, m.window)
 		}
 		c := s.load()
-		c.Swaps, c.Scans, c.Lock = d.swaps, scans, d.snapshot()
+		c.Swaps, c.Scans = d.swaps, scans
 		out.Stripes[i] = StripeSnapshot{
 			Counters:    c,
 			Index:       i,
 			Len:         ln,
-			LockSpec:    d.lockSpec,
 			BackendSpec: d.backendSpec,
 			Ordered:     d.ordered != nil,
 			Fairness:    fairness,
