@@ -1,6 +1,6 @@
 // Command shardd serves a shard.Map over the wire protocol: the
-// repo's Malthusian lock family, registry-spec stripes, adaptation
-// policies, and fault injection, fronted by TCP so arrivals are remote
+// repo's Malthusian lock family, registry-spec stripes and fault
+// injection, fronted by TCP so arrivals are remote
 // requests carrying their own deadlines instead of goroutines a
 // benchmark spawned in-process.
 //
@@ -8,7 +8,7 @@
 //
 //	shardd -addr :7070 -metrics-addr :7071 \
 //	    -stripes 16 -lock 'mcscr-stp?fairness=500' -backend skiplist \
-//	    -policy scanaware -conn-model pool -pool-size 64
+//	    -conn-model pool -pool-size 64
 //
 // Drive it with cmd/shardload, scrape text-exposition counters from
 // /metrics on the metrics address, arm chaos over the wire with the
@@ -16,8 +16,8 @@
 // server drains: accepted requests finish and their responses flush
 // before the process exits. With -history-cap N each stripe records
 // which connection made each of its first N admissions, and /metrics
-// gains the per-stripe LWSS gauge. -list prints every registered lock, backend,
-// policy and fault with its summary.
+// gains the per-stripe LWSS gauge. -list prints every registered lock,
+// backend and fault with its summary.
 package main
 
 import (
@@ -30,7 +30,6 @@ import (
 
 	"repro/fault"
 	"repro/lock"
-	"repro/policy"
 	"repro/server"
 	"repro/store"
 )
@@ -43,15 +42,13 @@ func main() {
 	flag.StringVar(&cfg.LockSpec, "lock", "", "stripe lock spec (see lock.New; empty = shard default)")
 	flag.StringVar(&cfg.BackendSpec, "backend", "", "stripe backend spec (see store.New; empty = shard default)")
 	flag.StringVar(&cfg.ReadPath, "read-path", "", "Get read path: locked (default) or optimistic[?retries=N] (lock-free seqlock-validated Gets)")
-	flag.StringVar(&cfg.Policy, "policy", "", "adaptation policy spec (see policy.New; empty = no controller)")
-	flag.DurationVar(&cfg.AdaptInterval, "adapt-interval", 0, "controller cadence (0 = shard default)")
 	flag.StringVar(&cfg.ConnModel, "conn-model", server.ConnGoroutine, "connection handling: goroutine (serve all) or pool (bounded Malthusian admission)")
 	flag.IntVar(&cfg.PoolSize, "pool-size", 64, "concurrently served connections under -conn-model pool")
 	flag.DurationVar(&cfg.DrainGrace, "drain-grace", 2*time.Second, "how long SIGTERM drain waits for in-flight requests")
 	flag.DurationVar(&cfg.MetricsInterval, "metrics-interval", time.Second, "/metrics sampler cadence")
 	flag.Uint64Var(&cfg.Seed, "seed", 0, "deterministic seed for stochastic lock/pool behavior (0 = off)")
 	flag.IntVar(&cfg.HistoryCap, "history-cap", 0, "per-stripe admission history capacity (0 = off; enables LWSS gauges)")
-	list := flag.Bool("list", false, "list registered lock, backend, policy, and fault specs with their summaries, then exit")
+	list := flag.Bool("list", false, "list registered lock, backend and fault specs with their summaries, then exit")
 	flag.Parse()
 
 	if *list {
@@ -85,10 +82,9 @@ func main() {
 	fmt.Println("shardd: drained")
 }
 
-// printRegistries renders the four registries' canonical names with
-// their Registration.Summary lines: pick the lock and the backend, the
-// policy that re-picks both at runtime, and the fault that tries to
-// break all three.
+// printRegistries renders the three registries' canonical names with
+// their Registration.Summary lines: pick the lock and the backend, and
+// the fault that tries to break both.
 func printRegistries() {
 	section := func(title string, names []string, summary func(string) string) {
 		fmt.Println(title)
@@ -102,10 +98,6 @@ func printRegistries() {
 	})
 	section("backends (-backend; see store.New for parameters):", store.Names(), func(n string) string {
 		reg, _ := store.Lookup(n)
-		return reg.Summary
-	})
-	section("policies (-policy; see policy.New for parameters):", policy.Names(), func(n string) string {
-		reg, _ := policy.Lookup(n)
 		return reg.Summary
 	})
 	section("faults (the FAULT verb, shardload -fault; see fault.New for parameters):", fault.Names(), func(n string) string {

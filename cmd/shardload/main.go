@@ -10,8 +10,8 @@
 // The request loop is internal/loadgen's Run over a loadgen.WireDial
 // target, with the accounting rules stated in that package's comment; a
 // cell lands in the internal/benchfmt JSON schema (-json, and -append to
-// grow one file into a series). The lock, backend, read path and policy
-// under test are shardd's flags, so every service cell is a shardd
+// grow one file into a series). The lock, backend and read path under
+// test are shardd's flags, so every service cell is a shardd
 // started with the cell's flags and a shardload run against it.
 //
 // With -fault, the spec is parsed here and armed on the server over the
@@ -122,10 +122,9 @@ func main() {
 
 // runCell drives c at the shardd on addr and returns the cell, the
 // server's conn model and the generator's reconnect errors. INFO is read
-// before and after the run: identity and live specs come from the later
-// one (they reflect anything the server's controller did while we were
-// storming it), the counter columns from the difference — the run's
-// interval, read over the wire.
+// before and after the run: identity comes from the later one, the
+// counter columns from the difference — the run's interval, read over
+// the wire.
 func runCell(c loadgen.Traffic, chaos *loadgen.Chaos, addr string, admin *wire.Client) (benchfmt.Result, string, int) {
 	before, _ := serverInfo(admin)
 	if chaos != nil {
@@ -141,7 +140,6 @@ func runCell(c loadgen.Traffic, chaos *loadgen.Chaos, addr string, admin *wire.C
 		Lock:     info["lock"],
 		Backend:  info["backend"],
 		ReadPath: info["read_path"],
-		Policy:   info["policy"],
 		Stripes:  atoi(info["stripes"]),
 	}
 	res.Fill(c, after.Sub(before), &r)

@@ -143,14 +143,10 @@ func TestHarnessFaultsRunInTheGenerator(t *testing.T) {
 
 // TestCellReportsTheRunsCounters: the counter columns of a remote cell
 // are the run's difference of the server's cumulative counters, like an
-// in-process cell's — so a swap from before the run is not this cell's,
-// and the lock events arrive at all (INFO used to carry one of them, and
-// swaps was reported cumulative).
+// in-process cell's, and the lock events arrive at all (INFO used to
+// carry one of them).
 func TestCellReportsTheRunsCounters(t *testing.T) {
 	srv := startServer(t, "hashmap")
-	if err := srv.Map().Reconfigure(0, "skiplist"); err != nil {
-		t.Fatal(err)
-	}
 	admin, err := wire.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -160,13 +156,10 @@ func TestCellReportsTheRunsCounters(t *testing.T) {
 		Workers: 2, Duration: 100 * time.Millisecond, Keys: 256, Dist: "uniform", ReadFrac: 0.5, Seed: 1,
 	}
 	r, connModel, _ := runCell(traffic, nil, srv.Addr(), admin)
-	if r.Swaps != 0 {
-		t.Errorf("swaps = %d: the stripe was reconfigured before the run, not during it", r.Swaps)
-	}
 	if r.Ops == 0 || r.Stats["acquires"] < uint64(r.Ops) || len(r.Stats) != 11 {
 		t.Errorf("%d ops, stats = %v; want all 11 lock events and at least one acquire per op", r.Ops, r.Stats)
 	}
-	if r.Lock != shard.DefaultLockSpec || connModel != server.ConnGoroutine {
-		t.Errorf("identity: lock %q, conn model %q", r.Lock, connModel)
+	if r.Lock != shard.DefaultLockSpec || r.Backend != "hashmap" || connModel != server.ConnGoroutine {
+		t.Errorf("identity: lock %q, backend %q, conn model %q", r.Lock, r.Backend, connModel)
 	}
 }

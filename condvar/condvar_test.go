@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/lock"
 )
 
@@ -17,7 +18,7 @@ func TestMain(m *testing.M) {
 	if runtime.GOMAXPROCS(0) < 4 {
 		runtime.GOMAXPROCS(4)
 	}
-	os.Exit(m.Run())
+	os.Exit(leakcheck.Run(m))
 }
 
 func policies() map[string]float64 {

@@ -17,13 +17,11 @@
 //   - package metrics: the paper's fairness instruments (LWSS, MTTR,
 //     Gini, RSTDDEV, trailing-window RecentLWSS);
 //   - package shard: a sharded, deadline-aware KV store whose per-stripe
-//     lock and table are registry specs, with cross-stripe ordered scans
-//     (full or chunked), per-stripe fairness snapshots, live backend
-//     swaps (Map.Reconfigure), and an adaptation controller;
+//     lock and table are registry specs, fixed for the stripe's life,
+//     with cross-stripe ordered scans (full or chunked) and per-stripe
+//     fairness snapshots;
 //   - package store: the stripe-backend registry (hashmap, skiplist,
 //     rbtree; store.Ordered for range scans);
-//   - package policy: the adaptation-policy registry the shard
-//     controller drives (static, scanaware);
 //   - package sim (with sim/cache): a deterministic discrete-event model
 //     of the paper's SPARC T5 evaluation machine — cores, strands,
 //     pipeline sharing, shared LLC, DTLBs, scheduler, park/unpark and

@@ -4,8 +4,8 @@
 // surges (the paper's overthreading collapse), and hot-key skew storms —
 // reproducible on demand instead of waited for.
 //
-// It is the fourth consumer of the internal/spec registry machinery,
-// after locks, backends, and policies: each fault self-registers from its
+// It is the third consumer of the internal/spec registry machinery,
+// after locks and backends: each fault self-registers from its
 // own file's init, and consumers select one with a spec string. Faults
 // compose with "+", so a chaos timeline is itself one spec:
 //
@@ -260,8 +260,8 @@ func (s *Set) String() string { return strings.Join(s.specs, "+") }
 type Builder func(fullSpec, query string) (Fault, error)
 
 // Registration describes one fault implementation to the registry; the
-// machinery is the same generic internal/spec registry the lock,
-// backend, and policy families use.
+// machinery is the same generic internal/spec registry the lock and
+// backend families use.
 type Registration = spec.Registration[Builder]
 
 var registry = spec.NewRegistry[Builder]("fault", "fault")

@@ -18,8 +18,8 @@ type GuardKind int
 
 const (
 	// GuardRel names a sibling lock relative to the same base object:
-	// `//lockcheck:guardedby mu` on descriptor.table means d.table needs
-	// d.mu, for the same d.
+	// `//lockcheck:guardedby mu` on Server.conns means s.conns needs
+	// s.mu, for the same s.
 	GuardRel GuardKind = iota
 	// GuardClass names a lock class: any held lock of that class
 	// satisfies the guard (used when guard and field live on different

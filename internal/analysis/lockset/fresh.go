@@ -9,8 +9,8 @@ import (
 // collectFresh finds locals initialized from a composite literal —
 // objects this function created and has not yet published. Accesses to
 // a fresh object's guarded fields before its publication point need no
-// guard: no other goroutine can reach the object (the Reconfigure
-// idiom: build the new descriptor, fill it in, then Store it).
+// guard: no other goroutine can reach the object (the constructor
+// idiom: build the object, fill it in, then publish it).
 //
 // Publication is the first position where the variable itself (or its
 // address) flows somewhere other than a field selection: a call

@@ -1,22 +1,18 @@
 // Package speclit validates constant spec strings against the live
-// registries at analysis time. The module's four spec families — locks
-// ("mcscr-stp?fairness=500"), store backends ("skiplist?seed=7"),
-// adaptation policies ("scanaware?scanfrac=0.3&to=rbtree"), and fault sets
-// ("stall?p=1&hold=1ms+surge?threads=64") — are parsed at runtime, so a
-// typo'd spec in a composite literal or a New call is a production
-// error waiting on the code path that builds it. This analyzer links
+// registries at analysis time. The module's three spec families — locks
+// ("mcscr-stp?fairness=500"), store backends ("skiplist?seed=7") and
+// fault sets ("stall?p=1&hold=1ms+surge?threads=64") — are parsed at
+// runtime, so a typo'd spec in a composite literal or a New call is a
+// production error waiting on the code path that builds it. This analyzer links
 // the real packages and runs the real parsers over every constant spec
 // it can see, so `go vet` fails where production would.
 //
 // Checked sites:
 //
 //   - lock.New / lock.MustNew / store.New / store.MustNew /
-//     policy.New / policy.MustNew / fault.New / fault.MustNew
-//     (first argument)
+//     fault.New / fault.MustNew (first argument)
 //   - shard.Config composite literals (LockSpec, BackendSpec fields;
 //     empty means "use the default" and is fine)
-//   - (*shard.Map).Reconfigure (the backendSpec argument; empty means
-//     "keep current" and is fine)
 //
 // Only untyped/typed string constants are checked — a spec computed at
 // runtime is the runtime parser's problem. In _test.go files only the
@@ -38,14 +34,13 @@ import (
 	"repro/fault"
 	"repro/internal/analysis"
 	"repro/lock"
-	"repro/policy"
 	"repro/store"
 )
 
 // Analyzer validates constant registry specs at vet time.
 var Analyzer = &analysis.Analyzer{
 	Name: "speclit",
-	Doc: `validate constant lock/store/policy/fault spec strings against the live registries
+	Doc: `validate constant lock/store/fault spec strings against the live registries
 
 A constant spec that the runtime parser would reject ("mcscr-spt?fairness=500")
 fails vet instead of production. The validators are the runtime parsers
@@ -59,7 +54,6 @@ type validator func(spec string) error
 var (
 	validateLock    validator = func(s string) error { _, err := lock.New(s); return err }
 	validateBackend validator = func(s string) error { _, err := store.New(s); return err }
-	validatePolicy  validator = func(s string) error { _, err := policy.New(s); return err }
 	validateFault   validator = func(s string) error { _, err := fault.New(s); return err }
 )
 
@@ -72,14 +66,12 @@ type funcTarget struct {
 }
 
 var funcTargets = map[string]funcTarget{
-	"repro/lock.New":       {validateLock, false},
-	"repro/lock.MustNew":   {validateLock, true},
-	"repro/store.New":      {validateBackend, false},
-	"repro/store.MustNew":  {validateBackend, true},
-	"repro/policy.New":     {validatePolicy, false},
-	"repro/policy.MustNew": {validatePolicy, true},
-	"repro/fault.New":      {validateFault, false},
-	"repro/fault.MustNew":  {validateFault, true},
+	"repro/lock.New":      {validateLock, false},
+	"repro/lock.MustNew":  {validateLock, true},
+	"repro/store.New":     {validateBackend, false},
+	"repro/store.MustNew": {validateBackend, true},
+	"repro/fault.New":     {validateFault, false},
+	"repro/fault.MustNew": {validateFault, true},
 }
 
 // configFields maps shard.Config spec-string fields to validators;
@@ -108,7 +100,7 @@ func run(pass *analysis.Pass) error {
 }
 
 // checkCall validates constant specs flowing into the registered
-// constructor functions and (*shard.Map).Reconfigure.
+// constructor functions.
 func checkCall(pass *analysis.Pass, call *ast.CallExpr, inTest bool) {
 	fn := calleeFunc(pass, call)
 	if fn == nil || fn.Pkg() == nil {
@@ -119,39 +111,25 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, inTest bool) {
 		return
 	}
 
-	if sig.Recv() == nil {
-		target, ok := funcTargets[fn.Pkg().Path()+"."+fn.Name()]
-		if !ok {
-			return
-		}
-		if inTest && !target.mustOnly {
-			// Tests feed deliberately bad specs to New to exercise the
-			// error paths; only the panicking Must* forms are checked
-			// there.
-			return
-		}
-		if len(call.Args) > 0 {
-			if s, lit, ok := constString(pass, call.Args[0]); ok {
-				if err := target.validate(s); err != nil {
-					pass.Reportf(lit.Pos(), "invalid spec constant: %v", err)
-				}
+	if sig.Recv() != nil {
+		return
+	}
+	target, ok := funcTargets[fn.Pkg().Path()+"."+fn.Name()]
+	if !ok {
+		return
+	}
+	if inTest && !target.mustOnly {
+		// Tests feed deliberately bad specs to New to exercise the
+		// error paths; only the panicking Must* forms are checked
+		// there.
+		return
+	}
+	if len(call.Args) > 0 {
+		if s, lit, ok := constString(pass, call.Args[0]); ok {
+			if err := target.validate(s); err != nil {
+				pass.Reportf(lit.Pos(), "invalid spec constant: %v", err)
 			}
 		}
-		return
-	}
-
-	// Methods: (*shard.Map).Reconfigure. Like New, it returns its
-	// error, so tests may feed it bad specs deliberately.
-	// Its one spec argument, the backend, follows the stripe index.
-	if inTest || fn.Name() != "Reconfigure" || !isShardMapRecv(sig.Recv().Type()) || len(call.Args) < 2 {
-		return
-	}
-	s, lit, ok := constString(pass, call.Args[1])
-	if !ok || s == "" { // empty = keep current spec
-		return
-	}
-	if err := validateBackend(s); err != nil {
-		pass.Reportf(lit.Pos(), "invalid spec constant: %v", err)
 	}
 }
 
@@ -220,13 +198,6 @@ func constString(pass *analysis.Pass, e ast.Expr) (string, ast.Expr, bool) {
 		return "", nil, false
 	}
 	return constant.StringVal(tv.Value), e, true
-}
-
-// isShardMapRecv reports whether t is shard.Map or *shard.Map.
-func isShardMapRecv(t types.Type) bool {
-	named, ok := derefNamed(t)
-	return ok && named.Obj().Pkg() != nil &&
-		named.Obj().Pkg().Path() == "repro/shard" && named.Obj().Name() == "Map"
 }
 
 // derefNamed strips one pointer level and returns the named type.

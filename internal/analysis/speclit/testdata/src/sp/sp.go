@@ -7,7 +7,6 @@ package sp
 import (
 	"repro/fault"
 	"repro/lock"
-	"repro/policy"
 	"repro/shard"
 	"repro/store"
 )
@@ -20,8 +19,6 @@ var (
 	badMust      = lock.MustNew("mcscr-stp?fairness=oops") // want `invalid spec constant`
 	goodStore, _ = store.New("skiplist?seed=7")
 	badStore, _  = store.New("skplist") // want `invalid spec constant`
-	goodPol, _   = policy.New("static")
-	badPol, _    = policy.New("no-such-policy") // want `invalid spec constant`
 	goodFault, _ = fault.New("stall?p=1+surge?threads=4")
 	badFault, _  = fault.New("stall?p=1+unknownfault") // want `invalid spec constant`
 )
@@ -45,12 +42,6 @@ var badCfg = shard.Config{
 
 // The zero Config means "all defaults" — no findings.
 var defaultCfg = shard.Config{}
-
-func reconfigure(m *shard.Map) {
-	_ = m.Reconfigure(0, "skiplist")
-	_ = m.Reconfigure(0, "")       // empty = keep current
-	_ = m.Reconfigure(0, "sklist") // want `invalid spec constant`
-}
 
 // Runtime-computed specs are the runtime parser's problem; no findings.
 func dynamic(spec string) {

@@ -15,14 +15,13 @@ import (
 	"sort"
 )
 
-// Result is one benchmark cell: a (dist, lock, backend, policy,
-// stripes, threads) point with its throughput, latency and deadline
+// Result is one benchmark cell: a (dist, lock, backend, stripes,
+// threads) point with its throughput, latency and deadline
 // columns.
 type Result struct {
 	Dist     string  `json:"dist"`
 	Lock     string  `json:"lock"`
 	Backend  string  `json:"backend"`
-	Policy   string  `json:"policy,omitempty"`
 	Stripes  int     `json:"stripes"`
 	Threads  int     `json:"threads"`
 	Duration float64 `json:"duration_sec"`
@@ -36,16 +35,9 @@ type Result struct {
 	OpsPerSec float64 `json:"ops_per_sec"`
 	Scans     int     `json:"scans,omitempty"`
 
-	// ScansRejected counts scan requests refused with ErrUnordered —
-	// possible only under a policy, where a stripe's backend can be (or
-	// become) unordered mid-cell; the rejected demand is exactly what
-	// the scanaware policy feeds on.
+	// ScansRejected counts scan requests refused with ErrUnordered:
+	// scans sent to a server whose backend is unordered.
 	ScansRejected int `json:"scans_rejected,omitempty"`
-
-	// Swaps is the live reconfigurations applied by the adaptation
-	// controller during the cell (0 without a policy, and for policies
-	// that saw no reason).
-	Swaps int `json:"swaps"`
 
 	// Latency percentiles over completed requests, in microseconds,
 	// measured from (scheduled) arrival to completion.

@@ -161,7 +161,7 @@ type Snapshot struct {
 // line here, and nowhere else. Fields are named by offset (every one is
 // a uint64, which TestEventEnumerationClosed checks) rather than by an
 // accessor closure: a closure makes each walked Snapshot escape, and the
-// walks run per stripe on every controller and sampler tick.
+// walks run per stripe on every sampler tick.
 var events = [numEvents]struct {
 	name string
 	off  uintptr
@@ -225,7 +225,7 @@ func SatSub(a, b uint64) uint64 {
 }
 
 // Sub returns the field-wise difference s - o, saturating at zero per
-// field. Controllers and benches use it to turn two successive snapshots
+// field. Samplers and benches use it to turn two successive snapshots
 // of a monotonic counter set into per-interval rates; saturation (rather
 // than wraparound) keeps a rate readable even if the caller pairs
 // snapshots from different sources by mistake.

@@ -14,7 +14,7 @@ import (
 
 // grace is how long Run waits, after the last test, for the goroutine
 // count to fall back to its count before the first one: a goroutine that
-// is still shutting down (a stopped controller's ticker, a drained
+// is still shutting down (a stopped sampler's ticker, a drained
 // connection's reader) gets that long to exit.
 const grace = 2 * time.Second
 

@@ -254,7 +254,6 @@ func (r Result) Fill(t Traffic, served shard.Counters, out *benchfmt.Result) {
 	out.MissRate = benchfmt.Rate(r.Misses, r.Attempts)
 	out.Chaos = r.Chaos
 
-	out.Swaps = int(served.Swaps)
 	out.OptimisticHits = int(served.OptimisticHits)
 	out.OptimisticRetries = int(served.OptimisticRetries)
 	out.OptimisticFallbacks = int(served.OptimisticFallbacks)

@@ -104,7 +104,7 @@ func (a arena) words() (used, reserved int) {
 // free lists, where a later Put needing a tower of the same size (and a
 // block; all have one size) finds them, not to the runtime: the memory
 // is released only when the list itself is dropped (in the sharded
-// store, by a Reconfigure that swaps the backend).
+// store, with the map).
 //
 // List is not safe for concurrent use: the caller's lock — in the
 // sharded store, the stripe's registry-built lock — provides mutual

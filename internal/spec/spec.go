@@ -1,7 +1,7 @@
 // Package spec implements the registry-and-spec-grammar machinery shared
 // by the module's pluggable families: the lock registry (package lock),
-// the stripe-backend registry (package store), and the adaptation-policy
-// registry (package policy). A family exposes its
+// the stripe-backend registry (package store) and the fault registry
+// (package fault). A family exposes its
 // implementations as self-registering names, and consumers select one
 // with a spec string — a registered name optionally followed by URL-style
 // parameters:

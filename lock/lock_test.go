@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/leakcheck"
 )
 
 func TestMain(m *testing.M) {
@@ -17,7 +19,7 @@ func TestMain(m *testing.M) {
 	if runtime.GOMAXPROCS(0) < 4 {
 		runtime.GOMAXPROCS(4)
 	}
-	os.Exit(m.Run())
+	os.Exit(leakcheck.Run(m))
 }
 
 // builders enumerates every real (mutual-exclusion-providing) lock in the

@@ -128,8 +128,7 @@ func AvgLWSS(h History, window int) float64 {
 // RecentLWSS returns the LWSS of the trailing window of h: the working
 // set of the most recent min(window, len(h)) admissions. Where AvgLWSS
 // averages over the whole history (a long-lived lock's past dilutes its
-// present), RecentLWSS is the live demand signal an adaptive controller
-// wants: how many distinct threads are circulating *now*. It is 0 for an
+// present), RecentLWSS is the live demand signal a monitor wants: how many distinct threads are circulating *now*. It is 0 for an
 // empty history, and — like every history-derived instrument — frozen
 // once a capped recorder stops recording.
 func RecentLWSS(h History, window int) int {
@@ -261,7 +260,7 @@ type Summary struct {
 	Admissions int
 	AvgLWSS    float64
 	// RecentLWSS is the working set of the trailing window only — the
-	// live demand signal adaptive controllers key on (see RecentLWSS).
+	// live demand signal a monitor keys on (see RecentLWSS).
 	RecentLWSS float64
 	MTTR       float64
 	Gini       float64

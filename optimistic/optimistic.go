@@ -11,14 +11,11 @@
 //     WriteBegin/WriteEnd, moving the stamp odd→even. A reader snapshots
 //     the stamp, reads the table with no lock, and revalidates: an
 //     unchanged even stamp proves no writer overlapped, so the read is
-//     linearizable at any point inside the window. Poison retires a
-//     stamp for good: it is all that stands between a reader still
-//     probing a descriptor Reconfigure replaced and a stale return, and
-//     all that needs to (the GC keeps what it holds valid; DESIGN.md §12).
+//     linearizable at any point inside the window (DESIGN.md §12).
 //
 //   - ReadPath, the spec grammar ("locked", "optimistic?retries=8")
 //     consumers use to select the read path, in the same URL-parameter
-//     style as the lock/store/policy/fault registries.
+//     style as the lock/store/fault registries.
 //
 // Validation failures are bounded: after Retries failed attempts the
 // reader falls back to the stripe lock, so a write storm degrades reads

@@ -80,23 +80,6 @@ func TestSeqProtocol(t *testing.T) {
 	}
 }
 
-func TestSeqPoison(t *testing.T) {
-	var s Seq
-	s.WriteBegin()
-	s.WriteEnd()
-	stamp, _ := s.ReadBegin()
-	s.Poison()
-	if s.Validate(stamp) {
-		t.Fatal("poisoned Seq validated a pre-poison stamp")
-	}
-	if _, ok := s.ReadBegin(); ok {
-		t.Fatal("poisoned Seq must read as unstable forever")
-	}
-	if got := s.Stamp(); got&1 == 0 {
-		t.Fatalf("poisoned stamp %#x is even", got)
-	}
-}
-
 // TestEpochPinUnpinBalance: the pair the benchmark's pin_ns rung times
 // counts a reader in and back out of one slot.
 func TestEpochPinUnpinBalance(t *testing.T) {

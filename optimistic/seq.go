@@ -11,15 +11,15 @@ import "sync/atomic"
 // Writer protocol (under the stripe lock, so WriteBegin/WriteEnd never
 // race each other):
 //
-//	d.seq.WriteBegin()   // stamp even→odd: readers in flight will fail
+//	s.seq.WriteBegin()   // stamp even→odd: readers in flight will fail
 //	mutate the table
-//	d.seq.WriteEnd()     // stamp odd→even: new stable version
+//	s.seq.WriteEnd()     // stamp odd→even: new stable version
 //
 // Reader protocol (no lock):
 //
-//	stamp, ok := d.seq.ReadBegin()  // !ok: writer active, retry
+//	stamp, ok := s.seq.ReadBegin()  // !ok: writer active, retry
 //	read the table (torn-read-safe loads only)
-//	if d.seq.Validate(stamp) { the read is linearizable }
+//	if s.seq.Validate(stamp) { the read is linearizable }
 //
 // Validate compares for equality, not evenness: a writer that begins
 // *and* ends inside the reader's window still moves the stamp by two, so
@@ -37,12 +37,6 @@ import "sync/atomic"
 type Seq struct {
 	v atomic.Uint64
 }
-
-// poisonBit marks a permanently-retired Seq. It is odd, so every
-// in-flight and future validation against a poisoned Seq fails, and
-// distinct from any live writer stamp, so retirement is not confused
-// with a writer who will eventually call WriteEnd.
-const poisonBit = 1 << 63
 
 // WriteBegin opens a writer critical section: the stamp becomes odd.
 // Callers must hold the stripe lock.
@@ -85,15 +79,4 @@ func (s *Seq) Validate(stamp uint64) bool {
 // equal stamps ⇒ zero intervening write sections.
 func (s *Seq) Stamp() uint64 {
 	return s.v.Load()
-}
-
-// Poison permanently retires the Seq: the stamp becomes odd forever, so
-// every reader still validating against this Seq — including one that
-// snapshotted before the poison — fails and re-reads through the current
-// descriptor. Reconfigure calls this on the outgoing descriptor, under
-// its lock, *before* publishing the replacement: any reader that could
-// still observe post-swap mutations through a stale descriptor is
-// guaranteed to also observe the poison at Validate time.
-func (s *Seq) Poison() {
-	s.v.Or(poisonBit | 1)
 }

@@ -9,13 +9,15 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/leakcheck"
 )
 
 func TestMain(m *testing.M) {
 	if runtime.GOMAXPROCS(0) < 4 {
 		runtime.GOMAXPROCS(4)
 	}
-	os.Exit(m.Run())
+	os.Exit(leakcheck.Run(m))
 }
 
 func TestAcquireReleaseSequential(t *testing.T) {

@@ -14,8 +14,7 @@ import (
 // /metrics handler renders: one lite snapshot plus the delta against
 // the previous sample. The handler itself never snapshots — a scrape
 // landing during a stripe collapse must read the cache, not queue
-// behind the collapsed lock it is trying to observe (the controller's
-// delta-cache pattern, reused).
+// behind the collapsed lock it is trying to observe.
 type metricsSample struct {
 	snap     shard.Snapshot
 	delta    shard.SnapshotDelta
@@ -102,10 +101,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.add("shardd_pool_culled_total", "", s.poolCulled.Load())
 	p.add("shardd_ops_total", "", s.ops.Load())
 	p.add("shardd_bad_frames_total", "", s.badFrames.Load())
-	if s.ctrl != nil {
-		p.add("shardd_ctrl_swaps_total", "", s.ctrl.Swaps())
-		p.add("shardd_ctrl_rejected_total", "", s.ctrl.Rejected())
-	}
 
 	// Injector evidence (chaos over the wire).
 	s.faultMu.Lock()
@@ -154,7 +149,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// add up, so a class, and the optimistic trio, is left out of a
 	// stripe's lines while every counter in it is zero (a class nobody
 	// sent, a locked read path, a stripe the key distribution never
-	// reads). Scans is map-level and stays there.
+	// reads).
 	for _, st := range snap.Stripes {
 		stripe := fmt.Sprintf("stripe=\"%d\"", st.Index)
 		p.add("shardd_stripe_len", "{"+stripe+"}", st.Len)
@@ -165,7 +160,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			}
 		})
 		st.Each(func(name string, class int, v uint64) {
-			if g := quietGroup(name, class); name == "scans" || (g >= 0 && !busy[g]) {
+			if g := quietGroup(name, class); g >= 0 && !busy[g] {
 				return
 			}
 			labels := "{" + stripe + "}"

@@ -22,7 +22,6 @@ import (
 func scriptedSample() *metricsSample {
 	var s0, s1 shard.StripeSnapshot
 	s0.Index, s0.Len = 0, 40
-	s0.Swaps, s0.Scans = 3, 9
 	s0.DeadlineAttempts, s0.DeadlineMisses = 100, 7
 	s0.ClassDeadlineAttempts = [shard.NumClasses]uint64{55, 30, 10, 5}
 	s0.ClassDeadlineMisses = [shard.NumClasses]uint64{4, 2, 1, 0}
@@ -32,7 +31,6 @@ func scriptedSample() *metricsSample {
 	s0.Fairness.RecentLWSS = 4
 
 	s1.Index, s1.Len = 1, 2
-	s1.Swaps, s1.Scans = 1, 9
 	s1.DeadlineAttempts, s1.DeadlineMisses = 8, 5
 	s1.ClassDeadlineAttempts = [shard.NumClasses]uint64{0, 0, 8, 0}
 	s1.ClassDeadlineMisses = [shard.NumClasses]uint64{0, 0, 5, 0}
@@ -42,7 +40,6 @@ func scriptedSample() *metricsSample {
 	var snap shard.Snapshot
 	snap.Stripes = []shard.StripeSnapshot{s0, s1}
 	snap.Len = 42
-	snap.Swaps, snap.Scans = 4, 9
 	snap.DeadlineAttempts, snap.DeadlineMisses = 108, 12
 	snap.ClassDeadlineAttempts = [shard.NumClasses]uint64{55, 30, 18, 5}
 	snap.ClassDeadlineMisses = [shard.NumClasses]uint64{4, 2, 6, 0}
@@ -65,8 +62,6 @@ shardd_pool_culled_total 0
 shardd_ops_total 0
 shardd_bad_frames_total 0
 shardd_len 42
-shardd_swaps_total 4
-shardd_scans_total 9
 shardd_deadline_attempts_total 108
 shardd_deadline_misses_total 12
 shardd_class_deadline_attempts_total{class="0"} 55
@@ -89,7 +84,6 @@ shardd_interval_deadline_attempts 16
 shardd_interval_deadline_misses 4
 shardd_interval_miss_rate 0.250000
 shardd_stripe_len{stripe="0"} 40
-shardd_stripe_swaps_total{stripe="0"} 3
 shardd_stripe_deadline_attempts_total{stripe="0"} 100
 shardd_stripe_deadline_misses_total{stripe="0"} 7
 shardd_stripe_class_deadline_attempts_total{stripe="0",class="0"} 55
@@ -107,7 +101,6 @@ shardd_stripe_lock_parks_total{stripe="0"} 23
 shardd_stripe_lock_cancels_total{stripe="0"} 7
 shardd_stripe_recent_lwss{stripe="0"} 4.0
 shardd_stripe_len{stripe="1"} 2
-shardd_stripe_swaps_total{stripe="1"} 1
 shardd_stripe_deadline_attempts_total{stripe="1"} 8
 shardd_stripe_deadline_misses_total{stripe="1"} 5
 shardd_stripe_class_deadline_attempts_total{stripe="1",class="2"} 8
@@ -206,8 +199,8 @@ func fillLeaves(v reflect.Value, next *uint64) {
 }
 
 // TestEveryCounterIsExported: whatever shard.Counters enumerates is on
-// /metrics at the map level and at the stripe level (Scans is map-level
-// only) and in INFO, under the enumeration's name.
+// /metrics at the map level and at the stripe level and in INFO, under
+// the enumeration's name.
 func TestEveryCounterIsExported(t *testing.T) {
 	var snap shard.Snapshot
 	snap.Stripes = make([]shard.StripeSnapshot, 2)
@@ -233,14 +226,9 @@ func TestEveryCounterIsExported(t *testing.T) {
 	})
 	for _, st := range snap.Stripes {
 		st.Each(func(name string, class int, v uint64) {
-			switch {
-			case name == "scans":
-				if strings.Contains(page, "shardd_stripe_scans_total") {
-					t.Error("the map-level scan count is exported per stripe")
-				}
-			case class < 0:
+			if class < 0 {
 				series("shardd_stripe_%s_total{stripe=\"%d\"} %d", name, st.Index, v)
-			default:
+			} else {
 				series("shardd_stripe_%s_total{stripe=\"%d\",class=\"%d\"} %d", name, st.Index, class, v)
 			}
 		})
@@ -259,9 +247,6 @@ func TestEveryCounterIsExported(t *testing.T) {
 		}
 		s.m.Get(k)
 	}
-	if err := s.m.Reconfigure(0, "skiplist"); err != nil {
-		t.Fatal(err)
-	}
 	// Snapshots acquire the stripe locks they report on, so INFO sits
 	// between the snapshots either side of it (Sub saturates: a <= b
 	// counter-wise iff a.Sub(b) is zero).
@@ -272,7 +257,7 @@ func TestEveryCounterIsExported(t *testing.T) {
 	if err != nil || before.Sub(got) != (shard.Counters{}) || got.Sub(want) != (shard.Counters{}) {
 		t.Fatalf("INFO parses to %+v, %v\nthe map held %+v\nand then %+v", got, err, before, want)
 	}
-	if want.Swaps != 1 || want.OptimisticHits == 0 || want.ClassDeadlineAttempts[1] != 64 || want.Lock.Acquires == 0 {
+	if want.OptimisticHits == 0 || want.ClassDeadlineAttempts[1] != 64 || want.Lock.Acquires == 0 {
 		t.Fatalf("the traffic left no mark: %+v", want)
 	}
 	want.Each(func(name string, class int, _ uint64) {

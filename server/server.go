@@ -23,8 +23,8 @@
 // Graceful drain (SIGTERM in cmd/shardd, Drain here) closes the
 // listeners, lets every in-flight and already-buffered request finish
 // within a grace window, flushes each connection's write buffer, and
-// only then stops the controller — no response a client was owed is
-// dropped.
+// only then stops the metrics endpoint — no response a client was owed
+// is dropped.
 package server
 
 import (
@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"repro/fault"
-	"repro/policy"
 	"repro/semaphore"
 	"repro/shard"
 	"repro/wire"
@@ -53,8 +52,8 @@ const (
 	ConnPool = "pool"
 )
 
-// Config configures a Server. Zero values pick the shard.Map defaults,
-// the goroutine conn model, and no policy controller.
+// Config configures a Server. Zero values pick the shard.Map defaults
+// and the goroutine conn model.
 type Config struct {
 	// Addr is the wire listen address ("127.0.0.1:0" for an ephemeral
 	// test port). Empty means ":7070".
@@ -73,12 +72,6 @@ type Config struct {
 	Seed        uint64
 	HistoryCap  int
 	ReadPath    string
-
-	// Policy names an adaptation policy (see policy.New); empty runs no
-	// controller. AdaptInterval is the controller cadence (nonpositive
-	// means shard.DefaultControllerInterval).
-	Policy        string
-	AdaptInterval time.Duration
 
 	// ConnModel is ConnGoroutine (default) or ConnPool; PoolSize bounds
 	// concurrently served connections under ConnPool (default 64).
@@ -101,7 +94,6 @@ type Server struct {
 	ln   net.Listener
 	mln  net.Listener
 	hsrv *http.Server
-	ctrl *shard.Controller
 	// pool is the bounded-concurrency admission semaphore. A served
 	// connection holds a slot for its whole serve loop, including every
 	// stripe acquisition inside it — the intended nesting:
@@ -167,11 +159,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MetricsInterval <= 0 {
 		cfg.MetricsInterval = time.Second
 	}
-	if cfg.Policy != "" {
-		if _, err := policy.New(cfg.Policy); err != nil {
-			return nil, fmt.Errorf("server: -policy: %w", err)
-		}
-	}
 	m, err := shard.New(shard.Config{
 		Stripes:     cfg.Stripes,
 		LockSpec:    cfg.LockSpec,
@@ -201,10 +188,9 @@ func New(cfg Config) (*Server, error) {
 // Map returns the served map (tests seed and assert through it).
 func (s *Server) Map() *shard.Map { return s.m }
 
-// Start binds the listeners, starts the accept loop, the policy
-// controller (if configured), and the metrics sampler/endpoint (if
-// configured). It returns once the listeners are bound, so Addr is
-// valid immediately after.
+// Start binds the listeners, starts the accept loop and the metrics
+// sampler/endpoint (if configured). It returns once the listeners are
+// bound, so Addr is valid immediately after.
 func (s *Server) Start() error {
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
@@ -228,9 +214,6 @@ func (s *Server) Start() error {
 		}()
 		go s.sampleLoop()
 	}
-	if s.cfg.Policy != "" {
-		s.ctrl = shard.StartController(context.Background(), s.m, policy.MustNew(s.cfg.Policy), s.cfg.AdaptInterval)
-	}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return nil
@@ -246,10 +229,6 @@ func (s *Server) MetricsAddr() string {
 	}
 	return s.mln.Addr().String()
 }
-
-// Controller returns the running policy controller (nil without
-// -policy).
-func (s *Server) Controller() *shard.Controller { return s.ctrl }
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
@@ -313,7 +292,7 @@ func (s *Server) untrack(conn net.Conn) {
 // Drain shuts the server down gracefully: stop accepting, give every
 // served connection DrainGrace to finish the frames it has already
 // received (responses are flushed, nothing owed is dropped), then stop
-// the controller and metrics endpoint. Safe to call once.
+// the metrics endpoint. Safe to call once.
 func (s *Server) Drain() error {
 	s.mu.Lock()
 	if s.draining {
@@ -333,9 +312,6 @@ func (s *Server) Drain() error {
 	s.acceptCancel() // release pool waiters → culled, and stop admission
 	s.wg.Wait()      // every serve loop flushed and exited
 
-	if s.ctrl != nil {
-		s.ctrl.Stop()
-	}
 	if s.hsrv != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()
@@ -345,35 +321,28 @@ func (s *Server) Drain() error {
 	return nil
 }
 
-// Info renders the "key=value" lines the INFO verb returns. The backend
-// spec is a live value: a controller swap shows up here.
+// Info renders the "key=value" lines the INFO verb returns: the map's
+// identity, fixed at New and printed whatever state its stripes are in,
+// then its counters.
 func (s *Server) info() []byte {
-	// The timeout bounds stripe acquisition inside SnapshotLite, so an
-	// INFO verb is never held hostage by a collapsed stripe.
-	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
-	defer cancel()
-	snap, err := s.m.SnapshotLite(ctx)
 	var b strings.Builder
 	fmt.Fprintf(&b, "server=shardd\nwire_version=%d\n", wire.Version)
 	fmt.Fprintf(&b, "conn_model=%s\n", s.cfg.ConnModel)
 	fmt.Fprintf(&b, "stripes=%d\n", s.m.Stripes())
 	fmt.Fprintf(&b, "ordered=%t\n", s.m.Ordered())
-	fmt.Fprintf(&b, "policy=%s\n", s.cfg.Policy)
 	fmt.Fprintf(&b, "read_path=%s\n", s.m.ReadPath())
 	fmt.Fprintf(&b, "lock=%s\n", s.m.LockSpec())
-	if err == nil {
-		// One representative stripe: the backend spec is per-stripe live
-		// state, and stripe 0's is what the cell reports.
-		if len(snap.Stripes) > 0 {
-			fmt.Fprintf(&b, "backend=%s\n", snap.Stripes[0].BackendSpec)
-		}
+	fmt.Fprintf(&b, "backend=%s\n", s.m.BackendSpec())
+	// The timeout bounds stripe acquisition inside SnapshotLite, so an
+	// INFO verb is never held hostage by a collapsed stripe; it then
+	// carries no counter lines.
+	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
+	defer cancel()
+	if snap, err := s.m.SnapshotLite(ctx); err == nil {
 		// The whole cumulative counter set, one <name>= line each: a load
 		// generator parses it back (shard.ParseCounters) before and after
 		// its run and reports the difference, without scraping /metrics.
 		b.WriteString(snap.Counters.Text())
-	}
-	if s.ctrl != nil {
-		fmt.Fprintf(&b, "ctrl_swaps=%d\nctrl_rejected=%d\n", s.ctrl.Swaps(), s.ctrl.Rejected())
 	}
 	return []byte(b.String())
 }

@@ -16,24 +16,11 @@ import (
 // else: roll-up (Add), differencing (Sub), /metrics and INFO (Each, Text)
 // and the load generators' reports (ParseCounters, Sub) all follow.
 type Counters struct {
-	// Swaps is how many times the stripe has been reconfigured.
-	Swaps uint64
-	// Scans counts scan work — one per Scan attempt (including attempts
-	// rejected with ErrUnordered: demand is a signal even when the
-	// backend cannot serve it), one per refilling ScanChunked round (a
-	// round re-acquires stripe locks like a fresh Scan, keeping the
-	// scan-vs-acquisitions ratio meaningful). Every scan visits every
-	// stripe, so this is the one counter that is map-level: identical
-	// across a snapshot's stripes (it rides there because per-stripe
-	// policies see only stripe snapshots) and not summed by the roll-up.
-	Scans uint64
 	// DeadlineAttempts counts deadline-bounded point operations that
 	// arrived at the stripe: context operations whose context can end
 	// (a deadline, or Done() != nil). DeadlineMisses counts the subset
-	// that expired before reaching the table. Deliberately not reset by
-	// Reconfigure — a swap changes the storage, not the objective, so a
-	// reader sees one coherent series across swaps. Both are the sums of
-	// the per-class arrays below.
+	// that expired before reaching the table. Both are the sums of the
+	// per-class arrays below.
 	DeadlineAttempts uint64
 	DeadlineMisses   uint64
 	// ClassDeadlineAttempts and ClassDeadlineMisses break the same
@@ -54,15 +41,12 @@ type Counters struct {
 	OptimisticRetries   uint64
 	OptimisticFallbacks uint64
 	// Lock is the stripe lock's CR event counters (zero when the spec
-	// set stats=false); the lock lives as long as the stripe, so they
-	// span every reconfiguration. Its events are enumerated by
-	// core.Snapshot and exported here under a "lock_" prefix.
+	// set stats=false). Its events are enumerated by core.Snapshot and
+	// exported here under a "lock_" prefix.
 	Lock core.Snapshot
 }
 
-// load reads the counters the stripe itself keeps, its lock's included.
-// Swaps live on the descriptor and Scans on the map; the snapshot fills
-// them in.
+// load reads the stripe's counters, its lock's included.
 func (s *stripe) load() Counters {
 	c := Counters{
 		OptimisticHits:      s.optHits.Load(),
@@ -92,8 +76,6 @@ var counterFields = []struct {
 	classed bool
 	off     uintptr
 }{
-	{"swaps", false, unsafe.Offsetof(Counters{}.Swaps)},
-	{"scans", false, unsafe.Offsetof(Counters{}.Scans)},
 	{"deadline_attempts", false, unsafe.Offsetof(Counters{}.DeadlineAttempts)},
 	{"deadline_misses", false, unsafe.Offsetof(Counters{}.DeadlineMisses)},
 	{"class_deadline_attempts", true, unsafe.Offsetof(Counters{}.ClassDeadlineAttempts)},
@@ -137,8 +119,7 @@ func (c Counters) Each(fn func(name string, class int, v uint64)) {
 }
 
 // Add returns the counter-wise sum of c and o: the roll-up of stripe
-// counters into map totals. Scans is summed like the rest; the caller
-// that knows it is map-level (Map.Snapshot) overwrites it.
+// counters into map totals.
 func (c Counters) Add(o Counters) Counters {
 	for f := range counterFields {
 		for k, hi := span(f); k < hi; k++ {

@@ -70,7 +70,7 @@ func TestCountersEnumerationClosed(t *testing.T) {
 		t.Fatalf("Sub did not saturate every counter: %+v", got)
 	}
 
-	got, err := ParseCounters("server=shardd\nlock=mcscr-stp\n" + a.Text() + "swaps[0]=9\nclass_deadline_misses=9\nlock_parks[1]=9\nctrl_swaps=3\n")
+	got, err := ParseCounters("server=shardd\nlock=mcscr-stp\n" + a.Text() + "deadline_misses[0]=9\nclass_deadline_misses=9\nlock_parks[1]=9\nbackend=hashmap\n")
 	if err != nil || got != a {
 		t.Fatalf("ParseCounters(Text) = %+v, %v\nwant %+v", got, err, a)
 	}
@@ -82,8 +82,7 @@ func TestCountersEnumerationClosed(t *testing.T) {
 	}
 }
 
-// TestSnapshotRollUp: the map-level Counters are the stripes' summed,
-// except Scans, which is the map's own count on every level.
+// TestSnapshotRollUp: the map-level Counters are the stripes' summed.
 func TestSnapshotRollUp(t *testing.T) {
 	m := MustNew(Config{Stripes: 4, LockSpec: "mcs-stp", BackendSpec: "skiplist", ReadPath: "optimistic"})
 	ctx, cancel := context.WithTimeout(WithClass(context.Background(), 2), time.Minute)
@@ -94,28 +93,54 @@ func TestSnapshotRollUp(t *testing.T) {
 		}
 		m.Get(k)
 	}
-	m.Scan(0, 100, func(_, _ uint64) bool { return true })
-	m.Scan(0, 100, func(_, _ uint64) bool { return true })
-	if err := m.Reconfigure(1, "rbtree"); err != nil {
-		t.Fatal(err)
-	}
 
 	snap := m.Snapshot()
 	var sum Counters
 	for _, st := range snap.Stripes {
-		if st.Scans != 2 {
-			t.Fatalf("stripe %d Scans = %d, want the map's 2", st.Index, st.Scans)
-		}
 		sum = sum.Add(st.Counters)
 	}
-	if sum.Scans != 8 || snap.Scans != 2 {
-		t.Fatalf("Scans: stripes sum to %d, map reports %d; want 8 and 2", sum.Scans, snap.Scans)
-	}
-	sum.Scans = snap.Scans
 	if sum != snap.Counters {
 		t.Fatalf("roll-up = %+v\nstripes sum to %+v", snap.Counters, sum)
 	}
-	if snap.Swaps != 1 || snap.ClassDeadlineAttempts[2] != 256 || snap.DeadlineAttempts != 256 || snap.Lock.Acquires == 0 {
+	if snap.ClassDeadlineAttempts[2] != 256 || snap.DeadlineAttempts != 256 || snap.Lock.Acquires == 0 {
 		t.Fatalf("roll-up lost traffic: %+v", snap.Counters)
+	}
+}
+
+func TestSnapshotSub(t *testing.T) {
+	m := MustNew(Config{Stripes: 2, LockSpec: "tas", BackendSpec: "skiplist", HistoryCap: 128})
+	ctx := WithClientID(context.Background(), 1)
+	prev := m.Snapshot()
+	for k := uint64(0); k < 64; k++ {
+		if _, err := m.PutContext(ctx, k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur := m.Snapshot()
+	d := cur.Sub(prev)
+	if d.Len != 64 {
+		t.Fatalf("delta Len=%d want 64", d.Len)
+	}
+	if d.Lock.Acquires == 0 {
+		t.Fatal("delta Acquires=0 after 64 puts")
+	}
+	admissions := 0
+	for _, sd := range d.Stripes {
+		admissions += sd.Admissions
+		if sd.Len < 0 {
+			t.Fatalf("stripe %d delta Len=%d", sd.Index, sd.Len)
+		}
+	}
+	if admissions != 64 {
+		t.Fatalf("delta admissions=%d want 64", admissions)
+	}
+	// Self-subtraction is zero; zero prev is the snapshot itself.
+	z := cur.Sub(cur)
+	if z.Len != 0 || z.Lock.Acquires != 0 {
+		t.Fatalf("x.Sub(x) = %+v", z)
+	}
+	full := cur.Sub(Snapshot{})
+	if full.Len != cur.Len || full.Lock.Acquires != cur.Lock.Acquires {
+		t.Fatalf("x.Sub(zero) lost data: %+v", full)
 	}
 }

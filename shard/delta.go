@@ -1,7 +1,7 @@
 package shard
 
 // StripeDelta is the per-interval change of one stripe between two
-// snapshots: the derivative a controller or bench decides on, where the
+// snapshots: the per-interval rate a monitor reports, where the
 // snapshots themselves are cumulative. The embedded Counters are the
 // interval's difference (Counters.Sub) — e.g. DeadlineAttempts and
 // DeadlineMisses are an interval's deadline-miss denominator and

@@ -120,14 +120,6 @@ func TestDeadlineAccounting(t *testing.T) {
 		t.Fatalf("idle stripe counted %d attempts", other.DeadlineAttempts)
 	}
 
-	// Counters survive a reconfiguration: they belong to the stripe.
-	if err := m.Reconfigure(idx, "skiplist"); err != nil {
-		t.Fatal(err)
-	}
-	st = m.Snapshot().Stripes[idx]
-	if st.DeadlineAttempts != 4 || st.DeadlineMisses != 2 {
-		t.Fatalf("reconfigure reset deadline counters: %d/%d", st.DeadlineMisses, st.DeadlineAttempts)
-	}
 }
 
 // TestDeltaDeadlineSaturation: Sub saturates the deadline deltas at zero

@@ -11,9 +11,9 @@ import (
 // ascending global key order, until fn returns false. Bounds are
 // inclusive, so the full domain is Scan(0, ^uint64(0), fn).
 //
-// Scan requires every stripe's current backend to be ordered (a
-// store.Ordered implementation: "skiplist", "rbtree"); otherwise it
-// returns ErrUnordered without visiting anything. Keys are hash-routed,
+// Scan requires the map's backend to be ordered (a store.Ordered
+// implementation: "skiplist", "rbtree"); otherwise it returns
+// ErrUnordered without visiting anything. Keys are hash-routed,
 // so every stripe holds an arbitrary subset of [lo, hi]: each stripe's
 // matches are copied out under that stripe's lock (one stripe at a time,
 // like Range), then merged across stripes into global key order before
@@ -42,35 +42,10 @@ func (m *Map) ScanContext(ctx context.Context, lo, hi uint64, fn func(key, val u
 // all.
 const unbounded = math.MaxInt
 
-// Ordered reports whether every stripe's current backend maintains key
-// order, i.e. whether Scan and ScanChunked can serve range queries right
-// now. After a partial reconfiguration (some stripes ordered, some not)
-// it reports false — a merged range query needs every stripe.
-func (m *Map) Ordered() bool { return m.requireOrdered() == nil }
-
-// countScan counts one scan attempt — before the ordered check, so scan
-// demand is visible even when the current backends cannot serve it (that
-// visibility is what lets a controller decide to swap a backend in).
-func (m *Map) countScan() {
-	m.scans.Add(1)
-}
-
-// requireOrdered rejects a scan up front when some stripe's current
-// backend is unordered. It is advisory (a concurrent Reconfigure can
-// invalidate it); the per-stripe check at lock time is authoritative.
-func (m *Map) requireOrdered() error {
-	for i := range m.stripes {
-		if d := m.stripes[i].desc.Load(); d.ordered == nil {
-			return unorderedErr(i, d.backendSpec)
-		}
-	}
-	return nil
-}
-
-func unorderedErr(i int, backendSpec string) error {
-	return fmt.Errorf("%w: stripe %d backend spec %q has no Scan (known ordered backends implement store.Ordered)",
-		ErrUnordered, i, backendSpec)
-}
+// Ordered reports whether the map's backend maintains key order, i.e.
+// whether Scan and ScanChunked can serve range queries. It is fixed at
+// New.
+func (m *Map) Ordered() bool { return m.ordered }
 
 // mergeRuns k-way merges the sorted, key-disjoint runs and feeds the
 // pairs to fn in ascending key order; it reports whether the merge ran
@@ -145,7 +120,7 @@ func mergeRuns(runs [][]kv, fn func(key, val uint64) bool) bool {
 // once, as in Scan.
 //
 // The guarantee is certified, not just documented: every refill records
-// the stripe's seqlock stamp (descriptor.seq, maintained by all write
+// the stripe's seqlock stamp (stripe.seq, maintained by all write
 // paths on every backend), and ScanChunkedStats reports how many
 // stripes' stamps moved between refills. TornStripes == 0 upgrades the
 // guarantee to per-stripe point-in-time: each stripe's portion of the
@@ -154,10 +129,8 @@ func mergeRuns(runs [][]kv, fn func(key, val uint64) bool) bool {
 // cross-stripe skew, which Scan has too. A nonzero TornStripes says
 // exactly how many stripes a writer touched mid-scan.
 //
-// Like Scan, every stripe's current backend must be ordered; otherwise
-// ErrUnordered. chunk must be >= 1. A concurrent Reconfigure to an
-// unordered backend can fail the scan mid-way (after some pairs were
-// yielded) — the one failure mode Scan's collect-then-merge cannot have.
+// Like Scan, the map's backend must be ordered; otherwise ErrUnordered,
+// before anything is yielded. chunk must be >= 1.
 func (m *Map) ScanChunked(lo, hi uint64, chunk int, fn func(key, val uint64) bool) error {
 	_, err := m.scanChunkedStripes(nil, lo, hi, chunk, fn)
 	return err
@@ -178,8 +151,8 @@ type ScanStats struct {
 	// every stripe fit in one chunk — the scan then equals a Scan).
 	Rounds int
 	// TornStripes is the number of stripes whose seqlock stamp moved
-	// between two of their refills (or whose descriptor was swapped
-	// mid-scan): stripes whose portion of the output may mix versions.
+	// between two of their refills: stripes whose portion of the output
+	// may mix versions.
 	// 0 certifies per-stripe point-in-time consistency for the whole
 	// scan.
 	TornStripes int
@@ -214,13 +187,11 @@ type chunkCursor struct {
 	// exhausted: the last refill reached hi; nothing left to collect.
 	exhausted bool
 
-	// Stamp certification: desc and stamp are the stripe's descriptor
-	// and seqlock stamp at the latest refill (read under the stripe
-	// lock, so the stamp is always even). filled gates the first
-	// comparison; torn is set when a later refill finds either changed —
-	// a write section (or a descriptor swap) intervened, so this
-	// stripe's chunks may bracket a writer.
-	desc   *descriptor
+	// Stamp certification: stamp is the stripe's seqlock stamp at the
+	// latest refill (read under the stripe lock, so it is always even).
+	// filled gates the first comparison; torn is set when a later refill
+	// finds it changed — a write section intervened, so this stripe's
+	// chunks may bracket a writer.
 	stamp  uint64
 	filled bool
 	torn   bool
@@ -231,9 +202,9 @@ func (m *Map) scanChunkedStripes(ctx context.Context, lo, hi uint64, chunk int, 
 	if chunk < 1 {
 		return stats, fmt.Errorf("shard: ScanChunked chunk %d, want >= 1", chunk)
 	}
-	m.countScan()
-	if err := m.requireOrdered(); err != nil {
-		return stats, err
+	if !m.ordered {
+		return stats, fmt.Errorf("%w: backend spec %q has no Scan (known ordered backends implement store.Ordered)",
+			ErrUnordered, m.cfgBackend)
 	}
 	cursors := make([]chunkCursor, len(m.stripes))
 	for i := range cursors {
@@ -252,7 +223,7 @@ func (m *Map) scanChunkedStripes(ctx context.Context, lo, hi uint64, chunk int, 
 		run = append(run, kv{k, v})
 		return true
 	}
-	for round := 0; ; round++ {
+	for {
 		// Refill every drained, unexhausted stripe: up to chunk pairs
 		// from its cursor, each under its own (current) stripe lock.
 		refilled := 0
@@ -266,21 +237,16 @@ func (m *Map) scanChunkedStripes(ctx context.Context, lo, hi uint64, chunk int, 
 			if err := s.lock(ctx); err != nil {
 				return stats, err
 			}
-			d := s.desc.Load()
-			if d.ordered == nil {
-				s.mu.Unlock()
-				return stats, unorderedErr(i, d.backendSpec)
-			}
-			// Certify: under the lock the stamp is stable (even); if it —
-			// or the descriptor itself — moved since this stripe's last
-			// refill, a write section (or swap) fell between the chunks.
-			if st := d.seq.Stamp(); c.filled && (d != c.desc || st != c.stamp) {
+			// Certify: under the lock the stamp is stable (even); if it
+			// moved since this stripe's last refill, a write section fell
+			// between the chunks.
+			if st := s.seq.Stamp(); c.filled && st != c.stamp {
 				c.torn = true
 			} else {
-				c.desc, c.stamp, c.filled = d, st, true
+				c.stamp, c.filled = st, true
 			}
 			truncated, run = false, c.arr[:0] // refill the reusable backing array in place
-			d.ordered.Scan(c.next, hi, collect)
+			s.ordered.Scan(c.next, hi, collect)
 			s.mu.Unlock()
 			c.buf, c.arr = run, run
 			if truncated {
@@ -295,14 +261,6 @@ func (m *Map) scanChunkedStripes(ctx context.Context, lo, hi uint64, chunk int, 
 		}
 		if refilled > 0 {
 			stats.Rounds++
-		}
-		if round > 0 && refilled > 0 {
-			// Each refilling round past the first re-acquires stripe
-			// locks like an additional Scan would: count it, so the scan
-			// share a controller computes from Scans vs lock
-			// acquisitions means the same thing for chunked and
-			// unchunked scans.
-			m.countScan()
 		}
 		// The globally safe prefix ends at the smallest per-stripe
 		// bound: beyond it, some truncated stripe may still hold keys

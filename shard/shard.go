@@ -24,19 +24,13 @@
 // queries in global key order; with the default "hashmap" backend those
 // return ErrUnordered.
 //
-// # Live reconfiguration
+// # Configuration is for life
 //
-// A stripe owns one lock for its whole life: the admission policy is
-// chosen once, at New, and a culling lock keeps admission healthy under a
-// convoy by itself. The storage half is not frozen: each stripe publishes
-// its table through an atomically swapped descriptor, and Reconfigure
-// moves a stripe to another backend while traffic is in flight —
-// quiescing under the stripe lock, migrating entries into the new table
-// and publishing it before the lock is released. StripeSnapshot reports
-// the live backend spec. A Controller (see Policy) watches per-stripe
-// Snapshots and reconfigures stripes whose observed traffic says the
-// current backend is wrong (the "scanaware" policy flips a scan-dominated
-// stripe to an ordered backend).
+// A stripe owns its lock and its table for its whole life: both are
+// built once, in New, from the map's specs. A culling lock keeps
+// admission healthy under a convoy by itself, and an ordered backend
+// serves scans from the first request, so nothing watches the map and
+// re-picks either at runtime (DESIGN.md §8).
 //
 // # Deadlines
 //
@@ -56,18 +50,14 @@
 // serves Gets with no lock at all on backends that support it
 // (store.OptimisticReader — the hashmap backend): the stripe's write
 // path brackets every mutation with a seqlock stamp (optimistic.Seq)
-// inside the descriptor, and a reader snapshots the stamp, probes the
-// table with torn-read-safe atomic loads, and revalidates. An unchanged
-// stamp proves no writer overlapped, making the read linearizable; a
-// changed stamp retries, and after Config's retry budget the reader
-// falls back to the stripe lock — so a write storm degrades reads to
-// exactly the locked path's behavior instead of livelocking them.
-// Reconfigure poisons the outgoing descriptor's stamp before it
-// publishes the replacement, so a reader still probing through the old
-// one can only fail validation and re-read; nothing else guards a stale
-// reader, and nothing else needs to (the GC keeps what it holds valid).
-// Per-stripe hit/retry/fallback counters land in StripeSnapshot. See
-// DESIGN.md §12 for the full protocol.
+// beside the table, and a reader snapshots the stamp, probes the table
+// with torn-read-safe atomic loads, and revalidates. An unchanged stamp
+// proves no writer overlapped, making the read linearizable; a changed
+// stamp retries, and after Config's retry budget the reader falls back
+// to the stripe lock — so a write storm degrades reads to exactly the
+// locked path's behavior instead of livelocking them. Per-stripe
+// hit/retry/fallback counters land in StripeSnapshot. See DESIGN.md §12
+// for the full protocol.
 //
 // # Observability
 //
@@ -79,7 +69,7 @@
 // which is where collapse actually shows up: a uniformly loaded map can
 // hide one collapsed stripe in its averages, but not in its per-stripe
 // LWSS. Snapshot.Sub turns two successive snapshots into per-interval
-// rates — the derivative an adaptive controller decides on.
+// rates — what shardd's /metrics sampler reports.
 package shard
 
 import (
@@ -87,7 +77,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/hashmap"
@@ -115,10 +104,9 @@ const (
 const NumClasses = 4
 
 // ErrUnordered is returned by Scan, ScanChunked, and their context forms
-// when some stripe's current backend does not maintain key order (it does
-// not satisfy store.Ordered). Pick an ordered backend ("skiplist",
-// "rbtree") — at construction or via Reconfigure — to serve range
-// queries.
+// when the map's backend does not maintain key order (it does not
+// satisfy store.Ordered). Build the map with an ordered backend
+// ("skiplist", "rbtree") to serve range queries.
 var ErrUnordered = errors.New("shard: backend is not ordered")
 
 // Config configures a Map. The zero value is usable: DefaultStripes
@@ -142,8 +130,7 @@ type Config struct {
 	// Seed, when nonzero, seeds each stripe's lock and backend PRNGs
 	// with distinct values derived from it (unless a spec pins seed=
 	// itself, which wins). Zero leaves both on their fixed default
-	// seeds. Backends built later by Reconfigure derive their seeds the
-	// same way.
+	// seeds.
 	Seed uint64
 
 	// Capacity pre-sizes the map for this many total keys, spread evenly
@@ -183,16 +170,25 @@ type Config struct {
 	ReadPath string
 }
 
-// descriptor is one stripe's swappable storage: the table the stripe
-// lock guards, plus the spec it was built from. A descriptor is immutable
-// once published — Reconfigure builds a new one and atomically replaces
-// the old — so every field may be read without synchronization after an
-// atomic load of the pointer.
-type descriptor struct {
-	// table is the one descriptor field mutated after publication (by
-	// the operations themselves), so it keeps the stripe's lock
-	// discipline. The optimistic read path goes through opt, never
-	// table.
+// stripe is one shard, built once in New and kept for the map's whole
+// life: its lock, its table with the table's read extensions, and its
+// counters. Every table access holds mu. The lock object and the table
+// live behind interfaces (each its own allocation), but the header
+// itself is 192 bytes (unsafe.Sizeof on amd64) and unpadded, and it is
+// written on the op paths: seq twice per write, deadlineAttempts[class]
+// once per budgeted op and optHits once per lock-free Get. 192 bytes is
+// three cache lines, but the slice starts on a line boundary only when
+// it is small (a larger pointerful object begins with an 8-byte
+// allocation header), so adjacent headers can share lines: a write to
+// one stripe's seq or counters can invalidate the line its neighbour's
+// mu and table are read from. No ladder rung sizes this yet; ROADMAP
+// item 6(e) lists it as a suspect with the rung.
+type stripe struct {
+	mu    lock.ContextMutex
+	stats lock.Instrumented // mu, when it maintains counters; else nil
+
+	// table is the stripe's storage. The optimistic read path goes
+	// through opt, never table.
 	//
 	//lockcheck:guardedby shard.stripe.mu
 	table   store.Backend
@@ -203,45 +199,13 @@ type descriptor struct {
 	// (store.OptimisticReader) — the per-stripe gate of the lock-free
 	// Get. seq is the stripe's seqlock stamp: bumped odd/even around
 	// every table mutation (under the stripe lock), validated by
-	// lock-free readers, read under the stripe lock by ScanChunked to
-	// certify cross-chunk consistency, and poisoned when Reconfigure
-	// retires this descriptor so stale readers can never validate
-	// against a migrated-away table. The stamp is maintained on every
-	// write path regardless of read path — two uncontended atomic adds
-	// under a held lock — so scan certification works even on
+	// lock-free readers, and read under the stripe lock by ScanChunked
+	// to certify cross-chunk consistency. The stamp is maintained on
+	// every write path regardless of read path — two uncontended atomic
+	// adds under a held lock — so scan certification works even on
 	// locked-read maps.
-	seq optimistic.Seq
 	opt store.OptimisticReader
-
-	backendSpec string
-	// swaps is how many times this stripe has been reconfigured.
-	swaps uint64
-}
-
-// stripe is one shard: its lock, built once in New and kept for the
-// stripe's whole life, the atomically published descriptor (table), and
-// per-stripe state that survives reconfiguration. Every table access
-// takes mu first and then loads desc; Reconfigure publishes under the
-// same lock, so a holder's descriptor is current until it unlocks. The
-// lock object and the table live behind pointers (each its own
-// allocation), but the header itself is 152 bytes (unsafe.Sizeof on
-// amd64) and unpadded, and it is written on the op paths:
-// deadlineAttempts[class] once per budgeted op and optHits once per
-// lock-free Get. Adjacent headers in the slice therefore share cache
-// lines, and a write to one stripe's counters invalidates the line its
-// neighbour's mu and desc are read from. No ladder rung sizes this yet;
-// ROADMAP item 6(e) lists it as a suspect with the rung.
-type stripe struct {
-	mu    lock.ContextMutex
-	stats lock.Instrumented // mu, when it maintains counters; else nil
-	desc  atomic.Pointer[descriptor]
-
-	// swapMu serializes Reconfigure calls on this stripe. Operation
-	// paths never touch it. Reconfigure quiesces the stripe under mu
-	// while holding swapMu, never the reverse:
-	//
-	//lockcheck:lockorder shard.stripe.swapMu<shard.stripe.mu
-	swapMu sync.Mutex
+	seq optimistic.Seq
 
 	rec  *metrics.Recorder // nil when history is disabled
 	hcap int
@@ -253,20 +217,16 @@ type stripe struct {
 	// its context can end at all (a deadline, or ctx.Done() != nil) —
 	// that is the operation whose deadline semantics the lock machinery
 	// bounds, and the user-facing signal a caller's SLO is stated in.
-	// The counters belong to the stripe, not the descriptor: a
-	// reconfiguration changes the storage, not the objective, so miss
-	// history survives swaps.
 	deadlineAttempts [NumClasses]atomic.Uint64
 	deadlineMisses   [NumClasses]atomic.Uint64
 
-	// Optimistic read-path accounting, stripe-owned for the same
-	// survives-reconfiguration reason as the deadline counters. optHits
-	// counts Gets served lock-free (validation passed); optRetries
-	// counts failed attempts (writer mid-section at snapshot, or
-	// validation failure); optFallbacks counts Gets that exhausted the
-	// retry budget and fell back to the stripe lock. Gets on stripes
-	// whose backend declined the optimistic path count nothing here —
-	// they are locked-path traffic, not failed optimism.
+	// Optimistic read-path accounting: optHits counts Gets served
+	// lock-free (validation passed); optRetries counts failed attempts
+	// (writer mid-section at snapshot, or validation failure);
+	// optFallbacks counts Gets that exhausted the retry budget and fell
+	// back to the stripe lock. Gets on stripes whose backend declined
+	// the optimistic path count nothing here — they are locked-path
+	// traffic, not failed optimism.
 	optHits      atomic.Uint64
 	optRetries   atomic.Uint64
 	optFallbacks atomic.Uint64
@@ -274,8 +234,8 @@ type stripe struct {
 
 // lock acquires the stripe lock, bounded by ctx unless ctx is nil (the
 // plain, uncancellable path). After a nil error the caller holds s.mu,
-// reads the table through s.desc.Load() and must s.mu.Unlock(). An error
-// return is the lock's one Cancels event.
+// may read s.table and must s.mu.Unlock(). An error return is the lock's
+// one Cancels event.
 //
 //lockcheck:acquires s.mu
 func (s *stripe) lock(ctx context.Context) error {
@@ -307,31 +267,20 @@ type Map struct {
 	// one atomic pointer load per point op.
 	inj atomic.Pointer[Injector]
 
-	// scans counts scan work (one per Scan/ScanContext; a ScanChunked
-	// counts one per refilling round, since each round re-acquires
-	// stripe locks like a fresh Scan) — including attempts rejected
-	// with ErrUnordered, deliberately: an adaptive controller needs to
-	// see scan demand on a map whose current backends cannot serve it.
-	// One map-level counter, because every scan visits every stripe — a
-	// per-stripe count would be the same number stored Stripes times
-	// (and an O(stripes) atomic storm per scan).
-	scans atomic.Uint64
-
 	// readPath is the parsed Config.ReadPath, immutable after New: the
 	// hot-path gate of the optimistic Get is one plain bool read.
 	readPath optimistic.ReadPath
 
-	// Construction parameters reused when Reconfigure builds a stripe's
-	// replacement backend.
-	seed      uint64
-	perStripe int
+	// ordered reports whether the stripes' backend maintains key order;
+	// every stripe is built from the same spec.
+	ordered bool
 
 	cfgLock    string // the resolved construction-time lock spec
 	cfgBackend string // the resolved construction-time backend spec
 }
 
 // New builds a Map from cfg. It fails with a descriptive error when the
-// lock spec is malformed or names an unknown lock.
+// lock or backend spec is malformed or names an unknown lock or backend.
 func New(cfg Config) (*Map, error) {
 	n := cfg.Stripes
 	if n <= 0 {
@@ -365,41 +314,56 @@ func New(cfg Config) (*Map, error) {
 		shift:      uint(64 - bits.TrailingZeros(uint(n))),
 		window:     window,
 		readPath:   rp,
-		seed:       cfg.Seed,
-		perStripe:  perStripe,
 		cfgLock:    spec,
 		cfgBackend: bspec,
 	}
 	for i := range m.stripes {
-		mu, stats, err := m.buildLock(spec, i)
+		var lockOpts []lock.Option
+		var storeOpts []store.Option
+		if perStripe > 0 {
+			storeOpts = append(storeOpts, store.WithCapacity(perStripe))
+		}
+		if cfg.Seed != 0 {
+			seed := derivedSeed(cfg.Seed, i)
+			lockOpts = append(lockOpts, lock.WithSeed(seed))
+			storeOpts = append(storeOpts, store.WithSeed(seed))
+		}
+		mu, stats, err := buildLock(spec, lockOpts)
 		if err != nil {
 			return nil, err
 		}
-		table, err := m.buildBackend(bspec, i)
+		table, err := store.New(bspec, storeOpts...)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("shard: stripe table: %w", err)
 		}
-		s := &m.stripes[i]
-		s.mu, s.stats = mu, stats
-		s.desc.Store(m.newDescriptor(table, bspec, 0))
+		ordered, _ := table.(store.Ordered)
+		var opt store.OptimisticReader
+		if rp.Optimistic {
+			opt, _ = table.(store.OptimisticReader)
+		}
+		var rec *metrics.Recorder
 		if cfg.HistoryCap > 0 {
 			// Preallocate the whole (bounded) cap: a growth-copy of a
 			// multi-MB history inside the critical section would charge an
 			// instrumentation stall to every queued request's deadline.
-			s.rec = metrics.NewRecorder(cfg.HistoryCap)
-			s.hcap = cfg.HistoryCap
+			rec = metrics.NewRecorder(cfg.HistoryCap)
 		}
+		m.stripes[i] = stripe{
+			mu:      mu,
+			stats:   stats,
+			table:   table,
+			ordered: ordered,
+			opt:     opt,
+			rec:     rec,
+			hcap:    cfg.HistoryCap,
+		}
+		m.ordered = ordered != nil
 	}
 	return m, nil
 }
 
-// buildLock builds stripe i's lock from spec, with the per-stripe derived
-// seed (see Config.Seed).
-func (m *Map) buildLock(spec string, i int) (lock.ContextMutex, lock.Instrumented, error) {
-	var opts []lock.Option
-	if m.seed != 0 {
-		opts = append(opts, lock.WithSeed(m.derivedSeed(i)))
-	}
+// buildLock builds a stripe's lock from spec.
+func buildLock(spec string, opts []lock.Option) (lock.ContextMutex, lock.Instrumented, error) {
 	mtx, err := lock.New(spec, opts...)
 	if err != nil {
 		return nil, nil, fmt.Errorf("shard: stripe lock: %w", err)
@@ -414,40 +378,11 @@ func (m *Map) buildLock(spec string, i int) (lock.ContextMutex, lock.Instrumente
 	return cm, stats, nil
 }
 
-// buildBackend builds stripe i's table from spec, with the per-stripe
-// capacity share and derived seed. Reconfigure uses the same path, so a
-// swapped-in table is sized and seeded exactly as a constructed one.
-func (m *Map) buildBackend(spec string, i int) (store.Backend, error) {
-	var opts []store.Option
-	if m.perStripe > 0 {
-		opts = append(opts, store.WithCapacity(m.perStripe))
-	}
-	if m.seed != 0 {
-		opts = append(opts, store.WithSeed(m.derivedSeed(i)))
-	}
-	table, err := store.New(spec, opts...)
-	if err != nil {
-		return nil, fmt.Errorf("shard: stripe table: %w", err)
-	}
-	return table, nil
-}
-
-// newDescriptor wraps a freshly built table for publication, resolving
-// its ordered and optimistic-read extensions once.
-func (m *Map) newDescriptor(table store.Backend, spec string, swaps uint64) *descriptor {
-	d := &descriptor{table: table, backendSpec: spec, swaps: swaps}
-	d.ordered, _ = table.(store.Ordered)
-	if m.readPath.Optimistic {
-		d.opt, _ = table.(store.OptimisticReader)
-	}
-	return d
-}
-
 // derivedSeed gives stripe i a distinct seed so fairness trials (and
 // skip-list towers) do not run in lockstep across stripes; a spec's
 // seed= overrides.
-func (m *Map) derivedSeed(i int) uint64 {
-	return m.seed + uint64(i)*0x9e3779b97f4a7c15
+func derivedSeed(seed uint64, i int) uint64 {
+	return seed + uint64(i)*0x9e3779b97f4a7c15
 }
 
 // MustNew is New for initialization paths where a malformed config is a
@@ -560,10 +495,7 @@ func (s *stripe) record(id int) {
 // retry budget is exhausted — the caller then takes the locked path.
 // A validated hit is linearizable at some instant inside its
 // read window (see optimistic.Seq), so a hit is exactly as correct as a
-// locked Get, minus the queueing. The descriptor loaded at the top of an
-// attempt may be replaced before the probe ends; Reconfigure poisons its
-// stamp before publishing the replacement, so that attempt's Validate
-// fails and the next one loads the published descriptor.
+// locked Get, minus the queueing.
 //
 // The injector hook does not run here: injected faults model long
 // critical sections, and this path's entire point is having none. A
@@ -573,15 +505,14 @@ func (s *stripe) record(id int) {
 //
 //lockcheck:optimistic
 func (m *Map) getOptimistic(s *stripe, key uint64) (val uint64, ok, served bool) {
+	if s.opt == nil {
+		return 0, false, false
+	}
 	for attempt := 0; attempt <= m.readPath.Retries; attempt++ {
-		d := s.desc.Load()
-		if d.opt == nil {
-			return 0, false, false
-		}
-		stamp, stable := d.seq.ReadBegin()
+		stamp, stable := s.seq.ReadBegin()
 		if stable {
-			v, present := d.opt.GetOptimistic(key)
-			if d.seq.Validate(stamp) {
+			v, present := s.opt.GetOptimistic(key)
+			if s.seq.Validate(stamp) {
 				s.optHits.Add(1)
 				return v, present, true
 			}
@@ -695,7 +626,7 @@ func (m *Map) get(ctx context.Context, key uint64) (uint64, bool, error) {
 		return 0, false, err
 	}
 	m.inject(i)
-	v, ok := s.desc.Load().table.Get(key)
+	v, ok := s.table.Get(key)
 	s.mu.Unlock()
 	return v, ok, nil
 }
@@ -706,11 +637,10 @@ func (m *Map) put(ctx context.Context, key, val uint64) (bool, error) {
 	if err := s.admit(ctx); err != nil {
 		return false, err
 	}
-	d := s.desc.Load()
-	d.seq.WriteBegin()
+	s.seq.WriteBegin()
 	m.inject(i)
-	fresh := d.table.Put(key, val)
-	d.seq.WriteEnd()
+	fresh := s.table.Put(key, val)
+	s.seq.WriteEnd()
 	s.mu.Unlock()
 	return fresh, nil
 }
@@ -721,11 +651,10 @@ func (m *Map) del(ctx context.Context, key uint64) (bool, error) {
 	if err := s.admit(ctx); err != nil {
 		return false, err
 	}
-	d := s.desc.Load()
-	d.seq.WriteBegin()
+	s.seq.WriteBegin()
 	m.inject(i)
-	present := d.table.Delete(key)
-	d.seq.WriteEnd()
+	present := s.table.Delete(key)
+	s.seq.WriteEnd()
 	s.mu.Unlock()
 	return present, nil
 }
@@ -750,7 +679,7 @@ func (m *Map) lenStripes(ctx context.Context) (int, error) {
 		if err := s.lock(ctx); err != nil {
 			return 0, err
 		}
-		n += s.desc.Load().table.Len()
+		n += s.table.Len()
 		s.mu.Unlock()
 	}
 	return n, nil
@@ -782,7 +711,7 @@ func (m *Map) rangeStripes(ctx context.Context, fn func(key, val uint64) bool) e
 			return err
 		}
 		pairs = pairs[:0]
-		s.desc.Load().table.Range(func(k, v uint64) bool {
+		s.table.Range(func(k, v uint64) bool {
 			pairs = append(pairs, kv{k, v})
 			return true
 		})
@@ -797,14 +726,11 @@ func (m *Map) rangeStripes(ctx context.Context, fn func(key, val uint64) bool) e
 }
 
 // LockSpec returns the spec every stripe's lock was built from
-// (Config.LockSpec, resolved). A stripe keeps its lock for life, so this
-// is also the live spec.
+// (Config.LockSpec, resolved).
 func (m *Map) LockSpec() string { return m.cfgLock }
 
-// BackendSpec returns the construction-time backend spec the stripes
-// were originally built from (Config.BackendSpec, resolved). Live specs
-// may differ per stripe after Reconfigure — see
-// StripeSnapshot.BackendSpec.
+// BackendSpec returns the spec every stripe's table was built from
+// (Config.BackendSpec, resolved).
 func (m *Map) BackendSpec() string { return m.cfgBackend }
 
 // ReadPath returns the canonical form of the read-path spec the map was

@@ -14,13 +14,6 @@ type StripeSnapshot struct {
 	Index int
 	// Len is the stripe's key count.
 	Len int
-	// BackendSpec is the spec the stripe's current backend was built
-	// from (a live value — it changes under Reconfigure). The lock spec
-	// is the map's, for life: Map.LockSpec.
-	BackendSpec string
-	// Ordered reports whether the stripe's current backend maintains key
-	// order (satisfies store.Ordered).
-	Ordered bool
 	// Fairness summarizes the stripe's recorded admission history (zero
 	// Admissions when history recording is off or no identified client
 	// has been admitted).
@@ -28,8 +21,7 @@ type StripeSnapshot struct {
 }
 
 // Snapshot is the observable state of the whole map: per-stripe detail
-// plus the stripes' Counters rolled up (Counters.Add; Scans is the
-// map-level count, not a per-stripe sum).
+// plus the stripes' Counters rolled up (Counters.Add).
 type Snapshot struct {
 	Counters
 	Stripes []StripeSnapshot
@@ -66,26 +58,24 @@ func (m *Map) SnapshotContext(ctx context.Context) (Snapshot, error) {
 // the trailing HistoryWindow admissions, outside the stripe lock);
 // AvgLWSS, MTTR, Gini, and RSTDDEV — each O(history) or O(history log
 // history) over up to HistoryCap records per stripe — come back zero.
-// It is the sampling path for steady-state monitors (the adaptation
-// controller, shardd's /metrics sampler): a monitor that polls on an
-// interval must not recompute a full-history Gini per stripe per tick,
-// which would starve the data plane the monitoring exists to help.
-// Acquisition is bounded by ctx, so a monitor is not held hostage by a
-// stripe mid-migration. A nil ctx means unbounded (the plain path).
+// It is the sampling path for steady-state monitors (shardd's /metrics
+// sampler and INFO verb): a monitor that polls on an interval must not
+// recompute a full-history Gini per stripe per tick, which would starve
+// the data plane the monitoring exists to help. Acquisition is bounded
+// by ctx, so a monitor is not held hostage by a collapsed stripe. A nil
+// ctx means unbounded (the plain path).
 func (m *Map) SnapshotLite(ctx context.Context) (Snapshot, error) {
 	return m.snapshotImpl(ctx, true)
 }
 
 func (m *Map) snapshotImpl(ctx context.Context, lite bool) (Snapshot, error) {
 	out := Snapshot{Stripes: make([]StripeSnapshot, len(m.stripes))}
-	scans := m.scans.Load()
 	for i := range m.stripes {
 		s := &m.stripes[i]
 		if err := s.lock(ctx); err != nil {
 			return Snapshot{}, err
 		}
-		d := s.desc.Load()
-		ln := d.table.Len()
+		ln := s.table.Len()
 		var h metrics.History
 		if s.rec != nil {
 			h = s.rec.History()
@@ -101,18 +91,14 @@ func (m *Map) snapshotImpl(ctx context.Context, lite bool) (Snapshot, error) {
 			fairness = metrics.Summarize(h, m.window)
 		}
 		c := s.load()
-		c.Swaps, c.Scans = d.swaps, scans
 		out.Stripes[i] = StripeSnapshot{
-			Counters:    c,
-			Index:       i,
-			Len:         ln,
-			BackendSpec: d.backendSpec,
-			Ordered:     d.ordered != nil,
-			Fairness:    fairness,
+			Counters: c,
+			Index:    i,
+			Len:      ln,
+			Fairness: fairness,
 		}
 		out.Len += ln
 		out.Counters = out.Counters.Add(c)
 	}
-	out.Scans = scans
 	return out, nil
 }
