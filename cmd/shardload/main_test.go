@@ -163,3 +163,25 @@ func TestCellReportsTheRunsCounters(t *testing.T) {
 		t.Errorf("identity: lock %q, backend %q, conn model %q", r.Lock, r.Backend, connModel)
 	}
 }
+
+// TestServerInfoParses: INFO's lock= value is a whole spec, "?" and "="
+// included (the default is one). parseKV must keep it intact, and
+// shard.ParseCounters must read the counter lines around it.
+func TestServerInfoParses(t *testing.T) {
+	srv := startServer(t, "hashmap")
+	admin, err := wire.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+	if _, err := admin.Put(1, 1, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	counters, kv := serverInfo(admin)
+	if kv["lock"] != shard.DefaultLockSpec || kv["backend"] != "hashmap" {
+		t.Errorf("identity: lock %q, backend %q; want %q and hashmap", kv["lock"], kv["backend"], shard.DefaultLockSpec)
+	}
+	if counters.Lock.Acquires == 0 {
+		t.Errorf("counters after a Put read no lock acquisition: %+v", counters)
+	}
+}

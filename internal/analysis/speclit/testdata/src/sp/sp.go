@@ -17,6 +17,8 @@ var (
 	badParam, _  = lock.New("clh?wait=s")             // want `invalid spec constant`
 	mustLock     = lock.MustNew("mcscr-stp?fairness=500")
 	badMust      = lock.MustNew("mcscr-stp?fairness=oops") // want `invalid spec constant`
+	crLock, _    = lock.New("mcscr-stp?cr=true")
+	badCR, _     = lock.New("mcs-stp?cr=2") // want `invalid spec constant`
 	goodStore, _ = store.New("skiplist?seed=7")
 	badStore, _  = store.New("skplist") // want `invalid spec constant`
 	goodFault, _ = fault.New("stall?p=1+surge?threads=4")

@@ -67,3 +67,18 @@ func BenchmarkHandoff(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkUncontended is one goroutine's Lock/Unlock, bare and under
+// restriction at admission: what cr=true adds where nothing waits (the
+// inner TryLock in Lock, and loads of the passive count in Unlock).
+func BenchmarkUncontended(b *testing.B) {
+	for _, spec := range []string{"mcs-stp", "mcs-stp?cr=true", "mcscr-stp", "mcscr-stp?cr=true"} {
+		b.Run(spec, func(b *testing.B) {
+			m := MustNew(spec)
+			for i := 0; i < b.N; i++ {
+				m.Lock()
+				m.Unlock()
+			}
+		})
+	}
+}

@@ -3,6 +3,8 @@ package lock
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,16 +12,26 @@ import (
 )
 
 // contextLocks enumerates the locks under cancellation test via the
-// registry (the single source of truth for names); null is excluded
-// because it provides no exclusion to verify.
+// registry (the single source of truth for names), each bare and under
+// restriction at admission ("?cr=true"); null is excluded because it
+// provides no exclusion to verify.
 func contextLocks() []string {
-	var names []string
+	var names, twins []string
 	for _, n := range Names() {
 		if n != "null" {
 			names = append(names, n)
+			twins = append(twins, n+"?cr=true")
 		}
 	}
-	return names
+	return append(names, twins...)
+}
+
+// param appends one key=value parameter to a lock spec.
+func param(spec, kv string) string {
+	if strings.Contains(spec, "?") {
+		return spec + "&" + kv
+	}
+	return spec + "?" + kv
 }
 
 // TestCancelStress is the central cancellation soak: goroutines hammer
@@ -36,7 +48,6 @@ func contextLocks() []string {
 //
 // Run with -race in CI (the "Cancel" stage).
 func TestCancelStress(t *testing.T) {
-	const goroutines = 8
 	iters := 400
 	if raceEnabled {
 		iters = 120
@@ -48,101 +59,143 @@ func TestCancelStress(t *testing.T) {
 		// named for that one waiting shape, spin-then-park.
 		t.Run(name, func(t *testing.T) {
 			t.Run("wait=stp", func(t *testing.T) {
-				m := MustNew(name + "?seed=1").(ContextMutex)
-				var (
-					unprotected int // data race if exclusion fails
-					inside      atomic.Int32
-					maxInside   atomic.Int32
-					successes   atomic.Int64
-					cancels     atomic.Int64
-				)
-				cs := func() {
-					if v := inside.Add(1); v > maxInside.Load() {
-						maxInside.Store(v)
-					}
-					unprotected++
-					inside.Add(-1)
-				}
-				runWithTimeout(t, 120*time.Second, func() {
-					var wg sync.WaitGroup
-					for g := 0; g < goroutines; g++ {
-						wg.Add(1)
-						go func(id int) {
-							defer wg.Done()
-							rng := uint64(id)*0x9e3779b97f4a7c15 + 1
-							next := func() uint64 {
-								rng ^= rng << 13
-								rng ^= rng >> 7
-								rng ^= rng << 17
-								return rng
-							}
-							for i := 0; i < iters; i++ {
-								switch next() % 4 {
-								case 0: // plain lock
-									m.Lock()
-									cs()
-									m.Unlock()
-									successes.Add(1)
-								case 1: // uncancellable context
-									if err := m.LockContext(context.Background()); err != nil {
-										t.Errorf("Background LockContext failed: %v", err)
-										return
-									}
-									cs()
-									m.Unlock()
-									successes.Add(1)
-								default: // racing deadline, 0–40µs
-									d := time.Duration(next()%41) * time.Microsecond
-									ctx, cancel := context.WithTimeout(context.Background(), d)
-									err := m.LockContext(ctx)
-									cancel()
-									if err != nil {
-										if !errors.Is(err, context.DeadlineExceeded) {
-											t.Errorf("unexpected LockContext error: %v", err)
-											return
-										}
-										cancels.Add(1)
-									} else {
-										cs()
-										m.Unlock()
-										successes.Add(1)
-									}
-								}
-							}
-						}(g)
-					}
-					wg.Wait()
-				})
-				if got := int64(unprotected); got != successes.Load() {
-					t.Errorf("mutual exclusion violated: %d CS executions vs %d successful acquisitions",
-						got, successes.Load())
-				}
-				if maxInside.Load() != 1 {
-					t.Errorf("critical section occupancy reached %d", maxInside.Load())
-				}
-				// Post-storm liveness: the lock must still cycle cleanly.
-				runWithTimeout(t, 60*time.Second, func() {
-					for i := 0; i < 100; i++ {
-						m.Lock()
-						m.Unlock()
-					}
-				})
-				snap := m.(Instrumented).Stats()
-				if snap.Cancels != uint64(cancels.Load()) {
-					t.Errorf("Cancels=%d does not reconcile with %d observed timeouts",
-						snap.Cancels, cancels.Load())
-				}
-				if snap.Abandons > snap.Cancels {
-					t.Errorf("Abandons=%d exceeds Cancels=%d", snap.Abandons, snap.Cancels)
-				}
-				if want := successes.Load(); snap.Acquires != uint64(want) {
-					// The drain above adds 100 more.
-					if snap.Acquires != uint64(want)+100 {
-						t.Errorf("Acquires=%d, want %d (+100 drain)", snap.Acquires, want)
-					}
-				}
+				cancelStress(t, MustNew(param(name, "seed=1")).(ContextMutex), 8, iters, false)
 			})
 		})
+	}
+}
+
+// TestCancelStressPinned is TestCancelStress on kernel threads: each
+// worker is locked to its own OS thread, with GOMAXPROCS equal to the
+// worker count, so a park is a futex sleep and every race window between
+// a grant, an abandon and an admission is as wide as a thread wakeup.
+// The cr locks are built at a quarter of that GOMAXPROCS, so their cap
+// binds and the surplus workers pass through the passive stack.
+func TestCancelStressPinned(t *testing.T) {
+	const workers = 8
+	iters := 1000
+	if raceEnabled {
+		iters = 400
+	}
+	for _, name := range []string{"mcs-stp", "mcscr-stp", "mcs-stp?cr=true", "mcscr-stp?cr=true"} {
+		t.Run(name, func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(workers / 4)
+			m := MustNew(param(name, "seed=1")).(ContextMutex)
+			runtime.GOMAXPROCS(workers)
+			defer runtime.GOMAXPROCS(prev)
+			cancelStress(t, m, workers, iters, true)
+		})
+	}
+}
+
+// cancelStress runs the soak TestCancelStress describes on m: goroutines
+// workers, iters acquisitions each. Pinned, every worker runs on its own
+// OS thread and holds the lock a little longer, so arrivals overlap.
+func cancelStress(t *testing.T, m ContextMutex, goroutines, iters int, pinned bool) {
+	t.Helper()
+	var (
+		unprotected int // data race if exclusion fails
+		inside      atomic.Int32
+		maxInside   atomic.Int32
+		successes   atomic.Int64
+		cancels     atomic.Int64
+	)
+	cs := func() {
+		if v := inside.Add(1); v > maxInside.Load() {
+			maxInside.Store(v)
+		}
+		unprotected++
+		if pinned {
+			benchSpin(200)
+		}
+		inside.Add(-1)
+	}
+	runWithTimeout(t, 120*time.Second, func() {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(id int) {
+				defer wg.Done()
+				if pinned {
+					runtime.LockOSThread()
+					defer runtime.UnlockOSThread()
+				}
+				rng := uint64(id)*0x9e3779b97f4a7c15 + 1
+				next := func() uint64 {
+					rng ^= rng << 13
+					rng ^= rng >> 7
+					rng ^= rng << 17
+					return rng
+				}
+				for i := 0; i < iters; i++ {
+					switch next() % 4 {
+					case 0: // plain lock
+						m.Lock()
+						cs()
+						m.Unlock()
+						successes.Add(1)
+					case 1: // uncancellable context
+						if err := m.LockContext(context.Background()); err != nil {
+							t.Errorf("Background LockContext failed: %v", err)
+							return
+						}
+						cs()
+						m.Unlock()
+						successes.Add(1)
+					default: // racing deadline, 0–40µs
+						d := time.Duration(next()%41) * time.Microsecond
+						ctx, cancel := context.WithTimeout(context.Background(), d)
+						err := m.LockContext(ctx)
+						cancel()
+						if err != nil {
+							if !errors.Is(err, context.DeadlineExceeded) {
+								t.Errorf("unexpected LockContext error: %v", err)
+								return
+							}
+							cancels.Add(1)
+						} else {
+							cs()
+							m.Unlock()
+							successes.Add(1)
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	})
+	if got := int64(unprotected); got != successes.Load() {
+		t.Errorf("mutual exclusion violated: %d CS executions vs %d successful acquisitions",
+			got, successes.Load())
+	}
+	if maxInside.Load() != 1 {
+		t.Errorf("critical section occupancy reached %d", maxInside.Load())
+	}
+	// Post-storm liveness: the lock must still cycle cleanly.
+	runWithTimeout(t, 60*time.Second, func() {
+		for i := 0; i < 100; i++ {
+			m.Lock()
+			m.Unlock()
+		}
+	})
+	snap := m.(Instrumented).Stats()
+	if snap.Cancels != uint64(cancels.Load()) {
+		t.Errorf("Cancels=%d does not reconcile with %d observed timeouts",
+			snap.Cancels, cancels.Load())
+	}
+	if snap.Abandons > snap.Cancels {
+		t.Errorf("Abandons=%d exceeds Cancels=%d", snap.Abandons, snap.Cancels)
+	}
+	if want := successes.Load(); snap.Acquires != uint64(want) {
+		// The drain above adds 100 more.
+		if snap.Acquires != uint64(want)+100 {
+			t.Errorf("Acquires=%d, want %d (+100 drain)", snap.Acquires, want)
+		}
+	}
+	if c, ok := m.(*crLock); ok {
+		if p, w := c.passive.Load(), c.waiters.Load(); p != 0 || w != 0 {
+			t.Errorf("cr at quiescence: %d passive, %d admitted waiters; want 0 and 0", p, w)
+		}
 	}
 }
 
@@ -152,7 +205,7 @@ func TestCancelStress(t *testing.T) {
 func TestCancelParkedWaiter(t *testing.T) {
 	for _, name := range contextLocks() {
 		t.Run(name, func(t *testing.T) {
-			m := MustNew(name + "?seed=2").(ContextMutex)
+			m := MustNew(param(name, "seed=2")).(ContextMutex)
 			m.Lock()
 			ctx, cancel := context.WithCancel(context.Background())
 			errc := make(chan error, 1)
@@ -183,7 +236,7 @@ func TestCancelParkedWaiter(t *testing.T) {
 func TestCancelChainExcision(t *testing.T) {
 	for _, name := range contextLocks() {
 		t.Run(name, func(t *testing.T) {
-			m := MustNew(name + "?seed=3").(ContextMutex)
+			m := MustNew(param(name, "seed=3")).(ContextMutex)
 			m.Lock()
 			ctx, cancel := context.WithCancel(context.Background())
 			var acquired atomic.Int64
@@ -397,7 +450,7 @@ func (c *countingCtx) Done() <-chan struct{} {
 func TestLockContextAsksDoneOnlyToWait(t *testing.T) {
 	for _, name := range contextLocks() {
 		t.Run(name, func(t *testing.T) {
-			m := MustNew(name + "?seed=7").(ContextMutex)
+			m := MustNew(param(name, "seed=7")).(ContextMutex)
 			stats := m.(Instrumented).Stats
 
 			live, cancel := context.WithTimeout(context.Background(), time.Hour)

@@ -16,6 +16,10 @@ func FuzzNew(f *testing.F) {
 	f.Add("mcs-stp?wait=%74rue")
 	f.Add("?")
 	f.Add("null?stats=false")
+	f.Add("mcscr-stp?cr=true")
+	f.Add("mcs-stp?cr=false&seed=3")
+	f.Add("tas?cr=2")
+	f.Add("null?cr=true&stats=false")
 	f.Fuzz(func(t *testing.T, s string) {
 		m1, err1 := New(s)
 		m2, err2 := New(s)

@@ -36,8 +36,11 @@
 // Locks are usually built from a registry spec — New("mcscr-stp"),
 // New("lifocr?fairness=100&seed=42") — so lock choice and tuning can live in
 // configuration; Names lists the registered implementations and Register
-// adds new ones. The typed constructors (NewMCSCR, NewTAS, ...) remain
-// for callers that want the concrete types.
+// adds new ones. A spec with cr=true ("mcscr-stp?cr=true", or WithCR)
+// wraps the lock it names in concurrency restriction at admission: at
+// most GOMAXPROCS goroutines reach it and the rest park (see WithCR). The
+// typed constructors (NewMCSCR, NewTAS, ...) remain for callers that want
+// the concrete types.
 //
 // # Instrumentation
 //
@@ -85,13 +88,15 @@ type Mutex interface {
 type Option func(*config)
 
 // config carries a lock's tunables. The paper stresses parameter
-// parsimony: the ACS size is never a tunable — it emerges from culling.
+// parsimony: the ACS size is never a tunable — it emerges from culling,
+// or, under WithCR, is the processor count.
 type config struct {
-	fairness     uint64 // Bernoulli promotion period (MCSCR, LIFOCR)
+	fairness     uint64 // Bernoulli promotion period (MCSCR, LIFOCR, cr)
 	seed         uint64 // fairness-trial PRNG seed
 	patience     int    // LOITER standby impatience threshold
 	arrivalSpins int    // LOITER fast-path attempt bound
 	noStats      bool   // WithStats(false): skip counter maintenance entirely
+	cr           bool   // WithCR(true): New restricts concurrency at admission
 }
 
 func defaultConfig() config {
@@ -130,6 +135,16 @@ func WithFairnessPeriod(k uint64) Option {
 // reproducible. Zero (the default) selects a fixed internal seed.
 func WithSeed(seed uint64) Option {
 	return func(c *config) { c.seed = seed }
+}
+
+// WithCR makes New layer concurrency restriction at admission over the
+// lock it builds (default off): at most GOMAXPROCS goroutines, read at
+// construction, reach the lock, holder included, and the rest park on a
+// LIFO passive stack until the admitted set drains. The eldest passive
+// goroutine is admitted with probability 1/FairnessPeriod per unlock.
+// Only New reads it; the typed constructors build the bare lock.
+func WithCR(enabled bool) Option {
+	return func(c *config) { c.cr = enabled }
 }
 
 // WithStats enables or disables event-counter maintenance (default

@@ -25,16 +25,21 @@ func TestMain(m *testing.M) {
 // builders enumerates every real (mutual-exclusion-providing) lock in the
 // package, resolved through the registry so the spec grammar itself is
 // exercised by the whole suite. The queue locks carry the paper's "-STP"
-// label: their waiters park (the "-S" shape is simulator-only).
+// label: their waiters park (the "-S" shape is simulator-only). The two
+// "-CR" entries are the queue locks under restriction at admission
+// (cr=true); with more goroutines than GOMAXPROCS their surplus parks on
+// the passive stack.
 func builders() map[string]func() Mutex {
 	specs := map[string]string{
-		"TAS":        "tas",
-		"Ticket":     "ticket",
-		"CLH-STP":    "clh",
-		"MCS-STP":    "mcs-stp",
-		"MCSCR-STP":  "mcscr-stp?seed=1",
-		"LIFOCR-STP": "lifocr?seed=1",
-		"LOITER-STP": "loiter?seed=1",
+		"TAS":          "tas",
+		"Ticket":       "ticket",
+		"CLH-STP":      "clh",
+		"MCS-STP":      "mcs-stp",
+		"MCSCR-STP":    "mcscr-stp?seed=1",
+		"LIFOCR-STP":   "lifocr?seed=1",
+		"LOITER-STP":   "loiter?seed=1",
+		"MCS-STP-CR":   "mcs-stp?cr=true&seed=1",
+		"MCSCR-STP-CR": "mcscr-stp?cr=true&seed=1",
 	}
 	out := make(map[string]func() Mutex, len(specs))
 	for name, spec := range specs {
@@ -205,6 +210,7 @@ func TestLongTermFairness(t *testing.T) {
 		"MCSCR":  func() Mutex { return NewMCSCR(WithFairnessPeriod(50), WithSeed(7)) },
 		"LIFOCR": func() Mutex { return NewLIFOCR(WithFairnessPeriod(50), WithSeed(7)) },
 		"LOITER": func() Mutex { return NewLOITER(WithPatience(16), WithSeed(7)) },
+		"MCS-CR": func() Mutex { return MustNew("mcs-stp?cr=true&fairness=50&seed=7") },
 	}
 	const goroutines = 8
 	for name, build := range crLocks {
@@ -454,6 +460,8 @@ func TestStatsAccounting(t *testing.T) {
 			case *LIFOCR:
 				acquires = l.Stats().Acquires
 			case *LOITER:
+				acquires = l.Stats().Acquires
+			case *crLock:
 				acquires = l.Stats().Acquires
 			default:
 				t.Fatalf("no Stats accessor for %T", m)

@@ -45,6 +45,7 @@ func Lookup(name string) (Registration, bool) { return registry.Lookup(name) }
 //	"mcscr-stp"
 //	"mcscr-stp?fairness=500&seed=42"
 //	"loiter?patience=16&arrivals=8&stats=false"
+//	"mcscr-stp?cr=true"
 //
 // Parameters (each maps onto the corresponding Option):
 //
@@ -53,10 +54,15 @@ func Lookup(name string) (Registration, bool) { return registry.Lookup(name) }
 //	patience=N   LOITER standby impatience threshold         WithPatience
 //	arrivals=N   LOITER bounded arrival attempts             WithArrivalSpins
 //	stats=BOOL   event-counter maintenance                   WithStats
+//	cr=BOOL      restrict concurrency at admission           WithCR
 //
 // Spec parameters are applied after opts, so the spec overrides
-// programmatic defaults. Every lock New can build satisfies ContextMutex
-// (and Instrumented, though WithStats(false) makes snapshots zero).
+// programmatic defaults. With cr=true, New returns the registered lock
+// wrapped in concurrency restriction at admission (see WithCR): its
+// fairness, seed and stats parameters apply to the wrapper too, and its
+// Stats are the lock's counters plus the wrapper's. Every lock New can
+// build satisfies ContextMutex (and Instrumented, though WithStats(false)
+// makes snapshots zero).
 // Malformed specs — unknown name, unknown or duplicated parameter, bad
 // value — return a descriptive error and a nil Mutex.
 func New(spec string, opts ...Option) (Mutex, error) {
@@ -71,7 +77,15 @@ func New(spec string, opts ...Option) (Mutex, error) {
 	if len(specOpts) > 0 {
 		opts = append(append([]Option(nil), opts...), specOpts...)
 	}
-	return reg.Build(opts...), nil
+	m := reg.Build(opts...)
+	if cfg := buildConfig(opts); cfg.cr {
+		c, err := newCR(m, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return c, nil
+	}
+	return m, nil
 }
 
 // MustNew is New for tests, examples, and initialization paths where a
@@ -124,5 +138,12 @@ var grammar = spec.NewGrammar[Option]("lock", map[string]spec.ParamFunc[Option]{
 			return nil, err
 		}
 		return WithStats(b), nil
+	},
+	"cr": func(v string) (Option, error) {
+		b, err := spec.Bool(v)
+		if err != nil {
+			return nil, err
+		}
+		return WithCR(b), nil
 	},
 })

@@ -12,13 +12,14 @@ import (
 func TestWithStatsDisabled(t *testing.T) {
 	type statser interface{ Stats() core.Snapshot }
 	off := map[string]func() Mutex{
-		"TAS":    func() Mutex { return NewTAS(WithStats(false)) },
-		"Ticket": func() Mutex { return NewTicket(WithStats(false)) },
-		"CLH":    func() Mutex { return NewCLH(WithStats(false)) },
-		"MCS":    func() Mutex { return NewMCS(WithStats(false)) },
-		"MCSCR":  func() Mutex { return NewMCSCR(WithStats(false), WithSeed(1)) },
-		"LIFOCR": func() Mutex { return NewLIFOCR(WithStats(false), WithSeed(1)) },
-		"LOITER": func() Mutex { return NewLOITER(WithStats(false), WithSeed(1)) },
+		"TAS":      func() Mutex { return NewTAS(WithStats(false)) },
+		"Ticket":   func() Mutex { return NewTicket(WithStats(false)) },
+		"CLH":      func() Mutex { return NewCLH(WithStats(false)) },
+		"MCS":      func() Mutex { return NewMCS(WithStats(false)) },
+		"MCSCR":    func() Mutex { return NewMCSCR(WithStats(false), WithSeed(1)) },
+		"LIFOCR":   func() Mutex { return NewLIFOCR(WithStats(false), WithSeed(1)) },
+		"LOITER":   func() Mutex { return NewLOITER(WithStats(false), WithSeed(1)) },
+		"MCSCR-CR": func() Mutex { return MustNew("mcscr-stp?cr=true&stats=false&seed=1") },
 	}
 	for name, build := range off {
 		t.Run(name, func(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/shard"
 )
 
 // TestInfoIdentityUnderStall: INFO's identity lines come from the map's
@@ -31,7 +33,7 @@ func TestInfoIdentityUnderStall(t *testing.T) {
 	info := string(s.info())
 	<-held
 
-	for _, line := range []string{"\nbackend=hashmap\n", "\nlock=mcscr-stp\n"} {
+	for _, line := range []string{"\nbackend=hashmap\n", "\nlock=" + shard.DefaultLockSpec + "\n"} {
 		if !strings.Contains(info, line) {
 			t.Errorf("INFO during a stall lacks %q:\n%s", strings.TrimSpace(line), info)
 		}

@@ -89,7 +89,7 @@ import (
 // Defaults for Config zero values.
 const (
 	DefaultStripes     = 16
-	DefaultLockSpec    = "mcscr-stp"
+	DefaultLockSpec    = "mcscr-stp?cr=true"
 	DefaultBackendSpec = "hashmap"
 )
 
@@ -117,8 +117,11 @@ type Config struct {
 	Stripes int
 
 	// LockSpec is the registry spec (see lock.New) each stripe's lock is
-	// built from. Empty means DefaultLockSpec. Specs with stats=false
-	// still work; Snapshot then reports zero lock counters.
+	// built from. Empty means DefaultLockSpec, "mcscr-stp?cr=true": the
+	// Malthusian MCS lock under restriction at admission, so at most
+	// GOMAXPROCS goroutines reach a stripe's lock and the rest park until
+	// the admitted set drains. Specs with stats=false still work;
+	// Snapshot then reports zero lock counters.
 	LockSpec string
 
 	// BackendSpec is the registry spec (see store.New) each stripe's
