@@ -4,7 +4,7 @@
 // The repository provides:
 //
 //   - package lock: the Malthusian lock family (MCSCR, LIFO-CR, LOITER)
-//     plus classic baselines (TAS, ticket, CLH, MCS) as real goroutine
+//     plus the paper's baselines (TAS, MCS) as real goroutine
 //     locks satisfying sync.Locker, with cache-line-isolated hot fields
 //     and striped, optionally disabled (WithStats) event counters. Locks
 //     are built from registry specs (lock.New("mcscr-stp?fairness=500"))

@@ -14,7 +14,7 @@ import (
 var (
 	goodLock, _  = lock.New("mcs-stp")
 	typoLock, _  = lock.New("mcscr-spt?fairness=500") // want `invalid spec constant`
-	badParam, _  = lock.New("clh?wait=s")             // want `invalid spec constant`
+	badParam, _  = lock.New("lifocr?wait=s")          // want `invalid spec constant`
 	mustLock     = lock.MustNew("mcscr-stp?fairness=500")
 	badMust      = lock.MustNew("mcscr-stp?fairness=oops") // want `invalid spec constant`
 	crLock, _    = lock.New("mcscr-stp?cr=true")

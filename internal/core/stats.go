@@ -52,17 +52,20 @@ type Stats struct {
 	mask    uint32
 }
 
-// NewStats returns striped stats sized to the host's true write
-// parallelism — min(GOMAXPROCS, NumCPU), rounded up to a power of two.
-// GOMAXPROCS alone overcounts on oversubscribed hosts (more Ps than
-// CPUs), where extra stripes cost cache footprint with no concurrent
-// writers to separate.
+// Parallelism is how many goroutines the host can run at once:
+// min(GOMAXPROCS, NumCPU). GOMAXPROCS alone overcounts on oversubscribed
+// hosts (more Ps than CPUs), where the surplus Ps time-share the CPUs —
+// so a stripe per P buys cache footprint with no concurrent writer to
+// separate, and an admission cap of GOMAXPROCS admits every runnable
+// thread and restricts nothing.
+func Parallelism() int {
+	return min(runtime.GOMAXPROCS(0), runtime.NumCPU())
+}
+
+// NewStats returns striped stats sized to the host's Parallelism,
+// rounded up to a power of two.
 func NewStats() *Stats {
-	n := runtime.GOMAXPROCS(0)
-	if c := runtime.NumCPU(); c < n {
-		n = c
-	}
-	return NewStatsStripes(n)
+	return NewStatsStripes(Parallelism())
 }
 
 // NewStatsStripes returns stats with at least n stripes, rounded up to a
@@ -148,10 +151,9 @@ type Snapshot struct {
 	Cancels uint64
 	// Abandons counts abandoned waiter nodes excised by someone other
 	// than the cancelled waiter itself: the unlock path's chain walk,
-	// passive-list pops, a CLH successor inheriting a dead predecessor,
-	// or a LOITER standby resignation. Distinct from Cancels because a
-	// cancelled TAS/Ticket waiter leaves no node behind, and a node
-	// abandoned at quiescence may not be excised until later traffic.
+	// passive-list pops, or a LOITER standby resignation. Distinct from
+	// Cancels because a cancelled TAS waiter leaves no node behind, and a
+	// node abandoned at quiescence may not be excised until later traffic.
 	Abandons uint64
 }
 

@@ -8,12 +8,12 @@ import (
 )
 
 // stpLocks enumerates the registered queue locks, whose waiters park —
-// the ones whose unlock can find its successor parked. tas and ticket
-// never park; null never waits.
+// the ones whose unlock can find its successor parked. tas never parks;
+// null never waits.
 func stpLocks() []string {
 	var names []string
 	for _, n := range Names() {
-		if n != "null" && n != "tas" && n != "ticket" {
+		if n != "null" && n != "tas" {
 			names = append(names, n)
 		}
 	}

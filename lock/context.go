@@ -26,12 +26,11 @@ import "context"
 //     err }; defer m.Unlock()` is correct under either outcome.
 //   - Exactly one Cancels event is counted per error return (Stats).
 //
-// What cancellation perturbs, per lock, is documented in DESIGN.md: FIFO
-// locks (MCS, CLH) keep arrival order among surviving waiters but a
-// cancelled waiter's successors move up; a Ticket lock serves cancellable
-// acquirers by competitive succession instead of a ticket; CR locks may
-// spend a fairness promotion on a waiter that abandons in the handoff
-// window (the unlock path then falls back to a live successor).
+// What cancellation perturbs, per lock, is documented in DESIGN.md: MCS
+// keeps arrival order among surviving waiters but a cancelled waiter's
+// successors move up; CR locks may spend a fairness promotion on a waiter
+// that abandons in the handoff window (the unlock path then falls back to
+// a live successor).
 type ContextMutex interface {
 	Mutex
 	// LockContext acquires the lock, abandoning the attempt when ctx is

@@ -65,19 +65,20 @@ func TestCancelStress(t *testing.T) {
 	}
 }
 
-// TestCancelStressPinned is TestCancelStress on kernel threads: each
-// worker is locked to its own OS thread, with GOMAXPROCS equal to the
-// worker count, so a park is a futex sleep and every race window between
-// a grant, an abandon and an admission is as wide as a thread wakeup.
-// The cr locks are built at a quarter of that GOMAXPROCS, so their cap
-// binds and the surplus workers pass through the passive stack.
+// TestCancelStressPinned is TestCancelStress on kernel threads, for
+// every lock: each worker is locked to its own OS thread, with GOMAXPROCS
+// equal to the worker count, so a park is a futex sleep and every race
+// window between a grant, an abandon and an admission is as wide as a
+// thread wakeup. The cr locks are built at a quarter of that GOMAXPROCS,
+// so their cap binds and the surplus workers pass through the passive
+// stack.
 func TestCancelStressPinned(t *testing.T) {
 	const workers = 8
 	iters := 1000
 	if raceEnabled {
 		iters = 400
 	}
-	for _, name := range []string{"mcs-stp", "mcscr-stp", "mcs-stp?cr=true", "mcscr-stp?cr=true"} {
+	for _, name := range contextLocks() {
 		t.Run(name, func(t *testing.T) {
 			prev := runtime.GOMAXPROCS(workers / 4)
 			m := MustNew(param(name, "seed=1")).(ContextMutex)
@@ -530,8 +531,6 @@ func TestLockContextAsksDoneOnlyToWait(t *testing.T) {
 			if s := stats(); s.Cancels != 2+lost {
 				t.Fatalf("grant-wins rounds: %d granted, %d abandoned, but Cancels grew by %d", won, lost, s.Cancels-2)
 			}
-			// Lock, not TryLock: an abandoned CLH tail looks held to TryLock
-			// until the next arrival excises it.
 			runWithTimeout(t, 30*time.Second, func() {
 				m.Lock()
 				m.Unlock()

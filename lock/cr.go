@@ -3,7 +3,6 @@ package lock
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -34,14 +33,18 @@ func freeCRNode(n *crNode) {
 // Collapse by Restricting Concurrency", Euro-Par 2019) as a layer. New
 // applies it to the lock a spec names when the spec carries cr=true.
 //
-// It admits at most GOMAXPROCS goroutines (read once, at construction)
-// to the inner lock, holder included, and parks the surplus on a passive
-// LIFO stack until the admitted set drains:
+// It admits at most core.Parallelism goroutines — min(GOMAXPROCS,
+// NumCPU), read once, at construction — to the inner lock, holder
+// included, and parks the surplus on a passive LIFO stack until the
+// admitted set drains. The NumCPU bound is what makes the cap bind where
+// the paper's collapse happens: with more Ps than CPUs, GOMAXPROCS
+// admits every runnable thread. On a 1-CPU host the holder is the only
+// admitted goroutine.
 //
 //   - Uncontended, Lock is the inner TryLock and nothing more: no shared
 //     read-modify-write is added to the fast path.
-//   - A TryLock miss first tries to take one of the GOMAXPROCS-1 waiter
-//     slots (a CAS on waiters) and then waits in the inner lock.
+//   - A TryLock miss first tries to take one of the cap-1 waiter slots
+//     (a CAS on waiters) and then waits in the inner lock.
 //   - Past that, the entrant is culled: it pushes itself on the passive
 //     stack under the latch, tries the inner TryLock once more, and only
 //     then parks.
@@ -68,7 +71,7 @@ func freeCRNode(n *crNode) {
 type crLock struct {
 	inner ContextMutex
 	in    Instrumented // inner, when it counts events; else nil
-	slots int32        // waiter slots: GOMAXPROCS-1, the holder takes the last
+	slots int32        // waiter slots: core.Parallelism()-1, the holder takes the last
 
 	waiters atomic.Int32 // admitted goroutines that do not hold the inner lock yet
 	passive atomic.Int32 // goroutines on the stack; written under latch, read by Unlock
@@ -94,7 +97,7 @@ func newCR(m Mutex, cfg config) (*crLock, error) {
 	return &crLock{
 		inner: inner,
 		in:    in,
-		slots: int32(runtime.GOMAXPROCS(0)) - 1,
+		slots: int32(core.Parallelism()) - 1,
 		trial: core.NewTrial(cfg.fairness, cfg.seed),
 		stats: cfg.newStats(),
 	}, nil

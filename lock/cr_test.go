@@ -3,6 +3,7 @@ package lock
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -173,9 +174,17 @@ func TestCRGrantVsAbandon(t *testing.T) {
 // TestCRRestricts checks that the layer engages under contention and
 // drains at quiescence: more goroutines than waiter slots are culled,
 // every culled goroutine is admitted again, and nothing is left on the
-// stack or in a slot once they are done.
+// stack or in a slot once they are done. Zero slots is a 1-CPU host's
+// cap: no entrant takes a slot by itself, and only an Unlock's admission
+// puts one waiter beside the holder.
 func TestCRRestricts(t *testing.T) {
-	c := newTestCR(t, NewMCSCR(WithSeed(5)), 1, WithFairnessPeriod(0))
+	for _, slots := range []int32{0, 1} {
+		t.Run(fmt.Sprintf("slots=%d", slots), func(t *testing.T) { crRestricts(t, slots) })
+	}
+}
+
+func crRestricts(t *testing.T, slots int32) {
+	c := newTestCR(t, NewMCSCR(WithSeed(5)), slots, WithFairnessPeriod(0))
 	const goroutines, iters = 8, 1000
 	var maxInner atomic.Int32 // holder plus admitted waiters, seen by holders
 	runWithTimeout(t, 60*time.Second, func() {
@@ -205,12 +214,28 @@ func TestCRRestricts(t *testing.T) {
 	if s.Acquires != goroutines*iters {
 		t.Errorf("Acquires %d, want %d", s.Acquires, goroutines*iters)
 	}
-	// Without fairness promotions nothing is admitted over the cap.
-	if m := maxInner.Load(); m > 2 {
-		t.Errorf("holder plus admitted waiters reached %d with one waiter slot", m)
+	// Without fairness promotions nothing is admitted over the cap, or
+	// past the one admission an Unlock makes when no slot is taken.
+	if m, want := maxInner.Load(), max(slots, 1)+1; m > want {
+		t.Errorf("holder plus admitted waiters reached %d with %d waiter slots; want at most %d", m, slots, want)
 	}
 	if p, w := c.passive.Load(), c.waiters.Load(); p != 0 || w != 0 {
 		t.Errorf("%d passive, %d admitted waiters left; want 0 and 0", p, w)
+	}
+}
+
+// TestCRCapIsParallelism builds a cr lock with more Ps than CPUs, the
+// oversubscribed regime where the paper's collapse happens: the cap must
+// be the CPU count, not GOMAXPROCS, or it admits every runnable thread.
+func TestCRCapIsParallelism(t *testing.T) {
+	cpus := runtime.NumCPU()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2 * cpus))
+	c, ok := MustNew("mcs-stp?cr=true").(*crLock)
+	if !ok {
+		t.Fatal("cr=true did not build a cr lock")
+	}
+	if want := int32(cpus - 1); c.slots != want {
+		t.Fatalf("GOMAXPROCS %d on %d CPUs: %d waiter slots, want %d", 2*cpus, cpus, c.slots, want)
 	}
 }
 

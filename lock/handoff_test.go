@@ -150,11 +150,6 @@ func stageWaiting(t *testing.T, m Mutex) staged {
 	case *LOITER:
 		// LOITER queues on its inner MCS lock; the outer word has no waiters.
 		return stageChain(l.inner.Lock, l.inner.Unlock, &l.inner.tail, &l.inner.owner, l.InnerStats)
-	case *CLH:
-		l.Lock()
-		n := newCLHNode()
-		pred := l.tail.Swap(n) // the holder's node, whose cell n's waiter watches
-		return staged{&pred.waitCell, l.Unlock, func() { l.ownerNode = n; l.Unlock() }, l.Stats}
 	case *LIFOCR:
 		l.Lock()
 		n := newLifoNode()

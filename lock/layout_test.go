@@ -28,7 +28,6 @@ func assertGap(t *testing.T, what string, a, b uintptr) {
 func TestNodeSizesAreLineMultiples(t *testing.T) {
 	for name, size := range map[string]uintptr{
 		"mcsNode":  unsafe.Sizeof(mcsNode{}),
-		"clhNode":  unsafe.Sizeof(clhNode{}),
 		"lifoNode": unsafe.Sizeof(lifoNode{}),
 	} {
 		if size%line != 0 || size == 0 {
@@ -40,9 +39,6 @@ func TestNodeSizesAreLineMultiples(t *testing.T) {
 	// memory — fail loudly so it is a deliberate choice.
 	if s := unsafe.Sizeof(mcsNode{}); s != line {
 		t.Errorf("mcsNode size %d: want exactly %d", s, line)
-	}
-	if s := unsafe.Sizeof(clhNode{}); s != line {
-		t.Errorf("clhNode size %d: want exactly %d", s, line)
 	}
 	if s := unsafe.Sizeof(lifoNode{}); s != line {
 		t.Errorf("lifoNode size %d: want exactly %d", s, line)
@@ -63,21 +59,9 @@ func TestMCSCRLayout(t *testing.T) {
 	assertGap(t, "MCSCR tail/stats", unsafe.Offsetof(l.tail), unsafe.Offsetof(l.stats))
 }
 
-func TestCLHLayout(t *testing.T) {
-	var l CLH
-	assertGap(t, "CLH tail/ownerNode", unsafe.Offsetof(l.tail), unsafe.Offsetof(l.ownerNode))
-	assertGap(t, "CLH tail/stats", unsafe.Offsetof(l.tail), unsafe.Offsetof(l.stats))
-}
-
 func TestTASLayout(t *testing.T) {
 	var l TAS
 	assertGap(t, "TAS word/stats", unsafe.Offsetof(l.word), unsafe.Offsetof(l.stats))
-}
-
-func TestTicketLayout(t *testing.T) {
-	var l Ticket
-	assertGap(t, "Ticket next/serve", unsafe.Offsetof(l.next), unsafe.Offsetof(l.serve))
-	assertGap(t, "Ticket serve/stats", unsafe.Offsetof(l.serve), unsafe.Offsetof(l.stats))
 }
 
 func TestLIFOCRLayout(t *testing.T) {

@@ -13,12 +13,11 @@
 //     thread bridges the two, with impatience-triggered direct handoff
 //     (Appendix A.1).
 //
-// Baselines:
+// Baselines, the paper's two (§5–6) and a calibration lock:
 //
 //   - TAS / TTAS with randomized backoff (competitive succession, global
 //     spinning, unbounded bypass);
-//   - Ticket (FIFO, global spinning);
-//   - CLH and MCS (FIFO, local waiting, direct handoff);
+//   - MCS (FIFO, local waiting, direct handoff);
 //   - Null (degenerate; for harness calibration only).
 //
 // All locks satisfy sync.Locker — and ContextMutex: acquisition can be
@@ -26,10 +25,8 @@
 // duration), with a cancelled waiter excised from the lock's waiter
 // structures without breaking handoff (the per-lock protocols are
 // specified in DESIGN.md §3). Queue-based locks allocate their waiter
-// nodes from pools (except CLH, which allocates per acquisition: GC
-// reclamation is what keeps its TryLock pointer-CAS immune to ABA and its
-// abandoned-node excision safe) and are safe for use by any number of
-// goroutines; no per-thread registration is required.
+// nodes from pools and are safe for use by any number of goroutines; no
+// per-thread registration is required.
 //
 // # Construction
 //
@@ -38,18 +35,19 @@
 // configuration; Names lists the registered implementations and Register
 // adds new ones. A spec with cr=true ("mcscr-stp?cr=true", or WithCR)
 // wraps the lock it names in concurrency restriction at admission: at
-// most GOMAXPROCS goroutines reach it and the rest park (see WithCR). The
-// typed constructors (NewMCSCR, NewTAS, ...) remain for callers that want
-// the concrete types.
+// most min(GOMAXPROCS, NumCPU) goroutines reach it and the rest park (see
+// WithCR). The typed constructors (NewMCSCR, NewTAS, ...) remain for
+// callers that want the concrete types.
 //
 // # Instrumentation
 //
 // Every lock maintains the paper's CR event counters (acquires, handoffs,
 // culls, reprovisions, promotions, parks, unparks, fast/slow path),
 // exposed via its Stats method as a core.Snapshot. The counters are
-// striped: writes land in one of ~GOMAXPROCS cache-line-padded counter
-// sets selected by a cheap per-goroutine hash, so the instrumentation
-// itself generates no cross-processor coherence traffic on the hot path.
+// striped: writes land in one of ~core.Parallelism cache-line-padded
+// counter sets selected by a cheap per-goroutine hash, so the
+// instrumentation itself generates no cross-processor coherence traffic
+// on the hot path.
 // WithStats(false) removes even that cost — the lock carries a nil stats
 // reference and every counter update compiles down to a single predicted
 // branch. Contended lock words and per-waiter flags are cache-line
@@ -65,8 +63,8 @@
 // bound loses to it at every thread count (DESIGN.md §5). The "-S" shape
 // survives only in the simulator. An unlock that had to unpark its
 // successor yields its P to it, so the lock is never owned by a goroutine
-// that is merely runnable. What still spins: TAS and Ticket, the paper's
-// global-spinning baselines, and LOITER's bounded arrival phase.
+// that is merely runnable. What still spins: TAS, the paper's
+// global-spinning baseline, and LOITER's bounded arrival phase.
 package lock
 
 import (
@@ -138,9 +136,10 @@ func WithSeed(seed uint64) Option {
 }
 
 // WithCR makes New layer concurrency restriction at admission over the
-// lock it builds (default off): at most GOMAXPROCS goroutines, read at
-// construction, reach the lock, holder included, and the rest park on a
-// LIFO passive stack until the admitted set drains. The eldest passive
+// lock it builds (default off): at most min(GOMAXPROCS, NumCPU)
+// goroutines (core.Parallelism, read at construction) reach the lock,
+// holder included, and the rest park on a LIFO passive stack until the
+// admitted set drains. The eldest passive
 // goroutine is admitted with probability 1/FairnessPeriod per unlock.
 // Only New reads it; the typed constructors build the bare lock.
 func WithCR(enabled bool) Option {

@@ -32,8 +32,6 @@ func TestMain(m *testing.M) {
 func builders() map[string]func() Mutex {
 	specs := map[string]string{
 		"TAS":          "tas",
-		"Ticket":       "ticket",
-		"CLH-STP":      "clh",
 		"MCS-STP":      "mcs-stp",
 		"MCSCR-STP":    "mcscr-stp?seed=1",
 		"LIFOCR-STP":   "lifocr?seed=1",
@@ -187,7 +185,6 @@ func TestUnlockOfUnlockedPanics(t *testing.T) {
 		"MCS":    NewMCS(),
 		"MCSCR":  NewMCSCR(),
 		"LIFOCR": NewLIFOCR(),
-		"CLH":    NewCLH(),
 		"LOITER": NewLOITER(),
 	}
 	for name, m := range cases {
@@ -448,10 +445,6 @@ func TestStatsAccounting(t *testing.T) {
 			var acquires uint64
 			switch l := m.(type) {
 			case *TAS:
-				acquires = l.Stats().Acquires
-			case *Ticket:
-				acquires = l.Stats().Acquires
-			case *CLH:
 				acquires = l.Stats().Acquires
 			case *MCS:
 				acquires = l.Stats().Acquires

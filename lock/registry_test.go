@@ -10,8 +10,7 @@ import (
 // knownLocks is the canonical name set: the names lockbench, the
 // benchmarks, and the examples rely on resolving.
 var knownLocks = []string{
-	"clh", "lifocr", "loiter", "mcs-stp",
-	"mcscr-stp", "null", "tas", "ticket",
+	"lifocr", "loiter", "mcs-stp", "mcscr-stp", "null", "tas",
 }
 
 // TestRegistryNames pins the canonical name set.
@@ -110,7 +109,9 @@ func TestSpecErrors(t *testing.T) {
 		"mcscr-s?seed=1":      "unknown lock",
 		"mcs-stp?bogus=1":     "unknown parameter",
 		"mcscr-stp?spin=64":   "unknown parameter",
-		"clh?wait=s":          "unknown parameter",
+		"lifocr?wait=s":       "unknown parameter",
+		"clh":                 "unknown lock", // deleted FIFO baselines
+		"ticket":              "unknown lock",
 		"mcscr-stp?wait=stp":  "unknown parameter",
 		"mcs-stp?fairness=-1": "bad value",
 		"loiter?patience=0":   "bad value",

@@ -20,8 +20,8 @@ const politeEvery = 64
 // counter. 63 iterations in 64 cost a load and a branch; the 64th is a
 // trip through the global run queue, 0.09 µs alone and 0.8–3.4 µs behind
 // eight runnable peers, against ~0.2 µs to park and be woken — the right
-// trade only where spinning is the whole policy (tas, ticket, LOITER's
-// arrival phase, the unlock paths' link waits). A queued waiter therefore
+// trade only where spinning is the whole policy (tas, LOITER's arrival
+// phase, the unlock paths' link waits). A queued waiter therefore
 // parks at once: a spin phase would cost more than the park it postponed.
 func politePause(i int) {
 	if i%politeEvery == politeEvery-1 {
@@ -49,11 +49,6 @@ const (
 	stateAbandoned
 )
 
-// ctxCheckEvery is how many poll iterations separate context checks in
-// cancellable spin loops: frequent enough for sub-millisecond reaction,
-// sparse enough that the Done-channel poll stays off the common path.
-const ctxCheckEvery = 64
-
 // waitCell is the per-waiter flag + parker shared by the queue-based
 // locks. It embeds everything a granter touches, so grant/await logic
 // lives in one place.
@@ -66,21 +61,6 @@ const ctxCheckEvery = 64
 type waitCell struct {
 	state  atomic.Uint32
 	parker *park.Parker
-}
-
-// grant marks the cell granted and wakes its waiter if parked. It returns
-// true if the waiter had to be unparked (a voluntary-context-switch wake).
-// Only CLH may use the unconditional swap: a CLH waiter abandons its own
-// node, never its predecessor's, so the cell a CLH unlock grants cannot be
-// abandoned. Every other granter must use tryGrant.
-//
-//lockcheck:cs
-func (w *waitCell) grant() bool {
-	if w.state.Swap(stateGranted) == stateParked {
-		w.parker.Unpark()
-		return true
-	}
-	return false
 }
 
 // tryGrant attempts to pass ownership to the cell's waiter. ok reports
@@ -106,32 +86,6 @@ func (w *waitCell) tryGrant() (ok, unparked bool) {
 			return false, false
 		default:
 			panic("lock: grant of an already-granted waiter")
-		}
-	}
-}
-
-// abandon moves the cell to stateAbandoned on behalf of a cancelled
-// waiter, waking a parked inheritor (CLH: the successor parks on its
-// predecessor's cell, so the abandoning owner must unpark it). It reports
-// whether the abandon won; false means the cell was granted first and the
-// caller owns the lock. Used for cells other goroutines wait on; a waiter
-// abandoning the cell it itself parks on uses await's inline CASes.
-func (w *waitCell) abandon() bool {
-	for {
-		switch s := w.state.Load(); s {
-		case stateWaiting:
-			if w.state.CompareAndSwap(stateWaiting, stateAbandoned) {
-				return true
-			}
-		case stateParked:
-			if w.state.CompareAndSwap(stateParked, stateAbandoned) {
-				w.parker.Unpark()
-				return true
-			}
-		case stateGranted:
-			return false
-		default:
-			panic("lock: abandon of an already-abandoned waiter")
 		}
 	}
 }
@@ -228,9 +182,9 @@ func cancelStats(s *core.Stats, parked bool) {
 	}
 }
 
-// backoff implements randomized exponential backoff for global-spinning
-// locks (TAS/TTAS, ticket). Not safe for concurrent use; each acquiring
-// call owns one.
+// backoff implements randomized exponential backoff for TAS/TTAS and
+// LOITER's arrival phase. Not safe for concurrent use; each acquiring call
+// owns one.
 type backoff struct {
 	rng   xrand.State
 	limit int

@@ -13,8 +13,6 @@ func TestWithStatsDisabled(t *testing.T) {
 	type statser interface{ Stats() core.Snapshot }
 	off := map[string]func() Mutex{
 		"TAS":      func() Mutex { return NewTAS(WithStats(false)) },
-		"Ticket":   func() Mutex { return NewTicket(WithStats(false)) },
-		"CLH":      func() Mutex { return NewCLH(WithStats(false)) },
 		"MCS":      func() Mutex { return NewMCS(WithStats(false)) },
 		"MCSCR":    func() Mutex { return NewMCSCR(WithStats(false), WithSeed(1)) },
 		"LIFOCR":   func() Mutex { return NewLIFOCR(WithStats(false), WithSeed(1)) },

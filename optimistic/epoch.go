@@ -8,9 +8,10 @@
 package optimistic
 
 import (
-	"runtime"
 	"sync/atomic"
 	"unsafe"
+
+	"repro/internal/core"
 )
 
 // Epoch is the reader half of a two-phase grace-period clock: striped
@@ -36,14 +37,11 @@ type epochSlot struct {
 	_ [epochSlotBytes - 16]byte
 }
 
-// NewEpoch returns an epoch with pin counters striped to the host's true
-// parallelism — min(GOMAXPROCS, NumCPU) rounded up to a power of two,
-// the same sizing rule as the lock stats stripes.
+// NewEpoch returns an epoch with pin counters striped to the host's
+// core.Parallelism rounded up to a power of two, the same sizing rule as
+// the lock stats stripes.
 func NewEpoch() *Epoch {
-	n := runtime.GOMAXPROCS(0)
-	if c := runtime.NumCPU(); c < n {
-		n = c
-	}
+	n := core.Parallelism()
 	p := 1
 	for p < n {
 		p <<= 1
