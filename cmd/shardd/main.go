@@ -14,10 +14,14 @@
 // /metrics on the metrics address, arm chaos over the wire with the
 // FAULT verb (wire.Client.FaultArm), and stop it with SIGTERM — the
 // server drains: accepted requests finish and their responses flush
-// before the process exits. With -history-cap N each stripe records
+// before the process exits. Gets are served lock-free by default on a
+// backend that supports it (hashmap); -read-path locked sends every Get
+// through the stripe lock. With -history-cap N each stripe records
 // which connection made each of its first N admissions, and /metrics
-// gains the per-stripe LWSS gauge. -list prints every registered lock,
-// backend and fault with its summary.
+// gains the per-stripe LWSS gauge; a lock-free Get is no admission, so
+// on the default read path the history counts writes and the Gets that
+// fell back to the lock. -list prints every registered lock, backend
+// and fault with its summary.
 package main
 
 import (
@@ -41,7 +45,7 @@ func main() {
 	flag.IntVar(&cfg.Stripes, "stripes", 0, "stripe count (0 = shard default, rounded up to a power of two)")
 	flag.StringVar(&cfg.LockSpec, "lock", "", "stripe lock spec (see lock.New; empty = shard default)")
 	flag.StringVar(&cfg.BackendSpec, "backend", "", "stripe backend spec (see store.New; empty = shard default)")
-	flag.StringVar(&cfg.ReadPath, "read-path", "", "Get read path: locked (default) or optimistic[?retries=N] (lock-free seqlock-validated Gets)")
+	flag.StringVar(&cfg.ReadPath, "read-path", "", "Get read path: optimistic[?retries=N] (default: lock-free seqlock-validated Gets where the backend supports them) or locked (every Get takes the stripe lock)")
 	flag.StringVar(&cfg.ConnModel, "conn-model", server.ConnGoroutine, "connection handling: goroutine (serve all) or pool (bounded Malthusian admission)")
 	flag.IntVar(&cfg.PoolSize, "pool-size", 64, "concurrently served connections under -conn-model pool")
 	flag.DurationVar(&cfg.DrainGrace, "drain-grace", 2*time.Second, "how long SIGTERM drain waits for in-flight requests")

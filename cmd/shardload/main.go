@@ -12,7 +12,11 @@
 // cell lands in the internal/benchfmt JSON schema (-json, and -append to
 // grow one file into a series). The lock, backend and read path under
 // test are shardd's flags, so every service cell is a shardd
-// started with the cell's flags and a shardload run against it.
+// started with the cell's flags and a shardload run against it. shardd
+// serves Gets lock-free by default where the backend allows, so a cell
+// that measures the stripe lock under Gets starts it with -read-path
+// locked; the cell's read_path and optimistic_* fields say which path
+// served.
 //
 // With -fault, the spec is parsed here and armed on the server over the
 // FAULT verb on one timeline: the server runs the data-plane half (stalls

@@ -13,9 +13,9 @@ import (
 	"repro/wire"
 )
 
-func startServer(t *testing.T, backend string) *server.Server {
+func startServer(t *testing.T, backend, readPath string) *server.Server {
 	t.Helper()
-	srv, err := server.New(server.Config{Addr: "127.0.0.1:0", Stripes: 2, BackendSpec: backend})
+	srv, err := server.New(server.Config{Addr: "127.0.0.1:0", Stripes: 2, BackendSpec: backend, ReadPath: readPath})
 	if err == nil {
 		err = srv.Start()
 	}
@@ -65,7 +65,7 @@ func TestScanAccountingMatchesShardbench(t *testing.T) {
 		ScanFrac: 1, ScanSpan: 16, Deadline: time.Second, DeadlineFrac: 1, Classes: 1, Seed: 1,
 	}
 
-	ordered := startServer(t, "skiplist")
+	ordered := startServer(t, "skiplist", "")
 	for k := uint64(0); k < 512; k++ {
 		ordered.Map().Put(k, k)
 	}
@@ -86,7 +86,7 @@ func TestScanAccountingMatchesShardbench(t *testing.T) {
 		}
 	}
 
-	unordered := startServer(t, "hashmap")
+	unordered := startServer(t, "hashmap", "")
 	res = loadgen.Run(traffic, loadgen.WireDial(unordered.Addr()), nil)
 	if res.Rejected == 0 || res.Rejected != res.Issued || res.Scans+res.Ops+res.Attempts+res.Misses != 0 {
 		t.Fatalf("against an unordered backend every scan is rejected and nothing else: %+v", res)
@@ -99,7 +99,7 @@ func TestScanAccountingMatchesShardbench(t *testing.T) {
 // too and runs the harness half itself, on the timeline it arms the
 // server's half on.
 func TestHarnessFaultsRunInTheGenerator(t *testing.T) {
-	srv := startServer(t, "hashmap")
+	srv := startServer(t, "hashmap", "")
 	admin, err := wire.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -144,9 +144,10 @@ func TestHarnessFaultsRunInTheGenerator(t *testing.T) {
 // TestCellReportsTheRunsCounters: the counter columns of a remote cell
 // are the run's difference of the server's cumulative counters, like an
 // in-process cell's, and the lock events arrive at all (INFO used to
-// carry one of them).
+// carry one of them). The server takes the locked read path, so every op
+// is at least one lock acquisition.
 func TestCellReportsTheRunsCounters(t *testing.T) {
-	srv := startServer(t, "hashmap")
+	srv := startServer(t, "hashmap", "locked")
 	admin, err := wire.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +169,7 @@ func TestCellReportsTheRunsCounters(t *testing.T) {
 // included (the default is one). parseKV must keep it intact, and
 // shard.ParseCounters must read the counter lines around it.
 func TestServerInfoParses(t *testing.T) {
-	srv := startServer(t, "hashmap")
+	srv := startServer(t, "hashmap", "")
 	admin, err := wire.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)

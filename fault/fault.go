@@ -22,9 +22,11 @@
 // each to the faults that care. The hooks are consumed at two layers:
 //
 //   - InCS is the data-plane hook — shard.Map calls it inside a stripe's
-//     critical section on every point operation when an injector is
-//     installed (Map.SetInjector), so a stall lengthens the critical
-//     section exactly where the paper's convoy dynamics punish it.
+//     critical section on every point operation that takes the stripe
+//     lock when an injector is installed (Map.SetInjector), so a stall
+//     lengthens the critical section exactly where the paper's convoy
+//     dynamics punish it. A Get served lock-free has no critical section
+//     and never calls it.
 //   - Key and ExtraThreads are harness hooks — the load generator
 //     (internal/loadgen, from a locally parsed Set even when the map is
 //     behind shardd) reroutes keys through Key for skew storms and sizes

@@ -20,6 +20,11 @@
 // Validation failures are bounded: after Retries failed attempts the
 // reader falls back to the stripe lock, so a write storm degrades reads
 // to exactly the pre-optimistic behavior instead of livelocking them.
+//
+// The optimistic path is the default: the empty spec parses as
+// "optimistic", and "locked" is the explicit opt-out. A backend that
+// does not implement store.OptimisticReader keeps the locked path under
+// either spec.
 package optimistic
 
 import (
@@ -37,7 +42,7 @@ import (
 const DefaultRetries = 8
 
 // ReadPath is a parsed read-path spec: how a shard.Map serves Gets.
-// The zero value is the locked path.
+// The zero value is the locked path; the empty spec is not (see Parse).
 type ReadPath struct {
 	// Optimistic selects seqlock-validated lock-free Gets on backends
 	// that support them (store.OptimisticReader), with per-stripe
@@ -72,16 +77,21 @@ var readGrammar = spec.NewGrammar[func(*ReadPath)]("optimistic", map[string]spec
 	},
 })
 
-// Parse parses a read-path spec. The empty spec is the locked path, so
-// zero-valued configs keep today's behavior. Recognized names:
+// Parse parses a read-path spec. The empty spec is "optimistic" with
+// DefaultRetries, so zero-valued configs serve Gets lock-free wherever
+// the backend allows. Recognized names:
 //
-//	locked                   every Get acquires the stripe lock
 //	optimistic[?retries=N]   seqlock-validated lock-free Gets,
 //	                         N failed validations fall back to the lock
+//	locked                   every Get acquires the stripe lock
 func Parse(s string) (ReadPath, error) {
 	name, query, _ := strings.Cut(s, "?")
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", "locked":
+	name = strings.ToLower(strings.TrimSpace(name))
+	if name == "" && query == "" {
+		name = "optimistic"
+	}
+	switch name {
+	case "locked":
 		if query != "" {
 			return ReadPath{}, fmt.Errorf("optimistic: spec %q: the locked read path takes no parameters", s)
 		}
@@ -98,6 +108,6 @@ func Parse(s string) (ReadPath, error) {
 		return rp, nil
 	default:
 		return ReadPath{}, fmt.Errorf("optimistic: unknown read path %q in spec %q (known read paths: locked, optimistic)",
-			strings.TrimSpace(name), s)
+			name, s)
 	}
 }

@@ -7,7 +7,8 @@ func TestParseReadPath(t *testing.T) {
 		spec string
 		want ReadPath
 	}{
-		{"", ReadPath{}},
+		{"", ReadPath{Optimistic: true, Retries: DefaultRetries}},
+		{" ", ReadPath{Optimistic: true, Retries: DefaultRetries}},
 		{"locked", ReadPath{}},
 		{" Locked ", ReadPath{}},
 		{"optimistic", ReadPath{Optimistic: true, Retries: DefaultRetries}},
@@ -33,6 +34,7 @@ func TestParseReadPath(t *testing.T) {
 func TestParseReadPathErrors(t *testing.T) {
 	for _, spec := range []string{
 		"turbo",
+		"?retries=3",
 		"locked?retries=3",
 		"optimistic?retries=0",
 		"optimistic?retries=x",

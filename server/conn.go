@@ -25,21 +25,24 @@ const (
 // Deadline propagation happens here: the frame's remaining-budget field
 // is converted to an absolute deadline measured at frame receipt, so
 // time a request spends queued inside the server burns the same budget
-// time queued at a stripe lock does. The deadline travels in the
-// connection's one frameCtx, which costs a frame its clock reads and
-// nothing else unless a callee has to wait (see frameCtx). The loop owns
-// the time arithmetic and the admin verbs; the data-plane dispatch lives
-// in handleOp, which is lockcheck-annotated as critical-section-grade
-// code.
+// time queued at a stripe lock does. Receipt is the clock reading taken
+// when the socket read that completed the frame returned (receiptReader):
+// one reading per trip to the socket, shared by every frame that trip
+// delivered, not one per frame. The deadline travels in the connection's
+// one frameCtx, which costs a frame nothing more unless a callee has to
+// wait (see frameCtx). The loop owns the time arithmetic and the admin
+// verbs; the data-plane dispatch lives in handleOp, which is
+// lockcheck-annotated as critical-section-grade code.
 func (s *Server) serveConn(conn net.Conn) {
-	br := bufio.NewReaderSize(conn, connReadBuf)
+	rr := &receiptReader{conn: conn}
+	br := bufio.NewReaderSize(rr, connReadBuf)
 	bw := bufio.NewWriterSize(conn, connWriteBuf)
 	defer bw.Flush() // drain: responses already built always reach the socket
 
 	var hdr [wire.ReqHeaderSize]byte
 	fctx := new(frameCtx) // re-pointed at every deadlined frame
 	// The last frame that waited may have left the timer armed.
-	defer fctx.reset(nil, time.Time{})
+	defer fctx.reset(nil, time.Time{}, 0)
 	payload := make([]byte, 0, 4096)
 	resp := make([]byte, 0, 4096)
 	// One context per request class, built once so the per-frame path
@@ -85,14 +88,16 @@ func (s *Server) serveConn(conn net.Conn) {
 			if h.DeadlineMicros != 0 {
 				// wire.ExpiredBudget — the client's budget was gone before
 				// the frame was written — is a budget of zero: the deadline
-				// is the receipt time itself, so Err fails at once. The map
-				// still counts the attempt and the miss; the stripe lock
-				// still records the Cancel.
+				// is the receipt time itself, so Err fails at once. An op
+				// that reaches the stripe lock (a write, or a Get on the
+				// locked read path or a declining backend) counts the
+				// attempt and the miss, and the lock records the Cancel; a
+				// lock-free Get hit is served and counts the attempt only.
 				var budget time.Duration
 				if h.DeadlineMicros != wire.ExpiredBudget {
 					budget = time.Duration(h.DeadlineMicros) * time.Microsecond
 				}
-				fctx.reset(ctx, time.Now().Add(budget))
+				fctx.reset(ctx, rr.at, budget)
 				ctx = fctx
 			}
 			resp = s.handleOp(ctx, h.Op, p, resp)
@@ -118,6 +123,23 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		}
 	}
+}
+
+// receiptReader is the connection as the conn loop's bufio.Reader sees
+// it: each read from the socket that returns bytes reads the clock once,
+// and at is that reading — the receipt time of every frame the read
+// completed. Only the connection's goroutine touches it.
+type receiptReader struct {
+	conn net.Conn
+	at   time.Time
+}
+
+func (r *receiptReader) Read(p []byte) (int, error) {
+	n, err := r.conn.Read(p)
+	if n > 0 {
+		r.at = time.Now()
+	}
+	return n, err
 }
 
 // handleOp dispatches one data-plane frame against the map and appends

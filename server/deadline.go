@@ -10,10 +10,20 @@ import (
 // frameCtx is the one deadline context a connection re-points at each
 // deadlined frame (reset), instead of building a context.WithDeadline —
 // context, timer and cancel closure — per frame. A frame pays for what
-// its callees use: Deadline and Value are field reads, Err is one clock
-// comparison, and only the first Done of a frame — a callee about to
-// wait — makes the channel and arms the connection's one timer. A frame
-// served without waiting allocates nothing and touches no timer.
+// its callees use: Deadline and Value are field reads, Err compares the
+// deadline with the frame's receipt time (see below), and only the first
+// Done of a frame — a callee about to wait — makes the channel and arms
+// the connection's one timer. A frame served without waiting allocates
+// nothing, touches no timer and reads no clock.
+//
+// The receipt time is the conn loop's one clock reading per trip to the
+// socket, shared by every frame that trip delivered. Until a callee asks
+// for Done, Err measures the deadline against that reading: a frame that
+// arrived with budget left is live, and a frame that arrived expired
+// (wire.ExpiredBudget) fails at once. A frame whose callee never waits
+// therefore runs on the budget it arrived with, the way a lock handoff
+// that races a deadline wins. Once Done has been asked, Err and the
+// channel follow the clock.
 //
 // Within a frame it is a context.Context like any other, safe for use by
 // several goroutines. Across frames it is not: reset drops the channel
@@ -24,7 +34,8 @@ import (
 type frameCtx struct {
 	// Written by reset, read-only while a frame is being served.
 	parent   context.Context // the frame's classCtx entry: Value forwards here
-	deadline time.Time       // absolute, taken at frame receipt (monotonic)
+	receipt  time.Time       // the clock reading of the socket read that delivered the frame
+	deadline time.Time       // absolute: receipt plus the frame's budget (monotonic)
 
 	// asked is set by the frame's first Done: the one thing reset reads
 	// to learn, without the mutex, that there is nothing to undo.
@@ -61,7 +72,7 @@ func init() { close(closedChan) }
 // the unlocked write of deadline below: fire reads deadline only after
 // seeing done != nil under mu, and a frame with done != nil has asked set,
 // so the next write of deadline waits behind the locked section.
-func (c *frameCtx) reset(parent context.Context, deadline time.Time) {
+func (c *frameCtx) reset(parent context.Context, receipt time.Time, budget time.Duration) {
 	if c.asked.Load() {
 		c.mu.Lock()
 		if c.timer != nil {
@@ -71,7 +82,7 @@ func (c *frameCtx) reset(parent context.Context, deadline time.Time) {
 		c.mu.Unlock()
 		c.asked.Store(false)
 	}
-	c.parent, c.deadline = parent, deadline
+	c.parent, c.receipt, c.deadline = parent, receipt, receipt.Add(budget)
 }
 
 func (c *frameCtx) expired() bool { return !time.Now().Before(c.deadline) }
@@ -99,11 +110,17 @@ func (c *frameCtx) Deadline() (time.Time, bool) { return c.deadline, true }
 
 func (c *frameCtx) Value(key any) any { return c.parent.Value(key) }
 
-// Err is a clock comparison. Past the deadline it also closes a channel
-// already handed out, so Done is closed whenever Err is non-nil even if
-// the timer's goroutine has not run yet.
+// Err compares the deadline with the receipt time until Done has been
+// asked, and with the clock after that. Past the deadline it also closes
+// a channel already handed out, so Done is closed whenever Err is
+// non-nil even if the timer's goroutine has not run yet; and a channel
+// Done has closed was asked for, so Err reads the clock and is non-nil.
 func (c *frameCtx) Err() error {
-	if !c.expired() {
+	if c.asked.Load() {
+		if !c.expired() {
+			return nil
+		}
+	} else if c.receipt.Before(c.deadline) {
 		return nil
 	}
 	c.mu.Lock()

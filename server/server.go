@@ -63,9 +63,10 @@ type Config struct {
 	MetricsAddr string
 
 	// Stripes, LockSpec, BackendSpec, Seed, HistoryCap, ReadPath
-	// configure the served shard.Map (see shard.Config). ReadPath
-	// "optimistic" serves validated Gets without ever taking a stripe
-	// lock; empty keeps the locked default.
+	// configure the served shard.Map (see shard.Config). ReadPath empty
+	// or "optimistic" serves validated Gets without taking a stripe
+	// lock wherever the backend supports it; "locked" sends every Get
+	// through the stripe lock.
 	Stripes     int
 	LockSpec    string
 	BackendSpec string

@@ -200,9 +200,11 @@ func TestE2EBadFrame(t *testing.T) {
 // stalled stripe and checks the ledger: client-observed misses equal
 // the map's DeadlineMisses, land in the right class buckets, and every
 // miss reconciles to exactly one lock Cancels event — the shard layer's
-// invariant, now measured across a network hop.
+// invariant, now measured across a network hop. The Gets take the locked
+// path: on the default one they would be served lock-free past the
+// stalled writers and never queue.
 func TestE2EDeadlineStorm(t *testing.T) {
-	s := startServer(t, server.Config{Stripes: 1, LockSpec: "mcs-stp"})
+	s := startServer(t, server.Config{Stripes: 1, LockSpec: "mcs-stp", ReadPath: "locked"})
 	defer s.Drain()
 
 	// Stall every critical section long enough that a 1ms budget
@@ -418,9 +420,10 @@ func TestE2EPoolModel(t *testing.T) {
 
 // TestE2EMetricsEndpoint: the /metrics handler serves the sampler's
 // cache — per-stripe and per-class deadline counters included — without
-// touching the patient snapshot path.
+// touching the patient snapshot path. The Get takes the locked path, so
+// its expired budget is a miss rather than a lock-free hit.
 func TestE2EMetricsEndpoint(t *testing.T) {
-	s := startServer(t, server.Config{Stripes: 2, MetricsAddr: "127.0.0.1:0"})
+	s := startServer(t, server.Config{Stripes: 2, MetricsAddr: "127.0.0.1:0", ReadPath: "locked"})
 	defer s.Drain()
 	cl := dial(t, s)
 	for k := uint64(0); k < 32; k++ {

@@ -81,8 +81,10 @@ func (c *deadlineOnlyCtx) Done() <-chan struct{} {
 // TestClassMisses drives an already-expired context through each class
 // and checks the miss lands in the right bucket, with exactly one lock
 // Cancels event per miss (the wire layer's reconciliation invariant).
+// The Gets take the locked path: a lock-free hit serves even an expired
+// context (TestOptimisticGetAccounting).
 func TestClassMisses(t *testing.T) {
-	m := MustNew(Config{Stripes: 1, LockSpec: "mcs-stp"})
+	m := MustNew(Config{Stripes: 1, LockSpec: "mcs-stp", ReadPath: "locked"})
 	m.Put(1, 1)
 
 	missed := 0

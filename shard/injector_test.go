@@ -22,9 +22,11 @@ func (c *countingInjector) total() (n uint64) {
 
 // TestInjectorHook: an installed injector's InCS runs once per point
 // operation — plain and context forms — with the owning stripe's index;
-// removing it stops the calls; monitoring paths never inject.
+// removing it stops the calls; monitoring paths never inject. The Gets
+// take the locked path; a lock-free Get has no critical section to
+// inject into.
 func TestInjectorHook(t *testing.T) {
-	m := MustNew(Config{Stripes: 4})
+	m := MustNew(Config{Stripes: 4, ReadPath: "locked"})
 	inj := &countingInjector{calls: make([]atomic.Uint64, 4)}
 	m.SetInjector(inj)
 
@@ -62,6 +64,20 @@ func TestInjectorHook(t *testing.T) {
 	m.Put(key, 2)
 	if got := inj.total(); got != 6 {
 		t.Fatalf("removed injector still called: %d", got)
+	}
+
+	// On the default read path a hashmap Get is served lock-free, so it
+	// never calls InCS; the write beside it does.
+	def := MustNew(Config{Stripes: 4})
+	inj = &countingInjector{calls: make([]atomic.Uint64, 4)}
+	def.SetInjector(inj)
+	def.Put(key, 1)
+	def.Get(key)
+	if _, _, err := def.GetContext(ctx, key); err != nil {
+		t.Fatal(err)
+	}
+	if got := inj.total(); got != 1 {
+		t.Fatalf("default read path: InCS calls = %d, want 1 (the Put only)", got)
 	}
 }
 

@@ -18,8 +18,12 @@ func TestReadPathConfig(t *testing.T) {
 		t.Fatal("New accepted an unknown read path")
 	}
 	m := MustNew(Config{Stripes: 2})
+	if got := m.ReadPath(); got != "optimistic" {
+		t.Fatalf("default ReadPath() = %q, want optimistic", got)
+	}
+	m = MustNew(Config{Stripes: 2, ReadPath: "locked"})
 	if got := m.ReadPath(); got != "locked" {
-		t.Fatalf("default ReadPath() = %q, want locked", got)
+		t.Fatalf("ReadPath() = %q, want locked", got)
 	}
 	m = MustNew(Config{Stripes: 2, ReadPath: "optimistic?retries=4"})
 	if got := m.ReadPath(); got != "optimistic?retries=4" {
@@ -86,6 +90,21 @@ func TestOptimisticGetAccounting(t *testing.T) {
 	}
 	if delta.DeadlineAttempts != 100 || delta.DeadlineMisses != 0 {
 		t.Fatalf("GetContext interval: attempts=%d misses=%d", delta.DeadlineAttempts, delta.DeadlineMisses)
+	}
+
+	// A context that has already ended does not stop a lock-free hit: the
+	// hit wins (GetContext's doc), counts one attempt and no miss, and
+	// the lock, never asked, records no Cancel.
+	ended, end := context.WithCancel(context.Background())
+	end()
+	base = m.Snapshot()
+	if v, ok, err := m.GetContext(ended, 7); err != nil || !ok || v != 21 {
+		t.Fatalf("GetContext(ended, 7) = %d, %v, %v; want 21, true, nil", v, ok, err)
+	}
+	delta = m.Snapshot().Sub(base)
+	if delta.OptimisticHits != 1 || delta.DeadlineAttempts != 1 || delta.DeadlineMisses != 0 || delta.Lock.Cancels != 0 {
+		t.Fatalf("ended-context hit: hits=%d attempts=%d misses=%d cancels=%d; want 1, 1, 0, 0",
+			delta.OptimisticHits, delta.DeadlineAttempts, delta.DeadlineMisses, delta.Lock.Cancels)
 	}
 }
 

@@ -41,23 +41,28 @@
 // without touching the table. Once the stripe lock is held the operation
 // itself is bounded (a few probes), so time-to-stripe is the deadline
 // semantics that matters; a handoff that races the cancellation wins,
-// exactly as documented for ContextMutex.
+// exactly as documented for ContextMutex. A Get served lock-free (below)
+// never queues, so it completes whatever its context says: the
+// completed read wins the way a handoff does.
 //
 // # Reading without locks
 //
-// Config.ReadPath selects how Gets are served. The default ("locked")
-// acquires the stripe lock like every other operation. "optimistic"
-// serves Gets with no lock at all on backends that support it
-// (store.OptimisticReader — the hashmap backend): the stripe's write
-// path brackets every mutation with a seqlock stamp (optimistic.Seq)
-// beside the table, and a reader snapshots the stamp, probes the table
-// with torn-read-safe atomic loads, and revalidates. An unchanged stamp
-// proves no writer overlapped, making the read linearizable; a changed
-// stamp retries, and after Config's retry budget the reader falls back
-// to the stripe lock — so a write storm degrades reads to exactly the
-// locked path's behavior instead of livelocking them. Per-stripe
-// hit/retry/fallback counters land in StripeSnapshot. See DESIGN.md §12
-// for the full protocol.
+// Config.ReadPath selects how Gets are served. The default
+// ("optimistic") serves Gets with no lock at all on backends that
+// support it (store.OptimisticReader — the hashmap backend): the
+// stripe's write path brackets every mutation with a seqlock stamp
+// (optimistic.Seq) beside the table, and a reader snapshots the stamp,
+// probes the table with torn-read-safe atomic loads, and revalidates. An
+// unchanged stamp proves no writer overlapped, making the read
+// linearizable; a changed stamp retries, and after Config's retry budget
+// the reader falls back to the stripe lock — so a write storm degrades
+// reads to exactly the locked path's behavior instead of livelocking
+// them. Per-stripe hit/retry/fallback counters land in StripeSnapshot.
+// A backend that declines the interface (skiplist, rbtree) serves every
+// Get under the stripe lock, and "locked" asks for that on every
+// backend. A lock-free hit is not an admission: it leaves no admission
+// history and never runs the Injector. See DESIGN.md §12 for the full
+// protocol.
 //
 // # Observability
 //
@@ -149,7 +154,9 @@ type Config struct {
 	// capacity is preallocated per stripe (8 bytes per admission), so
 	// recording never reallocates inside the critical section — size it
 	// with Stripes in mind. 0 disables recording and Snapshot's fairness
-	// summaries come back empty.
+	// summaries come back empty. Only operations that take the stripe
+	// lock are admissions: on the default read path a Get served
+	// lock-free records nothing (see ReadPath).
 	HistoryCap int
 
 	// HistoryWindow is the LWSS window for Snapshot's per-stripe
@@ -157,19 +164,21 @@ type Config struct {
 	HistoryWindow int
 
 	// ReadPath selects how Gets are served (see optimistic.Parse).
-	// Empty or "locked" is the classic path: every Get acquires the
-	// stripe lock. "optimistic" (optionally "optimistic?retries=N")
-	// serves Gets lock-free via seqlock validation on stripes whose
-	// backend implements store.OptimisticReader, falling back to the
-	// lock after N failed validations (default
-	// optimistic.DefaultRetries). Stripes whose backend declines the
-	// interface keep the locked path even under "optimistic".
+	// Empty or "optimistic" (optionally "optimistic?retries=N") serves
+	// Gets lock-free via seqlock validation on stripes whose backend
+	// implements store.OptimisticReader, falling back to the lock after
+	// N failed validations (default optimistic.DefaultRetries). Stripes
+	// whose backend declines the interface keep the locked path. "locked"
+	// is the opt-out: every Get acquires the stripe lock, on every
+	// backend.
 	//
-	// Two accounting consequences of a lock-free hit: the Get leaves no
-	// admission history (WithClientID records inside the critical
-	// section the optimistic path exists to skip), and a hit races a
-	// concurrent deadline expiry the way a lock handoff does — the
-	// completed read wins and the budgeted attempt counts no miss.
+	// Three consequences of a lock-free hit: the Get leaves no admission
+	// history (WithClientID records inside the critical section the
+	// optimistic path exists to skip), so HistoryCap's LWSS counts writes
+	// and fallbacks only; the Injector's InCS does not run for it; and a
+	// hit races a concurrent deadline expiry the way a lock handoff does
+	// — the completed read wins, even over a context that had already
+	// ended, and the budgeted attempt counts no miss.
 	ReadPath string
 }
 
@@ -250,8 +259,9 @@ func (s *stripe) lock(ctx context.Context) error {
 }
 
 // Injector is the data-plane fault hook (see the fault package). When
-// one is installed with SetInjector, every point operation calls InCS
-// with the owning stripe's index while holding that stripe's lock — so
+// one is installed with SetInjector, every point operation that takes
+// the stripe lock (every write, and every Get not served lock-free)
+// calls InCS with the owning stripe's index while holding that lock — so
 // an injected stall lengthens the critical section exactly where the
 // paper's convoy dynamics punish it. InCS must be safe for concurrent
 // use and should be cheap when no fault is active: it runs under the
@@ -399,7 +409,8 @@ func MustNew(cfg Config) *Map {
 }
 
 // SetInjector installs (or, with nil, removes) the fault injector whose
-// InCS hook runs inside every point operation's critical section. The
+// InCS hook runs inside every locked point operation's critical section
+// (see Injector). The
 // swap is atomic with respect to in-flight operations: each op reads the
 // injector once. With none installed the hook costs a single atomic nil
 // check per operation.
@@ -434,7 +445,8 @@ type clientIDKey struct{}
 // operations on a history-recording Map (Config.HistoryCap > 0) record
 // the id into the owning stripe's admission history, which is what feeds
 // Snapshot's per-stripe LWSS/Gini. Operations without an id (or any id on
-// a non-recording Map) are served identically but leave no history.
+// a non-recording Map) are served identically but leave no history, and
+// so does a Get served lock-free (Config.ReadPath).
 func WithClientID(ctx context.Context, id int) context.Context {
 	return context.WithValue(ctx, clientIDKey{}, id)
 }

@@ -116,8 +116,10 @@ func TestRangeReentrant(t *testing.T) {
 	}
 }
 
+// TestContextOpsPlumbing takes the locked read path: its Get is one of
+// the admissions it counts, and a done context fails that Get fast.
 func TestContextOpsPlumbing(t *testing.T) {
-	m := MustNew(Config{Stripes: 4, LockSpec: "mcscr-stp", HistoryCap: 100})
+	m := MustNew(Config{Stripes: 4, LockSpec: "mcscr-stp", HistoryCap: 100, ReadPath: "locked"})
 	ctx := WithClientID(context.Background(), 3)
 	if fresh, err := m.PutContext(ctx, 1, 10); err != nil || !fresh {
 		t.Fatalf("PutContext=%v,%v", fresh, err)
@@ -319,13 +321,14 @@ func TestConcurrentStress(t *testing.T) {
 // TestDeadlineStormCancels reconciles the error returns seen by callers
 // against the stripes' Cancels counters under a storm of expired and
 // near-expired deadlines: the lock contract is exactly one Cancels per
-// error return, and the shard layer must not add or lose any.
+// error return, and the shard layer must not add or lose any. The Gets
+// take the locked path, so every op reaches the lock.
 func TestDeadlineStormCancels(t *testing.T) {
 	for _, spec := range []string{"mcs-stp", "mcscr-stp"} {
 		t.Run(spec, func(t *testing.T) {
 			// One stripe concentrates the contention so short deadlines
 			// really expire in the queue.
-			m := MustNew(Config{Stripes: 1, LockSpec: spec, HistoryCap: 1 << 16})
+			m := MustNew(Config{Stripes: 1, LockSpec: spec, HistoryCap: 1 << 16, ReadPath: "locked"})
 			const goroutines, iters = 8, 300
 			var errs, succ atomic.Int64
 			var wg sync.WaitGroup

@@ -83,10 +83,13 @@ const (
 // ExpiredBudget is the deadline-field sentinel for a budget that was
 // already exhausted when the client wrote the frame. 0 means patient,
 // so expiry needs its own encoding: the server must still route the
-// request down the deadline path — the stripe counts the attempt and
-// the miss, the lock records a Cancel — but against a context expired
-// deterministically at construction, not one racing a microsecond
-// timer the uncontended fast path can outrun. The value it shadows (a
+// request down the deadline path, but against a context expired
+// deterministically at receipt, not one racing a microsecond timer the
+// uncontended fast path can outrun. An op that reaches the stripe lock
+// — a write, or a Get on the locked read path or a backend without
+// lock-free reads — fails: the stripe counts the attempt and the miss,
+// the lock records a Cancel. A lock-free Get hit (the default read path
+// on hashmap) is served: the stripe counts the attempt only. The value it shadows (a
 // real budget of 2^32-1 µs, ~71.6 minutes) is patient in practice and
 // encodes as 0.
 const ExpiredBudget = 1<<32 - 1
