@@ -89,19 +89,29 @@ func (s *Stats) Stripes() int {
 	return len(s.stripes)
 }
 
-// stripeFor picks the caller's stripe. Goroutine stacks are distinct
-// allocations at least 2 KiB apart, so the address of a stack variable,
-// coarsened to 1 KiB granularity and mixed by a Fibonacci hash, is a cheap
-// per-goroutine identifier — no atomics, no TLS, no runtime hooks. Stripe
-// choice only spreads contention; correctness never depends on stability.
+// stripeFor picks the caller's stripe (see Slot).
 func (s *Stats) stripeFor() *stripe {
-	if s.mask == 0 {
-		// Single stripe (single-CPU host): skip the hash entirely.
-		return &s.stripes[0]
+	return &s.stripes[Slot(s.mask)]
+}
+
+// Slot picks the calling goroutine's slot in a power-of-two array of
+// mask+1 slots: the one picker behind every per-goroutine counter array
+// (the lock stats stripes, the optimistic pin slots, the shard
+// counters). Goroutine stacks are distinct allocations at least 2 KiB
+// apart, so the address of a stack variable, coarsened to 1 KiB
+// granularity and mixed by a Fibonacci hash, is a cheap per-goroutine
+// identifier — no atomics, no TLS, no runtime hooks. Slot choice only
+// spreads contention; correctness never depends on stability.
+//
+//lockcheck:optimistic
+func Slot(mask uint32) int {
+	if mask == 0 {
+		// Single slot (single-CPU host): skip the hash entirely.
+		return 0
 	}
 	var probe byte
 	h := uint32(uintptr(unsafe.Pointer(&probe))>>10) * 0x9E3779B1
-	return &s.stripes[(h>>16)&s.mask]
+	return int((h >> 16) & mask)
 }
 
 // Inc adds one to event e. Nil-safe; the nil fast path is a single

@@ -12,9 +12,18 @@ package hashmap
 
 import "sync/atomic"
 
-// slotBytes is the footprint of one slot (key + value) as reported to
-// Touch.
+// slotBytes is the footprint of one slot (key + value): the stride of
+// the real slot array and the offset unit reported to Touch, so the
+// simulator's cache model charges exactly the lines a probe reads.
 const slotBytes = 16
+
+// slot is one key and its value, side by side: a probe that matches a
+// key finds the value on the same cache line (a 16 B slot never
+// straddles one in a line-aligned array).
+type slot struct {
+	key uint64 // 0 = empty slot
+	val uint64
+}
 
 // Map is a linear-probing hash table with tombstone-free deletion
 // (backward-shift), over the full uint64 key domain: key 0 is held
@@ -23,7 +32,7 @@ const slotBytes = 16
 // Map is not safe for general concurrent use: the caller's lock — in the
 // sharded store, the stripe's registry-built lock — provides mutual
 // exclusion between mutators. What Map does support, beyond the locked
-// contract, is *torn-read-safe* concurrent readers: the slot arrays live
+// contract, is *torn-read-safe* concurrent readers: the slot array lives
 // behind an atomically published table pointer and every slot that a
 // concurrent reader may observe is accessed with atomic loads and
 // stores. GetOptimistic may therefore run with no lock at all,
@@ -54,13 +63,12 @@ type Map struct {
 	Touch func(off uint64)
 }
 
-// table is one immutable-shape slot array generation: the arrays and mask
+// table is one immutable-shape slot array generation: the array and mask
 // never change after publication (grow publishes a new table), only the
 // slot contents do, and those only via atomic stores.
 type table struct {
-	keys []uint64 // 0 = empty slot
-	vals []uint64
-	mask uint64
+	slots []slot
+	mask  uint64
 }
 
 // New returns a map pre-sized for capacity elements (rounded up to a
@@ -71,11 +79,7 @@ func New(capacity int) *Map {
 		n *= 2
 	}
 	m := &Map{}
-	m.tab.Store(&table{
-		keys: make([]uint64, n),
-		vals: make([]uint64, n),
-		mask: uint64(n - 1),
-	})
+	m.tab.Store(&table{slots: make([]slot, n), mask: uint64(n - 1)})
 	return m
 }
 
@@ -102,7 +106,7 @@ func (m *Map) Len() int {
 }
 
 // Slots returns the table's slot count.
-func (m *Map) Slots() int { return len(m.tab.Load().keys) }
+func (m *Map) Slots() int { return len(m.tab.Load().slots) }
 
 func (m *Map) touch(slot uint64) {
 	if m.Touch != nil {
@@ -127,16 +131,17 @@ func (m *Map) Get(key uint64) (uint64, bool) {
 		return m.zero()
 	}
 	t := m.tab.Load()
-	slot := Mix(key) & t.mask
+	i := Mix(key) & t.mask
 	for {
-		m.touch(slot)
-		switch t.keys[slot] {
+		m.touch(i)
+		s := &t.slots[i]
+		switch atomic.LoadUint64(&s.key) {
 		case 0:
 			return 0, false
 		case key:
-			return t.vals[slot], true
+			return atomic.LoadUint64(&s.val), true
 		}
-		slot = (slot + 1) & t.mask
+		i = (i + 1) & t.mask
 	}
 }
 
@@ -156,15 +161,16 @@ func (m *Map) GetOptimistic(key uint64) (uint64, bool) {
 		return m.zero()
 	}
 	t := m.tab.Load()
-	slot := Mix(key) & t.mask
-	for range t.keys {
-		switch atomic.LoadUint64(&t.keys[slot]) {
+	i := Mix(key) & t.mask
+	for range t.slots {
+		s := &t.slots[i]
+		switch atomic.LoadUint64(&s.key) {
 		case 0:
 			return 0, false
 		case key:
-			return atomic.LoadUint64(&t.vals[slot]), true
+			return atomic.LoadUint64(&s.val), true
 		}
-		slot = (slot + 1) & t.mask
+		i = (i + 1) & t.mask
 	}
 	return 0, false
 }
@@ -180,26 +186,27 @@ func (m *Map) Put(key, val uint64) bool {
 		return fresh
 	}
 	t := m.tab.Load()
-	if m.size*4 >= len(t.keys)*3 {
+	if m.size*4 >= len(t.slots)*3 {
 		t = m.grow(t)
 	}
-	slot := Mix(key) & t.mask
+	i := Mix(key) & t.mask
 	for {
-		m.touch(slot)
-		switch atomic.LoadUint64(&t.keys[slot]) {
+		m.touch(i)
+		s := &t.slots[i]
+		switch atomic.LoadUint64(&s.key) {
 		case 0:
 			// Value before key: a concurrent reader that matches the
 			// key loads the value the key was inserted with, never the
 			// slot's stale residue.
-			atomic.StoreUint64(&t.vals[slot], val)
-			atomic.StoreUint64(&t.keys[slot], key)
+			atomic.StoreUint64(&s.val, val)
+			atomic.StoreUint64(&s.key, key)
 			m.size++
 			return true
 		case key:
-			atomic.StoreUint64(&t.vals[slot], val)
+			atomic.StoreUint64(&s.val, val)
 			return false
 		}
-		slot = (slot + 1) & t.mask
+		i = (i + 1) & t.mask
 	}
 }
 
@@ -212,18 +219,18 @@ func (m *Map) Delete(key uint64) bool {
 		return present
 	}
 	t := m.tab.Load()
-	slot := Mix(key) & t.mask
+	i := Mix(key) & t.mask
 	for {
-		m.touch(slot)
-		switch atomic.LoadUint64(&t.keys[slot]) {
+		m.touch(i)
+		switch atomic.LoadUint64(&t.slots[i].key) {
 		case 0:
 			return false
 		case key:
-			m.backshift(t, slot)
+			m.backshift(t, i)
 			m.size--
 			return true
 		}
-		slot = (slot + 1) & t.mask
+		i = (i + 1) & t.mask
 	}
 }
 
@@ -235,12 +242,14 @@ func (m *Map) Range(fn func(key, val uint64) bool) {
 		return
 	}
 	t := m.tab.Load()
-	for slot, k := range t.keys {
-		m.touch(uint64(slot))
+	for i := range t.slots {
+		m.touch(uint64(i))
+		s := &t.slots[i]
+		k := atomic.LoadUint64(&s.key)
 		if k == 0 {
 			continue
 		}
-		if !fn(k, t.vals[slot]) {
+		if !fn(k, atomic.LoadUint64(&s.val)) {
 			return
 		}
 	}
@@ -248,11 +257,11 @@ func (m *Map) Range(fn func(key, val uint64) bool) {
 
 func (m *Map) backshift(t *table, hole uint64) {
 	for {
-		atomic.StoreUint64(&t.keys[hole], 0)
+		atomic.StoreUint64(&t.slots[hole].key, 0)
 		next := (hole + 1) & t.mask
 		for {
 			m.touch(next)
-			k := t.keys[next]
+			k := atomic.LoadUint64(&t.slots[next].key)
 			if k == 0 {
 				return
 			}
@@ -265,8 +274,8 @@ func (m *Map) backshift(t *table, hole uint64) {
 				// probe may see the moving key at zero, one, or both
 				// positions — torn, but never outside the table's
 				// value history for that key.
-				atomic.StoreUint64(&t.vals[hole], t.vals[next])
-				atomic.StoreUint64(&t.keys[hole], k)
+				atomic.StoreUint64(&t.slots[hole].val, atomic.LoadUint64(&t.slots[next].val))
+				atomic.StoreUint64(&t.slots[hole].key, k)
 				hole = next
 				break
 			}
@@ -287,23 +296,19 @@ func inCycle(home, hole, cur uint64) bool {
 // grow builds a doubled table with plain stores (unpublished memory) and
 // atomically publishes it. Concurrent readers that loaded the old table
 // keep probing a frozen generation — the mutator never writes the old
-// arrays again — and readers that load the new pointer see fully
-// initialized arrays via the publication ordering.
+// array again — and readers that load the new pointer see fully
+// initialized slots via the publication ordering.
 func (m *Map) grow(t *table) *table {
-	n := len(t.keys) * 2
-	nt := &table{
-		keys: make([]uint64, n),
-		vals: make([]uint64, n),
-		mask: uint64(n - 1),
-	}
-	for i, k := range t.keys {
-		if k != 0 {
-			slot := Mix(k) & nt.mask
-			for nt.keys[slot] != 0 {
-				slot = (slot + 1) & nt.mask
+	n := len(t.slots) * 2
+	nt := &table{slots: make([]slot, n), mask: uint64(n - 1)}
+	for i := range t.slots {
+		s := &t.slots[i]
+		if k := atomic.LoadUint64(&s.key); k != 0 {
+			j := Mix(k) & nt.mask
+			for atomic.LoadUint64(&nt.slots[j].key) != 0 {
+				j = (j + 1) & nt.mask
 			}
-			nt.keys[slot] = k
-			nt.vals[slot] = t.vals[i]
+			nt.slots[j] = slot{key: k, val: atomic.LoadUint64(&s.val)}
 		}
 	}
 	m.tab.Store(nt)

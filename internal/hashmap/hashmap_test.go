@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/xrand"
 )
@@ -404,5 +405,20 @@ func TestHookedMatchesUnhooked(t *testing.T) {
 	}
 	if len(offs) != hooked.Slots() {
 		t.Fatalf("Range reported %d slots of %d", len(offs), hooked.Slots())
+	}
+}
+
+// TestSlotLayout pins the real slot to the footprint the Touch hook
+// reports: one 16 B slot with the key in its first word and the value
+// in its second, so the simulator's cache model charges exactly the
+// line a probe of the real table reads.
+func TestSlotLayout(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got != slotBytes {
+		t.Fatalf("unsafe.Sizeof(slot{}) = %d, want slotBytes = %d", got, slotBytes)
+	}
+	s := slot{key: 1, val: 2}
+	words := (*[2]uint64)(unsafe.Pointer(&s))
+	if words[0] != 1 || words[1] != 2 {
+		t.Fatalf("slot{key: 1, val: 2} is laid out as %v, want [1 2] (key at offset 0)", *words)
 	}
 }

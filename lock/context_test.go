@@ -376,13 +376,54 @@ func TestLockContextDeadline(t *testing.T) {
 // A, then B and C; the holder's unlock culls A (it has two successors)
 // and grants B. A is cancelled while B holds, so nothing can grant it.
 func TestMCSCRCancelOnPassiveList(t *testing.T) {
+	cancelOnPassiveList(t, false)
+}
+
+// TestMCSCRCancelOnPassiveListPinned repeats that script on kernel
+// threads for a few hundred milliseconds: the holder and A, B and C
+// each locked to their own OS thread, GOMAXPROCS equal to those four,
+// so each park is a futex sleep and the cull, the cancel and the pops
+// race across thread wakeups. Every round's Cancels must reconcile
+// exactly with the one error A returns.
+func TestMCSCRCancelOnPassiveListPinned(t *testing.T) {
+	const workers = 4 // the holder, A, B and C
+	prev := runtime.GOMAXPROCS(workers)
+	defer runtime.GOMAXPROCS(prev)
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	rounds := 0
+	for start := time.Now(); rounds < 20 || time.Since(start) < 200*time.Millisecond; rounds++ {
+		cancelOnPassiveList(t, true)
+		if t.Failed() {
+			break
+		}
+	}
+	t.Logf("%d pinned rounds", rounds)
+}
+
+// spawn starts f on a new goroutine, locked to its own OS thread when
+// pinned.
+func spawn(pinned bool, f func()) {
+	go func() {
+		if pinned {
+			runtime.LockOSThread()
+			defer runtime.UnlockOSThread()
+		}
+		f()
+	}()
+}
+
+// cancelOnPassiveList is one run of TestMCSCRCancelOnPassiveList's
+// script on a fresh lock, its waiters pinned to OS threads or not.
+func cancelOnPassiveList(t *testing.T, pinned bool) {
+	t.Helper()
 	m := MustNew("mcscr-stp?seed=5&fairness=0").(*MCSCR)
 	deadline := time.Now().Add(30 * time.Second)
 	// enqueue starts f and waits until its acquisition has linked its node
 	// behind the current tail: the cull reads those links.
 	enqueue := func(f func()) {
 		tail := m.tail.Load()
-		go f()
+		spawn(pinned, f)
 		if !waitUntil(deadline, func() bool { return tail.next.Load() != nil }) {
 			t.Fatal("waiter never enqueued")
 		}

@@ -3,11 +3,13 @@ package lock
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -213,4 +215,152 @@ func TestHandoffPastAbandonedWaiter(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCancelHandoffPinned is the handoff grants above on kernel threads,
+// with the grant and the cancel racing: the holder A, a waiter B under
+// a context and a plain waiter C, each locked to its own OS thread with
+// GOMAXPROCS equal to those three, so each park is a futex sleep and a
+// wakeup takes a thread switch. Per round, once B and then C have
+// parked, A cancels B's context and unlocks — in either order, a random
+// spin apart — so B's abandon races A's grant across the widest window
+// the lock ever sees. B may win the lock or return context.Canceled;
+// either way C is granted, and over a few hundred milliseconds of
+// rounds the lock's Cancels must equal B's errors exactly, its Acquires
+// every granted acquisition, and its Abandons stay within its Cancels.
+func TestCancelHandoffPinned(t *testing.T) {
+	const workers = 3 // A, B and C
+	prev := runtime.GOMAXPROCS(workers)
+	defer runtime.GOMAXPROCS(prev)
+	runtime.LockOSThread() // the test goroutine is A
+	defer runtime.UnlockOSThread()
+	for _, name := range stpLocks() {
+		t.Run(name, func(t *testing.T) {
+			m := MustNew(handoffSpec(name)).(ContextMutex)
+			stats := m.(Instrumented).Stats
+			var (
+				inside, maxInside atomic.Int32
+				granted, cancels  uint64
+			)
+			cs := func() {
+				if v := inside.Add(1); v > maxInside.Load() {
+					maxInside.Store(v)
+				}
+				inside.Add(-1)
+			}
+			// arrive starts f on a pinned thread and waits until m shows a
+			// new waiter parked.
+			arrive := func(f func()) {
+				parks := stats().Parks
+				before, _ := newestWaiter(m, parks)
+				spawn(true, f)
+				deadline := time.Now().Add(30 * time.Second)
+				if !waitUntil(deadline, func() bool {
+					n, parked := newestWaiter(m, parks)
+					return n != before && parked
+				}) {
+					panic("waiter never parked") // a Fatal would leave A holding the lock for the parked waiters
+				}
+			}
+			rng := uint64(0x9e3779b97f4a7c15)
+			rounds := 0
+			for start := time.Now(); rounds < 20 || time.Since(start) < 75*time.Millisecond; rounds++ {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				ctx, cancel := context.WithCancel(context.Background())
+				errc := make(chan error, 1)
+				done := make(chan struct{})
+				m.Lock()
+				cs()
+				granted++
+				arrive(func() {
+					err := m.LockContext(ctx)
+					if err == nil {
+						cs()
+						m.Unlock()
+					}
+					errc <- err
+				})
+				arrive(func() {
+					m.Lock()
+					cs()
+					m.Unlock()
+					close(done)
+				})
+				// Up to ~50 µs apart: longer than a pinned waiter takes to
+				// wake, so either side can win.
+				spin := int(rng>>1) % (1 << 17)
+				if rng&1 == 0 {
+					cancel()
+					benchSpin(spin)
+					m.Unlock()
+				} else {
+					m.Unlock()
+					benchSpin(spin)
+					cancel()
+				}
+				var err error
+				runWithTimeout(t, 30*time.Second, func() {
+					err = <-errc
+					<-done
+				})
+				switch {
+				case err == nil:
+					granted++
+				case errors.Is(err, context.Canceled):
+					cancels++
+				default:
+					t.Fatalf("round %d: B's LockContext = %v", rounds, err)
+				}
+				granted++ // C
+			}
+			s := stats()
+			if s.Cancels != cancels {
+				t.Errorf("Cancels %d does not reconcile with %d returned errors", s.Cancels, cancels)
+			}
+			if s.Acquires != granted {
+				t.Errorf("Acquires %d, want %d granted acquisitions", s.Acquires, granted)
+			}
+			if s.Abandons > s.Cancels {
+				t.Errorf("Abandons %d exceeds Cancels %d", s.Abandons, s.Cancels)
+			}
+			if maxInside.Load() != 1 {
+				t.Errorf("critical section occupancy reached %d", maxInside.Load())
+			}
+			runWithTimeout(t, 30*time.Second, func() {
+				m.Lock()
+				m.Unlock()
+			})
+			t.Logf("%d pinned rounds: B granted %d, cancelled %d", rounds, uint64(rounds)-cancels, cancels)
+		})
+	}
+}
+
+// newestWaiter returns the record of the newest waiter queued on queue
+// lock m, and whether that waiter has parked. A LOITER's first slow-path
+// waiter takes the inner lock and parks as the standby, on a parker of
+// its own with no state to read, so it counts as parked once m's Parks
+// has passed parks (a standby counts its Park just before it parks); the
+// waiters behind it park in the inner queue.
+func newestWaiter(m Mutex, parks uint64) (any, bool) {
+	parked := func(w *waitCell) bool { return w.state.Load() == stateParked }
+	switch l := m.(type) {
+	case *MCS:
+		n := l.tail.Load()
+		return n, n != nil && parked(&n.waitCell)
+	case *MCSCR:
+		n := l.tail.Load()
+		return n, n != nil && parked(&n.waitCell)
+	case *LIFOCR:
+		n := l.top.Load()
+		return n, n != nil && n != &l.lockedEmpty && parked(&n.waitCell)
+	case *LOITER:
+		if n := l.inner.tail.Load(); n != nil && parked(&n.waitCell) {
+			return n, true
+		}
+		sb := l.standby.Load()
+		return sb, sb != nil && l.Stats().Parks > parks
+	}
+	panic(fmt.Sprintf("no waiter record for %T", m))
 }

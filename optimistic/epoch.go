@@ -9,7 +9,6 @@ package optimistic
 
 import (
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/core"
 )
@@ -56,18 +55,12 @@ type Handle struct {
 	phase uint32
 }
 
-// slotFor picks the caller's slot by the same per-goroutine stack-address
-// hash the striped lock stats use: no TLS, no atomics, stability only
-// affects spreading, never correctness.
+// slotFor picks the caller's slot by core.Slot, the per-goroutine
+// stack-address hash the striped lock stats use.
 //
 //lockcheck:optimistic
 func (e *Epoch) slotFor() *epochSlot {
-	if e.mask == 0 {
-		return &e.slots[0]
-	}
-	var probe byte
-	h := uint32(uintptr(unsafe.Pointer(&probe))>>10) * 0x9E3779B1
-	return &e.slots[(h>>16)&e.mask]
+	return &e.slots[core.Slot(e.mask)]
 }
 
 // Pin counts the caller into its slot. Wait-free — two atomic

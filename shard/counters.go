@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/lock"
 )
 
 // Counters is the set of monotonic counters a stripe keeps and the map
@@ -46,19 +47,26 @@ type Counters struct {
 	Lock core.Snapshot
 }
 
-// load reads the stripe's counters, its lock's included.
+// load reads the stripe's counters, its lock's included: the sum of its
+// counter slots (see counterSlot).
 func (s *stripe) load() Counters {
-	c := Counters{
-		OptimisticHits:      s.optHits.Load(),
-		OptimisticRetries:   s.optRetries.Load(),
-		OptimisticFallbacks: s.optFallbacks.Load(),
+	var c Counters
+	if st, ok := s.mu.(lock.Instrumented); ok {
+		c.Lock = st.Stats()
 	}
-	if s.stats != nil {
-		c.Lock = s.stats.Stats()
+	for i := range s.ctr {
+		sl := &s.ctr[i]
+		c.OptimisticHits += sl.hits[0].Load()
+		for k := 0; k < NumClasses; k++ {
+			hits := sl.hits[1+k].Load()
+			c.OptimisticHits += hits
+			c.ClassDeadlineAttempts[k] += sl.attempts[k].Load() + hits
+			c.ClassDeadlineMisses[k] += sl.misses[k].Load()
+		}
+		c.OptimisticRetries += sl.retries.Load()
+		c.OptimisticFallbacks += sl.fallbacks.Load()
 	}
 	for k := 0; k < NumClasses; k++ {
-		c.ClassDeadlineAttempts[k] = s.deadlineAttempts[k].Load()
-		c.ClassDeadlineMisses[k] = s.deadlineMisses[k].Load()
 		c.DeadlineAttempts += c.ClassDeadlineAttempts[k]
 		c.DeadlineMisses += c.ClassDeadlineMisses[k]
 	}

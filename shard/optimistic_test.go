@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -163,16 +164,16 @@ func TestOptimisticFallbackUnderStall(t *testing.T) {
 		}
 	}()
 
-	// Poll the stripe counter directly — a Snapshot would itself queue
-	// behind the stalling writer.
-	fallbacks := &m.stripes[0].optFallbacks
+	// Poll the stripe's counters directly — a Snapshot would itself
+	// queue behind the stalling writer.
+	fallbacks := func() uint64 { return m.stripes[0].load().OptimisticFallbacks }
 	deadline := time.Now().Add(5 * time.Second)
-	for fallbacks.Load() == 0 {
+	for fallbacks() == 0 {
 		if time.Now().After(deadline) {
 			t.Error("no fallback observed under a p=1 stall within 5s")
 			break
 		}
-		for i := 0; i < 10 && fallbacks.Load() == 0; i++ {
+		for i := 0; i < 10 && fallbacks() == 0; i++ {
 			m.Get(uint64(i % 128))
 		}
 	}
@@ -362,4 +363,115 @@ func TestOptimisticCounterPlumbing(t *testing.T) {
 	if delta.OptimisticHits != 50 || delta.Stripes[0].OptimisticHits != 50 {
 		t.Fatalf("delta hits = %d / stripe %d, want 50", delta.OptimisticHits, delta.Stripes[0].OptimisticHits)
 	}
+}
+
+// TestOptimisticCountersConcurrent: the per-goroutine counter slots
+// keep every counter exact under concurrency. Readers on many
+// goroutines issue plain Gets, unbudgeted GetContexts and budgeted
+// GetContexts of every class while a writer's budgeted and plain Puts
+// push some of them through retries and the locked fallback. Every Get
+// is then exactly one hit or one fallback, every class's attempts are
+// exactly the budgeted ops of that class, whichever path served them,
+// and every lock acquisition is a write, a fallback or the closing
+// snapshot's visit.
+func TestOptimisticCountersConcurrent(t *testing.T) {
+	const (
+		stripes = 16
+		keys    = 4096
+	)
+	const perReader = 2000
+	readers := 2 * runtime.GOMAXPROCS(0)
+	m := MustNew(Config{Stripes: stripes, LockSpec: "mcs-stp", ReadPath: "optimistic?retries=1"})
+	for k := uint64(0); k < keys; k++ {
+		m.Put(k, k)
+	}
+	timeout, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	var classCtx [NumClasses]context.Context
+	for c := range classCtx {
+		classCtx[c] = WithClass(timeout, c)
+	}
+	base := m.Snapshot()
+
+	var (
+		gets     atomic.Uint64
+		puts     atomic.Uint64
+		budgeted [NumClasses]atomic.Uint64
+	)
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		rng := rand.New(rand.NewSource(99))
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			k := uint64(rng.Intn(keys))
+			if c := i % (NumClasses + 1); c < NumClasses {
+				if _, err := m.PutContext(classCtx[c], k, k); err != nil {
+					t.Errorf("PutContext: %v", err)
+					return
+				}
+				budgeted[c].Add(1)
+			} else {
+				m.Put(k, k)
+			}
+			puts.Add(1)
+		}
+	}()
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < perReader; i++ {
+				k := uint64(rng.Intn(keys))
+				var v uint64
+				var ok bool
+				var err error
+				switch op := rng.Intn(2 + NumClasses); op {
+				case 0:
+					v, ok = m.Get(k)
+				case 1:
+					v, ok, err = m.GetContext(context.Background(), k)
+				default:
+					v, ok, err = m.GetContext(classCtx[op-2], k)
+					budgeted[op-2].Add(1)
+				}
+				gets.Add(1)
+				if err != nil || !ok || v != k {
+					t.Errorf("Get(%d) = %d, %v, %v", k, v, ok, err)
+					return
+				}
+			}
+		}(int64(r))
+	}
+	wg.Wait()
+	close(stop)
+	writer.Wait()
+
+	delta := m.Snapshot().Sub(base)
+	if got, want := delta.OptimisticHits+delta.OptimisticFallbacks, gets.Load(); got != want {
+		t.Errorf("hits %d + fallbacks %d = %d, want the %d Gets issued",
+			delta.OptimisticHits, delta.OptimisticFallbacks, got, want)
+	}
+	for c := 0; c < NumClasses; c++ {
+		if got, want := delta.ClassDeadlineAttempts[c], budgeted[c].Load(); got != want {
+			t.Errorf("class %d: %d deadline attempts, want the %d budgeted ops", c, got, want)
+		}
+	}
+	if delta.DeadlineMisses != 0 {
+		t.Errorf("%d deadline misses under an hour's budget", delta.DeadlineMisses)
+	}
+	if got, want := delta.Lock.Acquires, puts.Load()+delta.OptimisticFallbacks+stripes; got != want {
+		t.Errorf("lock acquires %d, want puts %d + fallbacks %d + %d snapshot visits",
+			got, puts.Load(), delta.OptimisticFallbacks, stripes)
+	}
+	t.Logf("%d Gets: %d hits, %d retries, %d fallbacks; %d Puts",
+		gets.Load(), delta.OptimisticHits, delta.OptimisticRetries, delta.OptimisticFallbacks, puts.Load())
 }

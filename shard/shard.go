@@ -84,6 +84,7 @@ import (
 	"math/bits"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/hashmap"
 	"repro/lock"
 	"repro/metrics"
@@ -143,7 +144,7 @@ type Config struct {
 
 	// Capacity pre-sizes the map for this many total keys, spread evenly
 	// across stripes, where the backend can pre-size at all (the hashmap
-	// backend's slot arrays; the tree and skip-list backends allocate
+	// backend's slot array; the tree and skip-list backends allocate
 	// per key and ignore it). 0 uses the tables' minimum size.
 	Capacity int
 
@@ -184,28 +185,22 @@ type Config struct {
 
 // stripe is one shard, built once in New and kept for the map's whole
 // life: its lock, its table with the table's read extensions, and its
-// counters. Every table access holds mu. The lock object and the table
-// live behind interfaces (each its own allocation), but the header
-// itself is 192 bytes (unsafe.Sizeof on amd64) and unpadded, and it is
-// written on the op paths: seq twice per write, deadlineAttempts[class]
-// once per budgeted op and optHits once per lock-free Get. 192 bytes is
-// three cache lines, but the slice starts on a line boundary only when
-// it is small (a larger pointerful object begins with an 8-byte
-// allocation header), so adjacent headers can share lines: a write to
-// one stripe's seq or counters can invalidate the line its neighbour's
-// mu and table are read from. No ladder rung sizes this yet; ROADMAP
-// item 6(e) lists it as a suspect with the rung.
+// counters. Every table access holds mu. The header holds only fields
+// that are written once, in New, plus seq, which a write bumps twice
+// under the lock: every counter the op paths add to lives in ctr, one
+// padded slot per goroutine hash, so a lock-free Get writes no line that
+// another CPU writes. The lock object and the table live behind
+// interfaces, each its own allocation.
+//
+// The header is two cache lines with at least 8 trailing bytes of pad.
+// A stripe slice past 512 bytes begins 8 bytes past a line (the
+// allocation header of a pointerful object), so a header can spill
+// into its neighbour's first line, but only with pad:
+// TestStripeLinesExclusive checks that no line holds the fields of two
+// stripes, for 1 to 128 stripes.
+//
+//lockcheck:line=2
 type stripe struct {
-	mu    lock.ContextMutex
-	stats lock.Instrumented // mu, when it maintains counters; else nil
-
-	// table is the stripe's storage. The optimistic read path goes
-	// through opt, never table.
-	//
-	//lockcheck:guardedby shard.stripe.mu
-	table   store.Backend
-	ordered store.Ordered // table, when it maintains key order; else nil
-
 	// opt is table's torn-read-safe read extension, non-nil only when
 	// the map's read path is optimistic AND the backend opted in
 	// (store.OptimisticReader) — the per-stripe gate of the lock-free
@@ -215,33 +210,81 @@ type stripe struct {
 	// to certify cross-chunk consistency. The stamp is maintained on
 	// every write path regardless of read path — two uncontended atomic
 	// adds under a held lock — so scan certification works even on
-	// locked-read maps.
+	// locked-read maps. opt, seq and ctr come first: they are all that a
+	// lock-free Get reads of the header.
 	opt store.OptimisticReader
 	seq optimistic.Seq
+	ctr []counterSlot // a power of two of them; see counterSlot
+
+	mu lock.ContextMutex
+
+	// table is the stripe's storage. The optimistic read path goes
+	// through opt, never table.
+	//
+	//lockcheck:guardedby shard.stripe.mu
+	table   store.Backend
+	ordered store.Ordered // table, when it maintains key order; else nil
 
 	rec  *metrics.Recorder // nil when history is disabled
 	hcap int
 
-	// Deadline accounting: budgeted point operations arriving at this
-	// stripe (attempts) and how many of them expired before reaching it
-	// (misses), broken down by request class (WithClass; index 0 is
-	// unclassified traffic). A point context operation is budgeted when
-	// its context can end at all (a deadline, or ctx.Done() != nil) —
-	// that is the operation whose deadline semantics the lock machinery
-	// bounds, and the user-facing signal a caller's SLO is stated in.
-	deadlineAttempts [NumClasses]atomic.Uint64
-	deadlineMisses   [NumClasses]atomic.Uint64
+	_ [16]byte
+}
 
-	// Optimistic read-path accounting: optHits counts Gets served
-	// lock-free (validation passed); optRetries counts failed attempts
-	// (writer mid-section at snapshot, or validation failure);
-	// optFallbacks counts Gets that exhausted the retry budget and fell
-	// back to the stripe lock. Gets on stripes whose backend declined
-	// the optimistic path count nothing here — they are locked-path
-	// traffic, not failed optimism.
-	optHits      atomic.Uint64
-	optRetries   atomic.Uint64
-	optFallbacks atomic.Uint64
+// counterSlot is one goroutine slot's share of a stripe's op-path
+// counters. An op adds to the slot core.Slot picks for its goroutine,
+// and stripe.load sums the slots, so every counter stays exact while
+// goroutines on different CPUs add to different lines. A slot is
+// padded to 128 bytes, the module's rule for counter stripes, so that
+// neither it nor the adjacent-line prefetcher pairs it with another.
+//
+// Deadline accounting counts budgeted point operations arriving at the
+// stripe and those that expired before reaching it, by request class
+// (WithClass; index 0 is unclassified traffic). A point context
+// operation is budgeted when its context can end at all (a deadline, or
+// ctx.Done() != nil) — the operation whose deadline semantics the lock
+// machinery bounds, and the user-facing signal a caller's SLO is stated
+// in. A Get served lock-free books both its hit and its budgeted
+// arrival with one add: hits[0] counts unbudgeted hits and hits[1+c]
+// budgeted hits of class c, so a class's attempts are attempts[c] (the
+// arrivals at the stripe lock) plus hits[1+c].
+//
+// Optimistic read-path accounting: hits counts Gets served lock-free
+// (validation passed); retries counts failed attempts (writer
+// mid-section at snapshot, or validation failure); fallbacks counts
+// Gets that exhausted the retry budget and fell back to the stripe
+// lock. Gets on stripes whose backend declined the optimistic path
+// count nothing here — they are locked-path traffic, not failed
+// optimism.
+//
+//lockcheck:line=2
+type counterSlot struct {
+	hits      [1 + NumClasses]atomic.Uint64
+	attempts  [NumClasses]atomic.Uint64
+	misses    [NumClasses]atomic.Uint64
+	retries   atomic.Uint64
+	fallbacks atomic.Uint64
+	_         [8]byte
+}
+
+// counterSlotsPerCPU is how many counter slots a stripe keeps per CPU
+// that can run at once (core.Parallelism): goroutines, not CPUs, pick
+// slots, so a few times more slots than CPUs keeps two running
+// goroutines off one slot.
+const counterSlotsPerCPU = 16
+
+// newCounterSlots returns a stripe's counter slots:
+// counterSlotsPerCPU × core.Parallelism, rounded up to a power of two.
+func newCounterSlots() []counterSlot {
+	n := counterSlotsPerCPU * core.Parallelism()
+	return make([]counterSlot, 1<<bits.Len(uint(n-1)))
+}
+
+// counters returns the calling goroutine's counter slot.
+//
+//lockcheck:optimistic
+func (s *stripe) counters() *counterSlot {
+	return &s.ctr[core.Slot(uint32(len(s.ctr)-1))]
 }
 
 // lock acquires the stripe lock, bounded by ctx unless ctx is nil (the
@@ -341,7 +384,7 @@ func New(cfg Config) (*Map, error) {
 			lockOpts = append(lockOpts, lock.WithSeed(seed))
 			storeOpts = append(storeOpts, store.WithSeed(seed))
 		}
-		mu, stats, err := buildLock(spec, lockOpts)
+		mu, err := buildLock(spec, lockOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -362,11 +405,11 @@ func New(cfg Config) (*Map, error) {
 			rec = metrics.NewRecorder(cfg.HistoryCap)
 		}
 		m.stripes[i] = stripe{
+			opt:     opt,
+			ctr:     newCounterSlots(),
 			mu:      mu,
-			stats:   stats,
 			table:   table,
 			ordered: ordered,
-			opt:     opt,
 			rec:     rec,
 			hcap:    cfg.HistoryCap,
 		}
@@ -376,19 +419,18 @@ func New(cfg Config) (*Map, error) {
 }
 
 // buildLock builds a stripe's lock from spec.
-func buildLock(spec string, opts []lock.Option) (lock.ContextMutex, lock.Instrumented, error) {
+func buildLock(spec string, opts []lock.Option) (lock.ContextMutex, error) {
 	mtx, err := lock.New(spec, opts...)
 	if err != nil {
-		return nil, nil, fmt.Errorf("shard: stripe lock: %w", err)
+		return nil, fmt.Errorf("shard: stripe lock: %w", err)
 	}
 	cm, ok := mtx.(lock.ContextMutex)
 	if !ok {
 		// Registry locks all satisfy ContextMutex; a custom Register
 		// that does not cannot serve deadline-bounded operations.
-		return nil, nil, fmt.Errorf("shard: lock spec %q builds a %T, which is not a lock.ContextMutex", spec, mtx)
+		return nil, fmt.Errorf("shard: lock spec %q builds a %T, which is not a lock.ContextMutex", spec, mtx)
 	}
-	stats, _ := mtx.(lock.Instrumented)
-	return cm, stats, nil
+	return cm, nil
 }
 
 // derivedSeed gives stripe i a distinct seed so fairness trials (and
@@ -505,7 +547,9 @@ func (s *stripe) record(id int) {
 
 // getOptimistic attempts one lock-free Get on s: snapshot the stripe's
 // seqlock stamp, probe the backend with torn-read-safe loads,
-// revalidate. served is false when the stripe cannot serve
+// revalidate. cls is the Get's request class, -1 when it is not
+// budgeted (see budget): a hit books itself and its budgeted arrival
+// with one add. served is false when the stripe cannot serve
 // optimistic reads (backend declined store.OptimisticReader) or the
 // retry budget is exhausted — the caller then takes the locked path.
 // A validated hit is linearizable at some instant inside its
@@ -519,62 +563,69 @@ func (s *stripe) record(id int) {
 // fallbacks, which is the intended chaos behavior.
 //
 //lockcheck:optimistic
-func (m *Map) getOptimistic(s *stripe, key uint64) (val uint64, ok, served bool) {
+func (m *Map) getOptimistic(s *stripe, key uint64, cls int) (val uint64, ok, served bool) {
 	if s.opt == nil {
 		return 0, false, false
 	}
+	c := s.counters()
 	for attempt := 0; attempt <= m.readPath.Retries; attempt++ {
 		stamp, stable := s.seq.ReadBegin()
 		if stable {
 			v, present := s.opt.GetOptimistic(key)
 			if s.seq.Validate(stamp) {
-				s.optHits.Add(1)
+				c.hits[1+cls].Add(1)
 				return v, present, true
 			}
 		}
-		s.optRetries.Add(1)
+		c.retries.Add(1)
 	}
-	s.optFallbacks.Add(1)
+	c.fallbacks.Add(1)
 	return 0, false, false
 }
 
-// budgeted counts one deadline-bounded point-op arrival at this stripe,
-// under the context's request class. An operation is budgeted when its
-// context can end at all — it carries a deadline or, failing that, can
-// be cancelled (Done() != nil; asked second, because a deadline context
-// may have to arm a timer to answer): only those can miss, and only
-// those are SLO traffic. Monitoring paths (Snapshot, Len, Range, Scan)
-// never count — a monitor polling a collapsed stripe must not dilute the
-// very miss rate it reports.
+// budget resolves a point operation's request class before it reaches
+// its stripe: -1 when the operation is not budgeted, else its class. An
+// operation is budgeted when its context can end at all — it carries a
+// deadline or, failing that, can be cancelled (Done() != nil; asked
+// second, because a deadline context may have to arm a timer to
+// answer): only those can miss, and only those are SLO traffic. A nil
+// ctx (the plain forms) is never budgeted. Monitoring paths (Snapshot,
+// Len, Range, Scan) never count — a monitor polling a collapsed stripe
+// must not dilute the very miss rate it reports.
 // The class lookup (a context.Value walk) is paid only by budgeted
 // operations, which already built a cancellable context.
-func (s *stripe) budgeted(ctx context.Context) (int, bool) {
-	if _, ok := ctx.Deadline(); !ok && ctx.Done() == nil {
-		return 0, false
+func budget(ctx context.Context) int {
+	if ctx == nil {
+		return -1
 	}
-	cls := Class(ctx)
-	s.deadlineAttempts[cls].Add(1)
-	return cls, true
+	if _, ok := ctx.Deadline(); !ok && ctx.Done() == nil {
+		return -1
+	}
+	return Class(ctx)
 }
 
-// admit is a point operation's arrival at its stripe: it acquires the
-// stripe lock — bounded by ctx unless ctx is nil — and does the
+// admit is a point operation's arrival at its stripe lock: it acquires
+// the lock — bounded by ctx unless ctx is nil — and does the
 // per-arrival accounting once for all three verbs: the budgeted attempt
-// and, if the deadline expires in the queue, its miss; and the
-// admission-history record, inside the critical section. After a nil
-// error the caller must s.mu.Unlock().
+// of class cls (see budget) and, if the deadline expires in the queue,
+// its miss; and the admission-history record, inside the critical
+// section. After a nil error the caller must s.mu.Unlock().
 //
 //lockcheck:acquires s.mu
-func (s *stripe) admit(ctx context.Context) error {
+func (s *stripe) admit(ctx context.Context, cls int) error {
 	if ctx == nil {
 		s.mu.Lock()
 		return nil
 	}
 	id, recording := s.client(ctx)
-	cls, budgeted := s.budgeted(ctx)
+	var c *counterSlot
+	if cls >= 0 {
+		c = s.counters()
+		c.attempts[cls].Add(1)
+	}
 	if err := s.mu.LockContext(ctx); err != nil {
-		if budgeted {
-			s.deadlineMisses[cls].Add(1)
+		if c != nil {
+			c.misses[cls].Add(1)
 		}
 		return err
 	}
@@ -629,15 +680,13 @@ func (m *Map) DeleteContext(ctx context.Context, key uint64) (present bool, err 
 func (m *Map) get(ctx context.Context, key uint64) (uint64, bool, error) {
 	i := m.StripeFor(key)
 	s := &m.stripes[i]
+	cls := budget(ctx)
 	if m.readPath.Optimistic {
-		if v, ok, served := m.getOptimistic(s, key); served {
-			if ctx != nil {
-				s.budgeted(ctx)
-			}
+		if v, ok, served := m.getOptimistic(s, key, cls); served {
 			return v, ok, nil
 		}
 	}
-	if err := s.admit(ctx); err != nil {
+	if err := s.admit(ctx, cls); err != nil {
 		return 0, false, err
 	}
 	m.inject(i)
@@ -649,7 +698,7 @@ func (m *Map) get(ctx context.Context, key uint64) (uint64, bool, error) {
 func (m *Map) put(ctx context.Context, key, val uint64) (bool, error) {
 	i := m.StripeFor(key)
 	s := &m.stripes[i]
-	if err := s.admit(ctx); err != nil {
+	if err := s.admit(ctx, budget(ctx)); err != nil {
 		return false, err
 	}
 	s.seq.WriteBegin()
@@ -663,7 +712,7 @@ func (m *Map) put(ctx context.Context, key, val uint64) (bool, error) {
 func (m *Map) del(ctx context.Context, key uint64) (bool, error) {
 	i := m.StripeFor(key)
 	s := &m.stripes[i]
-	if err := s.admit(ctx); err != nil {
+	if err := s.admit(ctx, budget(ctx)); err != nil {
 		return false, err
 	}
 	s.seq.WriteBegin()

@@ -8,7 +8,7 @@ import "repro/internal/hashmap"
 // simulator's keymap and hashdb workloads build on the same one — so the
 // registration is the whole adapter. It is the unordered baseline every
 // ordered backend is priced against: O(1) point operations, no Scan. It
-// is also the first OptimisticReader: its slot arrays are atomically
+// is also the first OptimisticReader: its slot array is atomically
 // published, so the sharded store's seqlock read path can probe it with
 // no lock at all.
 func init() {

@@ -161,7 +161,7 @@ func TestRegisterCollisionPanics(t *testing.T) {
 
 func TestOptimisticReaderOptIn(t *testing.T) {
 	// The opt-in surface is part of each backend's contract: hashmap's
-	// slot arrays are atomically published, so it claims OptimisticReader;
+	// slot array is atomically published, so it claims OptimisticReader;
 	// the pointer-chasing ordered backends decline and keep the locked
 	// path. A backend silently gaining or losing the interface changes
 	// which read path its stripes serve, so pin it here.
