@@ -7,8 +7,7 @@
 // Quickstart:
 //
 //	shardd -addr :7070 -metrics-addr :7071 \
-//	    -stripes 16 -lock 'mcscr-stp?fairness=500' -backend skiplist \
-//	    -conn-model pool -pool-size 64
+//	    -stripes 16 -lock 'mcscr-stp?fairness=500' -backend skiplist
 //
 // Drive it with cmd/shardload, scrape text-exposition counters from
 // /metrics on the metrics address, arm chaos over the wire with the
@@ -46,11 +45,9 @@ func main() {
 	flag.StringVar(&cfg.LockSpec, "lock", "", "stripe lock spec (see lock.New; empty = shard default)")
 	flag.StringVar(&cfg.BackendSpec, "backend", "", "stripe backend spec (see store.New; empty = shard default)")
 	flag.StringVar(&cfg.ReadPath, "read-path", "", "Get read path: optimistic[?retries=N] (default: lock-free seqlock-validated Gets where the backend supports them) or locked (every Get takes the stripe lock)")
-	flag.StringVar(&cfg.ConnModel, "conn-model", server.ConnGoroutine, "connection handling: goroutine (serve all) or pool (bounded Malthusian admission)")
-	flag.IntVar(&cfg.PoolSize, "pool-size", 64, "concurrently served connections under -conn-model pool")
 	flag.DurationVar(&cfg.DrainGrace, "drain-grace", 2*time.Second, "how long SIGTERM drain waits for in-flight requests")
 	flag.DurationVar(&cfg.MetricsInterval, "metrics-interval", time.Second, "/metrics sampler cadence")
-	flag.Uint64Var(&cfg.Seed, "seed", 0, "deterministic seed for stochastic lock/pool behavior (0 = off)")
+	flag.Uint64Var(&cfg.Seed, "seed", 0, "deterministic seed for stochastic lock behavior (0 = off)")
 	flag.IntVar(&cfg.HistoryCap, "history-cap", 0, "per-stripe admission history capacity (0 = off; enables LWSS gauges)")
 	list := flag.Bool("list", false, "list registered lock, backend and fault specs with their summaries, then exit")
 	flag.Parse()
@@ -73,7 +70,7 @@ func main() {
 	if ma := s.MetricsAddr(); ma != "" {
 		fmt.Printf(", /metrics on %s", ma)
 	}
-	fmt.Printf(" (conn-model=%s)\n", cfg.ConnModel)
+	fmt.Println()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)

@@ -9,14 +9,13 @@
 //
 // The request loop is internal/loadgen's Run over a loadgen.WireDial
 // target, with the accounting rules stated in that package's comment; a
-// cell lands in the internal/benchfmt JSON schema (-json, and -append to
-// grow one file into a series). The lock, backend and read path under
-// test are shardd's flags, so every service cell is a shardd
-// started with the cell's flags and a shardload run against it. shardd
-// serves Gets lock-free by default where the backend allows, so a cell
-// that measures the stripe lock under Gets starts it with -read-path
-// locked; the cell's read_path and optimistic_* fields say which path
-// served.
+// cell lands in the internal/benchfmt JSON schema (-json). The lock,
+// backend and read path under test are shardd's flags, so every service
+// cell is a shardd started with the cell's flags and a shardload run
+// against it. shardd serves Gets lock-free by default where the backend
+// allows, so a cell that measures the stripe lock under Gets starts it
+// with -read-path locked; the cell's read_path and optimistic_* fields
+// say which path served.
 //
 // With -fault, the spec is parsed here and armed on the server over the
 // FAULT verb on one timeline: the server runs the data-plane half (stalls
@@ -28,7 +27,7 @@
 //
 //	shardd -addr 127.0.0.1:7070 -metrics-addr 127.0.0.1:7071 -lock mcscr-stp &
 //	shardload -addr 127.0.0.1:7070 -conns 8 -rate 20000 -duration 10s \
-//	    -deadline 2ms -deadline-frac 0.5 -classes 2 -json cells.json -append
+//	    -deadline 2ms -deadline-frac 0.5 -classes 2 -json cell.json
 package main
 
 import (
@@ -74,7 +73,6 @@ func main() {
 	flag.DurationVar(&ch.Sample, "fault-sample", 100*time.Millisecond, "chaos miss-rate sample cadence")
 	flag.Float64Var(&ch.Target, "fault-target", 0.05, "miss rate at or below which the cell counts as recovered")
 	jsonPath := flag.String("json", "", "write the benchfmt record to this path")
-	appendJSON := flag.Bool("append", false, "append the record to -json as a JSON array instead of overwriting")
 	flag.Parse()
 
 	if c.Workers <= 0 || c.Keys <= 0 || c.Duration <= 0 {
@@ -105,31 +103,29 @@ func main() {
 	if err := admin.Ping(); err != nil {
 		fatalf("ping: %v", err)
 	}
-	r, connModel, dialErrs := runCell(c, chaos, addr, admin)
+	r, dialErrs := runCell(c, chaos, addr, admin)
 
 	rec := c.Record(chaos)
 	rec.Remote = &benchfmt.Remote{
-		Addr:      addr,
-		ConnModel: connModel,
-		Conns:     c.Workers,
-		Churn:     c.Churn.String(),
+		Addr:  addr,
+		Conns: c.Workers,
+		Churn: c.Churn.String(),
 	}
 	rec.Results = []benchfmt.Result{r}
 
 	printSummary(r, dialErrs)
 	if *jsonPath != "" {
-		if err := benchfmt.WriteJSON(*jsonPath, rec, *appendJSON); err != nil {
+		if err := benchfmt.WriteJSON(*jsonPath, rec); err != nil {
 			fatalf("%v", err)
 		}
 	}
 }
 
-// runCell drives c at the shardd on addr and returns the cell, the
-// server's conn model and the generator's reconnect errors. INFO is read
-// before and after the run: identity comes from the later one, the
-// counter columns from the difference — the run's interval, read over
-// the wire.
-func runCell(c loadgen.Traffic, chaos *loadgen.Chaos, addr string, admin *wire.Client) (benchfmt.Result, string, int) {
+// runCell drives c at the shardd on addr and returns the cell and the
+// generator's reconnect errors. INFO is read before and after the run:
+// identity comes from the later one, the counter columns from the
+// difference — the run's interval, read over the wire.
+func runCell(c loadgen.Traffic, chaos *loadgen.Chaos, addr string, admin *wire.Client) (benchfmt.Result, int) {
 	before, _ := serverInfo(admin)
 	if chaos != nil {
 		armOverWire(chaos, admin)
@@ -147,7 +143,7 @@ func runCell(c loadgen.Traffic, chaos *loadgen.Chaos, addr string, admin *wire.C
 		Stripes:  atoi(info["stripes"]),
 	}
 	res.Fill(c, after.Sub(before), &r)
-	return r, info["conn_model"], res.DialErrors
+	return r, res.DialErrors
 }
 
 // armOverWire puts the data-plane half of ch's fault on ch's timeline:

@@ -156,12 +156,12 @@ func TestCellReportsTheRunsCounters(t *testing.T) {
 	traffic := loadgen.Traffic{
 		Workers: 2, Duration: 100 * time.Millisecond, Keys: 256, Dist: "uniform", ReadFrac: 0.5, Seed: 1,
 	}
-	r, connModel, _ := runCell(traffic, nil, srv.Addr(), admin)
+	r, _ := runCell(traffic, nil, srv.Addr(), admin)
 	if r.Ops == 0 || r.Stats["acquires"] < uint64(r.Ops) || len(r.Stats) != 11 {
 		t.Errorf("%d ops, stats = %v; want all 11 lock events and at least one acquire per op", r.Ops, r.Stats)
 	}
-	if r.Lock != shard.DefaultLockSpec || r.Backend != "hashmap" || connModel != server.ConnGoroutine {
-		t.Errorf("identity: lock %q, backend %q, conn model %q", r.Lock, r.Backend, connModel)
+	if r.Lock != shard.DefaultLockSpec || r.Backend != "hashmap" {
+		t.Errorf("identity: lock %q, backend %q", r.Lock, r.Backend)
 	}
 }
 

@@ -8,7 +8,6 @@
 package benchfmt
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -144,40 +143,19 @@ type Record struct {
 }
 
 // Remote describes the server side of a run: where the requests went
-// and how the server was handling connections.
+// and over how many connections.
 type Remote struct {
-	Addr      string `json:"addr"`
-	ConnModel string `json:"conn_model,omitempty"`
-	Conns     int    `json:"conns"`
+	Addr  string `json:"addr"`
+	Conns int    `json:"conns"`
 	// Churn is the connection churn cadence ("0s" = stable connections).
 	Churn string `json:"churn,omitempty"`
 }
 
-// WriteJSON writes rec to path. In append mode an existing document is
-// promoted to an array ([old, new]) or extended if it already is one —
-// the mechanism that lets one BENCH file accumulate a comparable series
-// across runs and PRs.
-func WriteJSON(path string, rec Record, appendMode bool) error {
+// WriteJSON writes rec to path.
+func WriteJSON(path string, rec Record) error {
 	buf, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		return fmt.Errorf("marshal: %w", err)
-	}
-	if appendMode {
-		if old, err := os.ReadFile(path); err == nil && len(bytes.TrimSpace(old)) > 0 {
-			prior := bytes.TrimSpace(old)
-			var arr []json.RawMessage
-			if prior[0] == '[' {
-				if err := json.Unmarshal(prior, &arr); err != nil {
-					return fmt.Errorf("-append: existing %s is not valid JSON: %w", path, err)
-				}
-			} else {
-				arr = []json.RawMessage{prior}
-			}
-			arr = append(arr, buf)
-			if buf, err = json.MarshalIndent(arr, "", "  "); err != nil {
-				return fmt.Errorf("marshal: %w", err)
-			}
-		}
 	}
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

@@ -11,13 +11,13 @@ import (
 )
 
 // metricsSample is what the background sampler publishes and the
-// /metrics handler renders: one lite snapshot plus the delta against
-// the previous sample. The handler itself never snapshots — a scrape
+// /metrics handler renders: one lite snapshot plus its counters' change
+// since the previous sample. The handler itself never snapshots — a scrape
 // landing during a stripe collapse must read the cache, not queue
 // behind the collapsed lock it is trying to observe.
 type metricsSample struct {
 	snap     shard.Snapshot
-	delta    shard.SnapshotDelta
+	delta    shard.Counters
 	interval time.Duration
 }
 
@@ -49,7 +49,7 @@ func (s *Server) Sample() {
 	}
 	cur := &metricsSample{snap: snap, interval: s.cfg.MetricsInterval}
 	if prev := s.metricsCache.Load(); prev != nil {
-		cur.delta = snap.Sub(prev.snap)
+		cur.delta = snap.Counters.Sub(prev.snap.Counters)
 	}
 	s.metricsCache.Store(cur)
 }
@@ -97,8 +97,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Server-plane counters.
 	p.add("shardd_connections_accepted_total", "", s.accepted.Load())
 	p.add("shardd_connections_active", "", s.active.Load())
-	p.add("shardd_pool_waiting", "", s.poolWaiting.Load())
-	p.add("shardd_pool_culled_total", "", s.poolCulled.Load())
 	p.add("shardd_ops_total", "", s.ops.Load())
 	p.add("shardd_bad_frames_total", "", s.badFrames.Load())
 

@@ -47,8 +47,7 @@ func scriptedSample() *metricsSample {
 	snap.Lock.Acquires, snap.Lock.Handoffs, snap.Lock.Culls = 1200, 36, 20
 	snap.Lock.Parks, snap.Lock.Cancels = 29, 12
 
-	var delta shard.SnapshotDelta
-	delta.DeadlineAttempts, delta.DeadlineMisses = 16, 4
+	delta := shard.Counters{DeadlineAttempts: 16, DeadlineMisses: 4}
 	return &metricsSample{snap: snap, delta: delta, interval: time.Second}
 }
 
@@ -57,8 +56,6 @@ func scriptedSample() *metricsSample {
 const goldenSeries = `
 shardd_connections_accepted_total 0
 shardd_connections_active 0
-shardd_pool_waiting 0
-shardd_pool_culled_total 0
 shardd_ops_total 0
 shardd_bad_frames_total 0
 shardd_len 42

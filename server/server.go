@@ -6,19 +6,11 @@
 // the race end-to-end tests can run a real server in-process on a
 // loopback listener.
 //
-// Connection handling is a benched dimension. Both models serve each
-// connection on its own goroutine with a pipelining read loop
-// (responses in request order, batched through a buffered writer that
-// flushes when the readable buffer drains):
-//
-//   - "goroutine": every accepted connection is served immediately —
-//     the unbounded-admission baseline, one goroutine per connection no
-//     matter how many arrive.
-//   - "pool": accepted connections must acquire a slot from a bounded
-//     LIFO semaphore (the repo's Malthusian semaphore) before the read
-//     loop starts. Excess connections wait in the semaphore — admission
-//     culling applied one layer up, at the connection grain instead of
-//     the stripe grain.
+// Every accepted connection is served at once on its own goroutine
+// with a pipelining read loop (responses in request order, batched
+// through a buffered writer that flushes when the readable buffer
+// drains). Concurrency is restricted at the stripe lock, per request,
+// not per connection.
 //
 // Graceful drain (SIGTERM in cmd/shardd, Drain here) closes the
 // listeners, lets every in-flight and already-buffered request finish
@@ -39,21 +31,11 @@ import (
 	"time"
 
 	"repro/fault"
-	"repro/semaphore"
 	"repro/shard"
 	"repro/wire"
 )
 
-// Conn models.
-const (
-	// ConnGoroutine serves every accepted connection immediately.
-	ConnGoroutine = "goroutine"
-	// ConnPool gates the serve loop behind a bounded semaphore.
-	ConnPool = "pool"
-)
-
-// Config configures a Server. Zero values pick the shard.Map defaults
-// and the goroutine conn model.
+// Config configures a Server. Zero values pick the shard.Map defaults.
 type Config struct {
 	// Addr is the wire listen address ("127.0.0.1:0" for an ephemeral
 	// test port). Empty means ":7070".
@@ -74,11 +56,6 @@ type Config struct {
 	HistoryCap  int
 	ReadPath    string
 
-	// ConnModel is ConnGoroutine (default) or ConnPool; PoolSize bounds
-	// concurrently served connections under ConnPool (default 64).
-	ConnModel string
-	PoolSize  int
-
 	// DrainGrace bounds how long Drain waits for in-flight requests
 	// (default 2s).
 	DrainGrace time.Duration
@@ -95,16 +72,10 @@ type Server struct {
 	ln   net.Listener
 	mln  net.Listener
 	hsrv *http.Server
-	// pool is the bounded-concurrency admission semaphore. A served
-	// connection holds a slot for its whole serve loop, including every
-	// stripe acquisition inside it — the intended nesting:
-	//
-	//lockcheck:lockorder server.Server.pool<shard.stripe.mu
-	pool *semaphore.Semaphore
 
-	// acceptCtx ends when Drain begins: the pool stops admitting and
-	// the accept loop stops accepting. Op contexts do NOT derive from
-	// it — in-flight requests drain, they are not cancelled.
+	// acceptCtx ends when Drain begins and stops the /metrics sampler.
+	// Op contexts do NOT derive from it — in-flight requests drain,
+	// they are not cancelled.
 	acceptCtx    context.Context
 	acceptCancel context.CancelFunc
 
@@ -131,28 +102,16 @@ type Server struct {
 	metricsCache atomic.Pointer[metricsSample]
 
 	// Server-level counters, exposed on /metrics.
-	accepted    atomic.Uint64 // connections accepted
-	active      atomic.Int64  // connections currently served
-	poolWaiting atomic.Int64  // connections parked waiting for a pool slot
-	poolCulled  atomic.Uint64 // connections dropped waiting (drain or conn close)
-	ops         atomic.Uint64 // frames served (all opcodes)
-	badFrames   atomic.Uint64 // connections dropped for malformed framing
+	accepted  atomic.Uint64 // connections accepted
+	active    atomic.Int64  // connections currently served
+	ops       atomic.Uint64 // frames served (all opcodes)
+	badFrames atomic.Uint64 // connections dropped for malformed framing
 }
 
 // New builds a Server and its map; nothing listens yet — call Start.
 func New(cfg Config) (*Server, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = ":7070"
-	}
-	switch cfg.ConnModel {
-	case "":
-		cfg.ConnModel = ConnGoroutine
-	case ConnGoroutine, ConnPool:
-	default:
-		return nil, fmt.Errorf("server: unknown conn model %q (want %s or %s)", cfg.ConnModel, ConnGoroutine, ConnPool)
-	}
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = 64
 	}
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 2 * time.Second
@@ -177,12 +136,6 @@ func New(cfg Config) (*Server, error) {
 		conns: make(map[net.Conn]struct{}),
 	}
 	s.acceptCtx, s.acceptCancel = context.WithCancel(context.Background())
-	if cfg.ConnModel == ConnPool {
-		// The Malthusian shape on purpose: mostly-LIFO admission keeps a
-		// small hot set of connections running while the surplus parks —
-		// the same culling story the stripe locks tell, one layer up.
-		s.pool = semaphore.New(cfg.PoolSize, semaphore.MostlyLIFO, cfg.Seed)
-	}
 	return s, nil
 }
 
@@ -251,24 +204,11 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveEntry applies the conn model, then runs the serve loop.
+// serveEntry runs the serve loop and releases the connection after it.
 func (s *Server) serveEntry(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.untrack(conn)
 	defer conn.Close()
-	if s.pool != nil {
-		s.poolWaiting.Add(1)
-		err := s.pool.AcquireContext(s.acceptCtx)
-		s.poolWaiting.Add(-1)
-		if err != nil {
-			// Drain began while this connection was parked: it is culled,
-			// never served. Its socket closes without a response — the
-			// same answer an over-capacity Malthusian lock gives.
-			s.poolCulled.Add(1)
-			return
-		}
-		defer s.pool.Release()
-	}
 	s.active.Add(1)
 	defer s.active.Add(-1)
 	s.serveConn(conn)
@@ -310,7 +250,7 @@ func (s *Server) Drain() error {
 	s.mu.Unlock()
 
 	s.ln.Close()
-	s.acceptCancel() // release pool waiters → culled, and stop admission
+	s.acceptCancel() // stop the /metrics sampler
 	s.wg.Wait()      // every serve loop flushed and exited
 
 	if s.hsrv != nil {
@@ -328,7 +268,6 @@ func (s *Server) Drain() error {
 func (s *Server) info() []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "server=shardd\nwire_version=%d\n", wire.Version)
-	fmt.Fprintf(&b, "conn_model=%s\n", s.cfg.ConnModel)
 	fmt.Fprintf(&b, "stripes=%d\n", s.m.Stripes())
 	fmt.Fprintf(&b, "ordered=%t\n", s.m.Ordered())
 	fmt.Fprintf(&b, "read_path=%s\n", s.m.ReadPath())

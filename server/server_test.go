@@ -373,51 +373,6 @@ func TestE2EGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestE2EPoolModel: the pool conn model serves a bounded set of
-// connections; slots freed by closing connections admit the parked
-// ones, and drain culls waiters instead of serving them.
-func TestE2EPoolModel(t *testing.T) {
-	s := startServer(t, server.Config{Stripes: 2, ConnModel: server.ConnPool, PoolSize: 2})
-	defer s.Drain()
-
-	first := make([]*wire.Client, 2)
-	for i := range first {
-		cl, err := wire.Dial(s.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		first[i] = cl
-		if err := cl.Ping(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A third connection parks: its ping cannot complete while both
-	// slots are held.
-	third, err := wire.Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer third.Close()
-	pinged := make(chan error, 1)
-	go func() { pinged <- third.Ping() }()
-	select {
-	case err := <-pinged:
-		t.Fatalf("third connection served with a full pool: %v", err)
-	case <-time.After(200 * time.Millisecond):
-	}
-	// Free a slot; the parked connection gets served.
-	first[0].Close()
-	select {
-	case err := <-pinged:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("parked connection never admitted after a slot freed")
-	}
-	first[1].Close()
-}
-
 // TestE2EMetricsEndpoint: the /metrics handler serves the sampler's
 // cache — per-stripe and per-class deadline counters included — without
 // touching the patient snapshot path. The Get takes the locked path, so

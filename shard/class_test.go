@@ -117,7 +117,7 @@ func TestClassMisses(t *testing.T) {
 }
 
 // TestClassDelta pins the per-class saturating subtraction in
-// Snapshot.Sub.
+// Counters.Sub.
 func TestClassDelta(t *testing.T) {
 	m := MustNew(Config{Stripes: 2, LockSpec: "tas"})
 	m.Put(1, 1)
@@ -132,7 +132,7 @@ func TestClassDelta(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d := m.Snapshot().Sub(prev)
+	d := m.Snapshot().Counters.Sub(prev.Counters)
 	if d.ClassDeadlineAttempts[1] != 3 {
 		t.Fatalf("delta class-1 attempts = %d, want 3", d.ClassDeadlineAttempts[1])
 	}
@@ -140,8 +140,7 @@ func TestClassDelta(t *testing.T) {
 		t.Fatalf("delta pooled attempts = %d, want 3", d.DeadlineAttempts)
 	}
 	// Mispaired snapshots saturate instead of wrapping.
-	zero := Snapshot{}
-	wrapped := zero.Sub(m.Snapshot())
+	wrapped := Counters{}.Sub(m.Snapshot().Counters)
 	if wrapped.ClassDeadlineAttempts[1] != 0 {
 		t.Fatalf("saturating sub wrapped: %v", wrapped.ClassDeadlineAttempts)
 	}

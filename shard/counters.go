@@ -12,7 +12,7 @@ import (
 
 // Counters is the set of monotonic counters a stripe keeps and the map
 // rolls up. StripeSnapshot and Snapshot embed it as cumulative values,
-// StripeDelta and SnapshotDelta as one interval's change, so a counter is
+// and Sub of two of them is one interval's change, so a counter is
 // declared here — its field and its line in counterFields — and nowhere
 // else: roll-up (Add), differencing (Sub), /metrics and INFO (Each, Text)
 // and the load generators' reports (ParseCounters, Sub) all follow.

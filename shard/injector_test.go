@@ -139,42 +139,19 @@ func TestDeadlineAccounting(t *testing.T) {
 }
 
 // TestDeltaDeadlineSaturation: Sub saturates the deadline deltas at zero
-// (mismatched snapshot pairing must not wrap), and tolerates a prev with
-// a different stripe count.
+// (mismatched snapshot pairing must not wrap).
 func TestDeltaDeadlineSaturation(t *testing.T) {
 	deadlines := func(attempts, misses uint64) Counters {
 		return Counters{DeadlineAttempts: attempts, DeadlineMisses: misses}
 	}
-	cur := Snapshot{
-		Stripes: []StripeSnapshot{
-			{Index: 0, Counters: deadlines(10, 2)},
-			{Index: 1, Counters: deadlines(5, 5)},
-		},
-		Counters: deadlines(15, 7),
-	}
-	prev := Snapshot{
-		Stripes: []StripeSnapshot{
-			{Index: 0, Counters: deadlines(100, 50)}, // "later" than cur: wrong pairing
-		},
-		Counters: deadlines(100, 50),
-	}
-	d := cur.Sub(prev)
-	if d.Stripes[0].DeadlineAttempts != 0 || d.Stripes[0].DeadlineMisses != 0 {
-		t.Fatalf("stripe 0 delta wrapped: %d/%d", d.Stripes[0].DeadlineMisses, d.Stripes[0].DeadlineAttempts)
-	}
-	// Stripe 1 has no prev: the delta degrades to the cumulative value.
-	if d.Stripes[1].DeadlineAttempts != 5 || d.Stripes[1].DeadlineMisses != 5 {
-		t.Fatalf("stripe 1 delta = %d/%d want 5/5", d.Stripes[1].DeadlineMisses, d.Stripes[1].DeadlineAttempts)
-	}
+	cur := deadlines(15, 7)
+	d := cur.Sub(deadlines(100, 50)) // "later" than cur: wrong pairing
 	if d.DeadlineAttempts != 0 || d.DeadlineMisses != 0 {
 		t.Fatalf("rollup delta wrapped: %d/%d", d.DeadlineMisses, d.DeadlineAttempts)
 	}
 
 	// The well-ordered direction subtracts exactly.
-	d = cur.Sub(Snapshot{Stripes: []StripeSnapshot{{Counters: deadlines(4, 1)}, {}}, Counters: deadlines(4, 1)})
-	if d.Stripes[0].DeadlineAttempts != 6 || d.Stripes[0].DeadlineMisses != 1 {
-		t.Fatalf("stripe 0 delta = %d/%d want 1/6", d.Stripes[0].DeadlineMisses, d.Stripes[0].DeadlineAttempts)
-	}
+	d = cur.Sub(deadlines(4, 1))
 	if d.DeadlineAttempts != 11 || d.DeadlineMisses != 6 {
 		t.Fatalf("rollup delta = %d/%d want 6/11", d.DeadlineMisses, d.DeadlineAttempts)
 	}

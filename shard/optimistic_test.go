@@ -43,7 +43,7 @@ func TestOptimisticGetAccounting(t *testing.T) {
 	for i := uint64(0); i < keys; i++ {
 		m.Put(i, i*3)
 	}
-	base := m.Snapshot()
+	base := m.Snapshot().Counters
 
 	const gets = 10000
 	miss := 0
@@ -62,7 +62,7 @@ func TestOptimisticGetAccounting(t *testing.T) {
 	}
 	_ = miss
 
-	delta := m.Snapshot().Sub(base)
+	delta := m.Snapshot().Counters.Sub(base)
 	if delta.OptimisticHits != gets {
 		t.Fatalf("optimistic hits = %d, want %d", delta.OptimisticHits, gets)
 	}
@@ -79,13 +79,13 @@ func TestOptimisticGetAccounting(t *testing.T) {
 	// take the lock either.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	base = m.Snapshot()
+	base = m.Snapshot().Counters
 	for i := uint64(0); i < 100; i++ {
 		if v, ok, err := m.GetContext(ctx, i); err != nil || !ok || v != i*3 {
 			t.Fatalf("GetContext(%d) = %d, %v, %v", i, v, ok, err)
 		}
 	}
-	delta = m.Snapshot().Sub(base)
+	delta = m.Snapshot().Counters.Sub(base)
 	if delta.OptimisticHits != 100 || delta.Lock.Acquires != stripes {
 		t.Fatalf("GetContext interval: hits=%d acquires=%d", delta.OptimisticHits, delta.Lock.Acquires)
 	}
@@ -98,11 +98,11 @@ func TestOptimisticGetAccounting(t *testing.T) {
 	// the lock, never asked, records no Cancel.
 	ended, end := context.WithCancel(context.Background())
 	end()
-	base = m.Snapshot()
+	base = m.Snapshot().Counters
 	if v, ok, err := m.GetContext(ended, 7); err != nil || !ok || v != 21 {
 		t.Fatalf("GetContext(ended, 7) = %d, %v, %v; want 21, true, nil", v, ok, err)
 	}
-	delta = m.Snapshot().Sub(base)
+	delta = m.Snapshot().Counters.Sub(base)
 	if delta.OptimisticHits != 1 || delta.DeadlineAttempts != 1 || delta.DeadlineMisses != 0 || delta.Lock.Cancels != 0 {
 		t.Fatalf("ended-context hit: hits=%d attempts=%d misses=%d cancels=%d; want 1, 1, 0, 0",
 			delta.OptimisticHits, delta.DeadlineAttempts, delta.DeadlineMisses, delta.Lock.Cancels)
@@ -117,13 +117,13 @@ func TestOptimisticDeclinedBackend(t *testing.T) {
 	for i := uint64(0); i < 256; i++ {
 		m.Put(i, i+1)
 	}
-	base := m.Snapshot()
+	base := m.Snapshot().Counters
 	for i := uint64(0); i < 256; i++ {
 		if v, ok := m.Get(i); !ok || v != i+1 {
 			t.Fatalf("Get(%d) = %d, %v", i, v, ok)
 		}
 	}
-	delta := m.Snapshot().Sub(base)
+	delta := m.Snapshot().Counters.Sub(base)
 	if delta.OptimisticHits != 0 || delta.OptimisticRetries != 0 || delta.OptimisticFallbacks != 0 {
 		t.Fatalf("declined backend counted optimistic traffic: %+v", delta)
 	}
@@ -320,7 +320,7 @@ func TestOptimisticStaleReader(t *testing.T) {
 	t.Run("overlapping-write", func(t *testing.T) {
 		m := MustNew(Config{Stripes: 1, BackendSpec: "parkinghashmap", ReadPath: "optimistic"})
 		m.Put(1, 10)
-		base := m.Snapshot()
+		base := m.Snapshot().Counters
 
 		g := &probeGate{entered: make(chan struct{}), release: make(chan struct{})}
 		parkNext.Store(g)
@@ -337,7 +337,7 @@ func TestOptimisticStaleReader(t *testing.T) {
 		if v := <-got; v != 20 {
 			t.Fatalf("Get across an overlapping write = %d, want the rewritten 20", v)
 		}
-		delta := m.Snapshot().Sub(base)
+		delta := m.Snapshot().Counters.Sub(base)
 		if delta.OptimisticHits != 1 || delta.OptimisticRetries != 1 || delta.OptimisticFallbacks != 0 {
 			t.Fatalf("hits=%d retries=%d fallbacks=%d, want 1, 1, 0",
 				delta.OptimisticHits, delta.OptimisticRetries, delta.OptimisticFallbacks)
@@ -351,7 +351,7 @@ func TestOptimisticStaleReader(t *testing.T) {
 func TestOptimisticCounterPlumbing(t *testing.T) {
 	m := MustNew(Config{Stripes: 1, ReadPath: "optimistic"})
 	m.Put(7, 70)
-	base := m.Snapshot()
+	base := m.Snapshot().Counters
 	for i := 0; i < 50; i++ {
 		m.Get(7)
 	}
@@ -359,9 +359,9 @@ func TestOptimisticCounterPlumbing(t *testing.T) {
 	if snap.Stripes[0].OptimisticHits != snap.OptimisticHits {
 		t.Fatalf("stripe/rollup mismatch: %d vs %d", snap.Stripes[0].OptimisticHits, snap.OptimisticHits)
 	}
-	delta := snap.Sub(base)
-	if delta.OptimisticHits != 50 || delta.Stripes[0].OptimisticHits != 50 {
-		t.Fatalf("delta hits = %d / stripe %d, want 50", delta.OptimisticHits, delta.Stripes[0].OptimisticHits)
+	delta := snap.Counters.Sub(base)
+	if delta.OptimisticHits != 50 {
+		t.Fatalf("delta hits = %d, want 50", delta.OptimisticHits)
 	}
 }
 
@@ -391,7 +391,7 @@ func TestOptimisticCountersConcurrent(t *testing.T) {
 	for c := range classCtx {
 		classCtx[c] = WithClass(timeout, c)
 	}
-	base := m.Snapshot()
+	base := m.Snapshot().Counters
 
 	var (
 		gets     atomic.Uint64
@@ -455,7 +455,7 @@ func TestOptimisticCountersConcurrent(t *testing.T) {
 	close(stop)
 	writer.Wait()
 
-	delta := m.Snapshot().Sub(base)
+	delta := m.Snapshot().Counters.Sub(base)
 	if got, want := delta.OptimisticHits+delta.OptimisticFallbacks, gets.Load(); got != want {
 		t.Errorf("hits %d + fallbacks %d = %d, want the %d Gets issued",
 			delta.OptimisticHits, delta.OptimisticFallbacks, got, want)

@@ -73,8 +73,8 @@
 // fairness summaries (LWSS, MTTR, Gini, RSTDDEV via metrics.Summarize),
 // which is where collapse actually shows up: a uniformly loaded map can
 // hide one collapsed stripe in its averages, but not in its per-stripe
-// LWSS. Snapshot.Sub turns two successive snapshots into per-interval
-// rates — what shardd's /metrics sampler reports.
+// LWSS. Counters.Sub turns two successive snapshots' counters into
+// per-interval rates — what shardd's /metrics sampler reports.
 package shard
 
 import (
@@ -726,27 +726,14 @@ func (m *Map) del(ctx context.Context, key uint64) (bool, error) {
 // Len returns the number of keys present. Like every multi-stripe read it
 // is a per-stripe-consistent sum, not a point-in-time snapshot.
 func (m *Map) Len() int {
-	n, _ := m.lenStripes(nil)
-	return n
-}
-
-// LenContext is Len with every stripe acquisition bounded by ctx, so a
-// monitoring path never blocks uncancellably behind a collapsed stripe.
-func (m *Map) LenContext(ctx context.Context) (int, error) {
-	return m.lenStripes(ctx)
-}
-
-func (m *Map) lenStripes(ctx context.Context) (int, error) {
 	n := 0
 	for i := range m.stripes {
 		s := &m.stripes[i]
-		if err := s.lock(ctx); err != nil {
-			return 0, err
-		}
+		s.mu.Lock()
 		n += s.table.Len()
 		s.mu.Unlock()
 	}
-	return n, nil
+	return n
 }
 
 // Range calls fn for every key/value pair until fn returns false. It
@@ -755,25 +742,10 @@ func (m *Map) lenStripes(ctx context.Context) (int, error) {
 // call back into the Map freely. The traversal is per-stripe consistent;
 // concurrent writers may be observed in some stripes and not others.
 func (m *Map) Range(fn func(key, val uint64) bool) {
-	m.rangeStripes(nil, fn)
-}
-
-// RangeContext is Range with every stripe acquisition bounded by ctx; it
-// returns ctx.Err() from the first stripe whose lock could not be taken
-// in time (pairs already yielded stay yielded).
-func (m *Map) RangeContext(ctx context.Context, fn func(key, val uint64) bool) error {
-	return m.rangeStripes(ctx, fn)
-}
-
-type kv struct{ key, val uint64 }
-
-func (m *Map) rangeStripes(ctx context.Context, fn func(key, val uint64) bool) error {
 	var pairs []kv
 	for i := range m.stripes {
 		s := &m.stripes[i]
-		if err := s.lock(ctx); err != nil {
-			return err
-		}
+		s.mu.Lock()
 		pairs = pairs[:0]
 		s.table.Range(func(k, v uint64) bool {
 			pairs = append(pairs, kv{k, v})
@@ -782,12 +754,13 @@ func (m *Map) rangeStripes(ctx context.Context, fn func(key, val uint64) bool) e
 		s.mu.Unlock()
 		for _, p := range pairs {
 			if !fn(p.key, p.val) {
-				return nil
+				return
 			}
 		}
 	}
-	return nil
 }
+
+type kv struct{ key, val uint64 }
 
 // LockSpec returns the spec every stripe's lock was built from
 // (Config.LockSpec, resolved).

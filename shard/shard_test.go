@@ -152,20 +152,11 @@ func TestContextOpsPlumbing(t *testing.T) {
 	if _, _, err := m.GetContext(done, 2); err != context.Canceled {
 		t.Fatalf("GetContext(done)=%v want context.Canceled", err)
 	}
-	if _, err := m.SnapshotContext(done); err != context.Canceled {
-		t.Fatalf("SnapshotContext(done)=%v want context.Canceled", err)
+	if _, err := m.SnapshotLite(done); err != context.Canceled {
+		t.Fatalf("SnapshotLite(done)=%v want context.Canceled", err)
 	}
-	if _, err := m.LenContext(done); err != context.Canceled {
-		t.Fatalf("LenContext(done)=%v want context.Canceled", err)
-	}
-	if err := m.RangeContext(done, func(_, _ uint64) bool { return true }); err != context.Canceled {
-		t.Fatalf("RangeContext(done)=%v want context.Canceled", err)
-	}
-	if n, err := m.LenContext(context.Background()); err != nil || n != 1 {
-		t.Fatalf("LenContext=%d,%v want 1,nil", n, err)
-	}
-	if s2, err := m.SnapshotContext(context.Background()); err != nil || s2.Len != 1 {
-		t.Fatalf("SnapshotContext Len=%d,%v want 1,nil", s2.Len, err)
+	if s2, err := m.SnapshotLite(context.Background()); err != nil || s2.Len != 1 {
+		t.Fatalf("SnapshotLite Len=%d,%v want 1,nil", s2.Len, err)
 	}
 }
 

@@ -46,13 +46,6 @@ func (m *Map) Snapshot() Snapshot {
 	return out
 }
 
-// SnapshotContext is Snapshot with every stripe acquisition bounded by
-// ctx: observability stays deadline-bounded even when the stripe it wants
-// to observe is the one that collapsed.
-func (m *Map) SnapshotContext(ctx context.Context) (Snapshot, error) {
-	return m.snapshotImpl(ctx, false)
-}
-
 // SnapshotLite is Snapshot minus the expensive fairness instruments: the
 // per-stripe Fairness carries only Admissions and RecentLWSS (a walk of
 // the trailing HistoryWindow admissions, outside the stripe lock);

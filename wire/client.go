@@ -128,7 +128,7 @@ func (c *Client) Ping() error {
 }
 
 // Info returns the server's "key=value" description lines (lock spec,
-// backend spec, stripes, conn model, then the map's counters).
+// backend spec, stripes, read path, then the map's counters).
 func (c *Client) Info() (string, error) {
 	c.wbuf = AppendInfo(c.wbuf[:0])
 	p, err := c.roundTrip(OpInfo)
