@@ -44,7 +44,7 @@ func main() {
 	flag.IntVar(&cfg.Stripes, "stripes", 0, "stripe count (0 = shard default, rounded up to a power of two)")
 	flag.StringVar(&cfg.LockSpec, "lock", "", "stripe lock spec (see lock.New; empty = shard default)")
 	flag.StringVar(&cfg.BackendSpec, "backend", "", "stripe backend spec (see store.New; empty = shard default)")
-	flag.StringVar(&cfg.ReadPath, "read-path", "", "Get read path: optimistic[?retries=N] (default: lock-free seqlock-validated Gets where the backend supports them) or locked (every Get takes the stripe lock)")
+	flag.StringVar(&cfg.ReadPath, "read-path", "", "Get read path: optimistic (default: lock-free seqlock-validated Gets where the backend supports them) or locked (every Get takes the stripe lock)")
 	flag.DurationVar(&cfg.DrainGrace, "drain-grace", 2*time.Second, "how long SIGTERM drain waits for in-flight requests")
 	flag.DurationVar(&cfg.MetricsInterval, "metrics-interval", time.Second, "/metrics sampler cadence")
 	flag.Uint64Var(&cfg.Seed, "seed", 0, "deterministic seed for stochastic lock behavior (0 = off)")

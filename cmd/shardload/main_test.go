@@ -136,8 +136,8 @@ func TestHarnessFaultsRunInTheGenerator(t *testing.T) {
 	if cr.Stalls == 0 {
 		t.Fatal("no stalls reported: the server's half of the fault never ran, or its stats never came back")
 	}
-	if st, _ := admin.FaultStats(); !strings.Contains(st, "reroutes=0") {
-		t.Fatalf("the server rerouted keys? FAULT stats:\n%s", st)
+	if st, _ := admin.FaultStats(); strings.Contains(st, "reroutes") {
+		t.Fatalf("the server reports a generator-only counter; FAULT stats:\n%s", st)
 	}
 }
 

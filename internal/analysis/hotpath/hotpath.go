@@ -23,12 +23,10 @@
 // without stopping it. Map.Snapshot and the Scan family are "patient"
 // operations: they quiesce stripes and are priced for occasional
 // debugging or reconfiguration, not for a 100ms control loop. Such a
-// function must not directly call Snapshot, Scan, ScanContext,
-// ScanChunked, or ScanChunkedContext on repro/shard.Map, nor
-// repro/metrics.Summarize over a full history (it copies the history
-// under the recorder lock). The blessed alternative is the
-// Map.SnapshotLite sampling read path. ScanChunkedStats is in the
-// patient family with the rest of the scans it wraps.
+// function must not directly call Snapshot, Scan, ScanContext, or
+// ScanFirst on repro/shard.Map, nor repro/metrics.Summarize over a full
+// history (it copies the history under the recorder lock). The blessed
+// alternative is the Map.SnapshotLite sampling read path.
 //
 // //lockcheck:optimistic marks a validated lock-free read section —
 // the seqlock read path (package optimistic) and the backend probes it
@@ -102,8 +100,7 @@ var csDeniedPkgs = map[string]string{
 // patientMethods are the shard.Map methods priced for patience, not
 // steady-state sampling.
 var patientMethods = map[string]bool{
-	"Snapshot": true, "Scan": true, "ScanContext": true,
-	"ScanChunked": true, "ScanChunkedContext": true, "ScanChunkedStats": true,
+	"Snapshot": true, "Scan": true, "ScanContext": true, "ScanFirst": true,
 }
 
 // optDeniedLockMethods are the repo's lock-acquisition method names (the

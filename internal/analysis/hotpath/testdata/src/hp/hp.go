@@ -84,10 +84,9 @@ func sampler(m *shard.Map) (uint64, bool) {
 //
 //lockcheck:nosnapshot
 func badSampler(m *shard.Map, h metrics.History) {
-	m.Snapshot()                                                        // want `\(\*shard\.Map\)\.Snapshot in //lockcheck:nosnapshot function badSampler`
-	_ = m.Scan(0, 10, func(k, v uint64) bool { return true })           // want `\(\*shard\.Map\)\.Scan in //lockcheck:nosnapshot function badSampler`
-	_ = m.ScanChunked(0, 10, 4, func(k, v uint64) bool { return true }) // want `\(\*shard\.Map\)\.ScanChunked in //lockcheck:nosnapshot function badSampler`
-	metrics.Summarize(h, 8)                                             // want `metrics\.Summarize in //lockcheck:nosnapshot function badSampler`
+	m.Snapshot()                                              // want `\(\*shard\.Map\)\.Snapshot in //lockcheck:nosnapshot function badSampler`
+	_ = m.Scan(0, 10, func(k, v uint64) bool { return true }) // want `\(\*shard\.Map\)\.Scan in //lockcheck:nosnapshot function badSampler`
+	metrics.Summarize(h, 8)                                   // want `metrics\.Summarize in //lockcheck:nosnapshot function badSampler`
 }
 
 // snapshots are fine outside the annotation.
@@ -155,9 +154,10 @@ func nestedOptimistic() {
 	f()
 }
 
-// the patient family grew ScanChunkedStats; nosnapshot covers it too.
+// the bounded scan is in the patient family too: it still locks every
+// stripe.
 //
 //lockcheck:nosnapshot
-func badStatsSampler(m *shard.Map) {
-	m.ScanChunkedStats(nil, 0, 10, 4, func(k, v uint64) bool { return true }) // want `\(\*shard\.Map\)\.ScanChunkedStats in //lockcheck:nosnapshot function badStatsSampler`
+func badBoundedSampler(m *shard.Map) {
+	m.ScanFirst(nil, 0, 10, 4, func(k, v uint64) bool { return true }) // want `\(\*shard\.Map\)\.ScanFirst in //lockcheck:nosnapshot function badBoundedSampler`
 }

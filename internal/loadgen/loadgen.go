@@ -21,9 +21,13 @@
 //  3. A rejected scan (unordered backend) is neither a deadline attempt
 //     nor a miss, and not an op: it is demand the target could not serve.
 //  4. A request lost to a broken or draining target is not an attempt
-//     either; a missed deadline is an attempt and a miss but not an op,
-//     and stays out of the latency pool (its latency is the deadline by
-//     construction). So ops + misses + rejected + broken == issued.
+//     either. A deadlined request is an attempt, and a miss but not an
+//     op when the target reports its deadline missed or its response
+//     arrives after the deadline: a reply the client gets too late is
+//     no more use to it than none. A reported miss stays out of the
+//     latency pool (its latency is the deadline by construction); a late
+//     reply keeps its measured latency there, so p99 shows the tail it
+//     missed by. So ops + misses + rejected + broken == issued.
 //  5. Throughput divides ops by the measured elapsed time, first dial to
 //     last worker exit — not by the nominal duration.
 package loadgen
@@ -221,7 +225,7 @@ func (t Traffic) Record(c *Chaos) benchfmt.Record {
 type Result struct {
 	Issued   int // requests handed to a target
 	Ops      int // completed in time (scans included)
-	Scans    int // completed scans
+	Scans    int // scans completed in time
 	Rejected int // scans refused for want of an ordered backend
 	Attempts int // completed or missed requests that carried a deadline
 	Misses   int
@@ -229,7 +233,7 @@ type Result struct {
 
 	DialErrors int           // workers that could not (re-)dial and gave up
 	Elapsed    time.Duration // measured, first dial to last worker exit
-	Latencies  []int64       // ns from scheduled arrival, completed requests only
+	Latencies  []int64       // ns from scheduled arrival, served requests only (late ones included)
 	Chaos      *benchfmt.ChaosResult
 }
 
@@ -394,10 +398,15 @@ func (r *run) worker(id int, n *tally) {
 		n.issued++
 		switch out := tgt.Do(req); out {
 		case OK:
+			done := time.Now()
+			n.log = append(n.log, int64(done.Sub(arrival)))
 			if deadlined {
 				r.attempts.Add(1)
+				if done.After(req.Deadline) {
+					r.misses.Add(1)
+					break
+				}
 			}
-			n.log = append(n.log, int64(time.Since(arrival)))
 			if req.Op == Scan {
 				n.scans++
 			}

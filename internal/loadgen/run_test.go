@@ -132,7 +132,7 @@ func TestRunAccounting(t *testing.T) {
 					t.Fatalf("ops %d + misses %d + rejected %d + broken %d != issued %d", res.Ops, res.Misses, res.Rejected, res.Broken, res.Issued)
 				}
 				if len(res.Latencies) != res.Ops {
-					t.Fatalf("%d latencies for %d ops: only completed requests belong in the pool", len(res.Latencies), res.Ops)
+					t.Fatalf("%d latencies for %d ops: a reported miss stays out of the pool", len(res.Latencies), res.Ops)
 				}
 				// Each Broken outcome cost exactly one re-dial (bar a
 				// worker's last, if the cell had stopped), and every
@@ -171,8 +171,9 @@ func TestRunAccounting(t *testing.T) {
 		{
 			// Open loop: budget and latency start at the scheduled
 			// arrival. A target that takes 20ms per request against a
-			// 1ms schedule is handed deadlines that already expired, and
-			// the queueing shows in the latencies.
+			// 1ms schedule is handed deadlines that already expired: each
+			// reply is late, so a miss, and the queueing shows in the
+			// latencies.
 			name: "open loop charges a late generator",
 			traffic: func(tr *Traffic) {
 				tr.Workers, tr.Rate, tr.Deadline, tr.DeadlineFrac = 1, 1000, 2*time.Millisecond, 1
@@ -192,6 +193,38 @@ func TestRunAccounting(t *testing.T) {
 				}
 				if last := time.Duration(res.Latencies[len(res.Latencies)-1]); last < 35*time.Millisecond {
 					t.Fatalf("last latency %v does not include the time spent queued behind the schedule", last)
+				}
+				if res.Ops != 0 || res.Attempts != res.Issued || res.Misses != res.Issued {
+					t.Fatalf("every reply came after its deadline, yet ops %d, attempts %d, misses %d of %d issued",
+						res.Ops, res.Attempts, res.Misses, res.Issued)
+				}
+			},
+		},
+		{
+			// Closed loop: a target that serves every request 5ms after
+			// a ~1ms deadline reports no miss itself, but every reply
+			// reaches the client too late — each is a miss, not an op,
+			// and its latency stays in the pool.
+			name: "a late reply is a miss",
+			traffic: func(tr *Traffic) {
+				tr.Workers, tr.Deadline, tr.DeadlineFrac = 1, time.Millisecond, 1
+			},
+			script: func(int, int, Request) Outcome {
+				time.Sleep(5 * time.Millisecond)
+				return OK
+			},
+			check: func(t *testing.T, f *fake, res Result) {
+				if res.Issued < 3 || res.Ops != 0 || res.Scans != 0 || res.Attempts != res.Issued || res.Misses != res.Issued {
+					t.Fatalf("late replies: issued %d, ops %d, scans %d, attempts %d, misses %d; want every request an attempt and a miss",
+						res.Issued, res.Ops, res.Scans, res.Attempts, res.Misses)
+				}
+				if len(res.Latencies) != res.Issued {
+					t.Fatalf("%d latencies for %d late replies: a late reply keeps its latency in the pool", len(res.Latencies), res.Issued)
+				}
+				for _, ns := range res.Latencies {
+					if time.Duration(ns) < 5*time.Millisecond {
+						t.Fatalf("latency %v is shorter than the 5ms the target took", time.Duration(ns))
+					}
 				}
 			},
 		},

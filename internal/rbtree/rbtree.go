@@ -29,7 +29,7 @@ type node struct {
 
 // Tree is a left-leaning red-black tree over the full uint64 key domain.
 // Beyond the point operations it serves the ordered-read contract a
-// store backend needs: Min / Scan / Range expose the key order the tree
+// store backend needs: Scan and Range expose the key order the tree
 // maintains anyway.
 //
 // Tree is not safe for concurrent use: the caller's lock — in the
@@ -235,20 +235,6 @@ func (t *Tree) delete(h *node, key uint64) *node {
 		}
 	}
 	return fixUp(t, h)
-}
-
-// Min returns the smallest key, or ok=false when empty.
-func (t *Tree) Min() (key uint64, ok bool) {
-	n := t.root
-	if n == nil {
-		return 0, false
-	}
-	t.touch(n)
-	for n.left != nil {
-		n = n.left
-		t.touch(n)
-	}
-	return n.key, true
 }
 
 // Scan calls fn for every pair with lo <= key <= hi, in ascending key

@@ -94,7 +94,7 @@ func (a arena) words() (used, reserved int) {
 
 // List is a skip list mapping uint64 keys to uint64 values over the full
 // uint64 key domain. Beyond the point operations it serves the
-// ordered-read contract a store backend needs: Min / Scan / Range expose
+// ordered-read contract a store backend needs: Scan and Range expose
 // the key order the tower structure maintains anyway.
 //
 // Each of a list's arenas holds at most 2^32 words — 32 GiB, about 1.2
@@ -547,16 +547,6 @@ func (l *List) unlink(n uint32, prev *[maxHeight]uint32) {
 	words[keyWord] = uint64(l.free[s])
 	l.free[s] = n
 	delete(l.addr, n)
-}
-
-// Min returns the smallest key, or ok=false when empty.
-func (l *List) Min() (key uint64, ok bool) {
-	n := l.link(head, 0)
-	if n == 0 {
-		return 0, false
-	}
-	l.touch(n)
-	return l.key(n), true
 }
 
 // Scan calls fn for every pair with lo <= key <= hi, in ascending key

@@ -57,15 +57,25 @@ func TestMin(t *testing.T) {
 
 func testMin(t *testing.T, width int) {
 	l := New(3, width)
-	if _, ok := l.Min(); ok {
-		t.Fatal("Min on empty list")
+	if _, ok := scanMin(l); ok {
+		t.Fatal("Scan yielded a pair from an empty list")
 	}
 	l.Put(50, 1)
 	l.Put(10, 1)
 	l.Put(90, 1)
-	if k, ok := l.Min(); !ok || k != 10 {
-		t.Fatalf("Min=%d,%v", k, ok)
+	if k, ok := scanMin(l); !ok || k != 10 {
+		t.Fatalf("Scan's first key=%d,%v, want 10", k, ok)
 	}
+}
+
+// scanMin returns the smallest key of l, Scan's first pair over the full
+// domain, or ok=false when l is empty.
+func scanMin(l *List) (key uint64, ok bool) {
+	l.Scan(0, ^uint64(0), func(k, _ uint64) bool {
+		key, ok = k, true
+		return false
+	})
+	return key, ok
 }
 
 func TestInvariantsUnderRandomOps(t *testing.T) {
@@ -154,14 +164,6 @@ func testOrderedOps(t *testing.T, width int) {
 	})
 	if n != len(present) {
 		t.Fatalf("Scan yielded %d pairs want %d", n, len(present))
-	}
-	// Min agrees with the first scanned key.
-	if k, ok := l.Min(); len(present) > 0 && (!ok || func() bool {
-		seen := false
-		l.Scan(0, ^uint64(0), func(sk, _ uint64) bool { seen = sk == k; return false })
-		return !seen
-	}()) {
-		t.Fatalf("Min=%d,%v disagrees with Scan head", k, ok)
 	}
 }
 
@@ -329,12 +331,6 @@ func TestHookedMatchesUnhooked(t *testing.T) {
 		if !visited[got[j]] {
 			t.Fatalf("Scan yielded key %d without reporting its node", got[j])
 		}
-	}
-	am, aok := bare.Min()
-	path = path[:0]
-	bm, bok := hooked.Min()
-	if am != bm || aok != bok || (bok && (len(path) != 1 || keyAt[path[0]] != bm)) {
-		t.Fatalf("Min=%d,%v bare, %d,%v hooked (visits %v)", am, aok, bm, bok, path)
 	}
 }
 
@@ -554,8 +550,8 @@ func TestWidthsAgree(t *testing.T) {
 				t.Fatalf("after %s, width %d: Len=%d (model %d), Range agrees %v, invariants %v",
 					batch, widths[i], l.Len(), len(model), slices.Equal(got, want), l.CheckInvariants())
 			}
-			if m, ok := l.Min(); ok != (len(want) > 0) || ok && m != want[0] {
-				t.Fatalf("after %s, width %d: Min=%d,%v", batch, widths[i], m, ok)
+			if m, ok := scanMin(l); ok != (len(want) > 0) || ok && m != want[0] {
+				t.Fatalf("after %s, width %d: Scan's first key=%d,%v", batch, widths[i], m, ok)
 			}
 		}
 	}

@@ -13,13 +13,13 @@
 //     unchanged even stamp proves no writer overlapped, so the read is
 //     linearizable at any point inside the window (DESIGN.md §12).
 //
-//   - ReadPath, the spec grammar ("locked", "optimistic?retries=8")
-//     consumers use to select the read path, in the same URL-parameter
-//     style as the lock/store/fault registries.
+//   - ReadPath, the spec grammar ("locked", "optimistic") consumers use
+//     to select the read path.
 //
-// Validation failures are bounded: after Retries failed attempts the
-// reader falls back to the stripe lock, so a write storm degrades reads
-// to exactly the pre-optimistic behavior instead of livelocking them.
+// Validation failures are bounded: after DefaultRetries failed attempts
+// the reader falls back to the stripe lock, so a write storm degrades
+// reads to exactly the pre-optimistic behavior instead of livelocking
+// them.
 //
 // The optimistic path is the default: the empty spec parses as
 // "optimistic", and "locked" is the explicit opt-out. A backend that
@@ -30,15 +30,13 @@ package optimistic
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/spec"
 )
 
-// DefaultRetries is the optimistic read path's default validation-retry
-// budget before a reader falls back to the stripe lock. Eight attempts
-// rides out a burst of short writer critical sections; anything still
-// failing after eight is a write storm the locked path handles better
-// (it parks instead of burning cycles).
+// DefaultRetries is the optimistic read path's validation-retry budget
+// before a reader falls back to the stripe lock. Eight attempts rides
+// out a burst of short writer critical sections; anything still failing
+// after eight is a write storm the locked path handles better (it parks
+// instead of burning cycles).
 const DefaultRetries = 8
 
 // ReadPath is a parsed read-path spec: how a shard.Map serves Gets.
@@ -46,68 +44,44 @@ const DefaultRetries = 8
 type ReadPath struct {
 	// Optimistic selects seqlock-validated lock-free Gets on backends
 	// that support them (store.OptimisticReader), with per-stripe
-	// fallback to the lock. False is the classic locked read path.
+	// fallback to the lock after DefaultRetries failed validations.
+	// False is the classic locked read path.
 	Optimistic bool
-	// Retries is the per-Get validation retry budget before falling
-	// back to the stripe lock. Meaningful only when Optimistic.
-	Retries int
 }
 
-// String renders the canonical spec ("locked", "optimistic",
-// "optimistic?retries=4"). Parse(String()) round-trips.
+// String renders the canonical spec, "locked" or "optimistic".
+// Parse(String()) round-trips.
 func (rp ReadPath) String() string {
 	if !rp.Optimistic {
 		return "locked"
 	}
-	if rp.Retries == DefaultRetries {
-		return "optimistic"
-	}
-	return fmt.Sprintf("optimistic?retries=%d", rp.Retries)
+	return "optimistic"
 }
 
-// readGrammar parses the optimistic path's parameters. locked takes
-// none, enforced in Parse.
-var readGrammar = spec.NewGrammar[func(*ReadPath)]("optimistic", map[string]spec.ParamFunc[func(*ReadPath)]{
-	"retries": func(v string) (func(*ReadPath), error) {
-		n, err := spec.PosInt(v)
-		if err != nil {
-			return nil, err
-		}
-		return func(rp *ReadPath) { rp.Retries = n }, nil
-	},
-})
-
-// Parse parses a read-path spec. The empty spec is "optimistic" with
-// DefaultRetries, so zero-valued configs serve Gets lock-free wherever
-// the backend allows. Recognized names:
+// Parse parses a read-path spec. The empty spec is "optimistic", so
+// zero-valued configs serve Gets lock-free wherever the backend allows.
+// Recognized names, neither of which takes parameters:
 //
-//	optimistic[?retries=N]   seqlock-validated lock-free Gets,
-//	                         N failed validations fall back to the lock
-//	locked                   every Get acquires the stripe lock
+//	optimistic   seqlock-validated lock-free Gets, DefaultRetries
+//	             failed validations fall back to the lock
+//	locked       every Get acquires the stripe lock
 func Parse(s string) (ReadPath, error) {
-	name, query, _ := strings.Cut(s, "?")
+	name, query, hasQuery := strings.Cut(s, "?")
 	name = strings.ToLower(strings.TrimSpace(name))
-	if name == "" && query == "" {
+	if name == "" && !hasQuery {
 		name = "optimistic"
 	}
+	var rp ReadPath
 	switch name {
 	case "locked":
-		if query != "" {
-			return ReadPath{}, fmt.Errorf("optimistic: spec %q: the locked read path takes no parameters", s)
-		}
-		return ReadPath{}, nil
-	case "optimistic", "seqlock":
-		rp := ReadPath{Optimistic: true, Retries: DefaultRetries}
-		opts, err := readGrammar.Parse(s, query)
-		if err != nil {
-			return ReadPath{}, err
-		}
-		for _, opt := range opts {
-			opt(&rp)
-		}
-		return rp, nil
+	case "optimistic":
+		rp.Optimistic = true
 	default:
 		return ReadPath{}, fmt.Errorf("optimistic: unknown read path %q in spec %q (known read paths: locked, optimistic)",
 			name, s)
 	}
+	if hasQuery {
+		return ReadPath{}, fmt.Errorf("optimistic: spec %q: the %s read path takes no parameters (got %q)", s, name, query)
+	}
+	return rp, nil
 }

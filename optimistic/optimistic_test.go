@@ -7,13 +7,11 @@ func TestParseReadPath(t *testing.T) {
 		spec string
 		want ReadPath
 	}{
-		{"", ReadPath{Optimistic: true, Retries: DefaultRetries}},
-		{" ", ReadPath{Optimistic: true, Retries: DefaultRetries}},
+		{"", ReadPath{Optimistic: true}},
+		{" ", ReadPath{Optimistic: true}},
 		{"locked", ReadPath{}},
 		{" Locked ", ReadPath{}},
-		{"optimistic", ReadPath{Optimistic: true, Retries: DefaultRetries}},
-		{"seqlock", ReadPath{Optimistic: true, Retries: DefaultRetries}},
-		{"optimistic?retries=3", ReadPath{Optimistic: true, Retries: 3}},
+		{"optimistic", ReadPath{Optimistic: true}},
 	}
 	for _, c := range cases {
 		got, err := Parse(c.spec)
@@ -35,11 +33,11 @@ func TestParseReadPathErrors(t *testing.T) {
 	for _, spec := range []string{
 		"turbo",
 		"?retries=3",
+		"?",
 		"locked?retries=3",
-		"optimistic?retries=0",
-		"optimistic?retries=x",
+		"optimistic?",
 		"optimistic?bogus=1",
-		"optimistic?retries=1&retries=2",
+		"SeqLock", // names fold case, and the read paths have no aliases
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Fatalf("Parse(%q): want error, got nil", spec)

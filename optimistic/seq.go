@@ -72,11 +72,3 @@ func (s *Seq) ReadBegin() (stamp uint64, ok bool) {
 func (s *Seq) Validate(stamp uint64) bool {
 	return s.v.Load() == stamp
 }
-
-// Stamp returns the current stamp. Under the stripe lock it is always
-// even (no writer can be mid-section), which is what lets ScanChunked
-// certify that a stripe's data was unchanged between two locked visits:
-// equal stamps ⇒ zero intervening write sections.
-func (s *Seq) Stamp() uint64 {
-	return s.v.Load()
-}

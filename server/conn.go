@@ -187,15 +187,11 @@ func (s *Server) handleOp(ctx context.Context, op wire.Op, p, resp []byte) []byt
 			return wire.AppendErrorResp(resp, op, wire.StatusBadFrame, err.Error())
 		}
 		out, start := wire.BeginScanResp(resp)
-		n := uint32(0)
-		// chunk = max bounds what each stripe copies out under its lock to
-		// what the response can carry, not to what [lo, hi] holds. It is
-		// still one round: a stripe cut short at max pairs sets the safe
-		// prefix, which then already holds max pairs and ends the scan.
-		err = s.m.ScanChunkedContext(ctx, lo, hi, int(max), func(k, v uint64) bool {
+		// max bounds what each stripe copies out under its lock to what
+		// the response can carry, not to what [lo, hi] holds.
+		err = s.m.ScanFirst(ctx, lo, hi, int(max), func(k, v uint64) bool {
 			out = wire.AppendScanPair(out, k, v)
-			n++
-			return n < max
+			return true
 		})
 		if err != nil {
 			// Partial pairs are abandoned with the truncation: the reply

@@ -109,8 +109,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.add("shardd_fault_armed", "", boolMetric(set.Active()))
 		p.add("shardd_fault_stalls_total", "", st.Stalls)
 		p.add("shardd_fault_stall_ms_total", "", st.StallTime.Milliseconds())
-		p.add("shardd_fault_reroutes_total", "", st.Reroutes)
-		p.add("shardd_fault_surge_peak", "", st.SurgePeak)
 	}
 
 	sample := s.metricsCache.Load()

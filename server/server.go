@@ -314,7 +314,9 @@ func (s *Server) disarmFault() {
 	}
 }
 
-// faultStats renders the armed set's evidence counters.
+// faultStats renders the armed set's data-plane evidence counters. The
+// server never calls Set.Key or Set.ExtraThreads, so reroutes and the
+// surge peak are the load generator's to report, not the server's.
 func (s *Server) faultStats() []byte {
 	s.faultMu.Lock()
 	set := s.faultSet
@@ -326,7 +328,6 @@ func (s *Server) faultStats() []byte {
 	}
 	st := set.Stats()
 	fmt.Fprintf(&b, "armed=%t\nspec=%s\n", set.Active(), set)
-	fmt.Fprintf(&b, "stalls=%d\nstall_ms=%d\nreroutes=%d\nsurge_peak=%d\n",
-		st.Stalls, st.StallTime.Milliseconds(), st.Reroutes, st.SurgePeak)
+	fmt.Fprintf(&b, "stalls=%d\nstall_ms=%d\n", st.Stalls, st.StallTime.Milliseconds())
 	return []byte(b.String())
 }

@@ -26,9 +26,8 @@ func TestReadPathConfig(t *testing.T) {
 	if got := m.ReadPath(); got != "locked" {
 		t.Fatalf("ReadPath() = %q, want locked", got)
 	}
-	m = MustNew(Config{Stripes: 2, ReadPath: "optimistic?retries=4"})
-	if got := m.ReadPath(); got != "optimistic?retries=4" {
-		t.Fatalf("ReadPath() = %q", got)
+	if _, err := New(Config{ReadPath: "optimistic?bogus=4"}); err == nil {
+		t.Fatal("New accepted a read-path parameter")
 	}
 }
 
@@ -141,7 +140,7 @@ func TestOptimisticFallbackUnderStall(t *testing.T) {
 	// The FIFO mcs-stp lock bounds each fallback Get's wait at one
 	// writer critical section; an unfair spinlock could starve the
 	// reader behind the stalling writer's immediate re-acquires.
-	m := MustNew(Config{Stripes: 1, LockSpec: "mcs-stp", ReadPath: "optimistic?retries=1"})
+	m := MustNew(Config{Stripes: 1, LockSpec: "mcs-stp", ReadPath: "optimistic"})
 	set := fault.MustNew("stall?p=1&hold=100us")
 	m.SetInjector(set)
 	defer m.SetInjector(nil)
@@ -195,7 +194,7 @@ func TestOptimisticMonotonicStress(t *testing.T) {
 		writers = 4
 		readers = 4
 	)
-	m := MustNew(Config{Stripes: stripes, LockSpec: "mcs-stp", ReadPath: "optimistic?retries=2"})
+	m := MustNew(Config{Stripes: stripes, LockSpec: "mcs-stp", ReadPath: "optimistic"})
 	set := fault.MustNew("stall?p=0.05&hold=50us")
 	m.SetInjector(set)
 	defer m.SetInjector(nil)
@@ -381,7 +380,7 @@ func TestOptimisticCountersConcurrent(t *testing.T) {
 	)
 	const perReader = 2000
 	readers := 2 * runtime.GOMAXPROCS(0)
-	m := MustNew(Config{Stripes: stripes, LockSpec: "mcs-stp", ReadPath: "optimistic?retries=1"})
+	m := MustNew(Config{Stripes: stripes, LockSpec: "mcs-stp", ReadPath: "optimistic"})
 	for k := uint64(0); k < keys; k++ {
 		m.Put(k, k)
 	}

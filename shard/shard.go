@@ -20,8 +20,9 @@
 // Keys are routed by the high bits of the same 64-bit mixer the hashmap
 // backend probes with its low bits, so stripe routing never degrades
 // in-stripe probing. An ordered backend (store.Ordered: "skiplist",
-// "rbtree") additionally enables Scan/ScanContext — cross-stripe range
-// queries in global key order; with the default "hashmap" backend those
+// "rbtree") additionally enables Scan, ScanContext and the bounded
+// ScanFirst — cross-stripe range queries in global key order, each one
+// pass over the stripes; with the default "hashmap" backend those
 // return ErrUnordered.
 //
 // # Configuration is for life
@@ -54,10 +55,11 @@
 // (optimistic.Seq) beside the table, and a reader snapshots the stamp,
 // probes the table with torn-read-safe atomic loads, and revalidates. An
 // unchanged stamp proves no writer overlapped, making the read
-// linearizable; a changed stamp retries, and after Config's retry budget
-// the reader falls back to the stripe lock — so a write storm degrades
-// reads to exactly the locked path's behavior instead of livelocking
-// them. Per-stripe hit/retry/fallback counters land in StripeSnapshot.
+// linearizable; a changed stamp retries, and after
+// optimistic.DefaultRetries retries the reader falls back to the stripe
+// lock — so a write storm degrades reads to exactly the locked path's
+// behavior instead of livelocking them. Per-stripe hit/retry/fallback
+// counters land in StripeSnapshot.
 // A backend that declines the interface (skiplist, rbtree) serves every
 // Get under the stripe lock, and "locked" asks for that on every
 // backend. A lock-free hit is not an admission: it leaves no admission
@@ -109,10 +111,10 @@ const (
 // per-class budgets are the first half of per-class SLOs.
 const NumClasses = 4
 
-// ErrUnordered is returned by Scan, ScanChunked, and their context forms
-// when the map's backend does not maintain key order (it does not
-// satisfy store.Ordered). Build the map with an ordered backend
-// ("skiplist", "rbtree") to serve range queries.
+// ErrUnordered is returned by Scan, ScanContext and ScanFirst when the
+// map's backend does not maintain key order (it does not satisfy
+// store.Ordered). Build the map with an ordered backend ("skiplist",
+// "rbtree") to serve range queries.
 var ErrUnordered = errors.New("shard: backend is not ordered")
 
 // Config configures a Map. The zero value is usable: DefaultStripes
@@ -133,7 +135,7 @@ type Config struct {
 	// BackendSpec is the registry spec (see store.New) each stripe's
 	// table is built from. Empty means DefaultBackendSpec ("hashmap").
 	// An ordered backend ("skiplist", "rbtree") additionally enables
-	// Scan/ScanContext.
+	// Scan, ScanContext and ScanFirst.
 	BackendSpec string
 
 	// Seed, when nonzero, seeds each stripe's lock and backend PRNGs
@@ -160,18 +162,13 @@ type Config struct {
 	// lock-free records nothing (see ReadPath).
 	HistoryCap int
 
-	// HistoryWindow is the LWSS window for Snapshot's per-stripe
-	// summaries. 0 means metrics.DefaultWindow.
-	HistoryWindow int
-
 	// ReadPath selects how Gets are served (see optimistic.Parse).
-	// Empty or "optimistic" (optionally "optimistic?retries=N") serves
-	// Gets lock-free via seqlock validation on stripes whose backend
-	// implements store.OptimisticReader, falling back to the lock after
-	// N failed validations (default optimistic.DefaultRetries). Stripes
-	// whose backend declines the interface keep the locked path. "locked"
-	// is the opt-out: every Get acquires the stripe lock, on every
-	// backend.
+	// Empty or "optimistic" serves Gets lock-free via seqlock validation
+	// on stripes whose backend implements store.OptimisticReader, falling
+	// back to the lock after optimistic.DefaultRetries failed
+	// validations. Stripes whose backend declines the interface keep the
+	// locked path. "locked" is the opt-out: every Get acquires the stripe
+	// lock, on every backend.
 	//
 	// Three consequences of a lock-free hit: the Get leaves no admission
 	// history (WithClientID records inside the critical section the
@@ -205,13 +202,11 @@ type stripe struct {
 	// the map's read path is optimistic AND the backend opted in
 	// (store.OptimisticReader) — the per-stripe gate of the lock-free
 	// Get. seq is the stripe's seqlock stamp: bumped odd/even around
-	// every table mutation (under the stripe lock), validated by
-	// lock-free readers, and read under the stripe lock by ScanChunked
-	// to certify cross-chunk consistency. The stamp is maintained on
-	// every write path regardless of read path — two uncontended atomic
-	// adds under a held lock — so scan certification works even on
-	// locked-read maps. opt, seq and ctr come first: they are all that a
-	// lock-free Get reads of the header.
+	// every table mutation (under the stripe lock) and validated by
+	// lock-free readers. The stamp is maintained on every write path
+	// regardless of read path — two uncontended atomic adds under a held
+	// lock. opt, seq and ctr come first: they are all that a lock-free
+	// Get reads of the header.
 	opt store.OptimisticReader
 	seq optimistic.Seq
 	ctr []counterSlot // a power of two of them; see counterSlot
@@ -317,7 +312,6 @@ type Injector interface {
 type Map struct {
 	stripes []stripe
 	shift   uint // stripe index = Mix(key) >> shift
-	window  int
 
 	// inj is the installed fault injector; nil (the normal case) costs
 	// one atomic pointer load per point op.
@@ -353,10 +347,6 @@ func New(cfg Config) (*Map, error) {
 	if bspec == "" {
 		bspec = DefaultBackendSpec
 	}
-	window := cfg.HistoryWindow
-	if window <= 0 {
-		window = metrics.DefaultWindow
-	}
 	perStripe := 0
 	if cfg.Capacity > 0 {
 		perStripe = (cfg.Capacity + n - 1) / n
@@ -368,7 +358,6 @@ func New(cfg Config) (*Map, error) {
 	m := &Map{
 		stripes:    make([]stripe, n),
 		shift:      uint(64 - bits.TrailingZeros(uint(n))),
-		window:     window,
 		readPath:   rp,
 		cfgLock:    spec,
 		cfgBackend: bspec,
@@ -568,7 +557,7 @@ func (m *Map) getOptimistic(s *stripe, key uint64, cls int) (val uint64, ok, ser
 		return 0, false, false
 	}
 	c := s.counters()
-	for attempt := 0; attempt <= m.readPath.Retries; attempt++ {
+	for attempt := 0; attempt <= optimistic.DefaultRetries; attempt++ {
 		stamp, stable := s.seq.ReadBegin()
 		if stable {
 			v, present := s.opt.GetOptimistic(key)
@@ -771,5 +760,5 @@ func (m *Map) LockSpec() string { return m.cfgLock }
 func (m *Map) BackendSpec() string { return m.cfgBackend }
 
 // ReadPath returns the canonical form of the read-path spec the map was
-// built with ("locked", "optimistic", "optimistic?retries=N").
+// built with: "locked" or "optimistic".
 func (m *Map) ReadPath() string { return m.readPath.String() }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/leakcheck"
+	"repro/metrics"
 	"repro/store"
 )
 
@@ -178,7 +179,7 @@ func TestHistoryCap(t *testing.T) {
 // must agree with the full Snapshot's Summarize as distinct clients widen
 // the trailing window and one client narrows it again.
 func TestSnapshotLiteRecentLWSS(t *testing.T) {
-	m := MustNew(Config{Stripes: 1, LockSpec: "tas", HistoryCap: 1 << 12, HistoryWindow: 8})
+	m := MustNew(Config{Stripes: 1, LockSpec: "tas", HistoryCap: 1 << 12})
 	check := func(want float64) {
 		t.Helper()
 		lite, err := m.SnapshotLite(context.Background())
@@ -199,8 +200,9 @@ func TestSnapshotLiteRecentLWSS(t *testing.T) {
 		}
 		check(float64(id + 1))
 	}
+	// A full LWSS window of one client pushes the other seven out of it.
 	ctx := WithClientID(context.Background(), 0)
-	for i := 0; i < 8; i++ {
+	for i := 0; i < metrics.DefaultWindow; i++ {
 		if _, err := m.PutContext(ctx, 0, 2); err != nil {
 			t.Fatal(err)
 		}

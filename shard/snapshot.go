@@ -48,7 +48,7 @@ func (m *Map) Snapshot() Snapshot {
 
 // SnapshotLite is Snapshot minus the expensive fairness instruments: the
 // per-stripe Fairness carries only Admissions and RecentLWSS (a walk of
-// the trailing HistoryWindow admissions, outside the stripe lock);
+// the trailing metrics.DefaultWindow admissions, outside the stripe lock);
 // AvgLWSS, MTTR, Gini, and RSTDDEV — each O(history) or O(history log
 // history) over up to HistoryCap records per stripe — come back zero.
 // It is the sampling path for steady-state monitors (shardd's /metrics
@@ -78,10 +78,10 @@ func (m *Map) snapshotImpl(ctx context.Context, lite bool) (Snapshot, error) {
 		if lite {
 			fairness.Admissions = len(h)
 			if len(h) > 0 {
-				fairness.RecentLWSS = float64(metrics.RecentLWSS(h, m.window))
+				fairness.RecentLWSS = float64(metrics.RecentLWSS(h, metrics.DefaultWindow))
 			}
 		} else {
-			fairness = metrics.Summarize(h, m.window)
+			fairness = metrics.Summarize(h, metrics.DefaultWindow)
 		}
 		c := s.load()
 		out.Stripes[i] = StripeSnapshot{

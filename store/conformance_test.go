@@ -101,7 +101,8 @@ func TestConformance(t *testing.T) {
 					if ordered == nil {
 						continue
 					}
-					// Min against the model's minimum.
+					// Scan's first pair over the full domain against the
+					// model's minimum.
 					var wantMin uint64
 					wantOK := false
 					for k := range model {
@@ -109,8 +110,14 @@ func TestConformance(t *testing.T) {
 							wantMin, wantOK = k, true
 						}
 					}
-					if k, ok := ordered.Min(); ok != wantOK || (ok && k != wantMin) {
-						t.Fatalf("op %d: Min=%d,%v want %d,%v", i, k, ok, wantMin, wantOK)
+					var k uint64
+					ok := false
+					ordered.Scan(0, ^uint64(0), func(sk, _ uint64) bool {
+						k, ok = sk, true
+						return false
+					})
+					if ok != wantOK || (ok && k != wantMin) {
+						t.Fatalf("op %d: Scan's first key=%d,%v want %d,%v", i, k, ok, wantMin, wantOK)
 					}
 					// Scan over a random inclusive range (occasionally the
 					// full domain) against the model's sorted keys.

@@ -12,7 +12,7 @@ func init() {
 	Register(Registration{
 		Name:    "rbtree",
 		Aliases: []string{"rb", "tree"},
-		Summary: "left-leaning red-black tree; ordered (Min/Scan), deterministic O(log n) bounds",
+		Summary: "left-leaning red-black tree; ordered (Scan), deterministic O(log n) bounds",
 		Build: func(opts ...Option) Backend {
 			_ = resolve(opts) // capacity/seed mean nothing to a tree
 			return rbtree.New()

@@ -25,7 +25,7 @@ func init() {
 	Register(Registration{
 		Name:    "skiplist",
 		Aliases: []string{"skip"},
-		Summary: "unrolled skip list, up to 64 sorted pairs per tower; ordered (Min/Scan), O(log n) point ops, cheap in-order walks",
+		Summary: "unrolled skip list, up to 64 sorted pairs per tower; ordered (Scan), O(log n) point ops, cheap in-order walks",
 		Build: func(opts ...Option) Backend {
 			cfg := resolve(opts)
 			return skiplist.New(cfg.seed, skiplistWidth)

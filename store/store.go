@@ -10,8 +10,8 @@
 //
 // Every backend implements Backend (point operations plus an unordered
 // Range). Backends whose structure maintains key order additionally
-// implement Ordered (Min, and Scan over an inclusive key range in
-// ascending order); callers that need order assert for it:
+// implement Ordered (Scan over an inclusive key range in ascending
+// order); callers that need order assert for it:
 //
 //	if ob, ok := b.(Ordered); ok { ob.Scan(lo, hi, fn) }
 //
@@ -50,8 +50,6 @@ type Backend interface {
 // without a full sweep.
 type Ordered interface {
 	Backend
-	// Min returns the smallest key present, or ok=false when empty.
-	Min() (key uint64, ok bool)
 	// Scan calls fn for every pair with lo <= key <= hi, in ascending
 	// key order, until fn returns false. Bounds are inclusive, so the
 	// full domain is Scan(0, ^uint64(0), fn). The backend must not be
